@@ -48,7 +48,6 @@ from repro.config.system import SystemConfig, default_mesh_dimensions
 from repro.noc.buffer import InputPort
 from repro.noc.network import Network
 from repro.noc.router import Router
-from repro.noc.vector import VectorRouter, VectorTransportEngine, resolve_transport
 from repro.noc.topology import (
     GridGeometry,
     LinkSpec,
@@ -332,23 +331,12 @@ class ChipletNetwork(Network):
         self.noi_mesh_ports: List = []
         self.io_ports: List = []
 
-        # Transport backend (REPRO_TRANSPORT), same wiring as MeshNetwork:
-        # every router — tile, NoI and IO die — joins one vector engine.
-        self.transport = resolve_transport()
-        self._transport_engine = None
-        self._router_cls = Router
-        if self.transport == "vector":
-            self._router_cls = VectorRouter
-            self._transport_engine = VectorTransportEngine(sim)
-
         self._build_tile_routers()
         self._build_noi_routers()
         self._build_uplinks()
         self._build_io_die()
         self._attach_interfaces()
         self._build_routing_tables()
-        if self._transport_engine is not None:
-            self._transport_engine.finalize(self.routers, self.interfaces.values())
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -365,7 +353,7 @@ class ChipletNetwork(Network):
         for node in range(self.system.num_cores):
             chiplet = node // p.cores_per_chiplet
             lx, ly = self.map.local_coord(node)
-            router = self._router_cls(
+            router = Router(
                 self.sim,
                 f"{self.name}.c{chiplet}.r{lx}_{ly}",
                 pipeline_latency=self.noc.mesh_router_pipeline,
@@ -401,7 +389,7 @@ class ChipletNetwork(Network):
         p = self.params
         for chiplet in range(p.count):
             cx, cy = self.map.chiplet_coord(chiplet)
-            router = self._router_cls(
+            router = Router(
                 self.sim,
                 f"{self.name}.noi{cx}_{cy}",
                 pipeline_latency=self.noc.mesh_router_pipeline,
@@ -466,7 +454,7 @@ class ChipletNetwork(Network):
         p = self.params
         if not p.io_die:
             return
-        self.io_router = self._router_cls(
+        self.io_router = Router(
             self.sim,
             f"{self.name}.io",
             pipeline_latency=self.noc.mesh_router_pipeline,

@@ -29,11 +29,6 @@ class Network(Component):
     #: (e.g. a core accessing the LLC slice in its own tile).
     LOCAL_DELIVERY_LATENCY = 1
 
-    #: Transport backend actually built: ``"scalar"`` unless a mesh-family
-    #: subclass wired the vectorized engine (``REPRO_TRANSPORT=vector``,
-    #: see :mod:`repro.noc.vector`).  Both backends are bit-identical.
-    transport = "scalar"
-
     def __init__(self, sim: Simulator, config: SystemConfig, name: str, node_ids: Iterable[int]) -> None:
         super().__init__(sim, name)
         self.system = config

@@ -26,19 +26,6 @@ head or an arbitration loser may now move), (3) a busy output port's
 VC it found full releases a reservation (``VirtualChannelBuffer.pop``).  A
 router whose heads are all credit-blocked therefore schedules **zero**
 kernel events until credit returns; see ``docs/performance.md``.
-
-Vectorized transport
---------------------
-``repro.noc.vector.VectorRouter`` subclasses this router and batches the
-tick body across all woken routers per cycle (``REPRO_TRANSPORT=vector``).
-The subclass relies on this module's exact semantics: ``_tick``'s scan
-order over ``_active_vcs``, the inlined admission test, the lazy candidate
-grouping, the uncontended-arbiter bypass, and ``_forward``'s inlined
-reservation are all mirrored verbatim there — a change to any of them must
-be reflected in ``vector.py`` (CI's transport-equivalence gate will catch a
-divergence).  Stats, tenancy attribution and the power model read the same
-counters either way, because the subclass never bypasses this class's
-bookkeeping.
 """
 
 from __future__ import annotations

@@ -19,11 +19,9 @@ Two interchangeable schedulers implement that contract:
   strictly before the window advances over their cycle, which keeps the
   merged order identical to a global ``(cycle, seq)`` sort.
 * :class:`HeapSimulator` is the previous binary-heap implementation, kept
-  as a built-in cross-check.  Setting ``REPRO_KERNEL=heap`` in the
-  environment makes ``Simulator(...)`` construct it instead; the two
-  kernels execute bit-identical event orders (asserted by
-  ``scripts/check_kernel_equivalence.py`` in CI), which is why swapping
-  them needs no ``MODEL_VERSION`` bump.
+  as the reference scheduler that tests construct directly.  The two
+  kernels execute bit-identical event orders (asserted against the golden
+  stats digests in ``tests/test_stats_digests.py``).
 
 Internally every queue entry carries ``(callback, args)``.  Carrying the
 argument tuple in the event itself lets hot paths such as packet delivery
@@ -35,7 +33,6 @@ measurably reduces allocation pressure in large sweeps.
 from __future__ import annotations
 
 import heapq
-import os
 import random
 from typing import Callable, List, Optional, Tuple
 
@@ -65,27 +62,10 @@ class Simulator:
         Width of the calendar ring in cycles (rounded up to a power of two).
         Exposed for tests that exercise window wrap-around; the default suits
         every model in the repository.
-
-    With ``REPRO_KERNEL=heap`` in the environment, constructing ``Simulator``
-    returns a :class:`HeapSimulator` instead — same contract, binary-heap
-    implementation — so any experiment can be replayed on the reference
-    scheduler without code changes.
     """
 
     #: Scheduler implementation name, for logs and equivalence checks.
     kernel = "calendar"
-
-    def __new__(cls, *args, **kwargs):
-        if cls is Simulator:
-            requested = os.environ.get("REPRO_KERNEL", "").strip().lower()
-            if requested == "heap":
-                cls = HeapSimulator
-            elif requested not in ("", "calendar"):
-                raise ValueError(
-                    f"REPRO_KERNEL={requested!r} is not a known kernel "
-                    "(expected 'calendar' or 'heap')"
-                )
-        return object.__new__(cls)
 
     def __init__(self, seed: int = 0, horizon: int = DEFAULT_HORIZON) -> None:
         self.cycle: int = 0
@@ -111,26 +91,6 @@ class Simulator:
         #: migrated into the ring before the window reaches their cycle.
         self._overflow: list = []
         self._win_end: int = size
-        #: Per-cycle batch hooks (see :meth:`register_cycle_hook`).
-        self._cycle_hooks: List[Callable[[int], None]] = []
-
-    # ------------------------------------------------------------------ #
-    # Per-cycle batch hooks
-    # ------------------------------------------------------------------ #
-    def register_cycle_hook(self, hook: Callable[[int], None]) -> None:
-        """Register ``hook(cycle)``, called once per *simulated* cycle.
-
-        The hook fires at the start of every cycle that executes at least
-        one event, after the clock has advanced to that cycle but strictly
-        before any of the cycle's events run.  All events scheduled for the
-        cycle by *earlier* cycles are already queued at that point (per-hop
-        latencies are >= 1 cycle), so a hook sees a complete pre-cycle
-        snapshot — this is what lets the vectorized transport engine
-        (``repro.noc.vector``) classify one cycle's router wakes as a
-        single batch.  Hooks must not schedule events or advance the clock;
-        they only read component state and prepare per-cycle plans.
-        """
-        self._cycle_hooks.append(hook)
 
     # ------------------------------------------------------------------ #
     # Scheduling
@@ -240,7 +200,6 @@ class Simulator:
         mask = self._mask
         horizon = self._horizon
         overflow = self._overflow
-        hooks = self._cycle_hooks
         t = self.cycle
         try:
             while t <= end_cycle:
@@ -255,9 +214,6 @@ class Simulator:
                 if bucket:
                     self.cycle = t
                     self._win_end = t + horizon
-                    if hooks:
-                        for hook in hooks:
-                            hook(t)
                     i = 0
                     try:
                         # A for-loop over a growing list picks up same-cycle
@@ -302,7 +258,6 @@ class Simulator:
         mask = self._mask
         horizon = self._horizon
         overflow = self._overflow
-        hooks = self._cycle_hooks
         t = self.cycle
         try:
             while True:
@@ -322,9 +277,6 @@ class Simulator:
                 if bucket:
                     self.cycle = t
                     self._win_end = t + horizon
-                    if hooks:
-                        for hook in hooks:
-                            hook(t)
                     i = 0
                     try:
                         for i, (callback, args) in enumerate(bucket, 1):
@@ -391,10 +343,10 @@ class Simulator:
 class HeapSimulator(Simulator):
     """Reference binary-heap scheduler (the pre-calendar implementation).
 
-    Selected by ``REPRO_KERNEL=heap`` (or instantiated directly).  Events
-    are ``(cycle, seq, callback, args)`` heap entries; execution order is
-    bit-identical to the calendar queue, which CI asserts on a congested
-    mesh so the two can never silently diverge.
+    Instantiated directly by tests as the reference scheduler.  Events are
+    ``(cycle, seq, callback, args)`` heap entries; execution order is
+    bit-identical to the calendar queue, which the tier-1 suite asserts on a
+    congested mesh so the two can never silently diverge.
     """
 
     kernel = "heap"
@@ -412,7 +364,6 @@ class HeapSimulator(Simulator):
         self._events_processed = 0
         self._running = False
         self._queue: list = []
-        self._cycle_hooks: List[Callable[[int], None]] = []
 
     # ------------------------------------------------------------------ #
     def schedule_at(self, callback: Callable[[], None], cycle: int) -> None:
@@ -448,18 +399,10 @@ class HeapSimulator(Simulator):
         processed = 0
         queue = self._queue
         pop = heapq.heappop
-        hooks = self._cycle_hooks
         try:
             while queue and queue[0][0] <= end_cycle:
                 cycle, _seq, callback, args = pop(queue)
-                # Same batch-hook contract as the calendar kernel: fire once
-                # per cycle that executes events, before any of them runs.
-                if hooks and cycle > self.cycle:
-                    self.cycle = cycle
-                    for hook in hooks:
-                        hook(cycle)
-                else:
-                    self.cycle = cycle
+                self.cycle = cycle
                 processed += 1
                 callback(*args)
             if end_cycle > self.cycle:
@@ -477,19 +420,13 @@ class HeapSimulator(Simulator):
         limit = None if max_cycles is None else self.cycle + max_cycles
         queue = self._queue
         pop = heapq.heappop
-        hooks = self._cycle_hooks
         try:
             while queue:
                 cycle = queue[0][0]
                 if limit is not None and cycle > limit:
                     break
                 _cycle, _seq, callback, args = pop(queue)
-                if hooks and cycle > self.cycle:
-                    self.cycle = cycle
-                    for hook in hooks:
-                        hook(cycle)
-                else:
-                    self.cycle = cycle
+                self.cycle = cycle
                 processed += 1
                 callback(*args)
             if limit is not None and limit > self.cycle:
