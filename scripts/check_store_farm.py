@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """CI check: a lease-based farm fill serves the figure query path warm.
 
-The columnar-store generalisation of ``check_sharded_sweep.py`` — instead
-of fixed hash-range shards plus a manual cache merge, two concurrent farm
-worker *processes* race over the whole Figure-1 spec through the on-disk
-lease queue:
+Instead of fixed hash-range shards plus a manual store merge, two
+concurrent farm worker *processes* race over the whole Figure-1 spec
+through the on-disk lease queue:
 
 1. launch two ``python -m repro.store.farm`` workers against one shared
    store and wait for both to drain the spec;
@@ -161,9 +160,7 @@ def main() -> int:
         outcome = generate(
             figures=[FIGURE],
             out_dir=str(tmp / "report"),
-            executor=CountingExecutor(
-                jobs=1, cache=ResultCache(store_dir, backend="columnar")
-            ),
+            executor=CountingExecutor(jobs=1, cache=ResultCache(store_dir)),
         )
         stats = outcome["stats"]
         print(

@@ -7,8 +7,9 @@ parallel.  This module turns a sweep into explicit data:
 
 * :class:`ExperimentPoint` — one (configuration, run settings) pair with a
   stable content hash that identifies the simulation it describes;
-* :class:`ResultCache` — an on-disk JSON cache keyed by that hash, so
-  re-running a figure script after touching only plotting code is free;
+* :class:`ResultCache` — an on-disk columnar result store
+  (:mod:`repro.store`) keyed by that hash, so re-running a figure script
+  after touching only plotting code is free;
 * :class:`SweepExecutor` — fans points out over a
   :class:`~concurrent.futures.ProcessPoolExecutor` (worker count from the
   ``REPRO_JOBS`` environment variable, default ``os.cpu_count()``), with a
@@ -23,18 +24,9 @@ Environment variables
 ``REPRO_JOBS``
     Worker processes for a sweep.  ``1`` forces the serial path.
 ``REPRO_CACHE_DIR``
-    Cache directory (default ``~/.cache/repro``).
+    Result-store directory (default ``~/.cache/repro``).
 ``REPRO_CACHE``
     Set to ``0``/``off``/``false``/``no`` to disable the result cache.
-``REPRO_CACHE_MAX_MB``
-    Size cap for the cache directory in megabytes (default: unlimited).
-    When a store pushes the directory past the cap, least-recently-used
-    result files are evicted; loading an entry refreshes its recency.
-``REPRO_STORE``
-    Result-store backend: ``json`` (default; one file per point) or
-    ``columnar`` (append-only segment store, :mod:`repro.store`).  Both
-    backends share cache keys and values, so switching never invalidates
-    a result.
 ``REPRO_EXPERIMENT_SCALE``
     Consumed by :meth:`RunSettings.from_env` (see
     :mod:`repro.experiments.harness`); scaled settings hash differently, so
@@ -55,7 +47,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
@@ -72,10 +63,6 @@ JOBS_ENV_VAR = "REPRO_JOBS"
 CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 #: Cache kill-switch environment variable.
 CACHE_ENV_VAR = "REPRO_CACHE"
-#: Cache size-cap environment variable (megabytes; unset = unlimited).
-CACHE_MAX_MB_ENV_VAR = "REPRO_CACHE_MAX_MB"
-#: Result-store backend environment variable (``json`` or ``columnar``).
-STORE_ENV_VAR = "REPRO_STORE"
 #: Per-point cProfile switch; profiles land next to the cache entries.
 PROFILE_ENV_VAR = "REPRO_PROFILE"
 #: How many rows of the cumulative-time table ``*.profile.txt`` keeps.
@@ -250,222 +237,67 @@ def cache_enabled() -> bool:
     )
 
 
-def default_cache_max_bytes() -> Optional[int]:
-    """Size cap from ``REPRO_CACHE_MAX_MB`` in bytes (``None`` = unlimited)."""
-    env = os.environ.get(CACHE_MAX_MB_ENV_VAR)
-    if not env:
-        return None
+#: ``ResultCache`` warns at most once per process about a root that still
+#: holds only pre-segment ``<hash>.json`` entries.
+_legacy_warned = False
+
+
+def _warn_if_legacy(store) -> None:
+    """Point at the importer when a ``ColumnarStore``'s root is an
+    unmigrated JSON cache."""
+    global _legacy_warned
+    if _legacy_warned or store.segment_dir.is_dir():
+        return
+    from repro.store.migrate import is_result_file
+
+    root = store.root
     try:
-        max_mb = float(env)
-    except ValueError as exc:
-        raise ValueError(f"{CACHE_MAX_MB_ENV_VAR} must be a number, got {env!r}") from exc
-    if max_mb <= 0:
-        raise ValueError(f"{CACHE_MAX_MB_ENV_VAR} must be positive, got {env!r}")
-    return int(max_mb * 1024 * 1024)
-
-
-def resolve_store_backend(backend: Optional[str] = None) -> str:
-    """Backend name: explicit argument > ``REPRO_STORE`` > ``json``."""
-    if backend is None:
-        backend = os.environ.get(STORE_ENV_VAR, "").strip().lower() or "json"
-    if backend not in ("json", "columnar"):
-        raise ValueError(
-            f"{STORE_ENV_VAR}={backend!r} is not a known result-store backend "
-            "(expected 'json' or 'columnar')"
+        legacy = any(is_result_file(path) for path in root.glob("*.json"))
+    except OSError:
+        return
+    if legacy:
+        _legacy_warned = True
+        warnings.warn(
+            f"{root} holds legacy per-point JSON results that this store cannot "
+            f"read; import them with: python -m repro.store.migrate {root} {root}",
+            stacklevel=3,
         )
-    return backend
-
-
-class CacheCorruptionWarning(UserWarning):
-    """A cache entry was unreadable and has been quarantined."""
-
-
-#: ``load`` warns at most once per process about quarantined entries (a
-#: sweep over a damaged cache would otherwise emit hundreds of identical
-#: warnings); the quarantine itself still happens for every bad entry.
-_corruption_warned = False
 
 
 class ResultCache:
     """Result store keyed by :meth:`ExperimentPoint.content_hash`.
 
-    This class is the default **JSON-directory backend** (one
-    ``<hash>.json`` file per point) and the dispatch point for the
-    pluggable backends: constructing ``ResultCache(...)`` returns a
-    :class:`repro.store.cache.ColumnarResultCache` instead when
-    ``REPRO_STORE=columnar`` is set (or ``backend="columnar"`` is passed).
-    Both backends share keys and values, so a sweep can switch freely;
-    ``python -m repro.store.migrate`` imports a JSON directory into a
-    columnar store.
+    A thin adapter from experiment points to a :class:`ColumnarStore` at
+    ``root`` (default ``REPRO_CACHE_DIR``): ``load`` looks the point's hash
+    up, ``store`` appends a one-row segment.  Segments that fail to parse
+    are quarantined by the store (renamed to ``*.corrupt``, warned about
+    once per process with
+    :class:`~repro.store.columnar.CacheCorruptionWarning`) and their rows
+    read as misses, so a damaged entry is re-simulated instead of aborting
+    a sweep.
 
-    Corrupted or schema-incompatible entries are quarantined (renamed to
-    ``*.corrupt``) and treated as misses, so a crashed writer or a format
-    change can never wedge a sweep — and the damaged bytes survive for
-    diagnosis instead of being destroyed.
-
-    The directory can be size-capped (``max_bytes`` argument or the
-    ``REPRO_CACHE_MAX_MB`` environment variable): when a store pushes the
-    total past the cap, the least-recently-used result files are evicted.
-    A cache hit refreshes the entry's mtime, so recency tracking survives
-    filesystems without reliable atimes.  Eviction tolerates concurrent
-    writers: entries that vanish mid-scan (a sibling process evicted or
-    rewrote them) are simply skipped.
+    The store is an append-only archive without a size cap: prune it with
+    :meth:`ColumnarStore.compact` or by deleting the directory.  A legacy
+    JSON cache directory is imported once with
+    ``python -m repro.store.migrate``.
     """
 
-    def __new__(
-        cls,
-        root: Optional[os.PathLike] = None,
-        max_bytes: Optional[int] = None,
-        backend: Optional[str] = None,
-    ):
-        if cls is ResultCache and resolve_store_backend(backend) == "columnar":
-            from repro.store.cache import ColumnarResultCache
+    def __init__(self, root: Optional[os.PathLike] = None) -> None:
+        # Imported here so that processes which never open a store (bare
+        # network runs, cache-less sweeps) do not pay for the store module.
+        from repro.store.columnar import ColumnarStore
 
-            return object.__new__(ColumnarResultCache)
-        return object.__new__(cls)
-
-    def __init__(
-        self,
-        root: Optional[os.PathLike] = None,
-        max_bytes: Optional[int] = None,
-        backend: Optional[str] = None,
-    ) -> None:
         self.root = Path(root) if root is not None else default_cache_root()
-        self.max_bytes = max_bytes if max_bytes is not None else default_cache_max_bytes()
-        # Running estimate of the directory size, so a capped sweep does not
-        # re-stat the whole directory on every store (None = not yet scanned).
-        self._approx_total_bytes: Optional[int] = None
-
-    def path_for(self, point: ExperimentPoint) -> Path:
-        return self.root / f"{point.content_hash()}.json"
-
-    def _quarantine(self, path: Path) -> None:
-        """Move an unreadable entry aside (``*.corrupt``) and warn once.
-
-        ``os.replace`` keeps this atomic; losing the race against a sibling
-        process that evicted (or already quarantined) the entry is fine —
-        either way the bad file no longer answers lookups.
-        """
-        global _corruption_warned
-        try:
-            os.replace(path, path.with_name(path.name + ".corrupt"))
-        except OSError:
-            return
-        if not _corruption_warned:
-            _corruption_warned = True
-            warnings.warn(
-                f"quarantined corrupt result-cache entry {path.name} "
-                f"(kept as {path.name}.corrupt; further corrupt entries "
-                "will be quarantined silently)",
-                CacheCorruptionWarning,
-                stacklevel=3,
-            )
+        self.columnar = ColumnarStore(self.root)
+        _warn_if_legacy(self.columnar)
 
     def load(self, point: ExperimentPoint) -> Optional[SimulationResults]:
-        """Return the cached result for ``point``, or ``None`` on a miss.
-
-        A corrupt or truncated entry (crashed writer, disk trouble, schema
-        drift) is quarantined and read as a miss, so the point is simply
-        re-simulated instead of aborting a sweep halfway through.
-        """
-        path = self.path_for(point)
-        try:
-            payload = json.loads(path.read_text())
-            if payload.get("schema") != CACHE_SCHEMA_VERSION:
-                raise ValueError("cache schema mismatch")
-            result = SimulationResults.from_dict(payload["result"])
-        except FileNotFoundError:
-            return None
-        except (ValueError, KeyError, TypeError, AttributeError, OSError):
-            self._quarantine(path)
-            return None
-        try:
-            os.utime(path)  # mark as recently used for the LRU size cap
-        except OSError:
-            pass
-        return result
+        """Return the stored result for ``point``, or ``None`` on a miss."""
+        return self.columnar.get(point.content_hash())
 
     def store(self, point: ExperimentPoint, result: SimulationResults) -> Path:
-        """Atomically persist ``result`` under the point's hash."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(point)
-        payload = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "point": point.canonical_dict(),
-            "result": result.to_dict(),
-        }
-        fd, tmp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, sort_keys=True)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        self._enforce_size_cap(protect=path)
-        return path
-
-    def _enforce_size_cap(self, protect: Optional[Path] = None) -> None:
-        """Evict least-recently-used entries until the cap is respected.
-
-        ``protect`` (the entry just written) is never evicted, so a cap
-        smaller than one result degrades to "keep only the newest" rather
-        than a store that immediately forgets what it wrote.
-
-        The directory is only re-scanned when the running size estimate
-        crosses the cap (concurrent writers can make the estimate stale,
-        but every enforcement starts from a fresh scan), so a sweep's cost
-        stays O(points) rather than O(points x cached entries).
-
-        Several processes may share the directory (sharded sweeps, farm
-        workers), so every filesystem step tolerates entries vanishing
-        underneath it: a stat or unlink that loses the race against a
-        sibling's eviction/rewrite skips that entry instead of raising.
-        """
-        if self.max_bytes is None:
-            return
-        if self._approx_total_bytes is not None and protect is not None:
-            try:
-                self._approx_total_bytes += protect.stat().st_size
-            except OSError:
-                self._approx_total_bytes = None
-            if (
-                self._approx_total_bytes is not None
-                and self._approx_total_bytes <= self.max_bytes
-            ):
-                return
-
-        entries = []
-        total = 0
-        try:
-            paths = list(self.root.glob("*.json"))
-        except OSError:  # the directory itself vanished mid-listing
-            self._approx_total_bytes = None
-            return
-        for path in paths:
-            try:
-                stat = path.stat()
-            except OSError:  # evicted or rewritten by a sibling process
-                continue
-            total += stat.st_size
-            entries.append((stat.st_mtime, path.name, stat.st_size, path))
-        entries.sort()  # oldest mtime first; name breaks ties deterministically
-        for _, _, size, path in entries:
-            if total <= self.max_bytes:
-                break
-            if protect is not None and path == protect:
-                continue
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                pass  # a sibling evicted it first; its bytes are gone too
-            except OSError:
-                continue  # still on disk (permissions...): keep it in the total
-            total -= size
-        self._approx_total_bytes = total
+        """Atomically append ``result`` under the point's hash; return its segment."""
+        return self.columnar.append_results([(point.content_hash(), result)])
 
 
 # --------------------------------------------------------------------- #

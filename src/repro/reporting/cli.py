@@ -157,9 +157,9 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
         default=None,
         metavar="DIR",
         help=(
-            "serve results from the columnar store at DIR (repro.store) "
-            "instead of the REPRO_CACHE_DIR cache; equivalent to "
-            "REPRO_STORE=columnar REPRO_CACHE_DIR=DIR"
+            "serve results from the result store at DIR (repro.store) "
+            "instead of the REPRO_CACHE_DIR store; equivalent to "
+            "REPRO_CACHE_DIR=DIR"
         ),
     )
     parser.add_argument(
@@ -226,9 +226,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.store is not None:
         from repro.experiments.engine import ResultCache
 
-        executor = CountingExecutor(
-            jobs=args.jobs, cache=ResultCache(args.store, backend="columnar")
-        )
+        executor = CountingExecutor(jobs=args.jobs, cache=ResultCache(args.store))
 
     outcome = generate(
         figures=args.figures,

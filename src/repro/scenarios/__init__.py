@@ -18,11 +18,7 @@ This package is the experiment-facing surface of the reproduction:
   ``delta`` for combining and comparing result sets (the
   paper-vs-measured layer in :mod:`repro.reporting` consumes these);
 * :mod:`~repro.scenarios.run` — :func:`run_sweep` (blocking) and
-  :func:`iter_results` (streams records as simulations finish);
-* :mod:`~repro.scenarios.merge` — fold a shard's JSON cache directory
-  into another (``python -m repro.scenarios.merge``); for the columnar
-  store backend the equivalent is importing each shard with
-  ``python -m repro.store.migrate`` and compacting (:mod:`repro.store`).
+  :func:`iter_results` (streams records as simulations finish).
 
 Typical usage::
 

@@ -1,18 +1,14 @@
-"""Columnar result store: the fleet-shaped result path.
+"""Columnar result store: where every simulated point lands.
 
-The experiment engine's original cache is a directory of per-point JSON
-blobs — fine for one machine, the wrong shape for serving heavy query
-traffic from a warm store.  This package promotes results to an
-**append-only columnar segment store** (stdlib-only):
+Results live in an **append-only columnar segment store** (stdlib-only);
+the engine's :class:`~repro.experiments.engine.ResultCache` is a thin
+point-keyed adapter over it:
 
 * :mod:`repro.store.columnar` — the segment format and
   :class:`ColumnarStore` (atomic appends, ``compact()`` folding, columnar
-  :class:`StoreTable` reads);
-* :mod:`repro.store.cache` — :class:`ColumnarResultCache`, the store
-  mounted behind the engine's :class:`~repro.experiments.engine.ResultCache`
-  API (selected by ``REPRO_STORE=columnar``);
-* :mod:`repro.store.migrate` — one-shot importer from a legacy JSON cache
-  directory (``python -m repro.store.migrate``);
+  :class:`StoreTable` reads, quarantine of unreadable segments);
+* :mod:`repro.store.migrate` — one-shot importer from a legacy
+  one-file-per-point JSON cache directory (``python -m repro.store.migrate``);
 * :mod:`repro.store.farm` — lease-based sweep farm: N workers claim
   uncached points from a shared queue with crash-safe lease expiry and
   append segments concurrently (``python -m repro.store.farm``);
@@ -28,6 +24,7 @@ format and lease lifecycle, and ``docs/experiments.md`` for recipes.
 
 from repro.store.columnar import (
     SEGMENT_SCHEMA_VERSION,
+    CacheCorruptionWarning,
     ColumnarStore,
     CompactStats,
     StoreError,
@@ -36,6 +33,7 @@ from repro.store.columnar import (
 
 __all__ = [
     "SEGMENT_SCHEMA_VERSION",
+    "CacheCorruptionWarning",
     "ColumnarStore",
     "CompactStats",
     "StoreError",

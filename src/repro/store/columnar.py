@@ -22,8 +22,8 @@ A **segment** is one JSON document holding N rows in column-major order:
 ``hashes[i]`` is :meth:`ExperimentPoint.content_hash` for row ``i`` and the
 columns are exactly the fields of
 :meth:`~repro.chip.chip.SimulationResults.to_dict` — so a row reconstructs
-the same ``SimulationResults`` the legacy JSON cache would have produced
-(both go through one JSON round-trip, which is exact for floats).
+the same ``SimulationResults`` that was stored (one JSON round-trip, which
+is exact for floats).
 
 Properties the rest of the result path relies on:
 
@@ -38,10 +38,14 @@ Properties the rest of the result path relies on:
 * **Compaction is canonical.**  :meth:`ColumnarStore.compact` folds every
   segment into one, deduplicated and sorted by hash — byte-stable for a
   given set of rows, so compacting a farm-filled store and a serial run of
-  the same sweep produce identical segment files.  This is the columnar
-  replacement for ``repro.scenarios.merge``: import each shard with
-  ``python -m repro.store.migrate`` (or let farm workers append directly)
-  and compact once.
+  the same sweep produce identical segment files.  This is also how stores
+  merge: copy one store's ``segments/*.json`` into another (or let farm
+  workers append to one shared store) and compact once.
+* **Damage is contained.**  A segment that fails to parse (disk trouble, a
+  hand-edited file) is renamed to ``*.corrupt`` — out of the segment glob,
+  kept for diagnosis — and its rows read as misses, so the engine simply
+  re-simulates them.  A segment or manifest written under a different
+  *schema version* is not damage: it raises :class:`StoreError`.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ import json
 import os
 import tempfile
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -68,7 +73,40 @@ _MANIFEST = "manifest.json"
 
 
 class StoreError(Exception):
-    """A store invariant was violated (bad schema, unreadable segment...)."""
+    """A store invariant was violated (foreign schema, unreadable manifest...)."""
+
+
+class CacheCorruptionWarning(UserWarning):
+    """A result segment was unreadable and has been quarantined."""
+
+
+#: Quarantine warns at most once per process (a sweep over a damaged store
+#: would otherwise emit one identical warning per segment); the quarantine
+#: itself still happens for every bad segment.
+_corruption_warned = False
+
+
+def _quarantine(path: Path) -> None:
+    """Move an unreadable segment aside (``*.corrupt``) and warn once.
+
+    ``os.replace`` keeps this atomic; losing the race against a sibling
+    process that already quarantined (or compacted away) the segment is
+    fine — either way the bad file no longer answers lookups.
+    """
+    global _corruption_warned
+    try:
+        os.replace(path, path.with_name(path.name + ".corrupt"))
+    except OSError:
+        return
+    if not _corruption_warned:
+        _corruption_warned = True
+        warnings.warn(
+            f"quarantined corrupt result segment {path.name} (kept as "
+            f"{path.name}.corrupt, its rows read as misses; further corrupt "
+            "segments will be quarantined silently)",
+            CacheCorruptionWarning,
+            stacklevel=2,
+        )
 
 
 def _atomic_write_json(directory: Path, final: Path, payload) -> None:
@@ -158,8 +196,12 @@ class _Segment:
 
     __slots__ = ("name", "hashes", "columns")
 
-    def __init__(self, name: str, payload: Mapping) -> None:
-        if payload.get("schema") != SEGMENT_SCHEMA_VERSION:
+    def __init__(self, name: str, payload) -> None:
+        """Raise :class:`StoreError` for a foreign schema version and
+        :class:`ValueError` for a damaged payload."""
+        if not isinstance(payload, dict):
+            raise ValueError(f"segment {name} is not a JSON object")
+        if payload.get("schema", SEGMENT_SCHEMA_VERSION) != SEGMENT_SCHEMA_VERSION:
             raise StoreError(
                 f"segment {name} has schema {payload.get('schema')!r}, "
                 f"expected {SEGMENT_SCHEMA_VERSION}"
@@ -168,11 +210,11 @@ class _Segment:
         columns = payload.get("columns")
         count = payload.get("count")
         if not isinstance(hashes, list) or not isinstance(columns, dict):
-            raise StoreError(f"segment {name} is malformed (hashes/columns)")
+            raise ValueError(f"segment {name} is malformed (hashes/columns)")
         if count != len(hashes) or any(
-            len(col) != count for col in columns.values()
+            not isinstance(col, list) or len(col) != count for col in columns.values()
         ):
-            raise StoreError(f"segment {name} has inconsistent column lengths")
+            raise ValueError(f"segment {name} has inconsistent column lengths")
         self.name = name
         self.hashes: List[str] = hashes
         self.columns: Dict[str, list] = columns
@@ -256,12 +298,12 @@ class ColumnarStore:
             if path.name in self._segments:
                 continue
             try:
-                payload = json.loads(path.read_text())
+                segment = _Segment(path.name, json.loads(path.read_text()))
             except FileNotFoundError:
                 continue  # compacted away by a sibling between glob and read
-            except (OSError, ValueError) as exc:
-                raise StoreError(f"unreadable segment {path}: {exc}")
-            segment = _Segment(path.name, payload)
+            except (OSError, ValueError):
+                _quarantine(path)
+                continue
             self._segments[path.name] = segment
             for row, digest in enumerate(segment.hashes):
                 # First write wins: deterministic sims make duplicates

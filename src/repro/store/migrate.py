@@ -1,23 +1,24 @@
 """One-shot importer: legacy JSON cache directory -> columnar store.
 
-Reads every ``<sha256>.json`` entry of a :class:`ResultCache` directory,
-validates it, and appends the results to a :class:`ColumnarStore` as
-columnar segments (batched), compacting at the end.  Content hashes are
-the row keys on both sides, so a migrated store serves exactly the points
-the JSON directory did — ``python -m repro.reporting`` against the
-migrated store (``REPRO_STORE=columnar REPRO_CACHE_DIR=<store>`` or
-``--store``) performs zero simulations and regenerates the report
-byte-identically.
+Before the columnar store, result caches were directories of
+``<sha256>.json`` files, one ``{"schema", "point", "result"}`` document
+per point.  This module reads every such entry, validates it, and appends
+the results to a :class:`ColumnarStore` as columnar segments (batched),
+compacting at the end.  Content hashes are the row keys on both sides, so
+a migrated store serves exactly the points the JSON directory did —
+``python -m repro.reporting`` against the migrated store
+(``REPRO_CACHE_DIR=<store>`` or ``--store``) performs zero simulations and
+regenerates the report byte-identically.
 
-This is also the columnar replacement for the shard-merge step of the
-two-machine recipe: import each shard cache into one store (collisions
-dedupe on compact) instead of ``python -m repro.scenarios.merge``.
+Source and store may be the same directory: the store's files
+(``manifest.json``, ``segments/``) are never mistaken for entries, so an
+old ``~/.cache/repro`` is upgraded in place.  ``ResultCache`` warns with
+that command when it opens such a directory.
 
 Usage::
 
-    python -m repro.store.migrate ~/.cache/repro results-store
-    python -m repro.store.migrate shard-a-cache results-store   # repeatable
-    python -m repro.store.migrate shard-b-cache results-store
+    python -m repro.store.migrate ~/.cache/repro ~/.cache/repro   # in place
+    python -m repro.store.migrate old-cache results-store         # repeatable
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ class MigrateStats:
         )
 
 
-def _is_result_file(path: Path) -> bool:
+def is_result_file(path: Path) -> bool:
+    """Whether ``path`` is named like a legacy cache entry (``<sha256>.json``)."""
     stem = path.stem
     return (
         path.suffix == ".json"
@@ -88,7 +90,7 @@ def migrate_cache(
     stats = MigrateStats()
     rows = []
     for path in sorted(source.iterdir()):
-        if not path.is_file() or not _is_result_file(path):
+        if not path.is_file() or not is_result_file(path):
             stats.ignored_files += 1
             continue
         digest = path.stem

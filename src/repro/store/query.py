@@ -122,7 +122,7 @@ def _cmd_figure(store: ColumnarStore, args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    executor = WarmStoreExecutor(ResultCache(store.root, backend="columnar"))
+    executor = WarmStoreExecutor(ResultCache(store.root))
     report = build_report(args.name, settings=_settings(args), executor=executor)
     print(render_figure(report))
     print(

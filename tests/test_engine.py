@@ -5,7 +5,6 @@ import os
 import pickle
 import subprocess
 import warnings
-import shutil
 import sys
 from pathlib import Path
 
@@ -27,9 +26,16 @@ from repro.experiments.engine import (
 from repro.experiments.harness import RunSettings, point_for
 from repro.scenarios import SweepSpec, run_sweep
 
-from tests._fixtures import TINY_SETTINGS
+from repro.store import columnar
+
+from tests._fixtures import TINY_SETTINGS, LegacyJsonCache
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def segments(root: Path):
+    """The segment files of the result store at ``root``."""
+    return columnar.ColumnarStore(root).segment_paths()
 
 
 def tiny_point(
@@ -175,16 +181,15 @@ class TestResultCache:
         assert executor.last_stats.simulations_run == 1
 
     def test_corrupted_entry_is_discarded_and_recovered(self, tmp_path):
-        cache = ResultCache(tmp_path)
         point = tiny_point()
-        executor = SweepExecutor(jobs=1, cache=cache)
-        (result,) = executor.run([point])
+        (result,) = SweepExecutor(jobs=1, cache=ResultCache(tmp_path)).run([point])
 
-        path = cache.path_for(point)
+        (path,) = segments(tmp_path)
         path.write_text("{ this is not json")
-        assert cache.load(point) is None
-        assert not path.exists()  # corrupt entry deleted, not left to re-fail
+        assert ResultCache(tmp_path).load(point) is None
+        assert not path.exists()  # corrupt segment moved aside, not left to re-fail
 
+        executor = SweepExecutor(jobs=1, cache=ResultCache(tmp_path))
         (recovered,) = executor.run([point])
         assert recovered == result
         assert executor.last_stats.simulations_run == 1
@@ -194,23 +199,21 @@ class TestResultCache:
         ["null", "[1, 2, 3]", '{"schema": 1, "result": [1, 2]}', '{"schema": 1}'],
     )
     def test_wrong_shaped_json_is_a_miss(self, tmp_path, payload):
-        """Valid JSON of the wrong shape must read as a miss, not crash."""
+        """A segment of valid JSON but the wrong shape reads as a miss."""
         cache = ResultCache(tmp_path)
-        point = tiny_point()
-        path = cache.path_for(point)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        path = cache.columnar.segment_dir / "seg-0-0-1.json"
+        path.parent.mkdir(parents=True)
         path.write_text(payload)
-        assert cache.load(point) is None
+        assert cache.load(tiny_point()) is None
         assert not path.exists()
 
-    def test_schema_mismatch_is_a_miss(self, tmp_path):
+    def test_schema_mismatch_is_a_miss(self, tmp_path, monkeypatch):
+        """The cache schema is hashed into every key: a bump turns rows into misses."""
         cache = ResultCache(tmp_path)
         point = tiny_point()
         SweepExecutor(jobs=1, cache=cache).run([point])
-        path = cache.path_for(point)
-        payload = json.loads(path.read_text())
-        payload["schema"] = CACHE_SCHEMA_VERSION + 1
-        path.write_text(json.dumps(payload))
+        assert cache.load(point) is not None
+        monkeypatch.setattr(engine, "CACHE_SCHEMA_VERSION", CACHE_SCHEMA_VERSION + 1)
         assert cache.load(point) is None
 
     def test_cache_dir_env_var(self, tmp_path, monkeypatch):
@@ -224,111 +227,66 @@ class TestResultCache:
     def test_truncated_entry_is_quarantined_with_one_warning(
         self, tmp_path, monkeypatch
     ):
-        """A torn write reads as a miss, is kept as *.corrupt, warns once."""
-        from repro.experiments import engine
-
-        monkeypatch.setattr(engine, "_corruption_warned", False)
-        cache = ResultCache(tmp_path)
+        """A torn segment reads as a miss, is kept as *.corrupt, warns once."""
+        monkeypatch.setattr(columnar, "_corruption_warned", False)
         point = tiny_point()
-        executor = SweepExecutor(jobs=1, cache=cache)
-        (result,) = executor.run([point])
+        (result,) = SweepExecutor(jobs=1, cache=ResultCache(tmp_path)).run([point])
 
-        path = cache.path_for(point)
+        (path,) = segments(tmp_path)
         intact = path.read_text()
-        path.write_text(intact[: len(intact) // 2])  # writer died mid-flush
-        with pytest.warns(engine.CacheCorruptionWarning):
+        path.write_text(intact[: len(intact) // 2])  # disk trouble mid-file
+        cache = ResultCache(tmp_path)
+        with pytest.warns(columnar.CacheCorruptionWarning):
             assert cache.load(point) is None
         assert not path.exists()
         quarantined = path.with_name(path.name + ".corrupt")
         assert quarantined.exists()  # damaged bytes survive for diagnosis
 
+        executor = SweepExecutor(jobs=1, cache=cache)
         (recovered,) = executor.run([point])
         assert recovered == result
         assert executor.last_stats.simulations_run == 1
 
         # Further corruption is quarantined silently: one warning per process.
+        (path,) = segments(tmp_path)
         path.write_text("{ torn again")
         with warnings.catch_warnings():
-            warnings.simplefilter("error", engine.CacheCorruptionWarning)
-            assert cache.load(point) is None
+            warnings.simplefilter("error", columnar.CacheCorruptionWarning)
+            assert ResultCache(tmp_path).load(point) is None
         assert not path.exists()
 
     def test_quarantined_entries_never_answer_lookups_again(
         self, tmp_path, monkeypatch
     ):
-        from repro.experiments import engine
-
-        monkeypatch.setattr(engine, "_corruption_warned", True)
-        cache = ResultCache(tmp_path)
+        monkeypatch.setattr(columnar, "_corruption_warned", True)
         point = tiny_point()
-        SweepExecutor(jobs=1, cache=cache).run([point])
-        cache.path_for(point).write_text("not json at all")
+        SweepExecutor(jobs=1, cache=ResultCache(tmp_path)).run([point])
+        (path,) = segments(tmp_path)
+        path.write_text("not json at all")
+        cache = ResultCache(tmp_path)
         assert cache.load(point) is None
         assert cache.load(point) is None  # the .corrupt file is not re-read
+        assert ResultCache(tmp_path).load(point) is None
+        assert segments(tmp_path) == []
 
+    def test_legacy_json_cache_warns_until_migrated(self, tmp_path, monkeypatch):
+        """A pre-columnar cache is not silently orphaned: warn, migrate, hit."""
+        from repro.store import migrate
 
-class TestCacheEvictionRaces:
-    """``REPRO_CACHE_MAX_MB`` eviction with concurrent writers in the mix."""
-
-    def _fill(self, root, count):
-        root.mkdir(parents=True, exist_ok=True)
-        for index in range(count):
-            (root / (f"{index:064x}" + ".json")).write_text("x" * 200)
-
-    def test_eviction_tolerates_entry_vanishing_before_stat(
-        self, tmp_path, monkeypatch
-    ):
-        """A sibling evicts an entry between the glob and our stat: skip it."""
-        self._fill(tmp_path, 4)
-        cache = ResultCache(tmp_path, max_bytes=1)
+        monkeypatch.setattr(engine, "_legacy_warned", False)
         point = tiny_point()
+        (result,) = SweepExecutor(jobs=1, cache=LegacyJsonCache(tmp_path)).run([point])
 
-        real_stat = Path.stat
-        raced = []
+        with pytest.warns(UserWarning, match="python -m repro.store.migrate"):
+            cache = ResultCache(tmp_path)
+        assert cache.load(point) is None
 
-        def racing_stat(self, **kwargs):
-            if self.name.startswith("0" * 10) and not raced:
-                raced.append(self.name)
-                os.remove(self)  # the sibling wins the race...
-            return real_stat(self, **kwargs)  # ...so we see FileNotFoundError
-
-        monkeypatch.setattr(Path, "stat", racing_stat)
-        SweepExecutor(jobs=1, cache=cache).run([point])
-        assert raced  # the race actually happened
-        assert cache.path_for(point).exists()  # newest entry is protected
-        assert list(tmp_path.glob("*.json")) == [cache.path_for(point)]
-
-    def test_eviction_tolerates_entry_vanishing_before_unlink(
-        self, tmp_path, monkeypatch
-    ):
-        """A sibling deletes an entry we chose to evict: its bytes still count
-        as freed, so eviction stops at the cap instead of over-evicting."""
-        self._fill(tmp_path, 4)
-        cache = ResultCache(tmp_path, max_bytes=1)
-        point = tiny_point()
-
-        real_unlink = Path.unlink
-        raced = []
-
-        def racing_unlink(self, *args, **kwargs):
-            if not raced and self.suffix == ".json":
-                raced.append(self.name)
-                real_unlink(self)
-                raise FileNotFoundError(str(self))
-            return real_unlink(self, *args, **kwargs)
-
-        monkeypatch.setattr(Path, "unlink", racing_unlink)
-        SweepExecutor(jobs=1, cache=cache).run([point])
-        assert raced
-        assert cache.path_for(point).exists()
-        assert list(tmp_path.glob("*.json")) == [cache.path_for(point)]
-
-    def test_eviction_survives_cache_directory_removal(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache", max_bytes=1)
-        point = tiny_point()
-        SweepExecutor(jobs=1, cache=cache).run([point])
-        shutil.rmtree(tmp_path / "cache")
-        cache._enforce_size_cap()  # a bare rescan of a vanished dir: no crash
+        assert migrate.main([str(tmp_path), str(tmp_path)]) == 0
+        monkeypatch.setattr(engine, "_legacy_warned", False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cache = ResultCache(tmp_path)  # migrated: segments/ exists, no warning
+        assert cache.load(point) == result
 
 
 class TestSweepExecutor:

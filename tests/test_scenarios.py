@@ -1,20 +1,13 @@
 """Tests for the declarative scenario API (registries, SweepSpec, ResultSet)."""
 
 import itertools
-import json
-import os
-import time
+import shutil
 
 import pytest
 
 from repro.config import presets
 from repro.config.noc import Topology
-from repro.experiments.engine import (
-    ResultCache,
-    SweepExecutor,
-    default_cache_max_bytes,
-    run_experiments,
-)
+from repro.experiments.engine import ResultCache, SweepExecutor, run_experiments
 from repro.experiments.harness import (
     MIN_DETAILED_WARMUP_CYCLES,
     MIN_MEASURE_CYCLES,
@@ -38,7 +31,7 @@ from repro.scenarios import (
     workload_names,
     workloads,
 )
-from repro.scenarios.merge import merge_caches
+from repro.store import ColumnarStore
 
 from tests._fixtures import TINY_SETTINGS, small_workload
 
@@ -508,143 +501,23 @@ class TestRunSettingsScaling:
 
 
 # --------------------------------------------------------------------- #
-# Cache LRU size cap
-# --------------------------------------------------------------------- #
-def _entry_size(cache: ResultCache) -> int:
-    (path,) = cache.root.glob("*.json")
-    return path.stat().st_size
-
-
-def _set_mtimes(cache: ResultCache, points) -> None:
-    """Give the points' entries strictly increasing mtimes, oldest first."""
-    now = time.time()
-    for offset, point in enumerate(points):
-        timestamp = now - 100 + offset
-        os.utime(cache.path_for(point), (timestamp, timestamp))
-
-
-def _points():
-    return [
-        point_for(
-            Topology.MESH,
-            presets.workload("Web Search"),
-            num_cores=cores,
-            settings=TINY_SETTINGS,
-        )
-        for cores in (1, 2, 4)
-    ]
-
-
-class TestCacheSizeCap:
-    def test_lru_entries_evicted_past_cap(self, tmp_path):
-        points = _points()
-        probe = ResultCache(tmp_path)
-        SweepExecutor(jobs=1, cache=probe).run(points[:1])
-        size = _entry_size(probe)
-
-        root = tmp_path / "capped"
-        cache = ResultCache(root, max_bytes=int(2.5 * size))
-        executor = SweepExecutor(jobs=1, cache=cache)
-        executor.run(points[:2])
-        _set_mtimes(cache, points[:2])  # points[0] is least recently used
-        executor.run(points[2:])  # third store blows the cap
-
-        assert cache.load(points[0]) is None  # oldest evicted
-        assert cache.load(points[1]) is not None
-        assert cache.load(points[2]) is not None
-
-    def test_load_refreshes_recency(self, tmp_path):
-        points = _points()
-        probe = ResultCache(tmp_path)
-        SweepExecutor(jobs=1, cache=probe).run(points[:1])
-        size = _entry_size(probe)
-
-        root = tmp_path / "capped"
-        cache = ResultCache(root, max_bytes=int(2.5 * size))
-        executor = SweepExecutor(jobs=1, cache=cache)
-        executor.run(points[:2])
-        _set_mtimes(cache, points[:2])  # points[0] would be evicted next...
-        cache.load(points[0])  # ...but a hit refreshes its recency
-        executor.run(points[2:])
-
-        assert cache.load(points[0]) is not None  # refreshed, survives
-        assert cache.load(points[1]) is None  # became the LRU entry instead
-        assert len(list(cache.root.glob("*.json"))) == 2
-
-    def test_just_written_entry_is_protected(self, tmp_path):
-        points = _points()
-        probe = ResultCache(tmp_path)
-        SweepExecutor(jobs=1, cache=probe).run(points[:1])
-        size = _entry_size(probe)
-
-        cache = ResultCache(tmp_path / "tiny", max_bytes=size // 2)
-        SweepExecutor(jobs=1, cache=cache).run(points[:1])
-        assert cache.load(points[0]) is not None  # cap smaller than one entry
-
-    def test_env_var_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_MAX_MB", raising=False)
-        assert default_cache_max_bytes() is None
-        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "1.5")
-        assert default_cache_max_bytes() == int(1.5 * 1024 * 1024)
-        assert ResultCache("unused").max_bytes == int(1.5 * 1024 * 1024)
-        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "zero")
-        with pytest.raises(ValueError):
-            default_cache_max_bytes()
-        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "-1")
-        with pytest.raises(ValueError):
-            default_cache_max_bytes()
-
-
-# --------------------------------------------------------------------- #
-# Cache merging
+# Store merging
 # --------------------------------------------------------------------- #
 class TestCacheMerge:
     def test_merge_combines_shard_caches(self, tmp_path):
+        """Shards on two stores: copy segments across, compact, serve the spec."""
         spec = ONE_WORKLOAD_SPEC
         for index in range(2):
             executor = SweepExecutor(jobs=1, cache=ResultCache(tmp_path / f"s{index}"))
             run_sweep(spec.shard(index, 2), executor=executor)
 
-        merged = tmp_path / "merged"
-        stats0 = merge_caches(tmp_path / "s0", merged)
-        stats1 = merge_caches(tmp_path / "s1", merged)
-        assert stats0.copied + stats1.copied == len(spec.expand())
-        assert stats0.skipped_collisions == stats1.skipped_collisions == 0
+        merged = ColumnarStore(tmp_path / "s0")
+        for segment in ColumnarStore(tmp_path / "s1").segment_paths():
+            shutil.copy2(segment, merged.segment_dir / segment.name)
+        stats = merged.compact()
+        assert stats.segments_out == 1
+        assert stats.rows_out == len(spec.expand())
 
-        executor = SweepExecutor(jobs=1, cache=ResultCache(merged))
+        executor = SweepExecutor(jobs=1, cache=ResultCache(merged.root))
         run_sweep(spec, executor=executor)
         assert executor.last_stats.simulations_run == 0
-
-    def test_collisions_skipped_and_content_preserved(self, tmp_path):
-        source = tmp_path / "src"
-        dest = tmp_path / "dst"
-        source.mkdir()
-        dest.mkdir()
-        name = "a" * 64 + ".json"
-        (source / name).write_text('{"from": "source"}')
-        (dest / name).write_text('{"from": "dest"}')
-        (source / "notes.txt").write_text("not a result")
-
-        stats = merge_caches(source, dest)
-        assert stats.copied == 0
-        assert stats.skipped_collisions == 1
-        assert stats.ignored_files == 1
-        assert json.loads((dest / name).read_text()) == {"from": "dest"}
-
-        stats = merge_caches(source, dest, overwrite=True)
-        assert stats.copied == 1
-        assert json.loads((dest / name).read_text()) == {"from": "source"}
-
-    def test_missing_source_rejected(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            merge_caches(tmp_path / "nope", tmp_path / "dst")
-
-    def test_cli_entry_point(self, tmp_path, capsys):
-        from repro.scenarios.merge import main
-
-        source = tmp_path / "src"
-        source.mkdir()
-        (source / ("b" * 64 + ".json")).write_text("{}")
-        assert main([str(source), str(tmp_path / "dst")]) == 0
-        assert "copied 1" in capsys.readouterr().out
-        assert main([str(tmp_path / "nope"), str(tmp_path / "dst")]) == 1

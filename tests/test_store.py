@@ -1,10 +1,10 @@
 """Tests for the columnar result store, the lease farm and the query path.
 
-Covers the full result-path refactor: segment format round-trips,
-compaction canonicalisation, the ``REPRO_STORE`` backend dispatch in
-:class:`ResultCache`, the JSON-cache importer, the lease protocol (no
-double simulation, crash recovery), zero-copy :class:`ResultSet`
-construction and the never-simulates query CLI.
+Covers the result path end to end: segment format round-trips,
+compaction canonicalisation, quarantine of damaged segments,
+:class:`ResultCache` over the store, the legacy JSON-cache importer, the
+lease protocol (no double simulation, crash recovery), zero-copy
+:class:`ResultSet` construction and the never-simulates query CLI.
 """
 
 import json
@@ -15,20 +15,14 @@ import pytest
 
 from repro.chip.chip import SimulationResults
 from repro.config.noc import Topology
-from repro.experiments.engine import (
-    CACHE_SCHEMA_VERSION,
-    ResultCache,
-    SweepExecutor,
-    resolve_store_backend,
-)
+from repro.experiments.engine import CACHE_SCHEMA_VERSION, ResultCache, SweepExecutor
 from repro.experiments.harness import RunSettings
 from repro.scenarios import METRIC_NAMES, ResultSet, SweepSpec, run_sweep
 from repro.store import ColumnarStore, StoreError
-from repro.store import farm, migrate, query, specs
-from repro.store.cache import ColumnarResultCache
+from repro.store import columnar, farm, migrate, query, specs
 from repro.store.farm import LeaseQueue, run_worker
 
-from tests._fixtures import TINY_SETTINGS
+from tests._fixtures import TINY_SETTINGS, LegacyJsonCache
 from tests.test_engine import tiny_point
 
 
@@ -141,13 +135,34 @@ class TestColumnarStore:
         (segment,) = store.segment_paths()
         assert segment.read_bytes() == before
 
-    def test_malformed_segment_raises_store_error(self, tmp_path):
+    def test_malformed_segment_is_quarantined(self, tmp_path, monkeypatch):
+        """An unparseable segment drops out as *.corrupt; its rows are misses."""
+        monkeypatch.setattr(columnar, "_corruption_warned", False)
+        store = ColumnarStore(tmp_path / "store")
+        store.append_results([("0" * 64, fake_result(0))])
+        store.append_results([("1" * 64, fake_result(1))])
+        bad, good = store.segment_paths()
+        bad.write_text("{ not json")
+
+        reader = ColumnarStore(tmp_path / "store")
+        with pytest.warns(columnar.CacheCorruptionWarning, match=bad.name):
+            assert reader.refresh() == 1
+        assert reader.segment_paths() == [good]
+        assert bad.with_name(bad.name + ".corrupt").exists()
+        assert reader.get("0" * 64) is None
+        assert reader.get("1" * 64) == fake_result(1)
+
+    def test_future_segment_schema_refuses_loudly(self, tmp_path):
+        """A foreign schema version is not damage: it raises, nothing is moved."""
         store = ColumnarStore(tmp_path / "store")
         store.append_results([("0" * 64, fake_result())])
         (segment,) = store.segment_paths()
-        segment.write_text("{ not json")
-        with pytest.raises(StoreError, match="unreadable segment"):
+        payload = json.loads(segment.read_text())
+        payload["schema"] = 99
+        segment.write_text(json.dumps(payload))
+        with pytest.raises(StoreError, match="schema 99"):
             ColumnarStore(tmp_path / "store").refresh()
+        assert segment.exists()
 
     def test_future_manifest_schema_refuses_loudly(self, tmp_path):
         store = ColumnarStore(tmp_path / "store")
@@ -159,37 +174,10 @@ class TestColumnarStore:
             ColumnarStore(tmp_path / "store").refresh()
 
 
-class TestBackendDispatch:
-    def test_default_is_json_backend(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert type(cache) is ResultCache
-
-    def test_backend_argument_selects_columnar(self, tmp_path):
-        cache = ResultCache(tmp_path, backend="columnar")
-        assert isinstance(cache, ColumnarResultCache)
-        assert cache.root == tmp_path
-
-    def test_env_var_selects_columnar(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE", "columnar")
-        assert isinstance(ResultCache(tmp_path), ColumnarResultCache)
-        # An explicit argument still beats the environment.
-        assert type(ResultCache(tmp_path, backend="json")) is ResultCache
-
-    def test_unknown_backend_is_an_error(self, monkeypatch):
-        with pytest.raises(ValueError, match="bogus"):
-            resolve_store_backend("bogus")
-        monkeypatch.setenv("REPRO_STORE", "bogus")
-        with pytest.raises(ValueError, match="REPRO_STORE"):
-            ResultCache()
-
-    def test_columnar_cache_has_no_per_point_path(self, tmp_path):
-        cache = ResultCache(tmp_path, backend="columnar")
-        with pytest.raises(NotImplementedError):
-            cache.path_for(tiny_point())
-
+class TestResultCacheRoundTrip:
     def test_executor_round_trip_on_columnar_backend(self, tmp_path):
         """Simulate through the columnar cache; rerun serves purely from it."""
-        cache = ResultCache(tmp_path / "store", backend="columnar")
+        cache = ResultCache(tmp_path / "store")
         points = [
             tiny_point(topology=Topology.MESH),
             tiny_point(topology=Topology.NOC_OUT),
@@ -198,9 +186,7 @@ class TestBackendDispatch:
         first = executor.run(points)
         assert executor.last_stats.simulations_run == 2
 
-        fresh = SweepExecutor(
-            jobs=1, cache=ResultCache(tmp_path / "store", backend="columnar")
-        )
+        fresh = SweepExecutor(jobs=1, cache=ResultCache(tmp_path / "store"))
         second = fresh.run(points)
         assert fresh.last_stats.simulations_run == 0
         assert fresh.last_stats.cache_hits == 2
@@ -209,7 +195,7 @@ class TestBackendDispatch:
 
 class TestMigrate:
     def test_import_json_cache(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = LegacyJsonCache(tmp_path / "cache")
         points = [
             tiny_point(topology=Topology.MESH),
             tiny_point(topology=Topology.NOC_OUT),
@@ -226,7 +212,7 @@ class TestMigrate:
             assert store.get(point.content_hash()) == result
 
     def test_import_skips_invalid_and_foreign_files(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = LegacyJsonCache(tmp_path / "cache")
         point = tiny_point()
         SweepExecutor(jobs=1, cache=cache).run([point])
         (tmp_path / "cache" / ("a" * 64 + ".json")).write_text("{ truncated")
@@ -243,7 +229,7 @@ class TestMigrate:
         assert len(store) == 1
 
     def test_reimport_is_a_no_op(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = LegacyJsonCache(tmp_path / "cache")
         SweepExecutor(jobs=1, cache=cache).run([tiny_point()])
         store = ColumnarStore(tmp_path / "store")
         migrate.migrate_cache(cache.root, store)
@@ -252,7 +238,7 @@ class TestMigrate:
         assert stats.already_stored == 1
 
     def test_migrated_store_reproduces_report_byte_identically(self, tmp_path):
-        """JSON-backend report -> migrate -> columnar report: same bytes, 0 sims."""
+        """Report over a legacy JSON cache -> migrate -> same bytes, 0 sims."""
         from repro.reporting.cli import CountingExecutor, generate
 
         kwargs = dict(
@@ -261,7 +247,7 @@ class TestMigrate:
             workload_names=["Web Search"],
             core_counts=(2, 4),
         )
-        json_cache = ResultCache(tmp_path / "cache")
+        json_cache = LegacyJsonCache(tmp_path / "cache")
         baseline = generate(
             out_dir=str(tmp_path / "report-json"),
             executor=CountingExecutor(jobs=1, cache=json_cache),
@@ -274,9 +260,7 @@ class TestMigrate:
 
         replay = generate(
             out_dir=str(tmp_path / "report-columnar"),
-            executor=CountingExecutor(
-                jobs=1, cache=ResultCache(tmp_path / "store", backend="columnar")
-            ),
+            executor=CountingExecutor(jobs=1, cache=ResultCache(tmp_path / "store")),
             **kwargs,
         )
         assert replay["stats"].simulations_run == 0
@@ -428,10 +412,10 @@ class TestFarm:
 class TestResultSetFromStore:
     def fill(self, tmp_path):
         spec = tiny_spec()
-        cache = ResultCache(tmp_path / "store", backend="columnar")
+        cache = ResultCache(tmp_path / "store")
         executor = SweepExecutor(jobs=1, cache=cache)
         eager = run_sweep(spec, executor=executor)
-        return spec, cache.store_backend, eager
+        return spec, cache.columnar, eager
 
     def test_zero_copy_equals_eager_records(self, tmp_path):
         spec, store, eager = self.fill(tmp_path)
