@@ -98,6 +98,8 @@ class DirectoryController(Component):
         self.snoops_sent = stats.counter("snoops_sent")
         self.memory_fetches = stats.counter("memory_fetches")
         self.writebacks = stats.counter("writebacks")
+        #: Accesses that found their LLC bank busy and had to queue.
+        self.bank_conflicts = stats.counter("bank_conflicts")
         self.request_latency = stats.histogram("request_latency", keep_samples=False)
 
     # ------------------------------------------------------------------ #
@@ -127,9 +129,13 @@ class DirectoryController(Component):
 
     def _start_transaction(self, request: CacheRequest) -> None:
         addr = request.addr
-        transaction = Transaction(request=request, start_cycle=self.sim.cycle)
+        now = self.sim.cycle
+        transaction = Transaction(request=request, start_cycle=now)
         self.transactions[addr] = transaction
-        completion = self.bank_for(addr).schedule_access(self.sim.cycle)
+        bank = self.bank_for(addr)
+        if bank.busy_until > now:
+            self.bank_conflicts.add()
+        completion = bank.schedule_access(now)
         self.sim.schedule_at(lambda r=request: self._process_request(r), completion)
 
     def _handle_writeback(self, request: CacheRequest) -> None:
@@ -303,18 +309,6 @@ class DirectoryController(Component):
             entry.state = DirectoryState.SHARED
             entry.owner = None
             entry.sharers.add(sharer)
-
-    def reset_statistics(self) -> None:
-        """Clear measurement counters (used after warm-up)."""
-        self.stats.reset()
-        for bank in self.banks:
-            bank.accesses = 0
-            bank.hits = 0
-            bank.misses = 0
-            bank.busy_conflicts = 0
-            bank.array.hits = 0
-            bank.array.misses = 0
-            bank.array.evictions = 0
 
     @property
     def snoop_rate(self) -> float:

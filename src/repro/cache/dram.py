@@ -21,20 +21,12 @@ class DramChannel:
         self.latency_cycles = latency_cycles
         self.occupancy_cycles = occupancy_cycles
         self._free_at = 0.0
-        self.requests = 0
-        self.total_queue_cycles = 0.0
 
     def schedule(self, now: int) -> int:
         """Admit a block transfer at cycle ``now``; returns its completion cycle."""
         start = max(float(now), self._free_at)
-        self.total_queue_cycles += start - now
         self._free_at = start + self.occupancy_cycles
-        self.requests += 1
         return int(round(start + self.latency_cycles))
-
-    @property
-    def mean_queue_delay(self) -> float:
-        return self.total_queue_cycles / self.requests if self.requests else 0.0
 
     @property
     def free_at(self) -> float:

@@ -6,6 +6,7 @@ from typing import Optional, Tuple
 
 from repro.cache.set_assoc import CacheLineState, SetAssociativeCache
 from repro.config.cache import CacheConfig
+from repro.sim.stats import StatGroup
 
 
 class L1Cache:
@@ -13,21 +14,21 @@ class L1Cache:
 
     The L1 is a purely functional structure; its hit latency is charged by
     the core timing model and misses are turned into coherence requests by
-    :class:`repro.cpu.core_node.CoreNode`.
+    :class:`repro.cpu.core_node.CoreNode`.  Its hit/miss counters are
+    registered in ``stats`` (the owning core node's ``l1i``/``l1d`` group).
     """
 
-    def __init__(self, config: CacheConfig, name: str, is_instruction: bool = False) -> None:
+    def __init__(
+        self, config: CacheConfig, name: str, stats: StatGroup, is_instruction: bool = False
+    ) -> None:
         self.config = config
         self.name = name
         self.is_instruction = is_instruction
         self.array = SetAssociativeCache(config, name=name)
-        self.read_hits = 0
-        self.read_misses = 0
-        self.write_hits = 0
-        self.write_misses = 0
-        self.upgrade_misses = 0
-        self.snoop_invalidations = 0
-        self.snoop_downgrades = 0
+        self.read_hits = stats.counter("read_hits")
+        self.read_misses = stats.counter("read_misses")
+        self.write_hits = stats.counter("write_hits")
+        self.write_misses = stats.counter("write_misses")
 
     # ------------------------------------------------------------------ #
     # Core-side accesses
@@ -36,9 +37,9 @@ class L1Cache:
         """Look up ``addr`` for a read; returns ``True`` on a hit."""
         state = self.array.lookup(addr)
         if state is not None and state.is_valid:
-            self.read_hits += 1
+            self.read_hits.add()
             return True
-        self.read_misses += 1
+        self.read_misses.add()
         return False
 
     def write(self, addr: int) -> Tuple[bool, bool]:
@@ -51,15 +52,14 @@ class L1Cache:
             raise RuntimeError(f"{self.name}: writes to the instruction cache are not allowed")
         state = self.array.lookup(addr)
         if state is None:
-            self.write_misses += 1
+            self.write_misses.add()
             return False, False
         if state.is_writable:
             if state == CacheLineState.EXCLUSIVE:
                 self.array.update_state(addr, CacheLineState.MODIFIED)
-            self.write_hits += 1
+            self.write_hits.add()
             return True, False
-        self.write_misses += 1
-        self.upgrade_misses += 1
+        self.write_misses.add()
         return False, True
 
     def fill(self, addr: int, writable: bool) -> Optional[Tuple[int, CacheLineState]]:
@@ -74,27 +74,28 @@ class L1Cache:
     # ------------------------------------------------------------------ #
     def snoop_invalidate(self, addr: int) -> Optional[CacheLineState]:
         """Invalidate ``addr``; returns the previous state, if resident."""
-        previous = self.array.invalidate(addr)
-        if previous is not None:
-            self.snoop_invalidations += 1
-        return previous
+        return self.array.invalidate(addr)
 
     def snoop_downgrade(self, addr: int) -> Optional[CacheLineState]:
         """Downgrade ``addr`` to shared; returns the previous state."""
         previous = self.array.probe(addr)
         if previous is not None and previous.is_writable:
             self.array.update_state(addr, CacheLineState.SHARED)
-            self.snoop_downgrades += 1
         return previous
 
     # ------------------------------------------------------------------ #
     @property
     def accesses(self) -> int:
-        return self.read_hits + self.read_misses + self.write_hits + self.write_misses
+        return (
+            self.read_hits.value
+            + self.read_misses.value
+            + self.write_hits.value
+            + self.write_misses.value
+        )
 
     @property
     def misses(self) -> int:
-        return self.read_misses + self.write_misses
+        return self.read_misses.value + self.write_misses.value
 
     @property
     def miss_rate(self) -> float:

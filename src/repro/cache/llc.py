@@ -23,10 +23,6 @@ class LLCBank:
         self.array = SetAssociativeCache(config, name=name, index_divisor=index_divisor)
         self.access_latency = config.hit_latency
         self._busy_until = 0
-        self.accesses = 0
-        self.hits = 0
-        self.misses = 0
-        self.busy_conflicts = 0
 
     # ------------------------------------------------------------------ #
     def schedule_access(self, now: int) -> int:
@@ -35,25 +31,16 @@ class LLCBank:
         Returns the cycle at which the access completes; back-to-back
         accesses serialize on the bank, modelling bank contention.
         """
-        start = max(now, self._busy_until)
-        if start > now:
-            self.busy_conflicts += 1
-        self._busy_until = start + self.access_latency
-        self.accesses += 1
+        self._busy_until = max(now, self._busy_until) + self.access_latency
         return self._busy_until
 
     # ------------------------------------------------------------------ #
     def contains(self, addr: int) -> bool:
-        """Whether the block is resident (records hit/miss statistics)."""
-        present = self.array.lookup(addr) is not None
-        if present:
-            self.hits += 1
-        else:
-            self.misses += 1
-        return present
+        """Whether the block is resident (an access: updates LRU order)."""
+        return self.array.lookup(addr) is not None
 
     def probe(self, addr: int) -> bool:
-        """Presence check without statistics or LRU update."""
+        """Presence check without an LRU update."""
         return self.array.probe(addr) is not None
 
     def fill(self, addr: int) -> Optional[Tuple[int, CacheLineState]]:
@@ -65,11 +52,6 @@ class LLCBank:
         self.array.insert(addr, CacheLineState.MODIFIED)
 
     # ------------------------------------------------------------------ #
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     @property
     def busy_until(self) -> int:
         return self._busy_until

@@ -31,9 +31,6 @@ class MshrFile:
         self.name = name
         self.num_entries = num_entries
         self._entries: Dict[int, MshrEntry] = {}
-        self.allocations = 0
-        self.merges = 0
-        self.full_stalls = 0
 
     # ------------------------------------------------------------------ #
     def lookup(self, addr: int) -> Optional[MshrEntry]:
@@ -54,7 +51,6 @@ class MshrFile:
         if addr in self._entries:
             raise RuntimeError(f"{self.name}: entry for {addr:#x} already exists")
         if self.full:
-            self.full_stalls += 1
             raise RuntimeError(f"{self.name}: MSHR file full")
         entry = MshrEntry(
             addr=addr,
@@ -63,7 +59,6 @@ class MshrFile:
             issue_cycle=issue_cycle,
         )
         self._entries[addr] = entry
-        self.allocations += 1
         return entry
 
     def merge(self, addr: int, wants_exclusive: bool = False) -> MshrEntry:
@@ -71,7 +66,6 @@ class MshrFile:
         entry = self._entries[addr]
         entry.merged_accesses += 1
         entry.wants_exclusive = entry.wants_exclusive or wants_exclusive
-        self.merges += 1
         return entry
 
     def release(self, addr: int) -> MshrEntry:

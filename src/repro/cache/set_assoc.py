@@ -49,10 +49,6 @@ class SetAssociativeCache:
         self._sets: List["OrderedDict[int, CacheLineState]"] = [
             OrderedDict() for _ in range(self.num_sets)
         ]
-        # Statistics
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     # ------------------------------------------------------------------ #
     def _index_and_tag(self, addr: int) -> Tuple[int, int]:
@@ -74,15 +70,13 @@ class SetAssociativeCache:
         index, tag = self._index_and_tag(addr)
         cache_set = self._sets[index]
         if tag not in cache_set:
-            self.misses += 1
             return None
         if update_lru:
             cache_set.move_to_end(tag)
-        self.hits += 1
         return cache_set[tag]
 
     def probe(self, addr: int) -> Optional[CacheLineState]:
-        """Like :meth:`lookup` but without touching LRU or statistics."""
+        """Like :meth:`lookup` but without touching LRU order."""
         index, tag = self._index_and_tag(addr)
         return self._sets[index].get(tag)
 
@@ -106,7 +100,6 @@ class SetAssociativeCache:
         if len(cache_set) >= self.associativity:
             victim_tag, victim_state = cache_set.popitem(last=False)
             victim = (victim_tag << self._block_shift, victim_state)
-            self.evictions += 1
         cache_set[tag] = state
         return victim
 
@@ -144,8 +137,3 @@ class SetAssociativeCache:
             for tag, state in cache_set.items():
                 result[tag << self._block_shift] = state
         return result
-
-    @property
-    def miss_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.misses / total if total else 0.0

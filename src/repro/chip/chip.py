@@ -356,33 +356,12 @@ class Chip:
         self.sim.run(cycles)
 
     def reset_statistics(self) -> None:
-        """Zero all measurement state (called between warm-up and measurement)."""
-        for node in self.core_nodes.values():
-            node.reset_statistics()
-        for directory in self.directories.values():
-            directory.reset_statistics()
-        for controller in self.memory_controllers.values():
-            controller.stats.reset()
-            controller.channel.requests = 0
-            controller.channel.total_queue_cycles = 0.0
-        for generator in self.tenant_traffic.values():
-            generator.stats.reset()
-        self.network.stats.reset()
-        self.reset_network_activity()
+        """Zero every measured statistic (called between warm-up and measurement).
 
-    def reset_network_activity(self) -> None:
-        """Zero the switching-activity counters used by the energy model."""
-        for router in self.network.routers:
-            router.flits_switched = 0
-            router.packets_switched = 0
-            router.buffer_flit_writes = 0
-            for port in router.output_ports:
-                port.flits_sent = 0
-                port.packets_sent = 0
-        for interface in self.network.interfaces.values():
-            interface.flits_injected = 0
-            interface.messages_injected = 0
-            interface.messages_delivered = 0
+        Every component registers its counters and histograms under
+        ``sim.stats``, so resetting that one tree covers the whole chip.
+        """
+        self.sim.stats.reset()
 
     def run_experiment(
         self,
@@ -413,9 +392,7 @@ class Chip:
         llc_hits = sum(d.llc_hits.value for d in self.directories.values())
         snoop_triggers = sum(d.snoop_triggering_accesses.value for d in self.directories.values())
         snoops_sent = sum(d.snoops_sent.value for d in self.directories.values())
-        bank_conflicts = sum(
-            bank.busy_conflicts for d in self.directories.values() for bank in d.banks
-        )
+        bank_conflicts = sum(d.bank_conflicts.value for d in self.directories.values())
         memory_reads = sum(
             int(mc.requests_serviced.value) for mc in self.memory_controllers.values()
         )

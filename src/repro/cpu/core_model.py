@@ -164,8 +164,5 @@ class CoreModel(Component):
     def outstanding_data_misses(self) -> int:
         return len(self._outstanding_data)
 
-    def reset_statistics(self) -> None:
-        self.stats.reset()
-
     def _tick(self) -> None:  # pragma: no cover - event driven, never ticks
         pass

@@ -58,8 +58,8 @@ class CoreNode(Component):
 
         caches = config.caches
         self.mapper = AddressMapper(block_size=caches.block_size)
-        self.l1i = L1Cache(caches.l1i, f"{name}.l1i", is_instruction=True)
-        self.l1d = L1Cache(caches.l1d, f"{name}.l1d", is_instruction=False)
+        self.l1i = L1Cache(caches.l1i, f"{name}.l1i", self.stats.group("l1i"), is_instruction=True)
+        self.l1d = L1Cache(caches.l1d, f"{name}.l1d", self.stats.group("l1d"))
         self.mshr = MshrFile(caches.mshr_entries, name=f"{name}.mshr")
         self.core = CoreModel(sim, f"{name}.core", core_id, config.core, workload, stream, self)
 
@@ -180,7 +180,7 @@ class CoreNode(Component):
         self._send(self._home(victim_block), MessageClass.REQUEST, request, True)
 
     # ------------------------------------------------------------------ #
-    # Warm-up and statistics
+    # Warm-up
     # ------------------------------------------------------------------ #
     def warm_instruction(self, addr: int) -> None:
         self.l1i.array.insert(self.block_address(addr), CacheLineState.SHARED)
@@ -188,21 +188,6 @@ class CoreNode(Component):
     def warm_data(self, addr: int, writable: bool = False) -> None:
         state = CacheLineState.MODIFIED if writable else CacheLineState.SHARED
         self.l1d.array.insert(self.block_address(addr), state)
-
-    def reset_statistics(self) -> None:
-        self.stats.reset()
-        self.core.reset_statistics()
-        for cache in (self.l1i, self.l1d):
-            cache.read_hits = 0
-            cache.read_misses = 0
-            cache.write_hits = 0
-            cache.write_misses = 0
-            cache.upgrade_misses = 0
-            cache.snoop_invalidations = 0
-            cache.snoop_downgrades = 0
-            cache.array.hits = 0
-            cache.array.misses = 0
-            cache.array.evictions = 0
 
     def _tick(self) -> None:  # pragma: no cover - event driven, never ticks
         pass

@@ -40,7 +40,7 @@ class IdealNetwork(Network):
         wire_cycles = self.tech.wire_cycles(distance_mm)
         serialization = max(0, packet.num_flits - 1)
         packet.hops = self.geometry.manhattan_tiles(src_coord, dst_coord)
-        self.interfaces[message.src].flits_injected += packet.num_flits
+        self.interfaces[message.src].flits_injected.add(packet.num_flits)
         self.sim.schedule(lambda p=packet: self._on_delivery(p), wire_cycles + serialization + 1)
 
     def drained(self) -> bool:

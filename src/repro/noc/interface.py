@@ -46,10 +46,8 @@ class NetworkInterface(Component, PacketSink):
         # Stable bound wake callback for VC credit listeners (deduplicated
         # by VirtualChannelBuffer.wait_for_space across blocked ticks).
         self._credit_wake = self.wake
-        # Statistics / activity
-        self.messages_injected = 0
-        self.messages_delivered = 0
-        self.flits_injected = 0
+        # Injection activity consumed by the energy model.
+        self.flits_injected = self.stats.counter("flits_injected")
 
     # ------------------------------------------------------------------ #
     def attach_router(self, router: Router, router_in_port: int) -> None:
@@ -73,8 +71,7 @@ class NetworkInterface(Component, PacketSink):
         """Queue ``message`` for injection; returns the wrapping packet."""
         packet = Packet(message, self.link_width_bits, injected_cycle=self.sim.cycle)
         self._inject_queues[message.msg_class].append(packet)
-        self.messages_injected += 1
-        self.flits_injected += packet.num_flits
+        self.flits_injected.add(packet.num_flits)
         # wake(0) with the same-cycle suppression test hoisted (several
         # messages commonly inject within one cycle).
         if self._next_wake != self.sim.cycle:
@@ -128,8 +125,4 @@ class NetworkInterface(Component, PacketSink):
         vc.push(packet)
         vc.pop()  # the ejection port drains immediately; capacity is unbounded
         serialization = max(0, packet.num_flits - 1)
-        self.sim.schedule_call(self._deliver, (packet,), serialization)
-
-    def _deliver(self, packet: Packet) -> None:
-        self.messages_delivered += 1
-        self._on_delivery(packet)
+        self.sim.schedule_call(self._on_delivery, (packet,), serialization)

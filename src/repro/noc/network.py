@@ -181,12 +181,13 @@ class Network(Component):
         crossbar_flit_ports = 0.0
         flits_switched = 0
         for router in self.routers:
-            flits_switched += router.flits_switched
-            buffer_flit_writes += router.buffer_flit_writes
-            crossbar_flit_ports += router.flits_switched * router.radix
+            switched = router.flits_switched.value
+            flits_switched += switched
+            buffer_flit_writes += router.buffer_flit_writes.value
+            crossbar_flit_ports += switched * router.radix
             for port in router.output_ports:
-                link_flit_mm += port.flits_sent * port.link_length_mm
-        flits_injected = sum(ni.flits_injected for ni in self.interfaces.values())
+                link_flit_mm += port.flits_sent.value * port.link_length_mm
+        flits_injected = sum(ni.flits_injected.value for ni in self.interfaces.values())
         return {
             "flits_injected": float(flits_injected),
             "flits_switched": float(flits_switched),

@@ -35,13 +35,18 @@ from typing import Callable, Dict, List, Optional
 
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
+from repro.sim.stats import Counter
 from repro.noc.arbiter import ArbitrationCandidate, Arbiter, RoundRobinArbiter
 from repro.noc.buffer import InputPort
 from repro.noc.message import MessageClass, Packet
 
 
 class OutputPort:
-    """An output port: a link to a downstream component's input port."""
+    """An output port: a link to a downstream component's input port.
+
+    ``flits_sent`` is a counter registered in the owning router's stats
+    group (see :meth:`Router.add_output_port`).
+    """
 
     def __init__(
         self,
@@ -49,7 +54,8 @@ class OutputPort:
         downstream: "PacketSink",
         downstream_port: int,
         link_latency: int,
-        link_length_mm: float = 0.0,
+        link_length_mm: float,
+        flits_sent: Counter,
     ) -> None:
         self.name = name
         self.downstream = downstream
@@ -57,8 +63,7 @@ class OutputPort:
         self.link_latency = link_latency
         self.link_length_mm = link_length_mm
         self.busy_until = 0
-        self.flits_sent = 0
-        self.packets_sent = 0
+        self.flits_sent = flits_sent
 
     def downstream_input(self) -> InputPort:
         return self.downstream.input_ports[self.downstream_port]
@@ -167,9 +172,8 @@ class Router(Component, PacketSink):
         self._vc_state_rows: List[List[Optional[_VcState]]] = []
         self._active_vcs: List[_VcState] = []
         # Activity counters consumed by the energy model.
-        self.flits_switched = 0
-        self.packets_switched = 0
-        self.buffer_flit_writes = 0
+        self.flits_switched = self.stats.counter("flits_switched")
+        self.buffer_flit_writes = self.stats.counter("buffer_flit_writes")
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -194,10 +198,18 @@ class Router(Component, PacketSink):
         """Attach an output port; returns its index."""
         if self.pipeline_latency + link_latency < 1:
             raise ValueError("per-hop latency (pipeline + link) must be >= 1 cycle")
-        port = OutputPort(name, downstream, downstream_port, link_latency, link_length_mm)
+        index = len(self.output_ports)
+        port = OutputPort(
+            name,
+            downstream,
+            downstream_port,
+            link_latency,
+            link_length_mm,
+            self.stats.counter(f"port{index}.flits_sent"),
+        )
         self.output_ports.append(port)
         self._arbiters.append(self._arbiter_factory())
-        return len(self.output_ports) - 1
+        return index
 
     def set_route(self, dst_node: int, out_port: int) -> None:
         """Route packets destined to ``dst_node`` through ``out_port``."""
@@ -223,7 +235,7 @@ class Router(Component, PacketSink):
     def receive_packet(self, packet: Packet, in_port: int, vc_index: int) -> None:
         buffer = self.input_ports[in_port].vcs[vc_index]
         buffer.push(packet)
-        self.buffer_flit_writes += packet.num_flits
+        self.buffer_flit_writes.add(packet.num_flits)
         row = self._vc_state_rows[in_port]
         state = row[vc_index]
         if state is None:
@@ -408,10 +420,8 @@ class Router(Component, PacketSink):
 
         packet.hops += 1
         num_flits = packet.num_flits
-        self.flits_switched += num_flits
-        self.packets_switched += 1
-        out_port.flits_sent += num_flits
-        out_port.packets_sent += 1
+        self.flits_switched.add(num_flits)
+        out_port.flits_sent.add(num_flits)
         out_port.busy_until = now + num_flits
 
         self.sim.schedule_delivery(

@@ -3,8 +3,9 @@
 The kernel is deliberately small: a :class:`~repro.sim.kernel.Simulator`
 owns the global cycle counter and an event heap of callbacks, and
 :class:`~repro.sim.component.Component` provides the wake/tick idiom used by
-routers, caches, cores and memory controllers.  Statistics are collected in
-:class:`~repro.sim.stats.StatGroup` trees attached to each component.
+routers, caches, cores and memory controllers.  Statistics live in one
+:class:`~repro.sim.stats.StatGroup` tree per simulator (``sim.stats``), with
+one child group per component.
 """
 
 from repro.sim.kernel import Simulator

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.sim.kernel import SimulationError, Simulator
-from repro.sim.stats import StatGroup
 
 _NO_ARGS: tuple = ()
 
@@ -17,12 +16,15 @@ class Component:
     requested cycle.  Duplicate wake-ups for a pending target are coalesced;
     only a wake requested after the cycle's tick already ran (e.g. a credit
     listener firing mid-cycle) re-ticks the component within that cycle.
+
+    Each component's ``stats`` group is registered in ``sim.stats`` under
+    the component's name, which must therefore be unique per simulator.
     """
 
     def __init__(self, sim: Simulator, name: str) -> None:
         self.sim = sim
         self.name = name
-        self.stats = StatGroup(name)
+        self.stats = sim.stats.new_group(name)
         self._next_wake: int = -1
 
     # ------------------------------------------------------------------ #

@@ -36,6 +36,8 @@ import heapq
 import random
 from typing import Callable, List, Optional, Tuple
 
+from repro.sim.stats import StatGroup
+
 _NO_ARGS: Tuple = ()
 
 #: Width of the calendar ring in cycles (rounded up to a power of two).
@@ -62,6 +64,11 @@ class Simulator:
         Width of the calendar ring in cycles (rounded up to a power of two).
         Exposed for tests that exercise window wrap-around; the default suits
         every model in the repository.
+
+    ``stats`` is the root of the simulation's one statistics tree: every
+    :class:`~repro.sim.component.Component` registers its group there
+    under its own name, so ``stats.reset()`` starts a measurement window
+    for everything the simulation measures.
     """
 
     #: Scheduler implementation name, for logs and equivalence checks.
@@ -71,6 +78,7 @@ class Simulator:
         self.cycle: int = 0
         self.seed = seed
         self.rng = random.Random(seed)
+        self.stats = StatGroup("sim")
         self._seq: int = 0
         self._events_processed: int = 0
         self._running = False
@@ -360,6 +368,7 @@ class HeapSimulator(Simulator):
         self.cycle = 0
         self.seed = seed
         self.rng = random.Random(seed)
+        self.stats = StatGroup("sim")
         self._seq = 0
         self._events_processed = 0
         self._running = False

@@ -26,9 +26,10 @@ class Counter:
     new measurement interval).
     """
 
-    def __init__(self, name: str, description: str = "") -> None:
+    __slots__ = ("name", "value")
+
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.description = description
         self.value: float = 0
 
     def add(self, amount: Union[int, float] = 1) -> None:
@@ -63,12 +64,10 @@ class Histogram:
     def __init__(
         self,
         name: str,
-        description: str = "",
         keep_samples: bool = True,
         reservoir: Optional[int] = None,
     ) -> None:
         self.name = name
-        self.description = description
         self.keep_samples = keep_samples
         if reservoir is not None:
             if not keep_samples:
@@ -156,7 +155,13 @@ class Histogram:
 
 
 class StatGroup:
-    """A named tree of counters, histograms and nested groups."""
+    """A named tree of counters, histograms and nested groups.
+
+    Every name within one group identifies exactly one statistic: asking
+    for a counter under a name already taken by a histogram or a child
+    group (or vice versa) raises :class:`StatError` instead of letting
+    :meth:`to_dict` silently overwrite one with the other.
+    """
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -165,29 +170,51 @@ class StatGroup:
         self._children: Dict[str, "StatGroup"] = {}
 
     # ------------------------------------------------------------------ #
-    def counter(self, name: str, description: str = "") -> Counter:
+    def _claim(self, name: str) -> None:
+        """Raise unless ``name`` is free in this group."""
+        for kind, table in (
+            ("counter", self._counters),
+            ("histogram", self._histograms),
+            ("group", self._children),
+        ):
+            if name in table:
+                raise StatError(f"{self.name}: {name!r} is already a {kind}")
+
+    def counter(self, name: str) -> Counter:
         """Get or create a counter."""
-        if name not in self._counters:
-            self._counters[name] = Counter(name, description)
-        return self._counters[name]
+        counter = self._counters.get(name)
+        if counter is None:
+            self._claim(name)
+            counter = self._counters[name] = Counter(name)
+        return counter
 
     def histogram(
         self,
         name: str,
-        description: str = "",
         keep_samples: bool = True,
         reservoir: Optional[int] = None,
     ) -> Histogram:
         """Get or create a histogram."""
-        if name not in self._histograms:
-            self._histograms[name] = Histogram(name, description, keep_samples, reservoir)
-        return self._histograms[name]
+        histogram = self._histograms.get(name)
+        if histogram is None:
+            self._claim(name)
+            histogram = Histogram(name, keep_samples, reservoir)
+            self._histograms[name] = histogram
+        return histogram
 
     def group(self, name: str) -> "StatGroup":
         """Get or create a nested group."""
-        if name not in self._children:
-            self._children[name] = StatGroup(name)
-        return self._children[name]
+        child = self._children.get(name)
+        if child is None:
+            self._claim(name)
+            child = self._children[name] = StatGroup(name)
+        return child
+
+    def new_group(self, name: str) -> "StatGroup":
+        """Create a nested group, raising if ``name`` is already taken."""
+        self._claim(name)
+        child = self._children[name] = StatGroup(name)
+        return child
 
     # ------------------------------------------------------------------ #
     @property

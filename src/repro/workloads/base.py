@@ -97,7 +97,6 @@ class SyntheticWorkloadStream(WorkloadStream):
         self._pc = self._instruction_base + self._random_aligned(
             config.instruction_footprint_bytes
         )
-        self.blocks_generated = 0
 
     # ------------------------------------------------------------------ #
     # Address helpers
@@ -150,7 +149,6 @@ class SyntheticWorkloadStream(WorkloadStream):
         if self.rng.random() < (expected_accesses - n_accesses):
             n_accesses += 1
         accesses = [self._next_data_access() for _ in range(n_accesses)]
-        self.blocks_generated += 1
         return FetchBlock(iaddr=iaddr, n_instructions=n_instructions, data_accesses=accesses)
 
     def functional_references(self, count: int):

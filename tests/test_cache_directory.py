@@ -216,12 +216,23 @@ def test_stale_response_is_ignored():
     assert 0xC000 not in harness.directory.transactions
 
 
+def test_bank_conflicts_count_only_accesses_that_queue():
+    harness = Harness()  # one bank: every block maps to it
+    harness.gets(0x1000, core=1)
+    harness.run()
+    assert harness.directory.bank_conflicts.value == 0
+    harness.gets(0x2000, core=1)
+    harness.gets(0x3000, core=2)  # same cycle: waits for the first access
+    harness.run()
+    assert harness.directory.bank_conflicts.value == 1
+
+
 def test_reset_statistics_preserves_contents():
     harness = Harness()
     harness.directory.warm_fill(0xD000)
     harness.gets(0xD000, core=1)
     harness.run()
-    harness.directory.reset_statistics()
+    harness.sim.stats.reset()
     assert harness.directory.llc_accesses.value == 0
     assert harness.directory.bank_for(0xD000).probe(0xD000)
 

@@ -8,8 +8,10 @@ from repro.chip.chip import Chip
 from repro.chip.tile import Tile
 from repro.config.noc import Topology
 from repro.noc.message import Message, MessageClass
+from repro.scenarios.registry import build_system
+from repro.tenancy import build_placement
 
-from tests._fixtures import small_system
+from tests._fixtures import small_system, small_workload
 
 
 def run_small_chip(config, measure=1200):
@@ -139,3 +141,62 @@ class TestChipExecution:
             node.core.instructions_committed.value == 0 for node in chip.core_nodes.values()
         )
         assert chip.network.messages_delivered.value == 0
+
+
+def _measured(group, prefix=""):
+    """Yield ``(dotted_name, value)`` for every counter and histogram count."""
+    for name, counter in group.counters.items():
+        yield f"{prefix}{name}", counter.value
+    for name, histogram in group.histograms.items():
+        yield f"{prefix}{name}.count", histogram.count
+    for name, child in group.children.items():
+        yield from _measured(child, f"{prefix}{name}.")
+
+
+def _fabric_chip(fabric):
+    return Chip(build_system(fabric, num_cores=64, seed=3).with_workload(small_workload()))
+
+
+def _tenanted_chip():
+    wmap = build_placement(
+        "split_half", 16, ["Data Serving", "MapReduce-C"], arrival="bursty", rate=0.08
+    )
+    return Chip(small_system(Topology.MESH, num_cores=16).with_workload_map(wmap))
+
+
+RESET_CHIPS = {
+    **{
+        fabric: (lambda fabric=fabric: _fabric_chip(fabric))
+        for fabric in ("mesh", "flattened_butterfly", "noc_out", "ideal", "cmesh", "chiplet")
+    },
+    "tenanted_split_half": _tenanted_chip,
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESET_CHIPS))
+def test_reset_statistics_zeroes_every_registered_statistic(name):
+    """Nothing measured during warm-up survives ``Chip.reset_statistics``."""
+    chip = RESET_CHIPS[name]()
+    stats = chip.sim.stats.children
+    components = [
+        *chip.network.routers,
+        *chip.network.interfaces.values(),
+        *chip.core_nodes.values(),
+        *chip.directories.values(),
+        *chip.memory_controllers.values(),
+        *chip.tenant_traffic.values(),
+        chip.network,
+    ]
+    assert all(stats[component.name] is component.stats for component in components)
+
+    chip.warmup(300)
+    chip.start_cores()
+    chip.run(300)
+    assert any(value for _, value in _measured(chip.sim.stats))
+    chip.reset_statistics()
+
+    leaked = {key: value for key, value in _measured(chip.sim.stats) if value}
+    assert leaked == {}
+    activity = chip.network.activity()
+    assert activity.pop("flit_width_bits") > 0
+    assert set(activity.values()) == {0.0}

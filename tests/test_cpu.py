@@ -203,6 +203,7 @@ class TestCoreNodeProtocol:
         node.warm_instruction(0x1000)
         node.core.start()
         sim.run(20)
-        node.reset_statistics()
+        assert node.l1i.accesses > 0
+        sim.stats.reset()
         assert node.core.instructions_committed.value == 0
         assert node.l1i.accesses == 0

@@ -20,20 +20,18 @@ class TestDramChannel:
         first = channel.schedule(0)
         second = channel.schedule(0)
         assert second == first + 8
-        assert channel.mean_queue_delay == pytest.approx(4.0)
+        assert channel.free_at == 16
 
     def test_idle_gaps_do_not_queue(self):
         channel = DramChannel(latency_cycles=100, occupancy_cycles=8)
         channel.schedule(0)
         completion = channel.schedule(1000)
         assert completion == 1100
-        assert channel.total_queue_cycles == 0
+        assert channel.free_at == 1008
 
     def test_request_count(self):
         channel = DramChannel(latency_cycles=10, occupancy_cycles=2)
-        for _ in range(5):
-            channel.schedule(0)
-        assert channel.requests == 5
+        assert [channel.schedule(0) for _ in range(5)] == [10, 12, 14, 16, 18]
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):

@@ -106,7 +106,7 @@ class TestSingleRouterBackpressure:
         assert sim.pending_events == 1  # ...and leaves exactly one wake, at expiry
         assert sim.next_event_cycle == 5
         sim.run(10)
-        assert router.packets_switched == 2
+        assert router.flits_switched.value == 5 + 1  # both packets forwarded
 
 
 class TestCongestedMeshBackpressure:
@@ -175,7 +175,7 @@ class TestCongestedMeshBackpressure:
                     sim.cycle,
                     sim.events_processed,
                     network.mean_latency(),
-                    [router.packets_switched for router in network.routers],
+                    [router.flits_switched.value for router in network.routers],
                 )
             )
         assert outcomes[0] == outcomes[1]

@@ -1,7 +1,10 @@
 """Unit tests for the Component wake/tick idiom."""
 
+import pytest
+
 from repro.sim.component import Component
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import HeapSimulator, Simulator
+from repro.sim.stats import StatError
 
 
 class TickRecorder(Component):
@@ -118,3 +121,21 @@ def test_component_has_stats_group():
     component = TickRecorder(sim)
     component.stats.counter("events").add()
     assert component.stats.counter("events").value == 1
+
+
+@pytest.mark.parametrize("kernel_cls", [Simulator, HeapSimulator])
+def test_component_stats_are_registered_in_the_simulator_tree(kernel_cls):
+    sim = kernel_cls()
+    component = TickRecorder(sim)
+    component.stats.counter("events").add(3)
+    assert sim.stats.children["recorder"] is component.stats
+    sim.stats.reset()
+    assert component.stats.counter("events").value == 0
+
+
+def test_duplicate_component_name_raises():
+    sim = Simulator()
+    TickRecorder(sim)
+    with pytest.raises(StatError, match="recorder"):
+        TickRecorder(sim)
+    TickRecorder(Simulator())  # names are per simulator

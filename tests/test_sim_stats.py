@@ -1,5 +1,7 @@
 """Unit tests for counters, histograms and stat groups."""
 
+from itertools import permutations
+
 import pytest
 
 from repro.sim.stats import Counter, Histogram, StatError, StatGroup
@@ -141,3 +143,22 @@ class TestStatGroup:
         flattened = dict(group.flat_items())
         assert flattened["a"] == 1
         assert flattened["sub.b"] == 2
+
+    @pytest.mark.parametrize(
+        "first, second", list(permutations(["counter", "histogram", "group"], 2))
+    )
+    def test_name_used_by_another_kind_raises(self, first, second):
+        group = StatGroup("g")
+        getattr(group, first)("x")
+        with pytest.raises(StatError, match=f"'x' is already a {first}"):
+            getattr(group, second)("x")
+
+    def test_new_group_refuses_a_taken_name(self):
+        group = StatGroup("g")
+        child = group.new_group("child")
+        assert group.group("child") is child
+        with pytest.raises(StatError, match="'child' is already a group"):
+            group.new_group("child")
+        group.counter("n")
+        with pytest.raises(StatError, match="'n' is already a counter"):
+            group.new_group("n")
