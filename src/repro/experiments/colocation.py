@@ -13,8 +13,9 @@ qualitative model-expectation tripwire (there is no paper chart to
 digitize), and the report is deliberately *not* registered in
 :data:`repro.reporting.figures.REPORTERS`: the default report must stay
 resolvable from the committed warm cache, and this sweep's points are not
-in it.  Fill/serve it explicitly via ``python -m repro.store.farm
---figure colocation`` and ``python -m repro.store.query``.
+in it.  Fill it explicitly with ``run_sweep(figure_spec("colocation"))``
+(:func:`repro.store.specs.figure_spec`) against the store, then serve it
+with ``python -m repro.store.query``.
 """
 
 from __future__ import annotations

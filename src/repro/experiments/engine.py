@@ -321,7 +321,7 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 
 @dataclass
 class SweepStats:
-    """What one :meth:`SweepExecutor.run` call actually did."""
+    """What :meth:`SweepExecutor.run` calls actually did."""
 
     cache_hits: int = 0
     cache_misses: int = 0
@@ -351,6 +351,7 @@ class SweepExecutor:
             (cache if cache is not None else ResultCache()) if use_cache else None
         )
         self.last_stats = SweepStats()
+        self.total_stats = SweepStats()
 
     def run(self, points: Iterable[ExperimentPoint]) -> List[SimulationResults]:
         """Execute ``points`` and return their results in the same order."""
@@ -371,11 +372,26 @@ class SweepExecutor:
         sequence; duplicate points share one simulation and yield once per
         index.  This is the engine-level primitive behind
         :func:`repro.scenarios.run.iter_results`.
+
+        ``last_stats`` describes this call alone; ``total_stats`` sums every
+        call, which is what a multi-sweep report prints.
         """
-        points = list(points)
         stats = SweepStats()
         self.last_stats = stats
+        try:
+            yield from self._run_iter(list(points), stats)
+        finally:
+            # Even an abandoned stream (the consumer broke out of
+            # iter_results) adds what it completed.
+            total = self.total_stats
+            total.cache_hits += stats.cache_hits
+            total.cache_misses += stats.cache_misses
+            total.simulations_run += stats.simulations_run
 
+    def _run_iter(
+        self, points: List[ExperimentPoint], stats: SweepStats
+    ) -> Iterator[Tuple[int, SimulationResults]]:
+        """:meth:`run_iter`'s body: dedup, cache lookups, then simulation."""
         # Identical points (same content hash) are simulated only once.
         groups: Dict[str, List[int]] = {}
         for index, point in enumerate(points):

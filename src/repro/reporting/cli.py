@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.engine import SweepExecutor, SweepStats
+from repro.experiments.engine import SweepExecutor
 from repro.experiments.harness import RunSettings
 from repro.reporting.compare import FigureReport
 from repro.reporting.figures import build_report, report_names
@@ -37,33 +37,9 @@ DEFAULT_OUT_DIR = "reports"
 REPORT_FILENAME = "REPRODUCTION.md"
 
 
-class CountingExecutor(SweepExecutor):
-    """A :class:`SweepExecutor` that also accumulates stats across sweeps.
-
-    ``last_stats`` is reset by every ``run_iter`` call, which hides the
-    total cost of a multi-sweep report; ``total_stats`` keeps the running
-    sums (and is what the CLI prints and the zero-re-simulation test
-    asserts on).
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.total_stats = SweepStats()
-
-    def run_iter(self, points):
-        before = self.last_stats
-        try:
-            yield from super().run_iter(points)
-        finally:
-            # Accumulate in a finally so an abandoned stream (consumer
-            # breaks out of iter_results) still contributes what the base
-            # class recorded — it keeps last_stats accurate on abandonment,
-            # and total_stats must preserve that guarantee.
-            stats = self.last_stats
-            if stats is not before:  # run_iter installed a fresh SweepStats
-                self.total_stats.cache_hits += stats.cache_hits
-                self.total_stats.cache_misses += stats.cache_misses
-                self.total_stats.simulations_run += stats.simulations_run
+#: Kept as a name for callers that import it: :class:`SweepExecutor` itself
+#: sums every sweep into ``total_stats``.
+CountingExecutor = SweepExecutor
 
 
 def generate(
@@ -79,15 +55,14 @@ def generate(
 
     Returns ``{"path", "text", "reports", "stats"}`` — the written path,
     the report text, the per-figure :class:`FigureReport`\\ s, and the
-    executor's accumulated :class:`SweepStats` (``stats`` is ``None`` when
-    a caller-supplied executor without ``total_stats`` was used).
+    executor's accumulated :class:`~repro.experiments.engine.SweepStats`.
     """
     names = list(figures) if figures else report_names()
     unknown = [name for name in names if name not in report_names()]
     if unknown:
         raise KeyError(f"unknown figure(s) {unknown}; available: {report_names()}")
     settings = settings or RunSettings.from_env()
-    executor = executor if executor is not None else CountingExecutor(jobs=jobs)
+    executor = executor if executor is not None else SweepExecutor(jobs=jobs)
 
     reports: List[FigureReport] = [
         build_report(
@@ -121,7 +96,7 @@ def generate(
         "path": path,
         "text": text,
         "reports": reports,
-        "stats": getattr(executor, "total_stats", None),
+        "stats": executor.total_stats,
     }
 
 
@@ -226,7 +201,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.store is not None:
         from repro.experiments.engine import ResultCache
 
-        executor = CountingExecutor(jobs=args.jobs, cache=ResultCache(args.store))
+        executor = SweepExecutor(jobs=args.jobs, cache=ResultCache(args.store))
 
     outcome = generate(
         figures=args.figures,
@@ -243,9 +218,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     stats = outcome["stats"]
     print(f"wrote {outcome['path']}")
-    if stats is not None:
-        print(
-            f"cache hits: {stats.cache_hits}, misses: {stats.cache_misses}, "
-            f"simulations run: {stats.simulations_run}"
-        )
+    print(
+        f"cache hits: {stats.cache_hits}, misses: {stats.cache_misses}, "
+        f"simulations run: {stats.simulations_run}"
+    )
     return 0

@@ -252,56 +252,20 @@ class Simulator:
     def run_to_completion(self, max_cycles: Optional[int] = None) -> int:
         """Process events until the queue drains (or ``max_cycles`` elapse).
 
-        With ``max_cycles`` given, the clock always advances to the limit —
-        exactly like :meth:`run_until` — even when the first deferred event
-        lies beyond it, so back-to-back bounded calls observe a consistent
-        clock.  Without a limit the clock rests at the last executed event.
+        With ``max_cycles`` given this is :meth:`run`: the clock always
+        advances to the limit, even when the first deferred event lies
+        beyond it, so back-to-back bounded calls observe a consistent clock.
+        Without a limit the clock rests at the last executed event.
         """
+        # Checked up front: a heap kernel pops the running event before
+        # calling it, so a reentrant call could otherwise see an empty queue.
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
-        self._running = True
+        if max_cycles is not None:
+            return self.run(max_cycles)
         processed = 0
-        limit = None if max_cycles is None else self.cycle + max_cycles
-        buckets = self._buckets
-        mask = self._mask
-        horizon = self._horizon
-        overflow = self._overflow
-        t = self.cycle
-        try:
-            while True:
-                if overflow and overflow[0][0] < t + horizon:
-                    self._migrate(t + horizon)
-                if not self._bucket_count:
-                    if not overflow:
-                        break
-                    nxt = overflow[0][0]
-                    if limit is not None and nxt > limit:
-                        break
-                    t = nxt
-                    continue
-                if limit is not None and t > limit:
-                    break
-                bucket = buckets[t & mask]
-                if bucket:
-                    self.cycle = t
-                    self._win_end = t + horizon
-                    i = 0
-                    try:
-                        for i, (callback, args) in enumerate(bucket, 1):
-                            callback(*args)
-                    finally:
-                        processed += i
-                        self._bucket_count -= i
-                        del bucket[:i]
-                t += 1
-            if limit is not None and limit > self.cycle:
-                self.cycle = limit
-            if overflow and overflow[0][0] < self.cycle + horizon:
-                self._migrate(self.cycle + horizon)
-            self._win_end = self.cycle + horizon
-        finally:
-            self._running = False
-            self._events_processed += processed
+        while self.pending_events:
+            processed += self.run_until(self.next_event_cycle)
         return processed
 
     # ------------------------------------------------------------------ #
@@ -316,7 +280,8 @@ class Simulator:
     def next_event_cycle(self) -> Optional[int]:
         """Cycle of the earliest pending event, or ``None`` when idle.
 
-        Introspection only (tests, debugging); the run loops never call it.
+        The hot :meth:`run_until` loop never calls it; the unbounded
+        :meth:`run_to_completion` drain steps from one answer to the next.
         """
         earliest = self._overflow[0][0] if self._overflow else None
         if self._bucket_count:
@@ -416,30 +381,6 @@ class HeapSimulator(Simulator):
                 callback(*args)
             if end_cycle > self.cycle:
                 self.cycle = end_cycle
-        finally:
-            self._running = False
-            self._events_processed += processed
-        return processed
-
-    def run_to_completion(self, max_cycles: Optional[int] = None) -> int:
-        if self._running:
-            raise SimulationError("Simulator.run() is not reentrant")
-        self._running = True
-        processed = 0
-        limit = None if max_cycles is None else self.cycle + max_cycles
-        queue = self._queue
-        pop = heapq.heappop
-        try:
-            while queue:
-                cycle = queue[0][0]
-                if limit is not None and cycle > limit:
-                    break
-                _cycle, _seq, callback, args = pop(queue)
-                self.cycle = cycle
-                processed += 1
-                callback(*args)
-            if limit is not None and limit > self.cycle:
-                self.cycle = limit
         finally:
             self._running = False
             self._events_processed += processed

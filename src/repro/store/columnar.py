@@ -6,7 +6,6 @@ Layout of a store directory::
       manifest.json            {"schema": 1, "cache_schema": 2, ...}
       segments/
         seg-<17 hex>-<pid hex>-<seq>.json    one immutable columnar table
-      leases/                  farm lease files (see repro.store.farm)
 
 A **segment** is one JSON document holding N rows in column-major order:
 
@@ -29,18 +28,18 @@ Properties the rest of the result path relies on:
 
 * **Append-only + atomic.**  A segment is written to a temp file and
   ``os.replace``\\ d into place, so readers never observe a torn segment
-  and concurrent farm workers never contend: every append creates a new
-  uniquely-named file.  Nothing but :meth:`ColumnarStore.compact` ever
+  and concurrent writers (shards sharing one store) never contend: every
+  append creates a new uniquely-named file.  Nothing but :meth:`ColumnarStore.compact` ever
   rewrites or removes a segment.
 * **First write wins.**  Duplicate hashes across segments are legal (two
-  farm workers can race past an expired lease); simulations are
-  deterministic, so every copy is identical and readers take the first.
+  writers can simulate the same point); simulations are deterministic, so
+  every copy is identical and readers take the first.
 * **Compaction is canonical.**  :meth:`ColumnarStore.compact` folds every
   segment into one, deduplicated and sorted by hash — byte-stable for a
-  given set of rows, so compacting a farm-filled store and a serial run of
+  given set of rows, so compacting a shard-filled store and a serial run of
   the same sweep produce identical segment files.  This is also how stores
-  merge: copy one store's ``segments/*.json`` into another (or let farm
-  workers append to one shared store) and compact once.
+  merge: copy one store's ``segments/*.json`` into another (or let shards
+  append to one shared store) and compact once.
 * **Damage is contained.**  A segment that fails to parse (disk trouble, a
   hand-edited file) is renamed to ``*.corrupt`` — out of the segment glob,
   kept for diagnosis — and its rows read as misses, so the engine simply
@@ -235,8 +234,8 @@ class ColumnarStore:
     Concurrency model: appends create new segment files (no shared state),
     and the in-memory index refreshes from the directory lazily — a lookup
     that misses re-scans for segments appended by sibling processes before
-    reporting the miss, so a query server over a farm-filled store is
-    always at most one directory listing behind the workers.
+    reporting the miss, so a query server over a store that is still being
+    filled is always at most one directory listing behind the writers.
     """
 
     def __init__(self, root: os.PathLike) -> None:

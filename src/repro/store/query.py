@@ -1,6 +1,6 @@
 """Serving CLI: answer figure/pivot queries from a warm columnar store.
 
-``python -m repro.store.query`` is the read side of the sweep farm: it
+``python -m repro.store.query`` is the read side of the result store: it
 **never simulates**.  Every query resolves through the store only; a
 point missing from the store is a hard, explanatory error (exit code 3)
 instead of a silent multi-minute simulation — exactly what a serving
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shlex
 import sys
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -46,38 +47,51 @@ class WarmStoreExecutor(SweepExecutor):
     Drop-in for the reporting layer's executor argument: cache hits stream
     out exactly like the parent's, but a miss raises :class:`ColdStoreError`
     naming the missing points instead of dispatching a simulation.
-    ``total_stats`` accumulates across sweeps like the reporting CLI's
-    ``CountingExecutor``, so "zero simulations" is provable after the fact.
+    ``total_stats`` accumulates across sweeps, so "zero simulations" is
+    provable after the fact.
     """
 
     def __init__(self, cache: ResultCache) -> None:
         super().__init__(jobs=1, cache=cache)
-        self.total_stats = SweepStats()
 
-    def run_iter(self, points) -> Iterator[Tuple[int, object]]:
-        points = list(points)
-        stats = SweepStats()
-        self.last_stats = stats
+    def _run_iter(self, points, stats: SweepStats) -> Iterator[Tuple[int, object]]:
         missing = []
-        try:
-            for index, point in enumerate(points):
-                result = self.cache.load(point)
-                if result is None:
-                    stats.cache_misses += 1
-                    missing.append(point)
-                    continue
-                stats.cache_hits += 1
-                yield index, result
-        finally:
-            self.total_stats.cache_hits += stats.cache_hits
-            self.total_stats.cache_misses += stats.cache_misses
+        for index, point in enumerate(points):
+            result = self.cache.load(point)
+            if result is None:
+                stats.cache_misses += 1
+                missing.append(point)
+                continue
+            stats.cache_hits += 1
+            yield index, result
         if missing:
             raise ColdStoreError(
                 f"store is cold for {len(missing)} of {len(points)} point(s) "
                 f"(first missing: {missing[0].describe()} = "
-                f"{missing[0].content_hash()}); fill it with "
-                "python -m repro.store.farm"
+                f"{missing[0].content_hash()}); {_fill_hint(self.cache.root)}"
             )
+
+
+def _fill_hint(root, name: Optional[str] = None) -> str:
+    """How to fill the store at ``root`` with sweep ``name`` (default: the report's).
+
+    Reportable figures fill through ``python -m repro.reporting``; the
+    on-demand sweeps (``scale_out``, ``colocation``) through ``run_sweep``.
+    Either way, at the scale the query uses.
+    """
+    from repro.reporting.figures import report_names
+
+    store = shlex.quote(str(root))
+    if name is None or name in report_names():
+        figure = f" --figure {name}" if name else ""
+        command = f"python -m repro.reporting --store {store}{figure}"
+    else:
+        command = (
+            f"REPRO_CACHE_DIR={store} python -c 'from repro.scenarios import "
+            "run_sweep; from repro.store.specs import figure_spec; "
+            f"run_sweep(figure_spec(\"{name}\"))'"
+        )
+    return f"fill it (at the same scale) with: {command}"
 
 
 def _settings(args: argparse.Namespace) -> RunSettings:
@@ -159,8 +173,8 @@ def load_sweep(
         table = store.load_table([sp.content_hash() for sp in sweep_points])
     except KeyError as exc:
         raise ColdStoreError(
-            f"store is cold for sweep {name!r}: {exc.args[0]}; fill it with "
-            "python -m repro.store.farm"
+            f"store is cold for sweep {name!r}: {exc.args[0]}; "
+            f"{_fill_hint(store.root, name)}"
         ) from None
     return ResultSet.from_store_table(sweep_points, table, spec=spec)
 

@@ -3,10 +3,9 @@
 Maps the reportable figure names (the keys of
 :data:`repro.reporting.figures.REPORTERS`, minus the purely analytic
 ``fig8``) plus the on-demand ``scale_out`` and ``colocation`` chapters to
-their ``*_spec()`` factories, so the farm
-(``python -m repro.store.farm --figure fig7``) and the query CLI
-(``python -m repro.store.query pivot fig7 ...``) can resolve a sweep by
-name.  ``power`` reuses the Figure-7 sweep — the power analysis
+their ``*_spec()`` factories, so the query CLI
+(``python -m repro.store.query pivot fig7 ...``) and its fill hints can
+resolve a sweep by name.  ``power`` reuses the Figure-7 sweep — the power analysis
 post-processes those very records.
 
 Imports are lazy for the same reason as :mod:`repro.reporting.figures`:

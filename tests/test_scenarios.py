@@ -521,3 +521,35 @@ class TestCacheMerge:
         executor = SweepExecutor(jobs=1, cache=ResultCache(merged.root))
         run_sweep(spec, executor=executor)
         assert executor.last_stats.simulations_run == 0
+
+    def test_shards_sharing_one_store_compact_to_serial_bytes(self, tmp_path):
+        """Shards on one shared root, as two machines sharing a directory."""
+        spec = ONE_WORKLOAD_SPEC
+        shared = tmp_path / "shared"
+        caches = [ResultCache(shared), ResultCache(shared)]  # one per machine
+        simulated = []
+        for index, cache in enumerate(caches):
+            before = set(ColumnarStore(shared).hashes())
+            executor = SweepExecutor(jobs=1, cache=cache)
+            run_sweep(spec.shard(index, 2), executor=executor)
+            added = set(ColumnarStore(shared).hashes()) - before
+            # No shard finds its points already simulated by the other.
+            assert executor.last_stats.cache_hits == 0
+            assert executor.last_stats.simulations_run == len(added)
+            simulated.append(added)
+        assert simulated[0].isdisjoint(simulated[1])
+        assert simulated[0] | simulated[1] == {
+            sp.content_hash() for sp in spec.expand()
+        }
+
+        rerun = SweepExecutor(jobs=1, cache=ResultCache(shared))
+        run_sweep(spec, executor=rerun)
+        assert rerun.last_stats.simulations_run == 0
+
+        serial = tmp_path / "serial"
+        run_sweep(spec, executor=SweepExecutor(jobs=1, cache=ResultCache(serial)))
+        stores = [ColumnarStore(shared), ColumnarStore(serial)]
+        for store in stores:
+            store.compact()
+        (shared_segment,), (serial_segment,) = (s.segment_paths() for s in stores)
+        assert shared_segment.read_bytes() == serial_segment.read_bytes()

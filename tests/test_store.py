@@ -1,15 +1,13 @@
-"""Tests for the columnar result store, the lease farm and the query path.
+"""Tests for the columnar result store and the query path.
 
 Covers the result path end to end: segment format round-trips,
 compaction canonicalisation, quarantine of damaged segments,
-:class:`ResultCache` over the store, the legacy JSON-cache importer, the
-lease protocol (no double simulation, crash recovery), zero-copy
-:class:`ResultSet` construction and the never-simulates query CLI.
+:class:`ResultCache` over the store, the legacy JSON-cache importer,
+zero-copy :class:`ResultSet` construction and the never-simulates query
+CLI.
 """
 
 import json
-import threading
-import time
 
 import pytest
 
@@ -19,8 +17,7 @@ from repro.experiments.engine import CACHE_SCHEMA_VERSION, ResultCache, SweepExe
 from repro.experiments.harness import RunSettings
 from repro.scenarios import METRIC_NAMES, ResultSet, SweepSpec, run_sweep
 from repro.store import ColumnarStore, StoreError
-from repro.store import columnar, farm, migrate, query, specs
-from repro.store.farm import LeaseQueue, run_worker
+from repro.store import columnar, migrate, query, specs
 
 from tests._fixtures import TINY_SETTINGS, LegacyJsonCache
 from tests.test_engine import tiny_point
@@ -268,147 +265,6 @@ class TestMigrate:
         assert replay["text"] == baseline["text"]
 
 
-class TestLeaseQueue:
-    def test_claim_is_exclusive(self, tmp_path):
-        queue = LeaseQueue(tmp_path)
-        assert queue.try_claim("0" * 64, "w0")
-        assert not queue.try_claim("0" * 64, "w1")
-        assert queue.held() == ["0" * 64]
-
-    def test_release_allows_reclaim(self, tmp_path):
-        queue = LeaseQueue(tmp_path)
-        assert queue.try_claim("0" * 64, "w0")
-        queue.release("0" * 64)
-        assert queue.held() == []
-        assert queue.try_claim("0" * 64, "w1")
-
-    def test_expired_lease_is_stolen(self, tmp_path):
-        crashed = LeaseQueue(tmp_path, ttl=0.05)
-        assert crashed.try_claim("0" * 64, "crashed")
-        time.sleep(0.1)
-        # The "crashed" worker never released; a live worker takes over.
-        assert LeaseQueue(tmp_path, ttl=0.05).try_claim("0" * 64, "w1")
-
-    def test_live_lease_is_not_stolen(self, tmp_path):
-        queue = LeaseQueue(tmp_path, ttl=3600)
-        assert queue.try_claim("0" * 64, "w0")
-        assert not LeaseQueue(tmp_path, ttl=3600).try_claim("0" * 64, "w1")
-
-    def test_torn_lease_file_expires_by_mtime(self, tmp_path):
-        import os
-
-        queue = LeaseQueue(tmp_path, ttl=0.05)
-        queue.root.mkdir(parents=True, exist_ok=True)
-        path = queue.path_for("0" * 64)
-        path.write_text("{ torn write")  # crashed mid-json.dump
-        past = time.time() - 10
-        os.utime(path, (past, past))
-        assert queue.try_claim("0" * 64, "w1")
-
-
-class TestFarm:
-    def test_concurrent_workers_never_double_simulate(self, tmp_path):
-        """Two racing workers: disjoint simulated sets whose union is the spec."""
-        spec = tiny_spec()
-        all_hashes = {sp.content_hash() for sp in spec.expand()}
-
-        def execute(point):
-            time.sleep(0.01)  # widen the race window
-            return fake_result()
-
-        stats = {}
-
-        def work(worker_id):
-            store = ColumnarStore(tmp_path / "store")  # private instance, shared dir
-            stats[worker_id] = run_worker(
-                spec, store, worker_id=worker_id, flush=1, execute=execute
-            )
-
-        threads = [
-            threading.Thread(target=work, args=(name,)) for name in ("w0", "w1")
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-        simulated_a = set(stats["w0"].simulated_hashes)
-        simulated_b = set(stats["w1"].simulated_hashes)
-        assert simulated_a.isdisjoint(simulated_b)
-        assert simulated_a | simulated_b == all_hashes
-        assert set(ColumnarStore(tmp_path / "store").hashes()) == all_hashes
-        assert LeaseQueue(tmp_path / "store").held() == []
-
-    def test_crashed_worker_lease_is_reclaimed(self, tmp_path):
-        """Leases from a dead worker expire; a live worker finishes the spec."""
-        spec = tiny_spec()
-        sweep_points = spec.expand()
-        crashed = LeaseQueue(tmp_path / "store", ttl=0.05)
-        for sweep_point in sweep_points[:2]:  # crashed mid-flight, never released
-            assert crashed.try_claim(sweep_point.content_hash(), "crashed")
-        time.sleep(0.1)
-
-        store = ColumnarStore(tmp_path / "store")
-        stats = run_worker(
-            spec, store, worker_id="w1", ttl=0.05,
-            execute=lambda point: fake_result(),
-        )
-        assert stats.simulated == len(sweep_points)
-        assert len(store) == len(sweep_points)
-
-    def test_worker_skips_already_stored_points(self, tmp_path):
-        spec = tiny_spec()
-        store = ColumnarStore(tmp_path / "store")
-        run_worker(spec, store, worker_id="w0", execute=lambda point: fake_result())
-        stats = run_worker(
-            spec, store, worker_id="w1", execute=lambda point: fake_result()
-        )
-        assert stats.simulated == 0
-        assert stats.already_stored == spec.size()
-
-    def test_farm_fill_compacts_to_serial_bytes(self, tmp_path):
-        """Compacted farm store == compacted serial store, byte for byte."""
-
-        def execute(point):
-            return fake_result(point.config.num_cores)
-
-        spec = tiny_spec()
-        farm_store = ColumnarStore(tmp_path / "farm")
-        for worker_id in ("w0", "w1"):  # interleaved flushes (flush=1)
-            run_worker(spec, farm_store, worker_id=worker_id, flush=1, execute=execute)
-        farm_store.compact()
-
-        serial_store = ColumnarStore(tmp_path / "serial")
-        run_worker(spec, serial_store, worker_id="serial", execute=execute)
-        serial_store.compact()
-
-        (farm_segment,) = farm_store.segment_paths()
-        (serial_segment,) = serial_store.segment_paths()
-        assert farm_segment.read_bytes() == serial_segment.read_bytes()
-
-    def test_cli_spawns_workers_and_compacts(self, tmp_path):
-        """End-to-end through main(): real simulations at tiny settings."""
-        spec = tiny_spec(workload=("Web Search",), topology=("mesh",))
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(spec.to_json())
-        summary_path = tmp_path / "stats.json"
-        status = farm.main(
-            [
-                "--store", str(tmp_path / "store"),
-                "--spec", str(spec_path),
-                "--worker-id", "w0",
-                "--compact",
-                "--summary", str(summary_path),
-            ]
-        )
-        assert status == 0
-        summary = json.loads(summary_path.read_text())
-        assert summary["simulated"] == 1
-        store = ColumnarStore(tmp_path / "store")
-        assert len(store) == 1
-        assert len(store.segment_paths()) == 1
-
-
 class TestResultSetFromStore:
     def fill(self, tmp_path):
         spec = tiny_spec()
@@ -479,14 +335,12 @@ class TestQueryCLI:
     SCALE = "0.02"
 
     def fill_fig1(self, tmp_path):
-        """Farm-fill the fig1 sweep with synthetic results (no real sims)."""
+        """Fill the fig1 sweep with synthetic results (no real sims)."""
         spec = specs.figure_spec("fig1", RunSettings().scaled(float(self.SCALE)))
         store = ColumnarStore(tmp_path / "store")
-        run_worker(
-            spec,
-            store,
-            worker_id="w0",
-            execute=lambda point: fake_result(point.config.num_cores),
+        store.append_results(
+            (sp.content_hash(), fake_result(sp.point.config.num_cores))
+            for sp in spec.expand()
         )
         return store
 
@@ -528,8 +382,23 @@ class TestQueryCLI:
             ["--store", str(store.root), "--scale", self.SCALE, "figure", "fig1"]
         )
         assert status == 3
-        assert "cold store" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "cold store" in err
+        # The hint names a fill command that exists, pointed at this store.
+        assert f"python -m repro.reporting --store {store.root}" in err
         assert len(store) == 0  # nothing was simulated to paper over the miss
+
+    def test_cold_on_demand_sweep_names_run_sweep(self, tmp_path, capsys):
+        store = ColumnarStore(tmp_path / "empty")
+        status = query.main(
+            [
+                "--store", str(store.root), "--scale", self.SCALE,
+                "pivot", "scale_out", "--index", "num_cores", "--columns", "topology",
+            ]
+        )
+        assert status == 3
+        # scale_out is not a report figure, so the hint fills it via run_sweep.
+        assert 'run_sweep(figure_spec("scale_out"))' in capsys.readouterr().err
 
     def test_unknown_names_are_exit_code_2(self, tmp_path, capsys):
         store = ColumnarStore(tmp_path / "empty")
