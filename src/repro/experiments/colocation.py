@@ -10,8 +10,8 @@ chip, relative to running the same offered load homogeneously.
 
 Like :mod:`repro.experiments.scale_out`, the baseline here is a
 qualitative model-expectation tripwire (there is no paper chart to
-digitize), and the report is deliberately *not* registered in
-:data:`repro.reporting.figures.REPORTERS`: the default report must stay
+digitize), and the report is deliberately *not* given a report hook in
+:data:`repro.reporting.figures.FIGURES`: the default report must stay
 resolvable from the committed warm cache, and this sweep's points are not
 in it.  Fill it explicitly with ``run_sweep(figure_spec("colocation"))``
 (:func:`repro.store.specs.figure_spec`) against the store, then serve it

@@ -47,7 +47,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from enum import Enum
@@ -181,8 +180,11 @@ def execute_point(point: ExperimentPoint) -> SimulationResults:
     """
     if profiling_enabled():
         return _execute_point_profiled(point)
-    chip = Chip(point.config)
-    return chip.run_experiment(
+    return _simulate(point)
+
+
+def _simulate(point: ExperimentPoint) -> SimulationResults:
+    return Chip(point.config).run_experiment(
         warmup_references=point.settings.warmup_references,
         detailed_warmup_cycles=point.settings.detailed_warmup_cycles,
         measure_cycles=point.settings.measure_cycles,
@@ -195,16 +197,7 @@ def _execute_point_profiled(point: ExperimentPoint) -> SimulationResults:
     import pstats
 
     profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        chip = Chip(point.config)
-        result = chip.run_experiment(
-            warmup_references=point.settings.warmup_references,
-            detailed_warmup_cycles=point.settings.detailed_warmup_cycles,
-            measure_cycles=point.settings.measure_cycles,
-        )
-    finally:
-        profiler.disable()
+    result = profiler.runcall(_simulate, point)
 
     root = default_cache_root()
     root.mkdir(parents=True, exist_ok=True)
@@ -237,33 +230,6 @@ def cache_enabled() -> bool:
     )
 
 
-#: ``ResultCache`` warns at most once per process about a root that still
-#: holds only pre-segment ``<hash>.json`` entries.
-_legacy_warned = False
-
-
-def _warn_if_legacy(store) -> None:
-    """Point at the importer when a ``ColumnarStore``'s root is an
-    unmigrated JSON cache."""
-    global _legacy_warned
-    if _legacy_warned or store.segment_dir.is_dir():
-        return
-    from repro.store.migrate import is_result_file
-
-    root = store.root
-    try:
-        legacy = any(is_result_file(path) for path in root.glob("*.json"))
-    except OSError:
-        return
-    if legacy:
-        _legacy_warned = True
-        warnings.warn(
-            f"{root} holds legacy per-point JSON results that this store cannot "
-            f"read; import them with: python -m repro.store.migrate {root} {root}",
-            stacklevel=3,
-        )
-
-
 class ResultCache:
     """Result store keyed by :meth:`ExperimentPoint.content_hash`.
 
@@ -277,9 +243,7 @@ class ResultCache:
     a sweep.
 
     The store is an append-only archive without a size cap: prune it with
-    :meth:`ColumnarStore.compact` or by deleting the directory.  A legacy
-    JSON cache directory is imported once with
-    ``python -m repro.store.migrate``.
+    :meth:`ColumnarStore.compact` or by deleting the directory.
     """
 
     def __init__(self, root: Optional[os.PathLike] = None) -> None:
@@ -289,7 +253,6 @@ class ResultCache:
 
         self.root = Path(root) if root is not None else default_cache_root()
         self.columnar = ColumnarStore(self.root)
-        _warn_if_legacy(self.columnar)
 
     def load(self, point: ExperimentPoint) -> Optional[SimulationResults]:
         """Return the stored result for ``point``, or ``None`` on a miss."""

@@ -21,7 +21,7 @@ Importing this package registers all of them;
 lookup, so user code normally never imports it directly.
 """
 
-from repro.fabrics.base import FabricPlugin, SystemFactoryFabric
+from repro.fabrics.base import FabricPlugin
 
 # Importing the plugin modules runs their @register_topology decorators.
 # Order defines registry listing order: the paper's fabrics first.
@@ -56,7 +56,6 @@ __all__ = [
     "ConcentratedMeshFabric",
     "ConcentratedSystemMap",
     "FabricPlugin",
-    "SystemFactoryFabric",
     "chiplet_params",
     "chiplet_system",
     "cmesh_system",

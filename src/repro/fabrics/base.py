@@ -31,7 +31,7 @@ simulation modules here would cycle.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover — typing only, avoids import cycles
     from repro.chip.system_map import SystemMap
@@ -66,69 +66,28 @@ class FabricPlugin(Protocol):
         ...
 
 
-#: Hooks a full plugin must provide beyond ``build_system``.
-_CHIP_HOOKS = ("build_system_map", "build_network", "describe")
-
-
-class SystemFactoryFabric:
-    """Adapter wrapping a bare ``**kwargs -> SystemConfig`` registration.
-
-    The pre-plugin ``@register_topology`` form registered plain system
-    factories; they remain useful for seeding sweeps (a factory may return
-    configs whose *topology* belongs to a full plugin), so they are wrapped
-    here rather than rejected.  Chip-building hooks raise with a pointer to
-    the full protocol.
-    """
-
-    def __init__(self, name: str, factory: Callable) -> None:
-        self.name = name
-        self._factory = factory
-
-    def build_system(self, **kwargs) -> "SystemConfig":
-        return self._factory(**kwargs)
-
-    def _unsupported(self, hook: str):
-        raise NotImplementedError(
-            f"topology {self.name!r} was registered as a bare system factory, "
-            f"which cannot {hook}; register a full FabricPlugin (see "
-            "repro.fabrics.base) to build chips with it"
-        )
-
-    def build_system_map(self, config):
-        self._unsupported("build a system map")
-
-    def build_network(self, sim, config, system_map):
-        self._unsupported("build a network")
-
-    def describe(self, config):
-        self._unsupported("describe its geometry")
-
-    def __repr__(self) -> str:
-        return f"SystemFactoryFabric({self.name!r}, {self._factory!r})"
+#: Hooks every registered plugin must provide.
+_HOOKS = ("build_system", "build_system_map", "build_network", "describe")
 
 
 def coerce_fabric_plugin(name: str, obj) -> FabricPlugin:
     """Normalise a ``@register_topology`` argument into a plugin instance.
 
-    Accepts a plugin instance, a plugin class (instantiated with no
-    arguments), or a bare system factory (wrapped in
-    :class:`SystemFactoryFabric`).  A plugin without a ``name`` gets the
-    registration name; a plugin that already carries one keeps it (dispatch
-    is keyed by the *registry* name, so an instance registered under an
-    alias is not mutated — and frozen/slotted plugins stay untouched).
+    Accepts a plugin instance or a plugin class (instantiated with no
+    arguments); anything lacking one of the four hooks raises
+    :class:`TypeError`.  A plugin without a ``name`` gets the registration
+    name; a plugin that already carries one keeps it (dispatch is keyed by
+    the *registry* name, so an instance registered under an alias is not
+    mutated — and frozen/slotted plugins stay untouched).
     """
     if isinstance(obj, type):
         obj = obj()
-    missing = [
-        hook for hook in _CHIP_HOOKS + ("build_system",) if not hasattr(obj, hook)
-    ]
-    if not missing:
-        if getattr(obj, "name", None) is None:
-            obj.name = name
-        return obj
-    if callable(obj):
-        return SystemFactoryFabric(name, obj)
-    raise TypeError(
-        f"cannot register {obj!r} as topology {name!r}: expected a FabricPlugin "
-        f"(missing {missing}) or a callable system factory"
-    )
+    missing = [hook for hook in _HOOKS if not hasattr(obj, hook)]
+    if missing:
+        raise TypeError(
+            f"cannot register {obj!r} as topology {name!r}: expected a "
+            f"FabricPlugin (missing {missing})"
+        )
+    if getattr(obj, "name", None) is None:
+        obj.name = name
+    return obj

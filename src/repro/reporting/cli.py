@@ -37,8 +37,9 @@ DEFAULT_OUT_DIR = "reports"
 REPORT_FILENAME = "REPRODUCTION.md"
 
 
-#: Kept as a name for callers that import it: :class:`SweepExecutor` itself
-#: sums every sweep into ``total_stats``.
+#: Old name of :class:`SweepExecutor` (which sums every sweep into
+#: ``total_stats``), kept only because the frozen benchmark harness
+#: ``benchmarks/perf/worker.py`` imports it.  New code uses ``SweepExecutor``.
 CountingExecutor = SweepExecutor
 
 

@@ -29,11 +29,6 @@ the *only* step needed to wire a new fabric into chip building, the
 power/area models and the scenario layer; see :mod:`repro.fabrics` for the
 protocol and the built-in plugin modules.
 
-For backwards compatibility ``@register_topology`` also accepts a bare
-``**kwargs -> SystemConfig`` factory (the pre-plugin registration form);
-such an entry can seed sweeps with configs whose *topology* belongs to a
-full plugin, but cannot itself build chips.
-
 The built-in entries are seeded on first lookup: the six CloudSuite-style
 workloads populate :data:`workloads` via decorators in
 :mod:`repro.config.presets`, and the built-in fabric plugins populate
@@ -131,8 +126,7 @@ class Registry:
 #: Workload presets: name -> ``() -> WorkloadConfig``.
 workloads = Registry("workload")
 #: Fabric plugins: name -> object implementing
-#: :class:`repro.fabrics.base.FabricPlugin` (bare system factories are
-#: wrapped in an adapter on registration).
+#: :class:`repro.fabrics.base.FabricPlugin`.
 topologies = Registry("topology")
 
 
@@ -144,12 +138,10 @@ def register_workload(name: str, factory: Optional[Callable] = None, **kwargs):
 def register_topology(name: str, plugin=None, **kwargs):
     """Register a fabric under ``name``; usable as a decorator.
 
-    ``plugin`` may be a :class:`~repro.fabrics.base.FabricPlugin` instance,
-    a plugin class (instantiated here), or — for backwards compatibility —
-    a bare ``**kwargs -> SystemConfig`` factory, which is wrapped in an
-    adapter that supports :func:`build_system` but cannot build chips.
-    The decorated object is returned unchanged, so stacking the decorator
-    on a class or function keeps it usable directly.
+    ``plugin`` may be a :class:`~repro.fabrics.base.FabricPlugin` instance
+    or a plugin class (instantiated here); anything else raises
+    :class:`TypeError`.  The decorated object is returned unchanged, so
+    stacking the decorator on a class keeps it usable directly.
     """
 
     def decorator(obj):

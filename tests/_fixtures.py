@@ -13,13 +13,9 @@ directory pytest inserted into ``sys.path`` first (historically
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 from repro.config.noc import NocConfig, Topology
 from repro.config.system import SystemConfig
 from repro.config.workload import WorkloadConfig
-from repro.experiments.engine import CACHE_SCHEMA_VERSION
 from repro.experiments.harness import RunSettings
 
 KB = 1024
@@ -56,30 +52,3 @@ def small_system(topology: Topology, num_cores: int = 16, **noc_kwargs) -> Syste
     """A 16-core chip configuration suitable for quick end-to-end tests."""
     noc = NocConfig(topology=topology, **noc_kwargs)
     return SystemConfig(num_cores=num_cores, noc=noc, seed=3)
-
-
-class LegacyJsonCache:
-    """Writes the pre-columnar cache layout: one ``<hash>.json`` per point.
-
-    The input format of :mod:`repro.store.migrate`.  It duck-types the
-    engine's ``ResultCache`` (``load`` always misses, ``store`` writes the
-    ``{"schema", "point", "result"}`` document), so a ``SweepExecutor`` can
-    fill a legacy directory with real simulations.
-    """
-
-    def __init__(self, root) -> None:
-        self.root = Path(root)
-
-    def load(self, point):
-        return None
-
-    def store(self, point, result) -> Path:
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.root / f"{point.content_hash()}.json"
-        payload = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "point": point.canonical_dict(),
-            "result": result.to_dict(),
-        }
-        path.write_text(json.dumps(payload, sort_keys=True))
-        return path

@@ -28,7 +28,7 @@ from repro.scenarios import SweepSpec, run_sweep
 
 from repro.store import columnar
 
-from tests._fixtures import TINY_SETTINGS, LegacyJsonCache
+from tests._fixtures import TINY_SETTINGS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -269,24 +269,35 @@ class TestResultCache:
         assert ResultCache(tmp_path).load(point) is None
         assert segments(tmp_path) == []
 
-    def test_legacy_json_cache_warns_until_migrated(self, tmp_path, monkeypatch):
-        """A pre-columnar cache is not silently orphaned: warn, migrate, hit."""
-        from repro.store import migrate
-
-        monkeypatch.setattr(engine, "_legacy_warned", False)
+    def test_old_json_layout_is_ignored_and_resimulated(self, tmp_path):
+        """A pre-columnar ``<hash>.json`` entry is not read and not warned
+        about: its point misses, re-simulates into ``segments/``, and the
+        stray file is left as it was."""
         point = tiny_point()
-        (result,) = SweepExecutor(jobs=1, cache=LegacyJsonCache(tmp_path)).run([point])
+        stray = tmp_path / f"{point.content_hash()}.json"
+        stray.write_text(
+            json.dumps(
+                {
+                    "schema": CACHE_SCHEMA_VERSION,
+                    "point": point.canonical_dict(),
+                    "result": engine.execute_point(point).to_dict(),
+                },
+                sort_keys=True,
+            )
+        )
+        before = stray.read_bytes()
 
-        with pytest.warns(UserWarning, match="python -m repro.store.migrate"):
-            cache = ResultCache(tmp_path)
-        assert cache.load(point) is None
-
-        assert migrate.main([str(tmp_path), str(tmp_path)]) == 0
-        monkeypatch.setattr(engine, "_legacy_warned", False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cache = ResultCache(tmp_path)  # migrated: segments/ exists, no warning
-        assert cache.load(point) == result
+            cache = ResultCache(tmp_path)
+            assert cache.load(point) is None
+            executor = SweepExecutor(jobs=1, cache=cache)
+            (result,) = executor.run([point])
+
+        assert executor.last_stats.simulations_run == 1
+        assert len(segments(tmp_path)) == 1
+        assert ResultCache(tmp_path).load(point) == result
+        assert stray.read_bytes() == before
 
 
 class TestSweepExecutor:
@@ -392,6 +403,9 @@ class TestPointProfiling:
         assert stem in text
         assert "cumulative" in text
         assert "run_experiment" in text
+        # Profiling observes the run; it does not change it.
+        monkeypatch.delenv("REPRO_PROFILE")
+        assert engine.execute_point(point) == result
 
     def test_profiles_do_not_confuse_the_cache(self, tmp_path, monkeypatch):
         """Profile droppings next to entries must not count as entries."""

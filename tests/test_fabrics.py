@@ -17,7 +17,6 @@ from repro.config.system import (
     default_mesh_dimensions,
 )
 from repro.fabrics import ConcentratedSystemMap, cmesh_system
-from repro.fabrics.base import SystemFactoryFabric
 from repro.noc.flattened_butterfly import FlattenedButterflyNetwork
 from repro.noc.ideal import IdealNetwork
 from repro.noc.mesh import MeshNetwork
@@ -119,24 +118,15 @@ class TestThirdPartyPlugin:
         finally:
             topologies.unregister("__half_width_mesh__")
 
-    def test_bare_factory_still_registers_but_cannot_build_chips(self):
-        register_topology(
-            "__bare_factory__", lambda num_cores=16, **kw: small_system(Topology.MESH)
-        )
-        try:
-            plugin = topologies.get("__bare_factory__")
-            assert isinstance(plugin, SystemFactoryFabric)
-            # The factory seeds sweeps (its config owns a real topology)...
-            assert build_system("__bare_factory__").noc.topology == Topology.MESH
-            # ...but the adapter itself cannot build chips.
-            with pytest.raises(NotImplementedError, match="FabricPlugin"):
-                plugin.build_system_map(small_system(Topology.MESH))
-        finally:
-            topologies.unregister("__bare_factory__")
-
-    def test_non_plugin_registration_rejected(self):
+    @pytest.mark.parametrize(
+        "obj",
+        [object(), lambda num_cores=16, **kw: small_system(Topology.MESH)],
+        ids=["object", "bare_factory"],
+    )
+    def test_non_plugin_registration_rejected(self, obj):
         with pytest.raises(TypeError, match="FabricPlugin"):
-            register_topology("__not_a_plugin__", object())
+            register_topology("__not_a_plugin__", obj)
+        assert "__not_a_plugin__" not in topologies
 
 
 # --------------------------------------------------------------------- #

@@ -16,7 +16,7 @@ from repro.reporting import (
     status_table,
 )
 from repro.reporting.baselines import KEY_SEPARATOR
-from repro.reporting.cli import CountingExecutor, generate, main
+from repro.reporting.cli import generate, main
 from repro.reporting.compare import (
     STATUS_FAIL,
     STATUS_NO_DATA,
@@ -322,11 +322,11 @@ class TestCli:
         assert "Penalty not compared" in report.notes
 
     def test_counting_executor_counts_abandoned_streams(self, tmp_path):
-        from repro.experiments.engine import ResultCache
+        from repro.experiments.engine import ResultCache, SweepExecutor
         from repro.experiments.fig4_snoops import figure4_spec
         from repro.scenarios import iter_results
 
-        executor = CountingExecutor(cache=ResultCache(tmp_path))
+        executor = SweepExecutor(cache=ResultCache(tmp_path))
         spec = figure4_spec(
             ["Web Search", "Data Serving"], num_cores=16, settings=TINY_SETTINGS
         )
@@ -335,11 +335,11 @@ class TestCli:
         assert executor.total_stats.simulations_run >= 1
 
     def test_counting_executor_accumulates_across_sweeps(self, tmp_path):
-        from repro.experiments.engine import ResultCache
+        from repro.experiments.engine import ResultCache, SweepExecutor
         from repro.experiments.fig4_snoops import figure4_spec
         from repro.scenarios import run_sweep
 
-        executor = CountingExecutor(cache=ResultCache(tmp_path))
+        executor = SweepExecutor(cache=ResultCache(tmp_path))
         spec = figure4_spec(["Web Search"], num_cores=16, settings=TINY_SETTINGS)
         run_sweep(spec, executor=executor)
         run_sweep(spec, executor=executor)

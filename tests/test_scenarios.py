@@ -98,13 +98,15 @@ class TestRegistries:
             workloads.unregister("__spec_workload__")
 
     def test_registered_topology_usable_in_spec(self):
-        from repro.config.noc import NocConfig
-        from repro.config.system import SystemConfig
+        from repro.fabrics.mesh import MeshFabric
 
         @register_topology("__narrow_mesh__")
-        def _narrow_mesh(num_cores=64, link_width_bits=32, seed=42):
-            noc = NocConfig(topology=Topology.MESH, link_width_bits=32)
-            return SystemConfig(num_cores=num_cores, noc=noc, seed=seed)
+        class _NarrowMesh(MeshFabric):
+            def build_system(self, num_cores=64, link_width_bits=32, seed=42):
+                # Pins 32-bit links whatever width the sweep asks for.
+                return super().build_system(
+                    num_cores=num_cores, link_width_bits=32, seed=seed
+                )
 
         try:
             spec = SweepSpec(

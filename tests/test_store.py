@@ -2,9 +2,8 @@
 
 Covers the result path end to end: segment format round-trips,
 compaction canonicalisation, quarantine of damaged segments,
-:class:`ResultCache` over the store, the legacy JSON-cache importer,
-zero-copy :class:`ResultSet` construction and the never-simulates query
-CLI.
+:class:`ResultCache` over the store, zero-copy :class:`ResultSet`
+construction and the never-simulates query CLI.
 """
 
 import json
@@ -13,13 +12,13 @@ import pytest
 
 from repro.chip.chip import SimulationResults
 from repro.config.noc import Topology
-from repro.experiments.engine import CACHE_SCHEMA_VERSION, ResultCache, SweepExecutor
+from repro.experiments.engine import ResultCache, SweepExecutor
 from repro.experiments.harness import RunSettings
 from repro.scenarios import METRIC_NAMES, ResultSet, SweepSpec, run_sweep
 from repro.store import ColumnarStore, StoreError
-from repro.store import columnar, migrate, query, specs
+from repro.store import columnar, query, specs
 
-from tests._fixtures import TINY_SETTINGS, LegacyJsonCache
+from tests._fixtures import TINY_SETTINGS
 from tests.test_engine import tiny_point
 
 
@@ -190,81 +189,6 @@ class TestResultCacheRoundTrip:
         assert second == first
 
 
-class TestMigrate:
-    def test_import_json_cache(self, tmp_path):
-        cache = LegacyJsonCache(tmp_path / "cache")
-        points = [
-            tiny_point(topology=Topology.MESH),
-            tiny_point(topology=Topology.NOC_OUT),
-        ]
-        executor = SweepExecutor(jobs=1, cache=cache)
-        results = executor.run(points)
-
-        store = ColumnarStore(tmp_path / "store")
-        stats = migrate.migrate_cache(cache.root, store)
-        assert stats.imported == 2
-        assert stats.skipped_invalid == 0
-        assert len(store.segment_paths()) == 1  # compacted
-        for point, result in zip(points, results):
-            assert store.get(point.content_hash()) == result
-
-    def test_import_skips_invalid_and_foreign_files(self, tmp_path):
-        cache = LegacyJsonCache(tmp_path / "cache")
-        point = tiny_point()
-        SweepExecutor(jobs=1, cache=cache).run([point])
-        (tmp_path / "cache" / ("a" * 64 + ".json")).write_text("{ truncated")
-        (tmp_path / "cache" / ("b" * 64 + ".json")).write_text(
-            json.dumps({"schema": CACHE_SCHEMA_VERSION + 1, "result": {}})
-        )
-        (tmp_path / "cache" / "README.txt").write_text("not a result")
-
-        store = ColumnarStore(tmp_path / "store")
-        stats = migrate.migrate_cache(cache.root, store)
-        assert stats.imported == 1
-        assert stats.skipped_invalid == 2
-        assert stats.ignored_files == 1
-        assert len(store) == 1
-
-    def test_reimport_is_a_no_op(self, tmp_path):
-        cache = LegacyJsonCache(tmp_path / "cache")
-        SweepExecutor(jobs=1, cache=cache).run([tiny_point()])
-        store = ColumnarStore(tmp_path / "store")
-        migrate.migrate_cache(cache.root, store)
-        stats = migrate.migrate_cache(cache.root, store)
-        assert stats.imported == 0
-        assert stats.already_stored == 1
-
-    def test_migrated_store_reproduces_report_byte_identically(self, tmp_path):
-        """Report over a legacy JSON cache -> migrate -> same bytes, 0 sims."""
-        from repro.reporting.cli import CountingExecutor, generate
-
-        kwargs = dict(
-            figures=["fig1"],
-            settings=TINY_SETTINGS,
-            workload_names=["Web Search"],
-            core_counts=(2, 4),
-        )
-        json_cache = LegacyJsonCache(tmp_path / "cache")
-        baseline = generate(
-            out_dir=str(tmp_path / "report-json"),
-            executor=CountingExecutor(jobs=1, cache=json_cache),
-            **kwargs,
-        )
-        assert baseline["stats"].simulations_run > 0
-
-        store = ColumnarStore(tmp_path / "store")
-        migrate.migrate_cache(json_cache.root, store)
-
-        replay = generate(
-            out_dir=str(tmp_path / "report-columnar"),
-            executor=CountingExecutor(jobs=1, cache=ResultCache(tmp_path / "store")),
-            **kwargs,
-        )
-        assert replay["stats"].simulations_run == 0
-        assert replay["stats"].cache_misses == 0
-        assert replay["text"] == baseline["text"]
-
-
 class TestResultSetFromStore:
     def fill(self, tmp_path):
         spec = tiny_spec()
@@ -413,15 +337,44 @@ class TestQueryCLI:
 
 
 class TestSpecRegistry:
-    def test_every_reportable_figure_is_registered(self):
+    def test_figure_names_and_order_are_pinned(self):
         from repro.reporting.figures import report_names
 
-        missing = [
-            name
-            for name in report_names()
-            if name != "fig8" and name not in specs.spec_names()
+        assert specs.spec_names() == [
+            "fig1",
+            "fig4",
+            "fig7",
+            "fig9",
+            "power",
+            "ablation_banking",
+            "ablation_arbitration",
+            "ablation_scaling",
+            "scale_out",
+            "colocation",
         ]
-        assert missing == []
+        assert report_names() == [
+            "fig1",
+            "fig4",
+            "fig7",
+            "fig8",
+            "fig9",
+            "power",
+            "ablation_banking",
+            "ablation_arbitration",
+            "ablation_scaling",
+        ]
+
+    def test_report_points_cover_figures_with_spec_and_report(self):
+        from repro.reporting.figures import report_names
+
+        reported = set(report_names())
+        expected = {}
+        for name in specs.spec_names():
+            if name in reported:
+                for sweep_point in specs.figure_spec(name, TINY_SETTINGS).expand():
+                    expected.setdefault(sweep_point.content_hash(), sweep_point)
+        points = specs.report_points(TINY_SETTINGS)
+        assert [sp.content_hash() for sp in points] == list(expected)
 
     def test_power_reuses_fig7_sweep(self):
         settings = TINY_SETTINGS
