@@ -15,7 +15,9 @@ would:
 4. serve the figure and a pivot through ``python -m repro.store.query``
    and require success — the query CLI cannot simulate by construction,
    so a warm answer proves zero re-simulations;
-5. regenerate the figure's report section through the reporting layer
+5. require the served pivot to equal the pivot ``run_sweep`` computes over
+   the same store, with zero simulations;
+6. regenerate the figure's report section through the reporting layer
    against the same store and require zero simulations.
 
 Honours ``REPRO_EXPERIMENT_SCALE``; CI runs it at scale 0.1.  Violations
@@ -193,8 +195,21 @@ def main() -> int:
             "--columns", "topology",
             "--metric", "per_core_ipc",
         )
-        check(bool(json.loads(pivot_text)), "pivot over the warm store is empty")
-        print("  query CLI served figure + pivot from the warm store")
+        executor = SweepExecutor(jobs=1, cache=ResultCache(store_dir))
+        table = run_sweep(spec, executor=executor, keep_results=False).pivot(
+            "num_cores", "topology", metric="per_core_ipc"
+        )
+        check(
+            executor.last_stats.simulations_run == 0,
+            "run_sweep over the compacted store simulated "
+            f"{executor.last_stats.simulations_run} point(s)",
+        )
+        expected = json.dumps(table, indent=2, sort_keys=True, default=str)
+        check(
+            pivot_text == expected + "\n",
+            "served pivot differs from run_sweep's pivot over the same store",
+        )
+        print("  query CLI served figure + pivot (equal to run_sweep's) warm")
 
         outcome = generate(
             figures=[FIGURE],

@@ -26,7 +26,7 @@ from repro.experiments.engine import (
     SweepExecutor,
     run_experiments,
 )
-from repro.experiments.harness import RunSettings, point_for
+from repro.experiments.harness import RunSettings
 from repro.experiments import (
     ablations,
     engine,
@@ -47,7 +47,6 @@ __all__ = [
     "RunSettings",
     "SweepExecutor",
     "engine",
-    "point_for",
     "run_experiments",
     "ablations",
     "fig1_scaling",

@@ -14,8 +14,10 @@ digitize), and the report is deliberately *not* given a report hook in
 :data:`repro.reporting.figures.FIGURES`: the default report must stay
 resolvable from the committed warm cache, and this sweep's points are not
 in it.  Fill it explicitly with ``run_sweep(figure_spec("colocation"))``
-(:func:`repro.store.specs.figure_spec`) against the store, then serve it
-with ``python -m repro.store.query``.
+(:func:`repro.store.specs.figure_spec`) against the store; ``python -m
+repro.store.query pivot colocation ...`` then pivots its scalar metrics.
+The per-tenant tails live on the full results, which only a
+``keep_results=True`` sweep (:func:`run_colocation`) carries.
 """
 
 from __future__ import annotations
@@ -125,11 +127,11 @@ def run_colocation(
 
 def _tenant_tails(record) -> Dict[str, float]:
     """Tenant label -> p99 for one record (tenants without samples skipped)."""
-    result = record.full_result()
+    result = record.result
     if result is None:
         raise ValueError(
             "per-tenant tails need full results; run the sweep with "
-            "keep_results=True or serve it from a store"
+            "keep_results=True"
         )
     return {
         label: summary["p99"]

@@ -1,8 +1,8 @@
 """Shared machinery for running the paper's experiments.
 
-:class:`RunSettings` (the warm-up and measurement windows, scalable via
-``REPRO_EXPERIMENT_SCALE``) plus the config/point builders the scenario
-layer expands through.  Sweeps themselves are declared as
+:class:`RunSettings`: the warm-up and measurement windows, scalable via
+``REPRO_EXPERIMENT_SCALE``.  Points are built from coordinates by
+:func:`~repro.scenarios.spec.point_for_coords`; sweeps are declared as
 :class:`~repro.scenarios.spec.SweepSpec`\\ s and run with
 :func:`~repro.scenarios.run.run_sweep`; the pre-scenario entry points
 (``run_topology_sweep`` / ``run_single``) were removed after their one
@@ -15,9 +15,6 @@ import os
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.config.noc import Topology
-from repro.config.system import SystemConfig
-from repro.config.workload import WorkloadConfig
 
 #: Environment variable scaling the simulated window length of every
 #: experiment (1.0 = default; smaller values make the benchmarks faster but
@@ -71,61 +68,3 @@ class RunSettings:
             ),
             measure_cycles=max(MIN_MEASURE_CYCLES, int(self.measure_cycles * factor)),
         )
-
-
-def system_for(
-    topology: Topology,
-    workload: WorkloadConfig,
-    num_cores: int = 64,
-    link_width_bits: int = 128,
-    seed: int = 42,
-    noc_overrides: Optional[dict] = None,
-) -> SystemConfig:
-    """Build the :class:`SystemConfig` for one experimental point.
-
-    The system is built through the topology registry
-    (:mod:`repro.scenarios.registry`), so fabrics registered with
-    ``@register_topology`` work here as soon as they exist.
-    """
-    from repro.config.noc import topology_key
-    from repro.scenarios.registry import build_system
-
-    config = build_system(
-        topology_key(topology),
-        num_cores=num_cores,
-        link_width_bits=link_width_bits,
-        seed=seed,
-    )
-    if noc_overrides:
-        noc = config.noc
-        for key, value in noc_overrides.items():
-            if not hasattr(noc, key):
-                raise AttributeError(f"NocConfig has no field {key!r}")
-        import dataclasses
-
-        noc = dataclasses.replace(noc, **noc_overrides)
-        config = config.with_noc(noc)
-    return config.with_workload(workload)
-
-
-def point_for(
-    topology: Topology,
-    workload: WorkloadConfig,
-    num_cores: int = 64,
-    link_width_bits: int = 128,
-    settings: Optional[RunSettings] = None,
-    noc_overrides: Optional[dict] = None,
-) -> "ExperimentPoint":
-    """Describe one experimental point for the engine (without running it)."""
-    from repro.experiments.engine import ExperimentPoint
-
-    settings = settings or RunSettings.from_env()
-    config = system_for(
-        topology,
-        workload,
-        num_cores=num_cores,
-        link_width_bits=link_width_bits,
-        seed=settings.seed,
-        noc_overrides=noc_overrides,
-    )
-    return ExperimentPoint(config=config, settings=settings)

@@ -14,9 +14,9 @@ This package is the experiment-facing surface of the reproduction:
   hash range (``spec.shard(i, n)``);
 * :mod:`~repro.scenarios.results` — :class:`ResultSet` /
   :class:`ResultRecord`, tidy records with ``filter`` / ``value`` /
-  ``pivot`` / ``to_json`` queries plus ``merge`` / ``summary`` /
-  ``delta`` for combining and comparing result sets (the
-  paper-vs-measured layer in :mod:`repro.reporting` consumes these);
+  ``pivot`` queries (the figures, the paper-vs-measured layer in
+  :mod:`repro.reporting` and the query CLI in :mod:`repro.store.query`
+  consume these);
 * :mod:`~repro.scenarios.run` — :func:`run_sweep` (blocking) and
   :func:`iter_results` (streams records as simulations finish).
 
@@ -53,10 +53,8 @@ from repro.scenarios.registry import (
 )
 from repro.scenarios.results import (
     METRIC_NAMES,
-    RecordDelta,
     ResultRecord,
     ResultSet,
-    TableMetrics,
     record_for,
 )
 from repro.scenarios.run import iter_results, run_sweep
@@ -64,14 +62,12 @@ from repro.scenarios.spec import SweepPoint, SweepSpec, point_for_coords
 
 __all__ = [
     "METRIC_NAMES",
-    "RecordDelta",
     "RegistrationError",
     "Registry",
     "ResultRecord",
     "ResultSet",
     "SweepPoint",
     "SweepSpec",
-    "TableMetrics",
     "build_system",
     "fabric_for",
     "iter_results",

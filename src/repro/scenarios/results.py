@@ -3,18 +3,17 @@
 Every executed :class:`~repro.scenarios.spec.SweepPoint` becomes one
 :class:`ResultRecord` — its coordinate values plus a flat dictionary of
 scalar metrics — and a sweep returns a :class:`ResultSet`, which knows how
-to ``filter`` by coordinates, look up a single ``value``, ``pivot`` into
-the small nested tables the figures print, and round-trip through JSON.
-The figure modules are therefore just a spec plus a few pivots; no more
-per-figure ``{workload: {label: {cores: value}}}`` shapes invented from
-scratch.
+to ``filter`` by coordinates, look up a single ``value`` and ``pivot``
+into the small nested tables the figures print.  The figure modules are
+therefore just a spec plus a few pivots; no more per-figure
+``{workload: {label: {cores: value}}}`` shapes invented from scratch.
+Results persist in the columnar store (:mod:`repro.store`), not here.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence
 
 #: Scalar metrics copied off :class:`~repro.chip.chip.SimulationResults`
 #: into every record (attribute names; properties included).
@@ -33,31 +32,6 @@ METRIC_NAMES = (
     "memory_reads",
 )
 
-_RESULTS_SCHEMA = 1
-
-
-@dataclass(frozen=True)
-class RecordDelta:
-    """One coordinate point of :meth:`ResultSet.delta`: a value vs. another.
-
-    ``rel_delta`` is ``(other - value) / value`` — ``None`` when the
-    reference ``value`` is zero.
-    """
-
-    coords: Dict[str, object]
-    value: float
-    other: float
-
-    @property
-    def abs_delta(self) -> float:
-        return self.other - self.value
-
-    @property
-    def rel_delta(self) -> Optional[float]:
-        if self.value == 0:
-            return None
-        return (self.other - self.value) / self.value
-
 
 @dataclass(frozen=True)
 class ResultRecord:
@@ -65,8 +39,9 @@ class ResultRecord:
 
     ``result`` retains the full :class:`SimulationResults` when the sweep
     was run with ``keep_results=True`` (the default) — the power analysis
-    needs the per-component ``network_activity`` counters, which are not
-    scalar metrics.  JSON serialisation drops it unless asked to keep it.
+    needs the per-component ``network_activity`` counters and the
+    co-location study the ``per_tenant_latency`` summaries, which are not
+    scalar metrics.
     """
 
     coords: Dict[str, object]
@@ -87,87 +62,6 @@ class ResultRecord:
     def matches(self, selection: Mapping) -> bool:
         return all(self.coords.get(key) == value for key, value in selection.items())
 
-    def full_result(self) -> Optional["SimulationResults"]:  # noqa: F821
-        """The complete :class:`SimulationResults` behind this record.
-
-        Eager records return the retained result (``None`` when the sweep
-        ran with ``keep_results=False``); store-backed records
-        (:meth:`ResultSet.from_store_table`) materialise their row on
-        demand.  Non-scalar fields — ``per_tenant_latency``,
-        ``network_activity`` — are only reachable this way.
-        """
-        if self.result is not None:
-            return self.result
-        if isinstance(self.metrics, TableMetrics):
-            return self.metrics.materialise()
-        return None
-
-    def to_dict(self, include_result: bool = False) -> Dict[str, object]:
-        from repro.scenarios.spec import _json_value
-
-        data = {
-            "coords": {key: _json_value(value) for key, value in self.coords.items()},
-            "metrics": dict(self.metrics),
-            "point_hash": self.point_hash,
-        }
-        if include_result and self.result is not None:
-            data["result"] = self.result.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ResultRecord":
-        from repro.scenarios.spec import _freeze_value
-
-        result = None
-        if data.get("result") is not None:
-            from repro.chip.chip import SimulationResults
-
-            result = SimulationResults.from_dict(data["result"])
-        return cls(
-            # _freeze_value revives workload maps (the __kind__ tag) and
-            # turns JSON lists back into the hashable tuples the merge /
-            # delta coordinate keys need.
-            coords={key: _freeze_value(value) for key, value in data["coords"].items()},
-            metrics=dict(data["metrics"]),
-            point_hash=str(data["point_hash"]),
-            result=result,
-        )
-
-
-class TableMetrics(Mapping):
-    """Lazy metric view over one row of a columnar store table.
-
-    Stands in for a :class:`ResultRecord`'s ``metrics`` dict without
-    copying anything at construction: reading a metric materialises the
-    row's :class:`SimulationResults` once (cached inside the table) and
-    resolves the metric through the same attributes/properties
-    :func:`record_for` uses, so values are identical to the eager path.
-    """
-
-    __slots__ = ("_table", "_index")
-
-    def __init__(self, table, index: int) -> None:
-        self._table = table
-        self._index = index
-
-    def __getitem__(self, name: str) -> float:
-        if name not in METRIC_NAMES:
-            raise KeyError(name)
-        return getattr(self._table.result(self._index), name)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(METRIC_NAMES)
-
-    def __len__(self) -> int:
-        return len(METRIC_NAMES)
-
-    def materialise(self) -> "SimulationResults":  # noqa: F821
-        """The row's full :class:`SimulationResults` (cached by the table)."""
-        return self._table.result(self._index)
-
-    def __repr__(self) -> str:
-        return f"TableMetrics(row {self._index})"
-
 
 def record_for(sweep_point, result, keep_result: bool = True) -> ResultRecord:
     """Build the :class:`ResultRecord` for one executed sweep point."""
@@ -183,32 +77,20 @@ class ResultSet(Sequence[ResultRecord]):
     """An ordered collection of :class:`ResultRecord`\\ s with query helpers.
 
     Supports the sequence protocol (``len`` / indexing / iteration; slices
-    return a new :class:`ResultSet`) plus:
-
-    * ``filter(**coords)`` / ``value(metric, **coords)`` /
-      ``axis_values(name)`` / ``pivot(index, columns, metric)`` /
-      ``iter_values(metric, **coords)`` (streaming) — queries over the
-      records' coordinates;
-    * ``from_store_table(sweep_points, table)`` — zero-copy construction
-      over a columnar store table (:mod:`repro.store`), metrics resolved
-      lazily per row;
-    * ``merge(other)`` / ``summary(metric, **coords)`` / ``delta(other,
-      metric)`` — combination and comparison across result sets (the
-      reporting layer and before/after experiments build on these);
-    * ``to_json()`` / ``from_json()`` — lossless round-trip (the full
-      per-record :class:`SimulationResults` is included only on request).
+    return a new :class:`ResultSet`) plus ``filter(**coords)`` /
+    ``value(metric, **coords)`` / ``axis_values(name)`` /
+    ``pivot(index, columns, metric)`` — queries over the records'
+    coordinates.
 
     Example::
 
         results = run_sweep(spec)
         results.value("throughput_ipc", workload="Web Search", topology="mesh")
         results.pivot("workload", "topology", metric="throughput_ipc")
-        results.summary("network_mean_latency", topology="noc_out")
     """
 
-    def __init__(self, records: Sequence[ResultRecord], spec=None) -> None:
+    def __init__(self, records: Sequence[ResultRecord]) -> None:
         self.records: List[ResultRecord] = list(records)
-        self.spec = spec
 
     # -- sequence protocol ---------------------------------------------- #
     def __len__(self) -> int:
@@ -216,7 +98,7 @@ class ResultSet(Sequence[ResultRecord]):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return ResultSet(self.records[index], spec=self.spec)
+            return ResultSet(self.records[index])
         return self.records[index]
 
     def __iter__(self) -> Iterator[ResultRecord]:
@@ -229,8 +111,7 @@ class ResultSet(Sequence[ResultRecord]):
     def filter(self, **selection) -> "ResultSet":
         """Records whose coordinates match every ``name=value`` given."""
         return ResultSet(
-            [record for record in self.records if record.matches(selection)],
-            spec=self.spec,
+            [record for record in self.records if record.matches(selection)]
         )
 
     def value(self, metric: str, **selection) -> float:
@@ -241,21 +122,6 @@ class ResultSet(Sequence[ResultRecord]):
                 f"selection {selection!r} matched {len(matches)} records, expected 1"
             )
         return matches[0].metric(metric)
-
-    def iter_values(
-        self, metric: str, **selection
-    ) -> Iterator[Tuple[Dict[str, object], float]]:
-        """Stream ``(coords, value)`` pairs for ``metric``, lazily.
-
-        The streaming complement of :meth:`value`/:meth:`pivot`: records
-        are visited in order and metric values resolved one at a time, so
-        a store-backed set (:meth:`from_store_table`) materialises only
-        the rows actually consumed — a serving layer can answer "first
-        matching row" queries without touching the rest of the table.
-        """
-        for record in self.records:
-            if record.matches(selection):
-                yield record.coords, record.metric(metric)
 
     def axis_values(self, name: str) -> List[object]:
         """Distinct values of coordinate ``name``, in first-seen order."""
@@ -286,137 +152,3 @@ class ResultSet(Sequence[ResultRecord]):
                 transform(value) if transform is not None else value
             )
         return table
-
-    # -- combination and summaries -------------------------------------- #
-    def merge(self, other: "ResultSet") -> "ResultSet":
-        """Concatenate two result sets, dropping duplicate points.
-
-        A record is a duplicate when an earlier record carries the same
-        ``(point_hash, coords)`` pair — the situation after merging two
-        shard runs of the same spec, where the overlap is byte-identical
-        by construction.  The spec is kept only when both sets agree on it
-        (a merged cross-spec set has no single describing spec).
-        """
-        seen = set()
-        records: List[ResultRecord] = []
-        for record in list(self.records) + list(other.records):
-            key = (record.point_hash, tuple(sorted(record.coords.items())))
-            if key in seen:
-                continue
-            seen.add(key)
-            records.append(record)
-        spec = self.spec if self.spec == other.spec else None
-        return ResultSet(records, spec=spec)
-
-    def summary(self, metric: str, **selection) -> Dict[str, float]:
-        """Descriptive statistics of ``metric`` over the selected records.
-
-        Returns ``{"count", "mean", "min", "max"}`` (an all-zero dict when
-        nothing matches), e.g. ``results.summary("throughput_ipc",
-        topology="mesh")``.
-        """
-        values = [
-            record.metric(metric)
-            for record in self.records
-            if record.matches(selection)
-        ]
-        if not values:
-            return {"count": 0, "mean": 0.0, "min": 0.0, "max": 0.0}
-        return {
-            "count": len(values),
-            "mean": sum(values) / len(values),
-            "min": min(values),
-            "max": max(values),
-        }
-
-    def delta(self, other: "ResultSet", metric: str = "throughput_ipc") -> List[RecordDelta]:
-        """Per-point deltas of ``metric`` against ``other``, matched by coords.
-
-        The workhorse for before/after comparisons (two model versions, two
-        settings): every coordinate point present in both sets yields a
-        :class:`RecordDelta` with this set's value as the reference.
-        Points missing from either side are skipped; duplicated coordinates
-        in ``other`` resolve to the first occurrence.
-        """
-        def key(record: ResultRecord):
-            return tuple(sorted(record.coords.items()))
-
-        other_by_coords: Dict[tuple, ResultRecord] = {}
-        for record in other.records:
-            other_by_coords.setdefault(key(record), record)
-        deltas = []
-        for record in self.records:
-            counterpart = other_by_coords.get(key(record))
-            if counterpart is None:
-                continue
-            deltas.append(
-                RecordDelta(
-                    coords=dict(record.coords),
-                    value=record.metric(metric),
-                    other=counterpart.metric(metric),
-                )
-            )
-        return deltas
-
-    # -- store-backed construction -------------------------------------- #
-    @classmethod
-    def from_store_table(cls, sweep_points, table, spec=None) -> "ResultSet":
-        """Zero-copy construction over a columnar store table.
-
-        ``sweep_points`` are the expanded
-        :class:`~repro.scenarios.spec.SweepPoint`\\ s of a spec and
-        ``table`` a :class:`~repro.store.columnar.StoreTable` whose rows
-        line up with them (``table.hashes[i] ==
-        sweep_points[i].content_hash()`` — :func:`repro.store.query.load_sweep`
-        builds exactly this pairing).  No metric values are copied or even
-        read here: each record's ``metrics`` is a :class:`TableMetrics`
-        view that materialises its row on first access.
-        """
-        if len(sweep_points) != len(table):
-            raise ValueError(
-                f"{len(sweep_points)} sweep point(s) vs {len(table)} table "
-                "row(s); load the table from the same expansion"
-            )
-        records = []
-        for index, sweep_point in enumerate(sweep_points):
-            digest = table.hashes[index]
-            if sweep_point.content_hash() != digest:
-                raise ValueError(
-                    f"row {index} is keyed {digest[:12]}..., expected "
-                    f"{sweep_point.content_hash()[:12]}... — table and "
-                    "expansion are misaligned"
-                )
-            records.append(
-                ResultRecord(
-                    coords=dict(sweep_point.coords),
-                    metrics=TableMetrics(table, index),
-                    point_hash=digest,
-                )
-            )
-        return cls(records, spec=spec)
-
-    # -- serialisation -------------------------------------------------- #
-    def to_dict(self, include_results: bool = False) -> Dict[str, object]:
-        return {
-            "schema": _RESULTS_SCHEMA,
-            "spec": self.spec.to_dict() if self.spec is not None else None,
-            "records": [record.to_dict(include_results) for record in self.records],
-        }
-
-    def to_json(self, include_results: bool = False, indent=None) -> str:
-        return json.dumps(self.to_dict(include_results), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ResultSet":
-        if data.get("schema") != _RESULTS_SCHEMA:
-            raise ValueError(f"unsupported ResultSet schema: {data.get('schema')!r}")
-        spec = None
-        if data.get("spec") is not None:
-            from repro.scenarios.spec import SweepSpec
-
-            spec = SweepSpec.from_dict(data["spec"])
-        return cls([ResultRecord.from_dict(item) for item in data["records"]], spec=spec)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ResultSet":
-        return cls.from_dict(json.loads(text))

@@ -46,8 +46,7 @@ def run_sweep(
         [
             record_for(sp, result, keep_result=keep_results)
             for sp, result in zip(sweep_points, results)
-        ],
-        spec=spec,
+        ]
     )
 
 

@@ -306,9 +306,10 @@ class SweepSpec:
 def point_for_coords(coords: Mapping, settings) -> "ExperimentPoint":  # noqa: F821
     """Build the :class:`ExperimentPoint` described by one coordinate dict.
 
-    The construction mirrors ``harness.point_for`` exactly (registry system
-    factory + NoC overrides + workload), so coordinate-built points hash to
-    the same cache keys as the legacy per-figure loops.
+    The registry builds the system for ``topology`` / ``num_cores`` /
+    ``link_width_bits`` / ``seed``; every other non-tenancy coordinate
+    must name a :class:`NocConfig` field and overrides it; then the
+    workload (and optional workload map) is applied.
     """
     import dataclasses as _dc
 

@@ -5,11 +5,12 @@ the engine's :class:`~repro.experiments.engine.ResultCache` is a thin
 point-keyed adapter over it:
 
 * :mod:`repro.store.columnar` — the segment format and
-  :class:`ColumnarStore` (atomic appends, ``compact()`` folding, columnar
-  :class:`StoreTable` reads, quarantine of unreadable segments);
+  :class:`ColumnarStore` (atomic appends, point reads by content hash,
+  ``compact()`` folding, quarantine of unreadable segments);
 * :mod:`repro.store.query` — the serving CLI: any registered figure or
   pivot query answered from the warm store without touching the simulator
-  (``python -m repro.store.query``);
+  (``python -m repro.store.query``), read through the same
+  :class:`~repro.experiments.engine.ResultCache` every sweep uses;
 * :mod:`repro.store.specs` — the figure sweep specs the query CLI serves,
   resolved through the figure table in :mod:`repro.reporting.figures`.
 
@@ -27,7 +28,6 @@ from repro.store.columnar import (
     ColumnarStore,
     CompactStats,
     StoreError,
-    StoreTable,
 )
 
 __all__ = [
@@ -36,5 +36,4 @@ __all__ = [
     "ColumnarStore",
     "CompactStats",
     "StoreError",
-    "StoreTable",
 ]

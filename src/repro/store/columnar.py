@@ -55,9 +55,9 @@ import os
 import tempfile
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.chip.chip import SimulationResults
 
@@ -124,51 +124,6 @@ def _atomic_write_json(directory: Path, final: Path, payload) -> None:
         raise
 
 
-@dataclass(frozen=True)
-class StoreTable:
-    """A column-major view over a set of store rows.
-
-    ``columns[name][i]`` belongs to ``hashes[i]``.  The table holds plain
-    references into the parsed segment data — building one copies no row
-    values — and materialises a :class:`SimulationResults` per row only on
-    first access (:meth:`result`), cached thereafter.
-    """
-
-    hashes: Tuple[str, ...]
-    columns: Dict[str, list]
-    _results: List[Optional[SimulationResults]] = field(
-        default=None, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        if self._results is None:
-            object.__setattr__(self, "_results", [None] * len(self.hashes))
-
-    def __len__(self) -> int:
-        return len(self.hashes)
-
-    def row(self, index: int) -> Dict[str, object]:
-        """Row ``index`` as a plain field dict (``None`` cells dropped)."""
-        return {
-            name: column[index]
-            for name, column in self.columns.items()
-            if column[index] is not None
-        }
-
-    def result(self, index: int) -> SimulationResults:
-        """The reconstructed :class:`SimulationResults` for row ``index``."""
-        cached = self._results[index]
-        if cached is None:
-            cached = SimulationResults.from_dict(self.row(index))
-            self._results[index] = cached
-        return cached
-
-    def iter_results(self) -> Iterator[Tuple[str, SimulationResults]]:
-        """Stream ``(hash, result)`` pairs row by row."""
-        for index, digest in enumerate(self.hashes):
-            yield digest, self.result(index)
-
-
 @dataclass
 class CompactStats:
     """What one :meth:`ColumnarStore.compact` call did."""
@@ -217,6 +172,14 @@ class _Segment:
         self.name = name
         self.hashes: List[str] = hashes
         self.columns: Dict[str, list] = columns
+
+    def row(self, index: int) -> Dict[str, object]:
+        """Row ``index`` as a plain field dict (``None`` cells dropped)."""
+        return {
+            name: column[index]
+            for name, column in self.columns.items()
+            if column[index] is not None
+        }
 
 
 def _rows_to_columns(rows: Sequence[Mapping]) -> Dict[str, list]:
@@ -338,35 +301,7 @@ class ColumnarStore:
         if hit is None:
             return None
         segment, row = hit
-        return SimulationResults.from_dict(
-            {
-                name: column[row]
-                for name, column in segment.columns.items()
-                if column[row] is not None
-            }
-        )
-
-    def load_table(self, digests: Sequence[str]) -> StoreTable:
-        """A columnar :class:`StoreTable` over ``digests``, in that order.
-
-        Raises :class:`KeyError` naming the missing hashes if any digest is
-        absent (after a refresh), so callers can distinguish "cold store"
-        from an empty answer.
-        """
-        self.refresh()
-        missing = [digest for digest in digests if digest not in self._index]
-        if missing:
-            raise KeyError(
-                f"{len(missing)} of {len(digests)} row(s) missing from store "
-                f"{self.root} (first: {missing[0]})"
-            )
-        hits = [self._index[digest] for digest in digests]
-        names = sorted({name for segment, _ in hits for name in segment.columns})
-        columns: Dict[str, list] = {
-            name: [segment.columns.get(name, _NONE_COLUMN)[row] for segment, row in hits]
-            for name in names
-        }
-        return StoreTable(hashes=tuple(digests), columns=columns)
+        return SimulationResults.from_dict(segment.row(row))
 
     # -- writes --------------------------------------------------------- #
     def _new_segment_path(self) -> Path:
@@ -426,20 +361,10 @@ class ColumnarStore:
         )
         if not self._index:
             return stats
-        ordered = sorted(self._index)
         rows = []
-        for digest in ordered:
+        for digest in sorted(self._index):
             segment, row = self._index[digest]
-            rows.append(
-                (
-                    digest,
-                    {
-                        name: column[row]
-                        for name, column in segment.columns.items()
-                        if column[row] is not None
-                    },
-                )
-            )
+            rows.append((digest, segment.row(row)))
         old_names = list(self._segments)
         new_path = self.append(rows)
         for name in old_names:
@@ -456,14 +381,3 @@ class ColumnarStore:
         stats.segments_out = len(self._segments)
         stats.rows_out = len(self._index)
         return stats
-
-
-#: Shared all-None "column" used when a segment lacks a field another
-#: segment has; indexing it at any row yields None.  (Defined at module
-#: level so load_table never allocates per-call filler lists.)
-class _NoneColumn:
-    def __getitem__(self, index):
-        return None
-
-
-_NONE_COLUMN = _NoneColumn()

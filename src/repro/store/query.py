@@ -15,11 +15,12 @@ Commands::
 
 ``figure`` renders the named figure's paper-vs-measured Markdown section
 (the same bytes ``python -m repro.reporting`` would embed); ``pivot``
-expands the named sweep, reads the rows as one columnar table
-(zero-copy :meth:`ResultSet.from_store_table`) and prints the pivot as
-JSON.  Sweep names come from :mod:`repro.store.specs`; settings honour
-``REPRO_EXPERIMENT_SCALE`` (or ``--scale``) so smoke-scale stores are
-queried with smoke-scale keys.
+runs the named sweep and prints the pivot as JSON.  Both read through
+:class:`WarmStoreExecutor`, i.e. the same ``ResultCache.load`` lookups
+every sweep makes, so a served pivot equals the one ``run_sweep``
+computes over the same store.  Sweep names come from
+:mod:`repro.store.specs`; settings honour ``REPRO_EXPERIMENT_SCALE`` (or
+``--scale``) so smoke-scale stores are queried with smoke-scale keys.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ import argparse
 import json
 import shlex
 import sys
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.experiments.engine import ResultCache, SweepExecutor, SweepStats
 from repro.experiments.harness import RunSettings
-from repro.scenarios.results import ResultSet
+from repro.scenarios import run_sweep
 from repro.store.columnar import ColumnarStore
 from repro.store.specs import figure_spec, spec_names
 
@@ -46,7 +47,8 @@ class WarmStoreExecutor(SweepExecutor):
 
     Drop-in for the reporting layer's executor argument: cache hits stream
     out exactly like the parent's, but a miss raises :class:`ColdStoreError`
-    naming the missing points instead of dispatching a simulation.
+    naming the missing points instead of dispatching a simulation (the CLI
+    adds the command that fills them, see :func:`_fill_hint`).
     ``total_stats`` accumulates across sweeps, so "zero simulations" is
     provable after the fact.
     """
@@ -68,12 +70,12 @@ class WarmStoreExecutor(SweepExecutor):
             raise ColdStoreError(
                 f"store is cold for {len(missing)} of {len(points)} point(s) "
                 f"(first missing: {missing[0].describe()} = "
-                f"{missing[0].content_hash()}); {_fill_hint(self.cache.root)}"
+                f"{missing[0].content_hash()})"
             )
 
 
-def _fill_hint(root, name: Optional[str] = None) -> str:
-    """How to fill the store at ``root`` with sweep ``name`` (default: the report's).
+def _fill_hint(root, name: str) -> str:
+    """How to fill the store at ``root`` with sweep ``name``.
 
     Reportable figures fill through ``python -m repro.reporting``; the
     on-demand sweeps (``scale_out``, ``colocation``) through ``run_sweep``.
@@ -82,9 +84,8 @@ def _fill_hint(root, name: Optional[str] = None) -> str:
     from repro.reporting.figures import report_names
 
     store = shlex.quote(str(root))
-    if name is None or name in report_names():
-        figure = f" --figure {name}" if name else ""
-        command = f"python -m repro.reporting --store {store}{figure}"
+    if name in report_names():
+        command = f"python -m repro.reporting --store {store} --figure {name}"
     else:
         command = (
             f"REPRO_CACHE_DIR={store} python -c 'from repro.scenarios import "
@@ -159,28 +160,12 @@ def _parse_selection(pairs: Optional[Sequence[str]]) -> dict:
     return selection
 
 
-def load_sweep(
-    store: ColumnarStore, name: str, settings: Optional[RunSettings] = None
-) -> ResultSet:
-    """The named sweep as a zero-copy :class:`ResultSet` over store rows.
-
-    Raises :class:`ColdStoreError` (listing the shortfall) when any point
-    of the sweep is missing.
-    """
-    spec = figure_spec(name, settings)
-    sweep_points = spec.expand()
-    try:
-        table = store.load_table([sp.content_hash() for sp in sweep_points])
-    except KeyError as exc:
-        raise ColdStoreError(
-            f"store is cold for sweep {name!r}: {exc.args[0]}; "
-            f"{_fill_hint(store.root, name)}"
-        ) from None
-    return ResultSet.from_store_table(sweep_points, table, spec=spec)
-
-
 def _cmd_pivot(store: ColumnarStore, args: argparse.Namespace) -> int:
-    results = load_sweep(store, args.name, _settings(args))
+    results = run_sweep(
+        figure_spec(args.name, _settings(args)),
+        executor=WarmStoreExecutor(ResultCache(store.root)),
+        keep_results=False,
+    )
     selection = _parse_selection(args.where)
     if selection:
         results = results.filter(**selection)
@@ -234,7 +219,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return commands[args.command](store, args)
     except ColdStoreError as exc:
-        print(f"cold store: {exc}", file=sys.stderr)
+        hint = _fill_hint(store.root, args.name)
+        print(f"cold store: {exc}; {hint}", file=sys.stderr)
         return 3
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

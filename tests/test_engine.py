@@ -23,8 +23,9 @@ from repro.experiments.engine import (
     resolve_jobs,
     run_experiments,
 )
-from repro.experiments.harness import RunSettings, point_for
-from repro.scenarios import SweepSpec, run_sweep
+from repro.config.noc import topology_key
+from repro.experiments.harness import RunSettings
+from repro.scenarios import SweepSpec, point_for_coords, run_sweep
 
 from repro.store import columnar
 
@@ -43,14 +44,16 @@ def tiny_point(
     workload_name="Web Search",
     num_cores=16,
     settings=TINY_SETTINGS,
-    **kwargs,
+    **coords,
 ) -> ExperimentPoint:
-    return point_for(
-        topology,
-        presets.workload(workload_name),
-        num_cores=num_cores,
-        settings=settings,
-        **kwargs,
+    return point_for_coords(
+        {
+            "topology": topology_key(topology),
+            "workload": workload_name,
+            "num_cores": num_cores,
+            **coords,
+        },
+        settings,
     )
 
 
@@ -93,19 +96,18 @@ class TestExperimentPoint:
         )
         assert (
             tiny_point().content_hash()
-            != tiny_point(noc_overrides={"mesh_link_latency": 2}).content_hash()
+            != tiny_point(mesh_link_latency=2).content_hash()
         )
 
     def test_hash_is_stable_across_processes(self):
         """SHA-256 over canonical JSON must not depend on the interpreter run."""
         code = (
-            "from repro.config import presets\n"
-            "from repro.config.noc import Topology\n"
-            "from repro.experiments.harness import RunSettings, point_for\n"
+            "from repro.experiments.harness import RunSettings\n"
+            "from repro.scenarios import point_for_coords\n"
             "settings = RunSettings(warmup_references=300, "
             "detailed_warmup_cycles=200, measure_cycles=600)\n"
-            "point = point_for(Topology.MESH, presets.workload('Web Search'), "
-            "num_cores=16, settings=settings)\n"
+            "point = point_for_coords({'topology': 'mesh', "
+            "'workload': 'Web Search', 'num_cores': 16}, settings)\n"
             "print(point.content_hash())\n"
         )
         env = dict(os.environ)

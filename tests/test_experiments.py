@@ -2,35 +2,15 @@
 
 import pytest
 
-from repro.config import presets
 from repro.config.noc import Topology
 from repro.experiments import ablations, fig4_snoops, fig7_performance, fig8_area, fig9_area_normalized, table1
-from repro.experiments.harness import RunSettings, system_for
+from repro.experiments.harness import RunSettings
 from repro.scenarios import SweepSpec, run_sweep
 
 TINY = RunSettings(warmup_references=500, detailed_warmup_cycles=200, measure_cycles=800)
 
 
 class TestHarness:
-    def test_system_for_applies_topology_and_workload(self):
-        config = system_for(Topology.NOC_OUT, presets.workload("Web Search"), num_cores=64)
-        assert config.noc.topology == Topology.NOC_OUT
-        assert config.workload.name == "Web Search"
-
-    def test_system_for_applies_noc_overrides(self):
-        config = system_for(
-            Topology.NOC_OUT,
-            presets.workload("Web Search"),
-            noc_overrides={"llc_banks_per_tile": 4},
-        )
-        assert config.noc.llc_banks_per_tile == 4
-
-    def test_unknown_override_rejected(self):
-        with pytest.raises(AttributeError):
-            system_for(
-                Topology.MESH, presets.workload("Web Search"), noc_overrides={"bogus": 1}
-            )
-
     def test_run_settings_scaling(self):
         scaled = TINY.scaled(2.0)
         assert scaled.measure_cycles == 1600

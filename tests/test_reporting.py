@@ -349,6 +349,6 @@ class TestCli:
     def test_empty_result_set_report_degrades_to_no_data(self):
         """An empty ResultSet pivots to nothing measured, not a crash."""
         empty = ResultSet([])
-        assert empty.summary("throughput_ipc")["count"] == 0
+        assert empty.pivot("workload", "topology") == {}
         comparison = compare(TEST_BASELINE, {})
         assert comparison.status == STATUS_NO_DATA

@@ -13,12 +13,10 @@ from repro.experiments.harness import (
     MIN_MEASURE_CYCLES,
     MIN_WARMUP_REFERENCES,
     RunSettings,
-    point_for,
 )
 from repro.scenarios import (
     RegistrationError,
     Registry,
-    ResultSet,
     SweepSpec,
     build_system,
     iter_results,
@@ -156,17 +154,6 @@ class TestSweepSpec:
                 ("Web Search", "Data Serving"), ("mesh", "noc_out"), (4, 16)
             )
         )
-
-    def test_points_hash_like_legacy_point_for(self):
-        spec = tiny_spec()
-        for sweep_point in spec.expand():
-            legacy = point_for(
-                Topology(sweep_point.coords["topology"]),
-                presets.workload(sweep_point.coords["workload"]),
-                num_cores=sweep_point.coords["num_cores"],
-                settings=TINY_SETTINGS,
-            )
-            assert sweep_point.content_hash() == legacy.content_hash()
 
     def test_noc_override_coordinates(self):
         spec = SweepSpec(
@@ -356,17 +343,18 @@ class TestResultSet:
             workload_names=names, core_counts=core_counts, settings=TINY_SETTINGS
         )
 
-        # Legacy computation, verbatim from the pre-redesign fig1_scaling.
-        series = ((Topology.IDEAL, "ideal"), (Topology.MESH, "mesh"))
+        # Legacy computation from the pre-redesign fig1_scaling: one point
+        # per (workload, series, core count), run as a flat engine batch.
+        series = ("ideal", "mesh")
         keys, points = [], []
         for name in names:
-            workload = presets.workload(name)
-            for topology, label in series:
+            for label in series:
                 for count in core_counts:
                     keys.append((name, label, count))
                     points.append(
-                        point_for(
-                            topology, workload, num_cores=count, settings=TINY_SETTINGS
+                        point_for_coords(
+                            {"topology": label, "workload": name, "num_cores": count},
+                            TINY_SETTINGS,
                         )
                     )
         per_core = dict(
@@ -375,7 +363,7 @@ class TestResultSet:
         expected = {}
         for name in names:
             expected[name] = {}
-            for _, label in series:
+            for label in series:
                 baseline = per_core[(name, label, core_counts[0])]
                 expected[name][label] = {
                     count: (per_core[(name, label, count)] / baseline if baseline else 0.0)
@@ -394,76 +382,6 @@ class TestResultSet:
         results = run_sweep(ONE_WORKLOAD_SPEC, keep_results=False)
         assert results.axis_values("topology") == ["mesh", "noc_out"]
         assert results.axis_values("num_cores") == [16, 32]
-
-    def test_json_round_trip(self):
-        results = run_sweep(ONE_WORKLOAD_SPEC, keep_results=False)
-        clone = ResultSet.from_json(results.to_json())
-        assert len(clone) == len(results)
-        assert clone.spec == ONE_WORKLOAD_SPEC
-        for restored, original in zip(clone, results):
-            assert restored == original
-
-    def test_json_round_trip_with_full_results(self):
-        results = run_sweep(ONE_WORKLOAD_SPEC)
-        clone = ResultSet.from_json(results.to_json(include_results=True))
-        for restored, original in zip(clone, results):
-            assert restored.result == original.result
-
-
-# --------------------------------------------------------------------- #
-# ResultSet combination helpers (merge / summary / delta)
-# --------------------------------------------------------------------- #
-class TestResultSetCombination:
-    def test_merge_unions_shards_and_drops_duplicates(self):
-        spec = SweepSpec(
-            axes={"workload": ("Web Search",), "num_cores": (16, 32)},
-            settings=TINY_SETTINGS,
-            fixed={"topology": "mesh"},
-        )
-        full = run_sweep(spec, keep_results=False)
-        shard0 = run_sweep(spec.shard(0, 2), keep_results=False)
-        shard1 = run_sweep(spec.shard(1, 2), keep_results=False)
-        merged = shard0.merge(shard1)
-        assert sorted(r.point_hash for r in merged) == sorted(
-            r.point_hash for r in full
-        )
-        # Merging overlapping sets drops the byte-identical duplicates.
-        assert len(merged.merge(shard0)) == len(full)
-        # Shards describe different specs, so the merged set keeps none.
-        assert merged.spec is None
-        # Merging a set with itself keeps its spec.
-        assert full.merge(full).spec == spec
-
-    def test_summary_statistics(self):
-        spec = SweepSpec(
-            axes={"workload": ("Web Search",), "num_cores": (16, 32)},
-            settings=TINY_SETTINGS,
-            fixed={"topology": "mesh"},
-        )
-        results = run_sweep(spec, keep_results=False)
-        stats = results.summary("throughput_ipc")
-        assert stats["count"] == 2
-        assert stats["min"] <= stats["mean"] <= stats["max"]
-        assert results.summary("throughput_ipc", num_cores=999)["count"] == 0
-
-    def test_delta_matches_by_coords(self):
-        spec = SweepSpec(
-            axes={"workload": ("Web Search",), "num_cores": (16,)},
-            settings=TINY_SETTINGS,
-            fixed={"topology": "mesh"},
-        )
-        results = run_sweep(spec, keep_results=False)
-        deltas = results.delta(results, "throughput_ipc")
-        assert len(deltas) == 1
-        assert deltas[0].abs_delta == 0.0
-        assert deltas[0].rel_delta == 0.0
-        # Disjoint coordinates produce no pairs.
-        other_spec = SweepSpec(
-            axes={"workload": ("Web Search",), "num_cores": (32,)},
-            settings=TINY_SETTINGS,
-            fixed={"topology": "mesh"},
-        )
-        assert results.delta(run_sweep(other_spec, keep_results=False)) == []
 
 
 # --------------------------------------------------------------------- #

@@ -2,8 +2,8 @@
 
 Covers the result path end to end: segment format round-trips,
 compaction canonicalisation, quarantine of damaged segments,
-:class:`ResultCache` over the store, zero-copy :class:`ResultSet`
-construction and the never-simulates query CLI.
+:class:`ResultCache` over the store and the never-simulates query CLI,
+whose figures and pivots read through that same cache.
 """
 
 import json
@@ -14,7 +14,7 @@ from repro.chip.chip import SimulationResults
 from repro.config.noc import Topology
 from repro.experiments.engine import ResultCache, SweepExecutor
 from repro.experiments.harness import RunSettings
-from repro.scenarios import METRIC_NAMES, ResultSet, SweepSpec, run_sweep
+from repro.scenarios import run_sweep
 from repro.store import ColumnarStore, StoreError
 from repro.store import columnar, query, specs
 
@@ -42,15 +42,6 @@ def fake_result(seed: int = 0) -> SimulationResults:
     )
 
 
-def tiny_spec(**axes) -> SweepSpec:
-    defaults = {
-        "workload": ("Web Search", "Data Serving"),
-        "topology": ("mesh", "noc_out"),
-    }
-    defaults.update(axes)
-    return SweepSpec(axes=defaults, settings=TINY_SETTINGS, fixed={"num_cores": 16})
-
-
 class TestColumnarStore:
     def test_append_get_round_trip(self, tmp_path):
         store = ColumnarStore(tmp_path / "store")
@@ -76,24 +67,6 @@ class TestColumnarStore:
         writer.append_results([("0" * 64, fake_result())])
         # The reader refreshes lazily on the miss and finds the new segment.
         assert reader.get("0" * 64) == fake_result()
-
-    def test_load_table_preserves_request_order(self, tmp_path):
-        store = ColumnarStore(tmp_path / "store")
-        rows = [(f"{i:064x}", fake_result(i)) for i in range(4)]
-        store.append_results(rows[:2])
-        store.append_results(rows[2:])
-        want = [rows[3][0], rows[0][0], rows[2][0]]
-        table = store.load_table(want)
-        assert list(table.hashes) == want
-        assert table.result(0) == fake_result(3)
-        assert table.result(1) == fake_result(0)
-        assert len(table) == 3
-
-    def test_load_table_missing_rows_raise_key_error(self, tmp_path):
-        store = ColumnarStore(tmp_path / "store")
-        store.append_results([("0" * 64, fake_result())])
-        with pytest.raises(KeyError, match="1 of 2"):
-            store.load_table(["0" * 64, "f" * 64])
 
     def test_first_write_wins_on_duplicate_hashes(self, tmp_path):
         store = ColumnarStore(tmp_path / "store")
@@ -189,72 +162,6 @@ class TestResultCacheRoundTrip:
         assert second == first
 
 
-class TestResultSetFromStore:
-    def fill(self, tmp_path):
-        spec = tiny_spec()
-        cache = ResultCache(tmp_path / "store")
-        executor = SweepExecutor(jobs=1, cache=cache)
-        eager = run_sweep(spec, executor=executor)
-        return spec, cache.columnar, eager
-
-    def test_zero_copy_equals_eager_records(self, tmp_path):
-        spec, store, eager = self.fill(tmp_path)
-        sweep_points = spec.expand()
-        table = store.load_table([sp.content_hash() for sp in sweep_points])
-        lazy = ResultSet.from_store_table(sweep_points, table, spec=spec)
-        assert len(lazy) == len(eager)
-        for lazy_record, eager_record in zip(lazy, eager):
-            assert lazy_record.coords == eager_record.coords
-            assert lazy_record.point_hash == eager_record.point_hash
-            for name in METRIC_NAMES:
-                assert lazy_record.metrics[name] == eager_record.metrics[name]
-
-    def test_pivot_matches_eager_path(self, tmp_path):
-        spec, store, eager = self.fill(tmp_path)
-        sweep_points = spec.expand()
-        table = store.load_table([sp.content_hash() for sp in sweep_points])
-        lazy = ResultSet.from_store_table(sweep_points, table, spec=spec)
-        assert lazy.pivot("workload", "topology") == eager.pivot(
-            "workload", "topology"
-        )
-
-    def test_metrics_reject_unknown_names(self, tmp_path):
-        spec, store, _ = self.fill(tmp_path)
-        sweep_points = spec.expand()
-        table = store.load_table([sp.content_hash() for sp in sweep_points])
-        record = ResultSet.from_store_table(sweep_points, table)[0]
-        with pytest.raises(KeyError):
-            record.metrics["not_a_metric"]
-        assert set(record.metrics) == set(METRIC_NAMES)
-
-    def test_alignment_mismatch_is_an_error(self, tmp_path):
-        spec, store, _ = self.fill(tmp_path)
-        sweep_points = spec.expand()
-        table = store.load_table([sp.content_hash() for sp in sweep_points])
-        with pytest.raises(ValueError):
-            ResultSet.from_store_table(sweep_points[:-1], table)
-        reversed_table = store.load_table(
-            [sp.content_hash() for sp in reversed(sweep_points)]
-        )
-        with pytest.raises(ValueError):
-            ResultSet.from_store_table(sweep_points, reversed_table)
-
-    def test_iter_values_streams_selected_metric(self, tmp_path):
-        spec, store, eager = self.fill(tmp_path)
-        sweep_points = spec.expand()
-        table = store.load_table([sp.content_hash() for sp in sweep_points])
-        lazy = ResultSet.from_store_table(sweep_points, table, spec=spec)
-        streamed = list(lazy.iter_values("throughput_ipc", topology="mesh"))
-        assert len(streamed) == 2
-        for coords, value in streamed:
-            assert coords["topology"] == "mesh"
-            assert value == eager.value(
-                "throughput_ipc",
-                workload=coords["workload"],
-                topology="mesh",
-            )
-
-
 class TestQueryCLI:
     SCALE = "0.02"
 
@@ -286,7 +193,9 @@ class TestQueryCLI:
         assert "Figure 1" in out
 
     def test_pivot_served_from_warm_store(self, tmp_path, capsys):
+        """The served pivot is run_sweep's pivot over the same store."""
         store = self.fill_fig1(tmp_path)
+        segments_before = store.segment_paths()
         status = query.main(
             [
                 "--store", str(store.root), "--scale", self.SCALE,
@@ -297,8 +206,19 @@ class TestQueryCLI:
             ]
         )
         assert status == 0
-        table = json.loads(capsys.readouterr().out)
-        assert "mesh" in next(iter(table.values()))
+        served = capsys.readouterr().out
+        assert store.segment_paths() == segments_before
+
+        spec = specs.figure_spec("fig1", RunSettings().scaled(float(self.SCALE)))
+        executor = SweepExecutor(jobs=1, cache=ResultCache(store.root))
+        table = (
+            run_sweep(spec, executor=executor)
+            .filter(workload="Data Serving")
+            .pivot("num_cores", "topology", metric="per_core_ipc")
+        )
+        assert executor.last_stats.simulations_run == 0
+        expected = json.dumps(table, indent=2, sort_keys=True, default=str)
+        assert served == expected + "\n"
 
     def test_cold_store_is_exit_code_3_not_a_simulation(self, tmp_path, capsys):
         store = ColumnarStore(tmp_path / "empty")

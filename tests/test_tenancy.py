@@ -18,9 +18,9 @@ import pytest
 
 from repro.chip.chip import Chip
 from repro.config.noc import Topology
-from repro.experiments.engine import ExperimentPoint
+from repro.experiments.engine import ExperimentPoint, ResultCache, SweepExecutor
 from repro.noc.mesh import MeshNetwork
-from repro.scenarios import ResultSet, SweepSpec, run_sweep
+from repro.scenarios import SweepSpec, run_sweep
 from repro.sim.kernel import HeapSimulator, Simulator
 from repro.sim.stats import DEFAULT_RESERVOIR, Histogram, StatError, StatGroup
 from repro.tenancy import (
@@ -547,7 +547,8 @@ class TestChipTenancy:
         assert revived.placement == results.placement
         assert revived.per_tenant_latency == results.per_tenant_latency
 
-    def test_sweep_records_round_trip_with_full_results(self):
+    def test_sweep_records_round_trip_with_full_results(self, tmp_path):
+        """Per-tenant tails survive the store: a warm re-run serves them back."""
         from repro.experiments.colocation import colocation_spec
 
         spec = colocation_spec(
@@ -557,15 +558,18 @@ class TestChipTenancy:
             num_cores=16,
             settings=TINY_SETTINGS,
         )
-        results = run_sweep(spec, keep_results=True)
+        cache = ResultCache(tmp_path / "store")
+        results = run_sweep(spec, executor=SweepExecutor(jobs=1, cache=cache))
         assert len(results) == 1
         record = results[0]
-        tails = record.full_result().per_tenant_latency
+        tails = record.result.per_tenant_latency
         assert sorted(tails) == sorted(PAIR)
 
-        revived = ResultSet.from_json(results.to_json(include_results=True))
+        warm = SweepExecutor(jobs=1, cache=ResultCache(cache.root))
+        revived = run_sweep(spec, executor=warm)
+        assert warm.last_stats.simulations_run == 0
         assert revived[0].coords == record.coords
-        assert revived[0].full_result().per_tenant_latency == tails
+        assert revived[0].result.per_tenant_latency == tails
 
 
 # ----------------------------------------------------------------------- #
