@@ -1,18 +1,20 @@
 """Chip + network construction time at 64-2048 cores.
 
-Large grids shift the cost centre from simulation cycles (event-driven
-since PR 2) to *construction*: per-node interfaces, per-router ports and
-the O(routers x nodes) routing tables all scale with the grid.  This
-benchmark tracks that build path for the four scale-out fabrics — up to
-the 1024/2048-core chiplet design points — so a quadratic regression
-(e.g. a per-group position scan creeping back into tree construction)
-shows up as a number, not an anecdote.
+Large grids shift the cost centre from simulation cycles to
+*construction*: per-node interfaces, per-router ports and links all scale
+with the grid.  Routing tables do not: each router resolves a destination's
+output port on the first lookup, so a build fills no table.  This benchmark
+tracks that build path for the four scale-out fabrics — up to the
+1024/2048-core chiplet design points — so a superlinear regression (an
+eager per-destination table fill, or a per-group position scan creeping
+back into tree construction) shows up as a number, not an anecdote.
 
 No simulation runs here — chips are built and discarded.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 
 from repro.chip.builder import build_chip
@@ -33,6 +35,9 @@ def _build_all(fabric: str, core_counts=CORE_COUNTS):
     base_workload = workload("MapReduce-W")
     for num_cores in core_counts:
         config = build_system(fabric, num_cores=num_cores).with_workload(base_workload)
+        # Collect the previous build's garbage untimed, so a collection it
+        # triggers is not charged to this (possibly 64-core) build.
+        gc.collect()
         start = time.perf_counter()
         build_chip(config)
         wall[num_cores] = time.perf_counter() - start
@@ -56,11 +61,11 @@ def test_chip_build_scaling(benchmark):
 
     largest = CORE_COUNTS[-1]
     for fabric, wall in results.items():
-        # Construction must stay subquadratic: 32x the cores may cost more
-        # than 32x the time (routing tables are O(routers x nodes)), but a
-        # 2048-core build taking >1024x the 64-core build means something
-        # quadratic-per-node crept in.  Generous floor guards noisy runners.
+        # Construction must stay linear in the grid: 32x the cores may cost
+        # at most 2x that in time (17-26x measured on every fabric; eager
+        # O(routers x nodes) routing tables made it 100-240x on mesh and
+        # chiplet).  The floor on the 64-core time guards noisy runners.
         ratio = wall[largest] / max(wall[64], 1e-3)
-        assert ratio < (largest // 64) ** 2, (
+        assert ratio < 2 * (largest // 64), (
             f"{fabric}: {largest}-core build is {ratio:.0f}x the 64-core build"
         )

@@ -9,6 +9,7 @@ connectivity — all traffic flows through the LLC region.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Tuple
 
 from repro.config.system import SystemConfig
@@ -51,7 +52,8 @@ class NocOutNetwork(Network):
         self._build_llc_region()
         self._attach_llc_and_mc_interfaces()
         self._build_trees()
-        self._build_llc_routing_tables()
+        for column, router in enumerate(self.llc_routers):
+            router.route_fn = partial(self._llc_port, column)
 
         self.routers.extend(self.llc_routers)
         self.routers.extend(self.reduction_nodes)
@@ -100,7 +102,7 @@ class NocOutNetwork(Network):
     def _build_trees(self) -> None:
         concentration = self.noc.tree_concentration
         hop_mm = self.floorplan.tree_hop_length_mm()
-        all_destinations = list(self.llc_nodes) + list(self.mc_nodes) + list(self.core_nodes)
+        all_destinations = frozenset(self.interfaces)
         # Inverted once here: rebuilding it per tree group made chip
         # construction quadratic in the core count, which matters for the
         # 256/512-core sweeps the roadmap targets.
@@ -150,24 +152,23 @@ class NocOutNetwork(Network):
             )
             self._dispersion_head_port[(group.column, group.side)] = out_port
 
-    def _build_llc_routing_tables(self) -> None:
-        for column, router in enumerate(self.llc_routers):
-            for node_id, llc_column in self.llc_nodes.items():
-                if llc_column == column:
-                    router.set_route(node_id, self._llc_eject_port[node_id])
-                else:
-                    router.set_route(node_id, self._inter_tile_port[(column, llc_column)])
-            for node_id, mc_column in self.mc_nodes.items():
-                if mc_column == column:
-                    router.set_route(node_id, self._mc_eject_port[node_id])
-                else:
-                    router.set_route(node_id, self._inter_tile_port[(column, mc_column)])
-            for node_id, (core_column, core_row) in self.core_nodes.items():
-                side = self.floorplan.side_of_row(core_row)
-                if core_column == column:
-                    router.set_route(node_id, self._dispersion_head_port[(core_column, side)])
-                else:
-                    router.set_route(node_id, self._inter_tile_port[(column, core_column)])
+    def _llc_port(self, column: int, node_id: int) -> int:
+        """Route function of the LLC router in ``column``: eject an LLC or MC
+        node it hosts, descend a dispersion tree to one of its column's
+        cores, or cross the LLC butterfly to the destination's column."""
+        if node_id in self.llc_nodes:
+            dst_column = self.llc_nodes[node_id]
+            if dst_column == column:
+                return self._llc_eject_port[node_id]
+        elif node_id in self.mc_nodes:
+            dst_column = self.mc_nodes[node_id]
+            if dst_column == column:
+                return self._mc_eject_port[node_id]
+        else:
+            dst_column, row = self.core_nodes[node_id]
+            if dst_column == column:
+                return self._dispersion_head_port[(column, self.floorplan.side_of_row(row))]
+        return self._inter_tile_port[(column, dst_column)]
 
     # ------------------------------------------------------------------ #
     # Introspection helpers (used by tests and the ablation studies)

@@ -10,7 +10,8 @@ traffic over local traffic and responses over requests (Section 4.1).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from functools import partial
+from typing import FrozenSet, Iterable, List, Sequence
 
 from repro.config.system import SystemConfig
 from repro.sim.kernel import Simulator
@@ -78,7 +79,7 @@ def build_reduction_tree(
     if not core_groups:
         raise ValueError("a reduction tree needs at least one core group")
     noc = config.noc
-    destinations = list(destinations)
+    destinations = frozenset(destinations)
     nodes: List[Router] = []
 
     arbiter_factory = tree_arbiter_factory(config)
@@ -132,7 +133,13 @@ def build_reduction_tree(
         out_port = 0
         if index == 0 and express_port is not None:
             out_port = express_port
-        for dst in destinations:
-            node.set_route(dst, out_port)
+        node.route_fn = partial(_known_destination_port, destinations, out_port)
 
     return nodes
+
+
+def _known_destination_port(destinations: FrozenSet[int], port: int, dst: int) -> int:
+    """Route function of a reduction-tree node: one port for every known node."""
+    if dst not in destinations:
+        raise KeyError(dst)
+    return port

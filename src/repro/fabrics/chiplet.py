@@ -40,12 +40,14 @@ axis for free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Tuple
 
 from repro.chip.system_map import SystemMap, TiledSystemMap
 from repro.config.noc import NocConfig
 from repro.config.system import SystemConfig, default_mesh_dimensions
 from repro.noc.buffer import InputPort
+from repro.noc.mesh import DIRECTIONS, opposite, xy_direction
 from repro.noc.network import Network
 from repro.noc.router import Router
 from repro.noc.topology import (
@@ -68,14 +70,6 @@ DEFAULT_CONCENTRATION = 16
 #: Default extra cycles on every chiplet-crossing link
 #: (Mesh_IO_Center's ``chiplet_latency_increase``).
 DEFAULT_LATENCY_INCREASE = 4
-
-_DIRECTIONS = {
-    "E": (1, 0),
-    "W": (-1, 0),
-    "S": (0, 1),
-    "N": (0, -1),
-}
-
 
 @dataclass(frozen=True)
 class ChipletParams:
@@ -336,7 +330,6 @@ class ChipletNetwork(Network):
         self._build_uplinks()
         self._build_io_die()
         self._attach_interfaces()
-        self._build_routing_tables()
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -357,6 +350,7 @@ class ChipletNetwork(Network):
                 self.sim,
                 f"{self.name}.c{chiplet}.r{lx}_{ly}",
                 pipeline_latency=self.noc.mesh_router_pipeline,
+                route_fn=partial(self._tile_port, node),
             )
             self._tile_router.append(router)
             self.routers.append(router)
@@ -365,7 +359,7 @@ class ChipletNetwork(Network):
             chiplet = node // p.cores_per_chiplet
             lx, ly = self.map.local_coord(node)
             router = self._tile_router[node]
-            for direction, (dx, dy) in _DIRECTIONS.items():
+            for direction, (dx, dy) in DIRECTIONS.items():
                 nx, ny = lx + dx, ly + dy
                 if not (0 <= nx < p.lcols and 0 <= ny < p.lrows):
                     continue
@@ -374,7 +368,7 @@ class ChipletNetwork(Network):
                 )
                 neighbor = self._tile_router[neighbor_node]
                 in_port = neighbor.add_input_port(
-                    self._new_input_port(f"{neighbor.name}.in_{_opposite(direction)}")
+                    self._new_input_port(f"{neighbor.name}.in_{opposite(direction)}")
                 )
                 out_port = router.add_output_port(
                     direction,
@@ -393,6 +387,7 @@ class ChipletNetwork(Network):
                 self.sim,
                 f"{self.name}.noi{cx}_{cy}",
                 pipeline_latency=self.noc.mesh_router_pipeline,
+                route_fn=partial(self._noi_port, chiplet),
             )
             self._noi_router.append(router)
             self.routers.append(router)
@@ -400,13 +395,13 @@ class ChipletNetwork(Network):
         for chiplet in range(p.count):
             cx, cy = self.map.chiplet_coord(chiplet)
             router = self._noi_router[chiplet]
-            for direction, (dx, dy) in _DIRECTIONS.items():
+            for direction, (dx, dy) in DIRECTIONS.items():
                 nx, ny = cx + dx, cy + dy
                 if not (0 <= nx < p.ccols and 0 <= ny < p.crows):
                     continue
                 neighbor = self._noi_router[ny * p.ccols + nx]
                 in_port = neighbor.add_input_port(
-                    self._new_input_port(f"{neighbor.name}.in_{_opposite(direction)}")
+                    self._new_input_port(f"{neighbor.name}.in_{opposite(direction)}")
                 )
                 out_port = router.add_output_port(
                     direction,
@@ -458,6 +453,7 @@ class ChipletNetwork(Network):
             self.sim,
             f"{self.name}.io",
             pipeline_latency=self.noc.mesh_router_pipeline,
+            route_fn=self._io_port,
         )
         self.routers.append(self.io_router)
         for chiplet in range(p.count):
@@ -514,84 +510,54 @@ class ChipletNetwork(Network):
             )
 
     # ------------------------------------------------------------------ #
-    # Routing tables
+    # Route functions (one per router kind, resolved on first lookup)
     # ------------------------------------------------------------------ #
-    def _build_routing_tables(self) -> None:
+    def _tile_port(self, node: int, dst: int) -> int:
+        """Tile router of ``node``: every destination reduces to one local
+        target coordinate (the destination's own tile, or the exit boundary
+        router) plus the action once there."""
+        p = self.params
+        if dst not in self.interfaces:
+            raise KeyError(dst)
+        chiplet = node // p.cores_per_chiplet
+        if dst < self.system.num_cores and dst // p.cores_per_chiplet == chiplet:
+            target = self.map.local_coord(dst)
+            terminal = self._eject_port[dst]
+        else:
+            exit_node = self.map.boundary_node(chiplet, dst % p.groups)
+            target = self.map.local_coord(exit_node)
+            terminal = self._up_port[exit_node]
+        coord = self.map.local_coord(node)
+        if coord == target:
+            return terminal
+        return self._dir_port[(node, xy_direction(coord, target))]
+
+    def _noi_port(self, chiplet: int, dst: int) -> int:
+        """NoI router of ``chiplet``: descend into the home chiplet, traverse
+        the interposer mesh, or hand off to the IO die / host router."""
         p = self.params
         num_cores = self.system.num_cores
-        # Tile routers: per chiplet, every destination reduces to one local
-        # target coordinate (the destination's own tile, or the exit
-        # boundary router) plus the action once there.
-        for chiplet in range(p.count):
-            base = chiplet * p.cores_per_chiplet
-            for local in range(p.cores_per_chiplet):
-                node = base + local
-                router = self._tile_router[node]
-                coord = self.map.local_coord(node)
-                for dst in self.node_ids:
-                    if dst < num_cores and dst // p.cores_per_chiplet == chiplet:
-                        target = self.map.local_coord(dst)
-                        terminal = self._eject_port[dst]
-                    else:
-                        exit_node = self.map.boundary_node(chiplet, dst % p.groups)
-                        target = self.map.local_coord(exit_node)
-                        terminal = self._up_port[exit_node]
-                    if coord == target:
-                        router.set_route(dst, terminal)
-                    else:
-                        router.set_route(dst, self._xy_port(node, coord, target))
-        # NoI routers: descend into the home chiplet, traverse the
-        # interposer mesh, or hand off to the IO die / host router.
-        for chiplet in range(p.count):
-            router = self._noi_router[chiplet]
-            coord = self.map.chiplet_coord(chiplet)
-            for dst in self.node_ids:
-                if dst < num_cores:
-                    dst_chiplet = dst // p.cores_per_chiplet
-                    if dst_chiplet == chiplet:
-                        group = self.map.boundary_group(dst)
-                        router.set_route(dst, self._down_port[(chiplet, group)])
-                    else:
-                        target = self.map.chiplet_coord(dst_chiplet)
-                        router.set_route(dst, self._noi_xy_port(chiplet, coord, target))
-                elif p.io_die:
-                    router.set_route(dst, self._noi_io_port[chiplet])
-                else:
-                    host = self.map.mc_host_chiplet(dst - num_cores)
-                    if host == chiplet:
-                        router.set_route(dst, self._mc_eject[dst])
-                    else:
-                        target = self.map.chiplet_coord(host)
-                        router.set_route(dst, self._noi_xy_port(chiplet, coord, target))
-        # IO die: every chiplet one hop away, MCs eject locally.
-        if self.io_router is not None:
-            for dst in self.node_ids:
-                if dst < num_cores:
-                    self.io_router.set_route(
-                        dst, self._io_to_noi_port[dst // p.cores_per_chiplet]
-                    )
-                else:
-                    self.io_router.set_route(dst, self._mc_eject[dst])
+        if dst not in self.interfaces:
+            raise KeyError(dst)
+        if dst < num_cores:
+            target_chiplet = dst // p.cores_per_chiplet
+            if target_chiplet == chiplet:
+                return self._down_port[(chiplet, self.map.boundary_group(dst))]
+        elif p.io_die:
+            return self._noi_io_port[chiplet]
+        else:
+            target_chiplet = self.map.mc_host_chiplet(dst - num_cores)
+            if target_chiplet == chiplet:
+                return self._mc_eject[dst]
+        coord = self.map.chiplet_coord(chiplet)
+        target = self.map.chiplet_coord(target_chiplet)
+        return self._noi_dir_port[(chiplet, xy_direction(coord, target))]
 
-    def _xy_port(self, node: int, coord: Coordinate, target: Coordinate) -> int:
-        """XY inside a chiplet: correct the column first, then the row."""
-        if target[0] > coord[0]:
-            return self._dir_port[(node, "E")]
-        if target[0] < coord[0]:
-            return self._dir_port[(node, "W")]
-        if target[1] > coord[1]:
-            return self._dir_port[(node, "S")]
-        return self._dir_port[(node, "N")]
-
-    def _noi_xy_port(self, chiplet: int, coord: Coordinate, target: Coordinate) -> int:
-        """XY across the interposer mesh."""
-        if target[0] > coord[0]:
-            return self._noi_dir_port[(chiplet, "E")]
-        if target[0] < coord[0]:
-            return self._noi_dir_port[(chiplet, "W")]
-        if target[1] > coord[1]:
-            return self._noi_dir_port[(chiplet, "S")]
-        return self._noi_dir_port[(chiplet, "N")]
+    def _io_port(self, dst: int) -> int:
+        """IO die: every chiplet one hop away, MCs eject locally."""
+        if dst < self.system.num_cores and dst in self.interfaces:
+            return self._io_to_noi_port[dst // self.params.cores_per_chiplet]
+        return self._mc_eject[dst]
 
     # ------------------------------------------------------------------ #
     # Introspection (tests, diagnostics)
@@ -756,7 +722,3 @@ class ChipletFabric:
 
     def describe(self, config: SystemConfig) -> TopologyDescriptor:
         return describe_chiplet(config)
-
-
-def _opposite(direction: str) -> str:
-    return {"E": "W", "W": "E", "N": "S", "S": "N"}[direction]

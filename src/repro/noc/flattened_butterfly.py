@@ -9,6 +9,7 @@ physical span of the link (up to two tiles per cycle, Table 1).
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Dict, Tuple
 
 from repro.config.system import SystemConfig
@@ -41,7 +42,6 @@ class FlattenedButterflyNetwork(Network):
         self._build_routers()
         self._build_express_links()
         self._attach_interfaces()
-        self._build_routing_tables()
 
     # ------------------------------------------------------------------ #
     def _new_input_port(self, label: str) -> InputPort:
@@ -57,6 +57,7 @@ class FlattenedButterflyNetwork(Network):
                 self.sim,
                 f"{self.name}.r{coord[0]}_{coord[1]}",
                 pipeline_latency=self.noc.fbfly_router_pipeline,
+                route_fn=partial(self._next_port, coord),
             )
             self._router_at[coord] = router
             self.routers.append(router)
@@ -101,13 +102,9 @@ class FlattenedButterflyNetwork(Network):
             )
             self._eject_port[(coord, node_id)] = out_port
 
-    def _build_routing_tables(self) -> None:
-        for coord, router in self._router_at.items():
-            for node_id, dst_coord in self.node_coords.items():
-                router.set_route(node_id, self._next_port(coord, dst_coord, node_id))
-
-    def _next_port(self, coord: Coordinate, dst_coord: Coordinate, node_id: int) -> int:
-        """Dimension-order routing: jump to the destination column, then row."""
+    def _next_port(self, coord: Coordinate, node_id: int) -> int:
+        """Route function of the router at ``coord``: destination column, then row."""
+        dst_coord = self.node_coords[node_id]
         if coord == dst_coord:
             return self._eject_port[(coord, node_id)]
         if dst_coord[0] != coord[0]:

@@ -7,6 +7,7 @@ cycles at zero load, exactly as in Table 1.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Optional, Tuple
 
 from repro.config.system import SystemConfig
@@ -18,7 +19,7 @@ from repro.noc.topology import GridGeometry, tiled_grid_geometry
 
 Coordinate = Tuple[int, int]
 
-_DIRECTIONS = {
+DIRECTIONS = {
     "E": (1, 0),
     "W": (-1, 0),
     "S": (0, 1),
@@ -49,7 +50,6 @@ class MeshNetwork(Network):
         self._build_routers()
         self._build_mesh_links()
         self._attach_interfaces()
-        self._build_routing_tables()
 
     # ------------------------------------------------------------------ #
     def _new_input_port(self, label: str) -> InputPort:
@@ -65,6 +65,7 @@ class MeshNetwork(Network):
                 self.sim,
                 f"{self.name}.r{coord[0]}_{coord[1]}",
                 pipeline_latency=self.noc.mesh_router_pipeline,
+                route_fn=partial(self._next_port, coord),
             )
             self._router_at[coord] = router
             self.routers.append(router)
@@ -72,13 +73,13 @@ class MeshNetwork(Network):
     def _build_mesh_links(self) -> None:
         tile_mm = self.geometry.tile_width_mm
         for coord, router in self._router_at.items():
-            for direction, (dx, dy) in _DIRECTIONS.items():
+            for direction, (dx, dy) in DIRECTIONS.items():
                 neighbor_coord = (coord[0] + dx, coord[1] + dy)
                 if neighbor_coord not in self._router_at:
                     continue
                 neighbor = self._router_at[neighbor_coord]
                 in_port = neighbor.add_input_port(
-                    self._new_input_port(f"{neighbor.name}.in_{_opposite(direction)}")
+                    self._new_input_port(f"{neighbor.name}.in_{opposite(direction)}")
                 )
                 out_port = router.add_output_port(
                     f"{direction}",
@@ -102,22 +103,12 @@ class MeshNetwork(Network):
             )
             self._eject_port[(coord, node_id)] = out_port
 
-    def _build_routing_tables(self) -> None:
-        for coord, router in self._router_at.items():
-            for node_id, dst_coord in self.node_coords.items():
-                router.set_route(node_id, self._next_port(coord, dst_coord, node_id))
-
-    def _next_port(self, coord: Coordinate, dst_coord: Coordinate, node_id: int) -> int:
-        """XY routing: correct the column first, then the row."""
+    def _next_port(self, coord: Coordinate, node_id: int) -> int:
+        """Route function of the router at ``coord``: XY toward ``node_id``."""
+        dst_coord = self.node_coords[node_id]
         if coord == dst_coord:
             return self._eject_port[(coord, node_id)]
-        if dst_coord[0] > coord[0]:
-            return self._direction_port[(coord, "E")]
-        if dst_coord[0] < coord[0]:
-            return self._direction_port[(coord, "W")]
-        if dst_coord[1] > coord[1]:
-            return self._direction_port[(coord, "S")]
-        return self._direction_port[(coord, "N")]
+        return self._direction_port[(coord, xy_direction(coord, dst_coord))]
 
     # ------------------------------------------------------------------ #
     def router_at(self, coord: Coordinate) -> Router:
@@ -125,5 +116,16 @@ class MeshNetwork(Network):
         return self._router_at[coord]
 
 
-def _opposite(direction: str) -> str:
+def opposite(direction: str) -> str:
     return {"E": "W", "W": "E", "N": "S", "S": "N"}[direction]
+
+
+def xy_direction(coord: Coordinate, target: Coordinate) -> str:
+    """XY dimension order: the direction that corrects the column first, then the row."""
+    if target[0] > coord[0]:
+        return "E"
+    if target[0] < coord[0]:
+        return "W"
+    if target[1] > coord[1]:
+        return "S"
+    return "N"

@@ -4,7 +4,8 @@ A single router class covers every switching element in the paper: mesh
 routers, flattened-butterfly routers, NOC-Out LLC routers, and (with two
 ports and static-priority arbitration) the reduction/dispersion tree nodes.
 The topology-specific network classes build routers, wire their ports and
-fill their routing tables.
+give each router a route function; a router's table is filled from that
+function one destination at a time, on the first lookup of each.
 
 Timing model
 ------------
@@ -31,7 +32,7 @@ kernel events until credit returns; see ``docs/performance.md``.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
@@ -142,8 +143,41 @@ class _VcState:
         return f"_VcState({self.key}, active={self.active}, blocked={self.blocked})"
 
 
+class RouteTable(dict):
+    """A router's ``destination -> output port`` table, filled on demand.
+
+    A lookup that misses asks the router's ``route_fn`` for the port, checks
+    it and memoises it, so a hit stays a plain dict lookup and a table only
+    ever holds destinations its router has been asked about.  ``route_fn``
+    raises ``KeyError`` for a destination it cannot reach; a router without
+    one routes only its pinned (``set_route``) entries.
+    """
+
+    __slots__ = ("router",)
+
+    def __init__(self, router: "Router") -> None:
+        super().__init__()
+        self.router = router
+
+    def __missing__(self, dst: int) -> int:
+        router = self.router
+        try:
+            if router.route_fn is None:
+                raise KeyError(dst)
+            port = router.route_fn(dst)
+        except KeyError:
+            raise KeyError(f"{router.name}: no route to node {dst}") from None
+        router.set_route(dst, port)
+        return port
+
+
 class Router(Component, PacketSink):
-    """A virtual-channel router with a per-destination routing table."""
+    """A virtual-channel router with a per-destination routing table.
+
+    ``route_fn(dst)`` returns the output port toward node ``dst`` (raising
+    ``KeyError`` if there is none); it runs once per destination, on the
+    first lookup, after every port has been wired.
+    """
 
     def __init__(
         self,
@@ -152,6 +186,7 @@ class Router(Component, PacketSink):
         *,
         pipeline_latency: int = 2,
         arbiter_factory: Callable[[], Arbiter] = RoundRobinArbiter,
+        route_fn: Optional[Callable[[int], int]] = None,
     ) -> None:
         super().__init__(sim, name)
         if pipeline_latency < 0:
@@ -159,7 +194,8 @@ class Router(Component, PacketSink):
         self.pipeline_latency = pipeline_latency
         self.input_ports: List[InputPort] = []
         self.output_ports: List[OutputPort] = []
-        self.route_table: Dict[int, int] = {}
+        self.route_fn = route_fn
+        self.route_table = RouteTable(self)
         self._arbiter_factory = arbiter_factory
         self._arbiters: List[Arbiter] = []
         self._local_input_ports: set = set()
@@ -219,10 +255,7 @@ class Router(Component, PacketSink):
 
     def route(self, packet: Packet) -> int:
         """Output port index for ``packet`` (table lookup)."""
-        try:
-            return self.route_table[packet.dst]
-        except KeyError:
-            raise KeyError(f"{self.name}: no route to node {packet.dst}") from None
+        return self.route_table[packet.dst]
 
     @property
     def radix(self) -> int:
@@ -267,10 +300,7 @@ class Router(Component, PacketSink):
         cached = vc.head_route
         if cached is not None and cached[0] is packet:
             return cached
-        try:
-            out_index = self.route_table[packet.dst]
-        except KeyError:
-            raise KeyError(f"{self.name}: no route to node {packet.dst}") from None
+        out_index = self.route_table[packet.dst]
         out_port = self.output_ports[out_index]
         downstream_port = out_port.downstream.input_ports[out_port.downstream_port]
         downstream_vc_index = downstream_port.vc_index_for(packet.msg_class)
