@@ -79,6 +79,3 @@ class MshrFile:
     @property
     def outstanding(self) -> int:
         return len(self._entries)
-
-    def outstanding_addresses(self) -> List[int]:
-        return list(self._entries)

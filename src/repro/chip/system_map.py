@@ -66,22 +66,6 @@ class SystemMap:
         """Which cores run a workload that only scales to ``count`` cores."""
         raise NotImplementedError
 
-    def tenant_nodes(self, workload_map) -> "Dict[str, List[int]]":
-        """Network nodes of each tenant's cores under ``workload_map``.
-
-        Validates the map against this chip's core count and returns
-        ``{tenant_label: [core node ids]}`` through :meth:`core_node`, so
-        it works for any layout (tiled, NOC-Out, plugins) unchanged.
-        """
-        workload_map.validate_for(self.num_cores)
-        labels = workload_map.tenant_labels()
-        return {
-            labels[index]: [
-                self.core_node(core) for core in workload_map.tenant_cores(index)
-            ]
-            for index in range(len(workload_map.tenants))
-        }
-
 
 class TiledSystemMap(SystemMap):
     """Tiled layout: node ``i`` holds core ``i`` plus LLC slice ``i``.

@@ -140,8 +140,5 @@ class SystemConfig:
     def with_cores(self, num_cores: int) -> "SystemConfig":
         return replace(self, num_cores=num_cores)
 
-    def with_seed(self, seed: int) -> "SystemConfig":
-        return replace(self, seed=seed)
-
     def with_workload_map(self, workload_map: Optional[WorkloadMap]) -> "SystemConfig":
         return replace(self, workload_map=workload_map)

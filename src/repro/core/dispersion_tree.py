@@ -9,12 +9,13 @@ tree.  Responses are statically prioritised over snoop requests.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from functools import partial
+from typing import Dict, List, Sequence, Tuple
 
 from repro.config.system import SystemConfig
 from repro.sim.kernel import Simulator
 from repro.noc.interface import NetworkInterface
-from repro.noc.router import Router
+from repro.noc.router import PacketSink, Router
 from repro.core.reduction_tree import tree_arbiter_factory, tree_input_port
 
 #: (core node id, core network interface) pairs.
@@ -27,14 +28,13 @@ def build_dispersion_tree(
     name: str,
     core_groups: Sequence[Sequence[CoreBinding]],
     hop_length_mm: float,
-) -> Tuple[Router, int, List[Router]]:
+) -> List[Router]:
     """Build one dispersion tree.
 
     ``core_groups`` is ordered from the core farthest from the LLC to the
     closest, mirroring :func:`repro.core.reduction_tree.build_reduction_tree`.
-    Returns ``(head_node, head_input_port, nodes)`` where ``head_node`` is
-    the node adjacent to the LLC tile; the LLC router connects one of its
-    output ports to ``head_input_port``.
+    Returns the tree's nodes from the LLC outward: ``nodes[0]`` is the head,
+    the node adjacent to the LLC tile, which the LLC router connects to.
     """
     if not core_groups:
         raise ValueError("a dispersion tree needs at least one core group")
@@ -43,7 +43,8 @@ def build_dispersion_tree(
     # Build nodes from the LLC outward: the head serves the closest group.
     ordered_groups = list(core_groups)[::-1]
     nodes: List[Router] = []
-    eject_routes: List[dict] = []
+    #: core node id -> (index of the node that ejects it, its interface)
+    home: Dict[int, Tuple[int, NetworkInterface]] = {}
 
     arbiter_factory = tree_arbiter_factory(config)
     for index, group in enumerate(ordered_groups):
@@ -53,60 +54,53 @@ def build_dispersion_tree(
             pipeline_latency=noc.tree_hop_latency,
             arbiter_factory=arbiter_factory,
         )
-        routes = {}
         for node_id, interface in group:
-            eject_port = node.add_output_port(
-                f"eject{node_id}", interface, 0, link_latency=0, link_length_mm=0.0
-            )
-            routes[node_id] = eject_port
+            node.add_output_port(f"eject{node_id}", interface, 0, link_latency=0)
+            home[node_id] = (index, interface)
         nodes.append(node)
-        eject_routes.append(routes)
-
-    head = nodes[0]
-    head_input = head.add_input_port(tree_input_port(config, f"{head.name}.from_llc"))
 
     # Chain the nodes outward (away from the LLC).
-    for index, node in enumerate(nodes):
-        if index + 1 >= len(nodes):
-            continue
-        downstream = nodes[index + 1]
-        in_port = downstream.add_input_port(
-            tree_input_port(config, f"{downstream.name}.from_llc_side")
+    for node, downstream in zip(nodes, nodes[1:]):
+        node.connect(
+            downstream,
+            tree_input_port(config, f"{downstream.name}.from_llc_side"),
+            "up",
+            link_latency=0,
+            link_length_mm=hop_length_mm,
         )
-        node.add_output_port(
-            "up", downstream, in_port, link_latency=0, link_length_mm=hop_length_mm
-        )
-        eject_routes[index]["__onward__"] = len(node.output_ports) - 1
 
     # Optional express link from the head directly to the farthest node.
-    express_port = None
-    if noc.tree_express_links and len(nodes) >= 4:
+    express = noc.tree_express_links and len(nodes) >= 4
+    if express:
         farthest = nodes[-1]
-        in_port = farthest.add_input_port(tree_input_port(config, f"{farthest.name}.from_express"))
-        express_length = hop_length_mm * (len(nodes) - 1)
-        head.add_output_port(
-            "express", farthest, in_port, link_latency=0, link_length_mm=express_length
+        nodes[0].connect(
+            farthest,
+            tree_input_port(config, f"{farthest.name}.from_express"),
+            "express",
+            link_latency=0,
+            link_length_mm=hop_length_mm * (len(nodes) - 1),
         )
-        express_port = len(head.output_ports) - 1
 
-    # Routing tables: a node ejects its own cores and forwards everything
-    # destined farther out; the head may use the express link for the cores
-    # of the farthest node.
     for index, node in enumerate(nodes):
-        for dst, port in eject_routes[index].items():
-            if dst == "__onward__":
-                continue
-            node.set_route(dst, port)
-        onward = eject_routes[index].get("__onward__")
-        if onward is None:
-            continue
-        for farther_index in range(index + 1, len(nodes)):
-            for dst in eject_routes[farther_index]:
-                if dst == "__onward__":
-                    continue
-                if index == 0 and express_port is not None and farther_index == len(nodes) - 1:
-                    node.set_route(dst, express_port)
-                else:
-                    node.set_route(dst, onward)
+        node.route_fn = partial(_dispersion_hop, nodes, home, express, index)
+    return nodes
 
-    return head, head_input, nodes
+
+def _dispersion_hop(
+    nodes: List[Router],
+    home: Dict[int, Tuple[int, NetworkInterface]],
+    express: bool,
+    index: int,
+    dst: int,
+) -> PacketSink:
+    """Route function of dispersion node ``index``: eject its own cores,
+    forward those farther out to the next node, except that the head takes
+    the express link (when built) to the farthest node's cores."""
+    target, interface = home[dst]
+    if target < index:
+        raise KeyError(dst)
+    if target == index:
+        return interface
+    if express and index == 0 and target == len(nodes) - 1:
+        return nodes[-1]
+    return nodes[index + 1]

@@ -8,7 +8,7 @@ region at the wrong tile reaches its home tile in one additional hop
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List
 
 from repro.config.system import SystemConfig
 from repro.sim.kernel import Simulator
@@ -32,12 +32,11 @@ def build_llc_network(
     config: SystemConfig,
     floorplan: NocOutFloorplan,
     name: str = "llcnet",
-) -> Tuple[List[Router], Dict[Tuple[int, int], int]]:
+) -> List[Router]:
     """Create the LLC routers and their all-to-all row links.
 
-    Returns ``(routers, inter_tile_port)`` where ``routers[column]`` is the
-    router of the LLC tile in ``column`` and ``inter_tile_port[(a, b)]`` is
-    the output-port index on router ``a`` that leads directly to router ``b``.
+    ``routers[column]`` is the router of the LLC tile in ``column``; it has
+    one direct link to every other LLC router.
     """
     noc = config.noc
     tech = config.technology
@@ -52,19 +51,17 @@ def build_llc_network(
         for column in range(columns)
     ]
 
-    inter_tile_port: Dict[Tuple[int, int], int] = {}
     for a in range(columns):
         for b in range(columns):
             if a == b:
                 continue
             length_mm = floorplan.llc_link_length_mm(a, b)
-            latency = max(1, tech.wire_cycles(length_mm))
-            in_port = routers[b].add_input_port(
-                llc_input_port(config, f"{routers[b].name}.from{a}")
+            routers[a].connect(
+                routers[b],
+                llc_input_port(config, f"{routers[b].name}.from{a}"),
+                f"to{b}",
+                link_latency=max(1, tech.wire_cycles(length_mm)),
+                link_length_mm=length_mm,
             )
-            out_port = routers[a].add_output_port(
-                f"to{b}", routers[b], in_port, link_latency=latency, link_length_mm=length_mm
-            )
-            inter_tile_port[(a, b)] = out_port
 
-    return routers, inter_tile_port
+    return routers

@@ -15,11 +15,11 @@ from typing import Dict, List, Tuple
 from repro.config.system import SystemConfig
 from repro.sim.kernel import Simulator
 from repro.noc.network import Network
-from repro.noc.router import Router
+from repro.noc.router import PacketSink, Router
 from repro.core.dispersion_tree import build_dispersion_tree
 from repro.core.floorplan import CorePosition, NocOutFloorplan
 from repro.core.llc_network import build_llc_network, llc_input_port
-from repro.core.reduction_tree import build_reduction_tree
+from repro.core.reduction_tree import build_reduction_tree, tree_input_port
 
 
 class NocOutNetwork(Network):
@@ -41,19 +41,18 @@ class NocOutNetwork(Network):
         self.mc_nodes = dict(mc_nodes)
         self.floorplan = NocOutFloorplan(config)
 
-        self.llc_routers: List[Router] = []
+        self.llc_routers: List[Router] = build_llc_network(
+            sim, config, self.floorplan, name=f"{name}.llcnet"
+        )
         self.reduction_nodes: List[Router] = []
         self.dispersion_nodes: List[Router] = []
-        self._inter_tile_port: Dict[Tuple[int, int], int] = {}
-        self._llc_eject_port: Dict[int, int] = {}
-        self._mc_eject_port: Dict[int, int] = {}
-        self._dispersion_head_port: Dict[Tuple[int, str], int] = {}
+        #: (column, side) -> head node of that half-column's dispersion tree
+        self._dispersion_head: Dict[Tuple[int, str], Router] = {}
 
-        self._build_llc_region()
         self._attach_llc_and_mc_interfaces()
         self._build_trees()
         for column, router in enumerate(self.llc_routers):
-            router.route_fn = partial(self._llc_port, column)
+            router.route_fn = partial(self._llc_hop, column)
 
         self.routers.extend(self.llc_routers)
         self.routers.extend(self.reduction_nodes)
@@ -62,32 +61,16 @@ class NocOutNetwork(Network):
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
-    def _build_llc_region(self) -> None:
-        self.llc_routers, self._inter_tile_port = build_llc_network(
-            self.sim, self.system, self.floorplan, name=f"{self.name}.llcnet"
-        )
-
     def _attach_llc_and_mc_interfaces(self) -> None:
-        for node_id, column in self.llc_nodes.items():
-            router = self.llc_routers[column]
-            interface = self.interfaces[node_id]
-            in_port = router.add_input_port(
-                llc_input_port(self.system, f"{router.name}.in_llc{node_id}"), is_local=True
-            )
-            interface.attach_router(router, in_port)
-            self._llc_eject_port[node_id] = router.add_output_port(
-                f"eject_llc{node_id}", interface, 0, link_latency=0, link_length_mm=0.0
-            )
-        for node_id, column in self.mc_nodes.items():
-            router = self.llc_routers[column]
-            interface = self.interfaces[node_id]
-            in_port = router.add_input_port(
-                llc_input_port(self.system, f"{router.name}.in_mc{node_id}"), is_local=True
-            )
-            interface.attach_router(router, in_port)
-            self._mc_eject_port[node_id] = router.add_output_port(
-                f"eject_mc{node_id}", interface, 0, link_latency=0, link_length_mm=0.0
-            )
+        for kind, nodes in (("llc", self.llc_nodes), ("mc", self.mc_nodes)):
+            for node_id, column in nodes.items():
+                router = self.llc_routers[column]
+                self.attach_interface(
+                    node_id,
+                    router,
+                    llc_input_port(self.system, f"{router.name}.in_{kind}{node_id}"),
+                    f"eject_{kind}{node_id}",
+                )
 
     def _cores_in_group(self, column: int, rows: Tuple[int, ...]) -> List[int]:
         """Core node ids at (column, row) for each row, in the given order."""
@@ -120,16 +103,13 @@ class NocOutNetwork(Network):
                 [self.interfaces[node_id] for node_id in cores[i : i + concentration]]
                 for i in range(0, len(cores), concentration)
             ]
-            terminal_port = llc_router.add_input_port(
-                llc_input_port(self.system, f"{llc_router.name}.from_{group.side}_tree")
-            )
             reduction = build_reduction_tree(
                 self.sim,
                 self.system,
                 f"{label}.red",
                 core_groups,
                 llc_router,
-                terminal_port,
+                llc_input_port(self.system, f"{llc_router.name}.from_{group.side}_tree"),
                 all_destinations,
                 hop_mm,
             )
@@ -143,32 +123,37 @@ class NocOutNetwork(Network):
                 ]
                 for i in range(0, len(cores), concentration)
             ]
-            head, head_port, dispersion = build_dispersion_tree(
+            dispersion = build_dispersion_tree(
                 self.sim, self.system, f"{label}.disp", bindings, hop_mm
             )
             self.dispersion_nodes.extend(dispersion)
-            out_port = llc_router.add_output_port(
-                f"to_{group.side}_tree", head, head_port, link_latency=0, link_length_mm=hop_mm
+            head = dispersion[0]
+            llc_router.connect(
+                head,
+                tree_input_port(self.system, f"{head.name}.from_llc"),
+                f"to_{group.side}_tree",
+                link_latency=0,
+                link_length_mm=hop_mm,
             )
-            self._dispersion_head_port[(group.column, group.side)] = out_port
+            self._dispersion_head[(group.column, group.side)] = head
 
-    def _llc_port(self, column: int, node_id: int) -> int:
+    def _llc_hop(self, column: int, node_id: int) -> PacketSink:
         """Route function of the LLC router in ``column``: eject an LLC or MC
         node it hosts, descend a dispersion tree to one of its column's
         cores, or cross the LLC butterfly to the destination's column."""
         if node_id in self.llc_nodes:
             dst_column = self.llc_nodes[node_id]
             if dst_column == column:
-                return self._llc_eject_port[node_id]
+                return self.interfaces[node_id]
         elif node_id in self.mc_nodes:
             dst_column = self.mc_nodes[node_id]
             if dst_column == column:
-                return self._mc_eject_port[node_id]
+                return self.interfaces[node_id]
         else:
             dst_column, row = self.core_nodes[node_id]
             if dst_column == column:
-                return self._dispersion_head_port[(column, self.floorplan.side_of_row(row))]
-        return self._inter_tile_port[(column, dst_column)]
+                return self._dispersion_head[(column, self.floorplan.side_of_row(row))]
+        return self.llc_routers[dst_column]
 
     # ------------------------------------------------------------------ #
     # Introspection helpers (used by tests and the ablation studies)

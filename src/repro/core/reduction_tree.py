@@ -19,7 +19,7 @@ from repro.noc.arbiter import RoundRobinArbiter, StaticPriorityArbiter
 from repro.noc.buffer import InputPort
 from repro.noc.interface import NetworkInterface
 from repro.noc.message import MessageClass
-from repro.noc.router import PacketSink, Router
+from repro.noc.router import Router
 
 #: Virtual-channel assignment for the two-VC tree ports: requests and snoops
 #: never share a tree direction, so they can share VC 0 while responses get
@@ -54,8 +54,8 @@ def build_reduction_tree(
     config: SystemConfig,
     name: str,
     core_groups: Sequence[Sequence[NetworkInterface]],
-    terminal: PacketSink,
-    terminal_port: int,
+    terminal: Router,
+    terminal_input: InputPort,
     destinations: Iterable[int],
     hop_length_mm: float,
 ) -> List[Router]:
@@ -67,9 +67,9 @@ def build_reduction_tree(
         Core network interfaces grouped per tree node, ordered from the core
         farthest from the LLC to the closest.  A group holds more than one
         interface when concentration is enabled (Section 7.1).
-    terminal / terminal_port:
-        The LLC router (and the index of the input port on it) where the
-        tree terminates.
+    terminal / terminal_input:
+        The LLC router where the tree terminates, and the input port the
+        tree's last node feeds on it.
     destinations:
         Every network node id; all of them route through the tree's single
         output since a reduction tree is a many-to-one network.
@@ -98,48 +98,42 @@ def build_reduction_tree(
         nodes.append(node)
 
     # Chain the nodes toward the LLC and terminate at the LLC router.
-    for index, node in enumerate(nodes):
-        if index + 1 < len(nodes):
-            downstream = nodes[index + 1]
-            in_port = downstream.add_input_port(
-                tree_input_port(config, f"{downstream.name}.from_upstream")
-            )
-            node.add_output_port(
-                "down", downstream, in_port, link_latency=0, link_length_mm=hop_length_mm
-            )
-        else:
-            node.add_output_port(
-                "terminal", terminal, terminal_port, link_latency=0, link_length_mm=hop_length_mm
-            )
+    for node, downstream in zip(nodes, nodes[1:]):
+        node.connect(
+            downstream,
+            tree_input_port(config, f"{downstream.name}.from_upstream"),
+            "down",
+            link_latency=0,
+            link_length_mm=hop_length_mm,
+        )
+    nodes[-1].connect(
+        terminal, terminal_input, "terminal", link_latency=0, link_length_mm=hop_length_mm
+    )
+    hops: List[Router] = nodes[1:] + [terminal]
 
     # Optional express link: the farthest node bypasses the chain entirely
     # and feeds the terminal-adjacent node directly (Section 7.1).
     if noc.tree_express_links and len(nodes) >= 4:
         express_target = nodes[-1]
-        in_port = express_target.add_input_port(
-            tree_input_port(config, f"{express_target.name}.from_express")
+        nodes[0].connect(
+            express_target,
+            tree_input_port(config, f"{express_target.name}.from_express"),
+            "express",
+            link_latency=0,
+            link_length_mm=hop_length_mm * (len(nodes) - 1),
         )
-        express_length = hop_length_mm * (len(nodes) - 1)
-        nodes[0].add_output_port(
-            "express", express_target, in_port, link_latency=0, link_length_mm=express_length
-        )
-        express_port = len(nodes[0].output_ports) - 1
-    else:
-        express_port = None
+        hops[0] = express_target
 
-    # Routing: every destination leaves through the downstream port (or the
-    # express link for the farthest node when available).
-    for index, node in enumerate(nodes):
-        out_port = 0
-        if index == 0 and express_port is not None:
-            out_port = express_port
-        node.route_fn = partial(_known_destination_port, destinations, out_port)
+    # Routing: every destination leaves toward the next node (or, for the
+    # farthest node, over the express link when there is one).
+    for node, hop in zip(nodes, hops):
+        node.route_fn = partial(_known_destination_hop, destinations, hop)
 
     return nodes
 
 
-def _known_destination_port(destinations: FrozenSet[int], port: int, dst: int) -> int:
-    """Route function of a reduction-tree node: one port for every known node."""
+def _known_destination_hop(destinations: FrozenSet[int], hop: Router, dst: int) -> Router:
+    """Route function of a reduction-tree node: one next hop for every known node."""
     if dst not in destinations:
         raise KeyError(dst)
-    return port
+    return hop

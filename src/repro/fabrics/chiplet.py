@@ -41,17 +41,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.chip.system_map import SystemMap, TiledSystemMap
 from repro.config.noc import NocConfig
 from repro.config.system import SystemConfig, default_mesh_dimensions
 from repro.noc.buffer import InputPort
-from repro.noc.mesh import DIRECTIONS, opposite, xy_direction
+from repro.noc.mesh import DIRECTIONS, opposite, step, xy_direction
 from repro.noc.network import Network
-from repro.noc.router import Router
+from repro.noc.router import PacketSink, Router
 from repro.noc.topology import (
-    GridGeometry,
     LinkSpec,
     RouterSpec,
     TopologyDescriptor,
@@ -311,14 +310,6 @@ class ChipletNetwork(Network):
         self._tile_router: List[Router] = []
         self._noi_router: List[Router] = []
         self.io_router: Router = None
-        self._dir_port: Dict[Tuple[int, str], int] = {}  # (tile node, direction)
-        self._noi_dir_port: Dict[Tuple[int, str], int] = {}  # (chiplet, direction)
-        self._eject_port: Dict[int, int] = {}  # tile node -> its router's port
-        self._up_port: Dict[int, int] = {}  # boundary node -> up port
-        self._down_port: Dict[Tuple[int, int], int] = {}  # (chiplet, group)
-        self._noi_io_port: Dict[int, int] = {}  # chiplet -> port toward IO die
-        self._io_to_noi_port: Dict[int, int] = {}  # chiplet -> IO-die port
-        self._mc_eject: Dict[int, int] = {}  # mc node -> eject port on its host
         #: Crossing output ports by kind, exposed for tests and diagnostics.
         self.uplink_ports: List = []
         self.downlink_ports: List = []
@@ -341,6 +332,15 @@ class ChipletNetwork(Network):
             name=label,
         )
 
+    def _tile_node_at(self, chiplet: int, local: Coordinate) -> int:
+        """The tile node at local coordinate ``local`` of ``chiplet``."""
+        p = self.params
+        return chiplet * p.cores_per_chiplet + local[1] * p.lcols + local[0]
+
+    def _noi_router_at(self, coord: Coordinate) -> Router:
+        """The NoI router at chiplet-grid coordinate ``coord``."""
+        return self._noi_router[coord[1] * self.params.ccols + coord[0]]
+
     def _build_tile_routers(self) -> None:
         p = self.params
         for node in range(self.system.num_cores):
@@ -350,34 +350,27 @@ class ChipletNetwork(Network):
                 self.sim,
                 f"{self.name}.c{chiplet}.r{lx}_{ly}",
                 pipeline_latency=self.noc.mesh_router_pipeline,
-                route_fn=partial(self._tile_port, node),
+                route_fn=partial(self._tile_hop, node),
             )
             self._tile_router.append(router)
             self.routers.append(router)
         # Intra-chiplet mesh links (never crossing).
         for node in range(self.system.num_cores):
             chiplet = node // p.cores_per_chiplet
-            lx, ly = self.map.local_coord(node)
+            coord = self.map.local_coord(node)
             router = self._tile_router[node]
-            for direction, (dx, dy) in DIRECTIONS.items():
-                nx, ny = lx + dx, ly + dy
+            for direction in DIRECTIONS:
+                nx, ny = step(coord, direction)
                 if not (0 <= nx < p.lcols and 0 <= ny < p.lrows):
                     continue
-                neighbor_node = (
-                    chiplet * p.cores_per_chiplet + ny * p.lcols + nx
-                )
-                neighbor = self._tile_router[neighbor_node]
-                in_port = neighbor.add_input_port(
-                    self._new_input_port(f"{neighbor.name}.in_{opposite(direction)}")
-                )
-                out_port = router.add_output_port(
-                    direction,
+                neighbor = self._tile_router[self._tile_node_at(chiplet, (nx, ny))]
+                router.connect(
                     neighbor,
-                    in_port,
+                    self._new_input_port(f"{neighbor.name}.in_{opposite(direction)}"),
+                    direction,
                     link_latency=self.noc.mesh_link_latency,
                     link_length_mm=self.tile_mm,
                 )
-                self._dir_port[(node, direction)] = out_port
 
     def _build_noi_routers(self) -> None:
         p = self.params
@@ -387,63 +380,53 @@ class ChipletNetwork(Network):
                 self.sim,
                 f"{self.name}.noi{cx}_{cy}",
                 pipeline_latency=self.noc.mesh_router_pipeline,
-                route_fn=partial(self._noi_port, chiplet),
+                route_fn=partial(self._noi_hop, chiplet),
             )
             self._noi_router.append(router)
             self.routers.append(router)
         # NoI mesh links: chiplet-to-chiplet across the interposer.
         for chiplet in range(p.count):
-            cx, cy = self.map.chiplet_coord(chiplet)
+            coord = self.map.chiplet_coord(chiplet)
             router = self._noi_router[chiplet]
-            for direction, (dx, dy) in DIRECTIONS.items():
-                nx, ny = cx + dx, cy + dy
+            for direction in DIRECTIONS:
+                nx, ny = step(coord, direction)
                 if not (0 <= nx < p.ccols and 0 <= ny < p.crows):
                     continue
-                neighbor = self._noi_router[ny * p.ccols + nx]
-                in_port = neighbor.add_input_port(
-                    self._new_input_port(f"{neighbor.name}.in_{opposite(direction)}")
+                neighbor = self._noi_router_at((nx, ny))
+                self.noi_mesh_ports.append(
+                    router.connect(
+                        neighbor,
+                        self._new_input_port(f"{neighbor.name}.in_{opposite(direction)}"),
+                        direction,
+                        link_latency=self.crossing_latency,
+                        link_length_mm=self.chiplet_mm,
+                    )
                 )
-                out_port = router.add_output_port(
-                    direction,
-                    neighbor,
-                    in_port,
-                    link_latency=self.crossing_latency,
-                    link_length_mm=self.chiplet_mm,
-                )
-                self._noi_dir_port[(chiplet, direction)] = out_port
-                self.noi_mesh_ports.append(router.output_ports[out_port])
 
     def _build_uplinks(self) -> None:
         p = self.params
         for chiplet in range(p.count):
             noi = self._noi_router[chiplet]
             for group in range(p.groups):
-                boundary_node = self.map.boundary_node(chiplet, group)
-                boundary = self._tile_router[boundary_node]
-                noi_in = noi.add_input_port(
-                    self._new_input_port(f"{noi.name}.in_up{group}")
+                boundary = self._tile_router[self.map.boundary_node(chiplet, group)]
+                self.uplink_ports.append(
+                    boundary.connect(
+                        noi,
+                        self._new_input_port(f"{noi.name}.in_up{group}"),
+                        "up",
+                        link_latency=self.crossing_latency,
+                        link_length_mm=self.tile_mm,
+                    )
                 )
-                up = boundary.add_output_port(
-                    "up",
-                    noi,
-                    noi_in,
-                    link_latency=self.crossing_latency,
-                    link_length_mm=self.tile_mm,
+                self.downlink_ports.append(
+                    noi.connect(
+                        boundary,
+                        self._new_input_port(f"{boundary.name}.in_down"),
+                        f"down{group}",
+                        link_latency=self.crossing_latency,
+                        link_length_mm=self.tile_mm,
+                    )
                 )
-                self._up_port[boundary_node] = up
-                self.uplink_ports.append(boundary.output_ports[up])
-                boundary_in = boundary.add_input_port(
-                    self._new_input_port(f"{boundary.name}.in_down")
-                )
-                down = noi.add_output_port(
-                    f"down{group}",
-                    boundary,
-                    boundary_in,
-                    link_latency=self.crossing_latency,
-                    link_length_mm=self.tile_mm,
-                )
-                self._down_port[(chiplet, group)] = down
-                self.downlink_ports.append(noi.output_ports[down])
 
     def _build_io_die(self) -> None:
         p = self.params
@@ -453,86 +436,74 @@ class ChipletNetwork(Network):
             self.sim,
             f"{self.name}.io",
             pipeline_latency=self.noc.mesh_router_pipeline,
-            route_fn=self._io_port,
+            route_fn=self._io_hop,
         )
         self.routers.append(self.io_router)
         for chiplet in range(p.count):
             noi = self._noi_router[chiplet]
-            io_in = noi.add_input_port(self._new_input_port(f"{noi.name}.in_io"))
-            to_noi = self.io_router.add_output_port(
-                f"to_c{chiplet}",
-                noi,
-                io_in,
-                link_latency=self.crossing_latency,
-                link_length_mm=self.chiplet_mm,
+            self.io_ports.append(
+                self.io_router.connect(
+                    noi,
+                    self._new_input_port(f"{noi.name}.in_io"),
+                    f"to_c{chiplet}",
+                    link_latency=self.crossing_latency,
+                    link_length_mm=self.chiplet_mm,
+                )
             )
-            self._io_to_noi_port[chiplet] = to_noi
-            self.io_ports.append(self.io_router.output_ports[to_noi])
-            noi_in = self.io_router.add_input_port(
-                self._new_input_port(f"{self.name}.io.in_c{chiplet}")
+            self.io_ports.append(
+                noi.connect(
+                    self.io_router,
+                    self._new_input_port(f"{self.name}.io.in_c{chiplet}"),
+                    "io",
+                    link_latency=self.crossing_latency,
+                    link_length_mm=self.chiplet_mm,
+                )
             )
-            to_io = noi.add_output_port(
-                "io",
-                self.io_router,
-                noi_in,
-                link_latency=self.crossing_latency,
-                link_length_mm=self.chiplet_mm,
-            )
-            self._noi_io_port[chiplet] = to_io
-            self.io_ports.append(noi.output_ports[to_io])
 
     def _attach_interfaces(self) -> None:
         p = self.params
         for node in range(self.system.num_cores):
             router = self._tile_router[node]
-            interface = self.interfaces[node]
-            in_port = router.add_input_port(
-                self._new_input_port(f"{router.name}.in_local{node}"), is_local=True
-            )
-            interface.attach_router(router, in_port)
-            self._eject_port[node] = router.add_output_port(
-                f"eject{node}", interface, 0, link_latency=0, link_length_mm=0.0
+            self.attach_interface(
+                node, router, self._new_input_port(f"{router.name}.in_local{node}")
             )
         for index in range(self.map.num_memory_controllers):
-            node = self.map.mc_node(index)
             host = (
                 self.io_router
                 if p.io_die
                 else self._noi_router[self.map.mc_host_chiplet(index)]
             )
-            interface = self.interfaces[node]
-            in_port = host.add_input_port(
-                self._new_input_port(f"{host.name}.in_mc{index}"), is_local=True
-            )
-            interface.attach_router(host, in_port)
-            self._mc_eject[node] = host.add_output_port(
-                f"eject{node}", interface, 0, link_latency=0, link_length_mm=0.0
+            self.attach_interface(
+                self.map.mc_node(index),
+                host,
+                self._new_input_port(f"{host.name}.in_mc{index}"),
             )
 
     # ------------------------------------------------------------------ #
     # Route functions (one per router kind, resolved on first lookup)
     # ------------------------------------------------------------------ #
-    def _tile_port(self, node: int, dst: int) -> int:
+    def _tile_hop(self, node: int, dst: int) -> PacketSink:
         """Tile router of ``node``: every destination reduces to one local
         target coordinate (the destination's own tile, or the exit boundary
-        router) plus the action once there."""
+        router) plus the hop once there (eject, or up to the NoI router)."""
         p = self.params
         if dst not in self.interfaces:
             raise KeyError(dst)
         chiplet = node // p.cores_per_chiplet
         if dst < self.system.num_cores and dst // p.cores_per_chiplet == chiplet:
             target = self.map.local_coord(dst)
-            terminal = self._eject_port[dst]
+            terminal = self.interfaces[dst]
         else:
-            exit_node = self.map.boundary_node(chiplet, dst % p.groups)
-            target = self.map.local_coord(exit_node)
-            terminal = self._up_port[exit_node]
+            target = self.map.local_coord(self.map.boundary_node(chiplet, dst % p.groups))
+            terminal = self._noi_router[chiplet]
         coord = self.map.local_coord(node)
         if coord == target:
             return terminal
-        return self._dir_port[(node, xy_direction(coord, target))]
+        return self._tile_router[
+            self._tile_node_at(chiplet, step(coord, xy_direction(coord, target)))
+        ]
 
-    def _noi_port(self, chiplet: int, dst: int) -> int:
+    def _noi_hop(self, chiplet: int, dst: int) -> PacketSink:
         """NoI router of ``chiplet``: descend into the home chiplet, traverse
         the interposer mesh, or hand off to the IO die / host router."""
         p = self.params
@@ -542,32 +513,27 @@ class ChipletNetwork(Network):
         if dst < num_cores:
             target_chiplet = dst // p.cores_per_chiplet
             if target_chiplet == chiplet:
-                return self._down_port[(chiplet, self.map.boundary_group(dst))]
+                group = self.map.boundary_group(dst)
+                return self._tile_router[self.map.boundary_node(chiplet, group)]
         elif p.io_die:
-            return self._noi_io_port[chiplet]
+            return self.io_router
         else:
             target_chiplet = self.map.mc_host_chiplet(dst - num_cores)
             if target_chiplet == chiplet:
-                return self._mc_eject[dst]
+                return self.interfaces[dst]
         coord = self.map.chiplet_coord(chiplet)
         target = self.map.chiplet_coord(target_chiplet)
-        return self._noi_dir_port[(chiplet, xy_direction(coord, target))]
+        return self._noi_router_at(step(coord, xy_direction(coord, target)))
 
-    def _io_port(self, dst: int) -> int:
+    def _io_hop(self, dst: int) -> PacketSink:
         """IO die: every chiplet one hop away, MCs eject locally."""
         if dst < self.system.num_cores and dst in self.interfaces:
-            return self._io_to_noi_port[dst // self.params.cores_per_chiplet]
-        return self._mc_eject[dst]
+            return self._noi_router[dst // self.params.cores_per_chiplet]
+        return self.interfaces[dst]
 
     # ------------------------------------------------------------------ #
     # Introspection (tests, diagnostics)
     # ------------------------------------------------------------------ #
-    def tile_router(self, node_id: int) -> Router:
-        return self._tile_router[node_id]
-
-    def noi_router(self, chiplet: int) -> Router:
-        return self._noi_router[chiplet]
-
     def crossing_ports(self) -> List:
         """Every output port whose link crosses a die boundary."""
         return (
@@ -581,12 +547,6 @@ class ChipletNetwork(Network):
 # --------------------------------------------------------------------------- #
 # Static description for the area/power models
 # --------------------------------------------------------------------------- #
-def chiplet_grid_geometry(config: SystemConfig) -> GridGeometry:
-    """Geometry of the global tile grid (chiplets tiled edge to edge)."""
-    p = chiplet_params(config)
-    return GridGeometry(p.ccols * p.lcols, p.crows * p.lrows, config.tile_width_mm)
-
-
 def describe_chiplet(config: SystemConfig) -> TopologyDescriptor:
     """Static inventory: tile meshes, boundary uplinks, NoI mesh, IO die."""
     noc = config.noc

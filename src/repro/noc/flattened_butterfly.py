@@ -16,7 +16,7 @@ from repro.config.system import SystemConfig
 from repro.sim.kernel import Simulator
 from repro.noc.buffer import InputPort
 from repro.noc.network import Network
-from repro.noc.router import Router
+from repro.noc.router import PacketSink, Router
 from repro.noc.topology import GridGeometry, tiled_grid_geometry
 
 Coordinate = Tuple[int, int]
@@ -36,8 +36,6 @@ class FlattenedButterflyNetwork(Network):
         self.node_coords = dict(node_coords)
         self.geometry: GridGeometry = tiled_grid_geometry(config)
         self._router_at: Dict[Coordinate, Router] = {}
-        self._express_port: Dict[Tuple[Coordinate, Coordinate], int] = {}
-        self._eject_port: Dict[Tuple[Coordinate, int], int] = {}
 
         self._build_routers()
         self._build_express_links()
@@ -57,7 +55,7 @@ class FlattenedButterflyNetwork(Network):
                 self.sim,
                 f"{self.name}.r{coord[0]}_{coord[1]}",
                 pipeline_latency=self.noc.fbfly_router_pipeline,
-                route_fn=partial(self._next_port, coord),
+                route_fn=partial(self._next_hop, coord),
             )
             self._router_at[coord] = router
             self.routers.append(router)
@@ -77,41 +75,29 @@ class FlattenedButterflyNetwork(Network):
             for peer_coord in peers:
                 peer = self._router_at[peer_coord]
                 span = self.geometry.manhattan_tiles(coord, peer_coord)
-                in_port = peer.add_input_port(
-                    self._new_input_port(f"{peer.name}.in_from{col}_{row}")
-                )
-                out_port = router.add_output_port(
-                    f"to{peer_coord[0]}_{peer_coord[1]}",
+                router.connect(
                     peer,
-                    in_port,
+                    self._new_input_port(f"{peer.name}.in_from{col}_{row}"),
+                    f"to{peer_coord[0]}_{peer_coord[1]}",
                     link_latency=self.link_latency_for_span(span),
                     link_length_mm=span * tile_mm,
                 )
-                self._express_port[(coord, peer_coord)] = out_port
 
     def _attach_interfaces(self) -> None:
         for node_id, coord in self.node_coords.items():
             router = self._router_at[coord]
-            interface = self.interfaces[node_id]
-            in_port = router.add_input_port(
-                self._new_input_port(f"{router.name}.in_local{node_id}"), is_local=True
+            self.attach_interface(
+                node_id, router, self._new_input_port(f"{router.name}.in_local{node_id}")
             )
-            interface.attach_router(router, in_port)
-            out_port = router.add_output_port(
-                f"eject{node_id}", interface, 0, link_latency=0, link_length_mm=0.0
-            )
-            self._eject_port[(coord, node_id)] = out_port
 
-    def _next_port(self, coord: Coordinate, node_id: int) -> int:
+    def _next_hop(self, coord: Coordinate, node_id: int) -> PacketSink:
         """Route function of the router at ``coord``: destination column, then row."""
         dst_coord = self.node_coords[node_id]
         if coord == dst_coord:
-            return self._eject_port[(coord, node_id)]
+            return self.interfaces[node_id]
         if dst_coord[0] != coord[0]:
-            hop = (dst_coord[0], coord[1])
-        else:
-            hop = (coord[0], dst_coord[1])
-        return self._express_port[(coord, hop)]
+            return self._router_at[(dst_coord[0], coord[1])]
+        return self._router_at[(coord[0], dst_coord[1])]
 
     # ------------------------------------------------------------------ #
     def router_at(self, coord: Coordinate) -> Router:

@@ -14,7 +14,7 @@ from repro.config.system import SystemConfig
 from repro.sim.kernel import Simulator
 from repro.noc.buffer import InputPort
 from repro.noc.network import Network
-from repro.noc.router import Router
+from repro.noc.router import PacketSink, Router
 from repro.noc.topology import GridGeometry, tiled_grid_geometry
 
 Coordinate = Tuple[int, int]
@@ -44,8 +44,6 @@ class MeshNetwork(Network):
         # grid; the plain mesh derives one router per core tile.
         self.geometry: GridGeometry = geometry or tiled_grid_geometry(config)
         self._router_at: Dict[Coordinate, Router] = {}
-        self._direction_port: Dict[Tuple[Coordinate, str], int] = {}
-        self._eject_port: Dict[Tuple[Coordinate, int], int] = {}
 
         self._build_routers()
         self._build_mesh_links()
@@ -65,7 +63,7 @@ class MeshNetwork(Network):
                 self.sim,
                 f"{self.name}.r{coord[0]}_{coord[1]}",
                 pipeline_latency=self.noc.mesh_router_pipeline,
-                route_fn=partial(self._next_port, coord),
+                route_fn=partial(self._next_hop, coord),
             )
             self._router_at[coord] = router
             self.routers.append(router)
@@ -73,47 +71,42 @@ class MeshNetwork(Network):
     def _build_mesh_links(self) -> None:
         tile_mm = self.geometry.tile_width_mm
         for coord, router in self._router_at.items():
-            for direction, (dx, dy) in DIRECTIONS.items():
-                neighbor_coord = (coord[0] + dx, coord[1] + dy)
-                if neighbor_coord not in self._router_at:
+            for direction in DIRECTIONS:
+                neighbor = self._router_at.get(step(coord, direction))
+                if neighbor is None:
                     continue
-                neighbor = self._router_at[neighbor_coord]
-                in_port = neighbor.add_input_port(
-                    self._new_input_port(f"{neighbor.name}.in_{opposite(direction)}")
-                )
-                out_port = router.add_output_port(
-                    f"{direction}",
+                router.connect(
                     neighbor,
-                    in_port,
+                    self._new_input_port(f"{neighbor.name}.in_{opposite(direction)}"),
+                    direction,
                     link_latency=self.noc.mesh_link_latency,
                     link_length_mm=tile_mm,
                 )
-                self._direction_port[(coord, direction)] = out_port
 
     def _attach_interfaces(self) -> None:
         for node_id, coord in self.node_coords.items():
             router = self._router_at[coord]
-            interface = self.interfaces[node_id]
-            in_port = router.add_input_port(
-                self._new_input_port(f"{router.name}.in_local{node_id}"), is_local=True
+            self.attach_interface(
+                node_id, router, self._new_input_port(f"{router.name}.in_local{node_id}")
             )
-            interface.attach_router(router, in_port)
-            out_port = router.add_output_port(
-                f"eject{node_id}", interface, 0, link_latency=0, link_length_mm=0.0
-            )
-            self._eject_port[(coord, node_id)] = out_port
 
-    def _next_port(self, coord: Coordinate, node_id: int) -> int:
+    def _next_hop(self, coord: Coordinate, node_id: int) -> PacketSink:
         """Route function of the router at ``coord``: XY toward ``node_id``."""
         dst_coord = self.node_coords[node_id]
         if coord == dst_coord:
-            return self._eject_port[(coord, node_id)]
-        return self._direction_port[(coord, xy_direction(coord, dst_coord))]
+            return self.interfaces[node_id]
+        return self._router_at[step(coord, xy_direction(coord, dst_coord))]
 
     # ------------------------------------------------------------------ #
     def router_at(self, coord: Coordinate) -> Router:
         """The router at grid coordinate ``coord`` (used by tests)."""
         return self._router_at[coord]
+
+
+def step(coord: Coordinate, direction: str) -> Coordinate:
+    """The coordinate one hop from ``coord`` in ``direction``."""
+    dx, dy = DIRECTIONS[direction]
+    return (coord[0] + dx, coord[1] + dy)
 
 
 def opposite(direction: str) -> str:

@@ -108,8 +108,3 @@ class Packet:
             f"Packet(id={self.message.message_id}, {self.src}->{self.dst}, "
             f"{self.msg_class.name}, flits={self.num_flits})"
         )
-
-
-def reset_message_ids() -> None:
-    """Reset the global message-id counter (used by tests for determinism)."""
-    _NEXT_MESSAGE_ID[0] = 0

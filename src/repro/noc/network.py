@@ -8,6 +8,7 @@ from repro.config.system import SystemConfig
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
 from repro.sim.stats import DEFAULT_RESERVOIR, Histogram
+from repro.noc.buffer import InputPort
 from repro.noc.interface import NetworkInterface
 from repro.noc.message import Message, MessageClass, Packet
 from repro.noc.router import Router
@@ -68,6 +69,22 @@ class Network(Component):
             node_id,
             self.noc.link_width_bits,
             on_delivery=self._on_delivery,
+        )
+
+    def attach_interface(
+        self,
+        node_id: int,
+        router: Router,
+        input_port: InputPort,
+        eject_name: Optional[str] = None,
+    ) -> None:
+        """Join node ``node_id``'s interface to ``router``: it injects into
+        ``input_port`` (added as a local port) and the router ejects to it
+        through an output port named ``eject_name`` (``eject<node>``)."""
+        interface = self.interfaces[node_id]
+        interface.attach_router(router, router.add_input_port(input_port, is_local=True))
+        router.add_output_port(
+            eject_name or f"eject{node_id}", interface, 0, link_latency=0
         )
 
     def register_endpoint(self, node_id: int, deliver: DeliveryCallback) -> None:

@@ -3,9 +3,12 @@
 A single router class covers every switching element in the paper: mesh
 routers, flattened-butterfly routers, NOC-Out LLC routers, and (with two
 ports and static-priority arbitration) the reduction/dispersion tree nodes.
-The topology-specific network classes build routers, wire their ports and
-give each router a route function; a router's table is filled from that
-function one destination at a time, on the first lookup of each.
+The topology-specific network classes build routers, join them with
+:meth:`Router.connect` and give each router a route function that names the
+*next hop* toward a destination: the downstream router or the destination's
+network interface.  Output-port indices stay private to the router: its
+table maps each destination to the port leading to that hop, filled one
+destination at a time on the first lookup of each.
 
 Timing model
 ------------
@@ -32,14 +35,14 @@ kernel events until credit returns; see ``docs/performance.md``.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
 from repro.sim.stats import Counter
-from repro.noc.arbiter import ArbitrationCandidate, Arbiter, RoundRobinArbiter
+from repro.noc.arbiter import Arbiter, RoundRobinArbiter
 from repro.noc.buffer import InputPort
-from repro.noc.message import MessageClass, Packet
+from repro.noc.message import Packet
 
 
 class OutputPort:
@@ -65,9 +68,6 @@ class OutputPort:
         self.link_length_mm = link_length_mm
         self.busy_until = 0
         self.flits_sent = flits_sent
-
-    def downstream_input(self) -> InputPort:
-        return self.downstream.input_ports[self.downstream_port]
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"OutputPort({self.name} -> {self.downstream!r}.{self.downstream_port})"
@@ -146,11 +146,11 @@ class _VcState:
 class RouteTable(dict):
     """A router's ``destination -> output port`` table, filled on demand.
 
-    A lookup that misses asks the router's ``route_fn`` for the port, checks
-    it and memoises it, so a hit stays a plain dict lookup and a table only
-    ever holds destinations its router has been asked about.  ``route_fn``
-    raises ``KeyError`` for a destination it cannot reach; a router without
-    one routes only its pinned (``set_route``) entries.
+    A lookup that misses asks the router's ``route_fn`` for the next hop,
+    maps it to the output port leading there and memoises that index, so a
+    hit stays a plain dict lookup of an int and a table only ever holds
+    destinations its router has been asked about.  ``route_fn`` raises
+    ``KeyError`` for a destination it cannot reach.
     """
 
     __slots__ = ("router",)
@@ -162,21 +162,26 @@ class RouteTable(dict):
     def __missing__(self, dst: int) -> int:
         router = self.router
         try:
-            if router.route_fn is None:
-                raise KeyError(dst)
-            port = router.route_fn(dst)
+            hop = router.route_fn(dst)
         except KeyError:
             raise KeyError(f"{router.name}: no route to node {dst}") from None
-        router.set_route(dst, port)
+        port = router._port_toward.get(hop)
+        if port is None:
+            raise ValueError(
+                f"{router.name}: route to node {dst} names {hop!r}, "
+                "which no output port leads to"
+            )
+        self[dst] = port
         return port
 
 
 class Router(Component, PacketSink):
     """A virtual-channel router with a per-destination routing table.
 
-    ``route_fn(dst)`` returns the output port toward node ``dst`` (raising
-    ``KeyError`` if there is none); it runs once per destination, on the
-    first lookup, after every port has been wired.
+    ``route_fn(dst)`` returns the next hop toward node ``dst``, a component
+    this router has an output port to (raising ``KeyError`` if there is no
+    route); it runs once per destination, on the first lookup, after every
+    port has been wired.
     """
 
     def __init__(
@@ -186,7 +191,7 @@ class Router(Component, PacketSink):
         *,
         pipeline_latency: int = 2,
         arbiter_factory: Callable[[], Arbiter] = RoundRobinArbiter,
-        route_fn: Optional[Callable[[int], int]] = None,
+        route_fn: Optional[Callable[[int], "PacketSink"]] = None,
     ) -> None:
         super().__init__(sim, name)
         if pipeline_latency < 0:
@@ -194,6 +199,8 @@ class Router(Component, PacketSink):
         self.pipeline_latency = pipeline_latency
         self.input_ports: List[InputPort] = []
         self.output_ports: List[OutputPort] = []
+        # downstream component -> index of the one output port leading to it
+        self._port_toward: Dict[PacketSink, int] = {}
         self.route_fn = route_fn
         self.route_table = RouteTable(self)
         self._arbiter_factory = arbiter_factory
@@ -231,9 +238,17 @@ class Router(Component, PacketSink):
         link_latency: int,
         link_length_mm: float = 0.0,
     ) -> int:
-        """Attach an output port; returns its index."""
+        """Attach an output port to ``downstream``; returns its index.
+
+        A router has at most one output port to any downstream component,
+        which is what lets a route name the next hop instead of a port.
+        """
         if self.pipeline_latency + link_latency < 1:
             raise ValueError("per-hop latency (pipeline + link) must be >= 1 cycle")
+        if downstream in self._port_toward:
+            raise ValueError(
+                f"{self.name}: already has an output port to {downstream!r}"
+            )
         index = len(self.output_ports)
         port = OutputPort(
             name,
@@ -244,14 +259,25 @@ class Router(Component, PacketSink):
             self.stats.counter(f"port{index}.flits_sent"),
         )
         self.output_ports.append(port)
+        self._port_toward[downstream] = index
         self._arbiters.append(self._arbiter_factory())
         return index
 
-    def set_route(self, dst_node: int, out_port: int) -> None:
-        """Route packets destined to ``dst_node`` through ``out_port``."""
-        if not 0 <= out_port < len(self.output_ports):
-            raise ValueError(f"{self.name}: invalid output port {out_port}")
-        self.route_table[dst_node] = out_port
+    def connect(
+        self,
+        downstream: "Router",
+        input_port: InputPort,
+        name: str,
+        link_latency: int,
+        link_length_mm: float,
+    ) -> OutputPort:
+        """Link this router to ``downstream``: add ``input_port`` to it, then
+        an output port here feeding that input; returns the output port."""
+        in_index = downstream.add_input_port(input_port)
+        out_index = self.add_output_port(
+            name, downstream, in_index, link_latency, link_length_mm
+        )
+        return self.output_ports[out_index]
 
     def route(self, packet: Packet) -> int:
         """Output port index for ``packet`` (table lookup)."""

@@ -33,7 +33,3 @@ class CacheAreaModel:
             raise ValueError("capacity must be non-negative")
         megabytes = capacity_bytes / (1024 * 1024)
         return megabytes * self.technology.cache_power_w_per_mb
-
-    def chip_storage_area_mm2(self, llc_bytes: int, num_cores: int, l1_bytes_per_core: int) -> float:
-        """Total on-die SRAM area: LLC plus all private L1s."""
-        return self.area_mm2(llc_bytes) + num_cores * self.area_mm2(l1_bytes_per_core)

@@ -63,18 +63,6 @@ class ReportTable:
         return self.render()
 
 
-def print_table(table: ReportTable) -> None:
-    """Print a table with a leading/trailing blank line for readability."""
-    print()
-    print(table.render())
-    print()
-
-
-def rows_from_dict(mapping: dict) -> Iterable[tuple]:
-    """Convenience: (key, value) rows sorted by key."""
-    return sorted(mapping.items())
-
-
 def markdown_table(columns: Sequence[str], rows: Iterable[Sequence[Cell]]) -> str:
     """Render a GitHub-flavoured Markdown table (floats via :func:`format_float`)."""
     def fmt(cell: Cell) -> str:

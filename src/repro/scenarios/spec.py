@@ -209,15 +209,6 @@ class SweepSpec:
             )
 
     # ------------------------------------------------------------------ #
-    @property
-    def axes_dict(self) -> Dict[str, Tuple[object, ...]]:
-        """The axes as a plain ``{name: values}`` dictionary."""
-        return dict(self.axes)
-
-    @property
-    def fixed_dict(self) -> Dict[str, object]:
-        return dict(self.fixed)
-
     def size(self) -> int:
         """Number of points before sharding (the axes' cross product)."""
         total = 1

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
-from repro.config import presets
 from repro.config.workload import WorkloadConfig
 from repro.workloads.base import SyntheticWorkloadStream
 
@@ -42,11 +41,3 @@ def workload_streams(
     """
     active = workload.scaled_cores(num_cores)
     return [make_stream(workload, core_id, active, seed=seed) for core_id in range(active)]
-
-
-def all_workload_streams(num_cores: int, seed: int = 0) -> Dict[str, List[SyntheticWorkloadStream]]:
-    """Streams for all six workloads keyed by workload name."""
-    return {
-        name: workload_streams(config, num_cores, seed=seed)
-        for name, config in presets.all_workloads().items()
-    }

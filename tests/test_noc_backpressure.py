@@ -64,11 +64,11 @@ class BlockingSink(PacketSink):
 class TestSingleRouterBackpressure:
     def test_credit_blocked_router_schedules_zero_events(self):
         sim = Simulator()
-        router = Router(sim, "r0", pipeline_latency=2)
         sink = BlockingSink()
         sink.plug()
+        router = Router(sim, "r0", pipeline_latency=2, route_fn=lambda dst: sink)
         router.add_input_port(InputPort(3, 20))
-        router.set_route(5, router.add_output_port("out", sink, 0, link_latency=1))
+        router.add_output_port("out", sink, 0, link_latency=1)
 
         for _ in range(3):
             inject(router, make_packet(flits=5, msg_class=MessageClass.RESPONSE))
@@ -88,10 +88,10 @@ class TestSingleRouterBackpressure:
 
     def test_busy_port_wakes_router_exactly_at_expiry(self):
         sim = Simulator()
-        router = Router(sim, "r0", pipeline_latency=1)
         sink = BlockingSink()  # unplugged: always room for one 5-flit packet
+        router = Router(sim, "r0", pipeline_latency=1, route_fn=lambda dst: sink)
         router.add_input_port(InputPort(3, 20))
-        router.set_route(5, router.add_output_port("out", sink, 0, link_latency=1))
+        router.add_output_port("out", sink, 0, link_latency=1)
 
         first = make_packet(flits=5, msg_class=MessageClass.RESPONSE)
         inject(router, first)

@@ -26,8 +26,8 @@ def make_packet(dst=5, flits=1, msg_class=MessageClass.REQUEST):
     )
 
 
-def make_router(sim, pipeline=2):
-    return Router(sim, "r0", pipeline_latency=pipeline)
+def make_router(sim, pipeline=2, route_fn=None):
+    return Router(sim, "r0", pipeline_latency=pipeline, route_fn=route_fn)
 
 
 def inject(router, packet, in_port=0):
@@ -39,11 +39,10 @@ def inject(router, packet, in_port=0):
 
 def test_single_hop_latency_is_pipeline_plus_link():
     sim = Simulator()
-    router = make_router(sim, pipeline=2)
     sink = SinkRecorder(sim)
+    router = make_router(sim, pipeline=2, route_fn=lambda dst: sink)
     router.add_input_port(InputPort(3, 5))
-    out = router.add_output_port("out", sink, 0, link_latency=1)
-    router.set_route(5, out)
+    router.add_output_port("out", sink, 0, link_latency=1)
 
     inject(router, make_packet())
     sim.run(10)
@@ -54,10 +53,10 @@ def test_single_hop_latency_is_pipeline_plus_link():
 
 def test_packet_hops_are_counted():
     sim = Simulator()
-    router = make_router(sim)
     sink = SinkRecorder(sim)
+    router = make_router(sim, route_fn=lambda dst: sink)
     router.add_input_port(InputPort(3, 5))
-    router.set_route(5, router.add_output_port("out", sink, 0, link_latency=1))
+    router.add_output_port("out", sink, 0, link_latency=1)
     packet = make_packet()
     inject(router, packet)
     sim.run(10)
@@ -66,8 +65,9 @@ def test_packet_hops_are_counted():
 
 def test_missing_route_raises():
     sim = Simulator()
-    router = make_router(sim)
     sink = SinkRecorder(sim)
+    routes = {5: sink}
+    router = make_router(sim, route_fn=routes.__getitem__)
     router.add_input_port(InputPort(3, 5))
     router.add_output_port("out", sink, 0, link_latency=1)
     with pytest.raises(KeyError):
@@ -76,11 +76,10 @@ def test_missing_route_raises():
 
 def test_serialization_holds_output_port():
     sim = Simulator()
-    router = make_router(sim, pipeline=1)
     sink = SinkRecorder(sim)
+    router = make_router(sim, pipeline=1, route_fn=lambda dst: sink)
     router.add_input_port(InputPort(3, 20))
-    out = router.add_output_port("out", sink, 0, link_latency=1)
-    router.set_route(5, out)
+    router.add_output_port("out", sink, 0, link_latency=1)
 
     first = make_packet(flits=5, msg_class=MessageClass.RESPONSE)
     second = make_packet(flits=5, msg_class=MessageClass.RESPONSE)
@@ -107,11 +106,10 @@ class NeverDrainingSink(PacketSink):
 
 def test_backpressure_blocks_forwarding():
     sim = Simulator()
-    router = make_router(sim)
     downstream = NeverDrainingSink()
+    router = make_router(sim, route_fn=lambda dst: downstream)
     router.add_input_port(InputPort(3, 20))
-    out = router.add_output_port("out", downstream, 0, link_latency=1)
-    router.set_route(5, out)
+    router.add_output_port("out", downstream, 0, link_latency=1)
 
     for _ in range(3):
         inject(router, make_packet(flits=5, msg_class=MessageClass.RESPONSE))
@@ -123,11 +121,11 @@ def test_backpressure_blocks_forwarding():
 
 def test_separate_message_classes_use_separate_vcs():
     sim = Simulator()
-    router = make_router(sim)
     sink = SinkRecorder(sim)
+    router = make_router(sim, route_fn=lambda dst: sink)
     port = InputPort(3, 5)
     router.add_input_port(port)
-    router.set_route(5, router.add_output_port("out", sink, 0, link_latency=1))
+    router.add_output_port("out", sink, 0, link_latency=1)
     request = make_packet(msg_class=MessageClass.REQUEST)
     response = make_packet(msg_class=MessageClass.RESPONSE)
     inject(router, request)
@@ -140,10 +138,10 @@ def test_separate_message_classes_use_separate_vcs():
 
 def test_activity_counters_track_flits():
     sim = Simulator()
-    router = make_router(sim)
     sink = SinkRecorder(sim)
+    router = make_router(sim, route_fn=lambda dst: sink)
     router.add_input_port(InputPort(3, 10))
-    router.set_route(5, router.add_output_port("out", sink, 0, link_latency=1, link_length_mm=2.0))
+    router.add_output_port("out", sink, 0, link_latency=1, link_length_mm=2.0)
     inject(router, make_packet(flits=5, msg_class=MessageClass.RESPONSE))
     sim.run(10)
     assert router.flits_switched.value == 5
@@ -167,10 +165,3 @@ def test_zero_latency_hop_rejected():
     sink = SinkRecorder(sim)
     with pytest.raises(ValueError):
         router.add_output_port("out", sink, 0, link_latency=0)
-
-
-def test_invalid_route_port_rejected():
-    sim = Simulator()
-    router = make_router(sim)
-    with pytest.raises(ValueError):
-        router.set_route(1, 3)

@@ -40,8 +40,10 @@ def build(config):
 def walk(network, src, dst):
     """Routers a packet from ``src`` to ``dst`` visits, in order.
 
-    Follows ``route()`` from the source interface's router until an output
-    port leads into a network interface, which must be the destination's.
+    Follows each router's ``route_fn(dst)`` from the source interface's
+    router until the next hop is a network interface, which must be the
+    destination's.  At every router, ``route()`` must pick the output port
+    that leads to that hop.
     """
     packet = Packet(
         Message(src=src, dst=dst, msg_class=MessageClass.REQUEST, size_bits=64), 64
@@ -53,11 +55,12 @@ def walk(network, src, dst):
         assert id(router) not in seen, f"{src}->{dst} revisits {router.name}"
         seen.add(id(router))
         visited.append(router)
-        downstream = router.output_ports[router.route(packet)].downstream
-        if isinstance(downstream, NetworkInterface):
-            assert downstream is network.interfaces[dst], (src, dst, router.name)
+        hop = router.route_fn(dst)
+        assert router.output_ports[router.route(packet)].downstream is hop
+        if isinstance(hop, NetworkInterface):
+            assert hop is network.interfaces[dst], (src, dst, router.name)
             return visited
-        router = downstream
+        router = hop
 
 
 def node_pairs(network):
@@ -117,34 +120,36 @@ class TestLazyRouteTables:
 
         # Replay every delivered path through the route functions directly
         # (which fill no table): a router's table must hold exactly the
-        # destinations of the packets it forwarded, each with the port the
-        # route function gives.
+        # destinations of the packets it forwarded, each with the port that
+        # leads to the hop the route function names.
         forwarded = {id(router): set() for router in network.routers}
         for src, dst in sent:
             router = network.interfaces[src]._router
             while True:
                 forwarded[id(router)].add(dst)
-                downstream = router.output_ports[router.route_fn(dst)].downstream
-                if isinstance(downstream, NetworkInterface):
+                router = router.route_fn(dst)
+                if isinstance(router, NetworkInterface):
                     break
-                router = downstream
         for router in network.routers:
             assert set(router.route_table) == forwarded[id(router)], router.name
             for dst, port in router.route_table.items():
-                assert port == router.route_fn(dst)
+                assert router.output_ports[port].downstream is router.route_fn(dst)
 
 
 def routed_router(sim, route_fn):
-    router = Router(sim, "r0", route_fn=route_fn)
+    """Router ``r0`` with one output port, to a sink; ``route_fn`` gets the
+    router and the destination."""
+    router = Router(sim, "r0")
+    router.route_fn = lambda dst: route_fn(router, dst)
     router.add_input_port(InputPort(3, 5))
     router.add_output_port("out", SinkRecorder(sim), 0, link_latency=1)
     return router
 
 
-def only_node_5(dst):
+def only_node_5(router, dst):
     if dst != 5:
         raise KeyError(dst)
-    return 0
+    return router.output_ports[0].downstream
 
 
 class TestRouteFunctionErrors:
@@ -161,16 +166,49 @@ class TestRouteFunctionErrors:
         inject(router, make_packet(dst=9))
         with pytest.raises(KeyError, match="r0: no route to node 9"):
             sim.run(10)
+        assert 9 not in router.route_table
 
-    def test_router_without_route_function_routes_only_pinned_entries(self):
-        router = routed_router(Simulator(), None)
-        router.set_route(5, 0)
-        assert router.route(make_packet(dst=5)) == 0
-        with pytest.raises(KeyError, match="r0: no route to node 6"):
-            router.route(make_packet(dst=6))
-
-    def test_out_of_range_port_rejected_on_first_lookup(self):
-        router = routed_router(Simulator(), lambda dst: 3)
-        with pytest.raises(ValueError, match="r0: invalid output port 3"):
+    def test_hop_that_is_not_a_neighbour_rejected_on_first_lookup(self):
+        stranger = Router(Simulator(), "r9")
+        router = routed_router(Simulator(), lambda router, dst: stranger)
+        with pytest.raises(ValueError, match=r"r0: route to node 5 names .*r9"):
             router.route(make_packet(dst=5))
         assert 5 not in router.route_table
+
+    def test_hop_is_memoised_as_the_port_leading_there(self):
+        calls = []
+
+        def counted(router, dst):
+            calls.append(dst)
+            return only_node_5(router, dst)
+
+        router = routed_router(Simulator(), counted)
+        assert [router.route(make_packet(dst=5)) for _ in range(3)] == [0, 0, 0]
+        assert calls == [5]
+        assert router.route_table == {5: 0}
+
+
+class TestOutputPortRecord:
+    def test_second_port_to_the_same_downstream_rejected(self):
+        sim = Simulator()
+        router = Router(sim, "r0")
+        sink = SinkRecorder(sim)
+        router.add_output_port("a", sink, 0, link_latency=1)
+        with pytest.raises(ValueError, match="r0: already has an output port to"):
+            router.add_output_port("b", sink, 0, link_latency=1)
+        assert len(router.output_ports) == 1
+
+    def test_connect_adds_the_input_then_the_output_port(self):
+        sim = Simulator()
+        upstream, downstream = Router(sim, "up"), Router(sim, "down")
+        downstream.add_input_port(InputPort(3, 5, name="down.first"))
+        port = upstream.connect(
+            downstream, InputPort(2, 4, name="down.from_up"), "link",
+            link_latency=2, link_length_mm=1.5,
+        )
+        assert upstream.output_ports == [port]
+        assert (port.name, port.downstream, port.downstream_port) == ("link", downstream, 1)
+        assert (port.link_latency, port.link_length_mm) == (2, 1.5)
+        assert downstream.input_ports[1].name == "down.from_up"
+        with pytest.raises(ValueError, match="up: already has an output port to"):
+            upstream.connect(downstream, InputPort(2, 4), "again", 1, 0.0)
