@@ -141,18 +141,15 @@ class NocOutNetwork(Network):
         """Route function of the LLC router in ``column``: eject an LLC or MC
         node it hosts, descend a dispersion tree to one of its column's
         cores, or cross the LLC butterfly to the destination's column."""
-        if node_id in self.llc_nodes:
-            dst_column = self.llc_nodes[node_id]
-            if dst_column == column:
-                return self.interfaces[node_id]
-        elif node_id in self.mc_nodes:
-            dst_column = self.mc_nodes[node_id]
-            if dst_column == column:
-                return self.interfaces[node_id]
-        else:
+        if node_id in self.core_nodes:
             dst_column, row = self.core_nodes[node_id]
             if dst_column == column:
                 return self._dispersion_head[(column, self.floorplan.side_of_row(row))]
+        else:
+            hosts = self.llc_nodes if node_id in self.llc_nodes else self.mc_nodes
+            dst_column = hosts[node_id]
+            if dst_column == column:
+                return self.interfaces[node_id]
         return self.llc_routers[dst_column]
 
     # ------------------------------------------------------------------ #
