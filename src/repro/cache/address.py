@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterator
+
 
 class AddressMapper:
     """Block-granular address arithmetic and home-bank interleaving.
@@ -35,6 +37,19 @@ class AddressMapper:
     def home_bank(self, addr: int) -> int:
         """LLC bank (or slice) index owning ``addr``."""
         return self.block_number(addr) % self.num_llc_banks
+
+    def bank_stripes(self, base: int, size: int) -> Iterator[range]:
+        """The blocks of ``[base, base + size)``, one increasing range per bank.
+
+        Block ``i`` lives in bank ``i mod num_llc_banks``, so the blocks one
+        bank owns are every ``num_llc_banks``-th block: each stripe starts
+        at one of the first ``num_llc_banks`` blocks and steps by
+        ``num_llc_banks`` blocks.
+        """
+        end = base + size
+        stride = self.block_size * self.num_llc_banks
+        for start in range(base, min(base + stride, end), self.block_size):
+            yield range(start, end, stride)
 
     def memory_channel(self, addr: int) -> int:
         """Memory channel servicing ``addr``."""

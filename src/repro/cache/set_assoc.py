@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.config.cache import CacheConfig
 
@@ -102,6 +102,29 @@ class SetAssociativeCache:
             victim = (victim_tag << self._block_shift, victim_state)
         cache_set[tag] = state
         return victim
+
+    def insert_all(self, lines: Iterable[Tuple[int, CacheLineState]]) -> None:
+        """Install every ``(addr, state)`` pair in order, discarding victims.
+
+        Leaves exactly the sets, LRU order and states that one :meth:`insert`
+        per pair would; functional warm-up installs through this.
+        """
+        sets = self._sets
+        shift = self._block_shift
+        divisor = self._index_divisor
+        num_sets = self.num_sets
+        ways = self.associativity
+        invalid = CacheLineState.INVALID
+        for addr, state in lines:
+            if state is invalid:
+                raise ValueError("cannot insert a line in the INVALID state")
+            tag = addr >> shift
+            cache_set = sets[tag // divisor % num_sets]
+            # A resident tag is popped and re-added as MRU; a new one evicts
+            # the LRU line of a full set first.
+            if cache_set.pop(tag, None) is None and len(cache_set) >= ways:
+                cache_set.popitem(last=False)
+            cache_set[tag] = state
 
     def update_state(self, addr: int, state: CacheLineState) -> None:
         """Change the state of a resident line (or invalidate it)."""

@@ -9,10 +9,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, List, Optional
 
 from repro.cache.directory import DirectoryController
 from repro.cache.memory_controller import MemoryController
+from repro.cache.set_assoc import CacheLineState
 from repro.config.noc import topology_key
 from repro.config.system import SystemConfig
 from repro.cpu.core_node import CoreNode
@@ -308,10 +310,20 @@ class Chip:
         the 8 MB cache, mirroring the paper's warmed checkpoints), and each
         core replays a short reference stream to warm its private L1s and
         the shared-region directory state.
+
+        Installs go in bulk but leave the state one install per address
+        would: the footprint goes bank by bank, each bank's blocks in
+        increasing address order, and each core's L1 lines go in one batch
+        per cache, in reference order.  Every bank and every L1 is its own
+        tag array, so only the order within one array matters.
         """
         if not self.core_nodes:
             return
-        block = self.config.caches.block_size
+        system_map = self.system_map
+        home_node = system_map.home_node
+        directories = self.directories
+        shared = CacheLineState.SHARED
+        modified = CacheLineState.MODIFIED
 
         # One footprint per tenant (homogeneous chips share a single
         # region); sorted so the fill order is deterministic.
@@ -319,24 +331,33 @@ class Chip:
             {node.core.stream.instruction_region for node in self.core_nodes.values()}
         )
         for instr_base, instr_size in instruction_regions:
-            for addr in range(instr_base, instr_base + instr_size, block):
-                home = self.system_map.home_node(addr)
-                self.directories[home].warm_fill(addr)
+            for stripe in system_map.mapper.bank_stripes(instr_base, instr_size):
+                first = stripe[0]
+                bank = directories[home_node(first)].bank_for(first)
+                bank.array.insert_all(zip(stripe, repeat(shared)))
 
+        # L1 lines are keyed by the chip's block address, whatever the L1's
+        # own block size.
+        block_mask = -self.config.caches.block_size
         for core_id, node in self.core_nodes.items():
             stream = node.core.stream
             shared_base, shared_size = stream.shared_region
+            shared_end = shared_base + shared_size
+            instruction_lines = []
+            data_lines = []
             for addr, is_instruction, is_write in stream.functional_references(references_per_core):
                 if is_instruction:
-                    node.warm_instruction(addr)
-                    continue
-                shared = shared_base <= addr < shared_base + shared_size
-                # Private lines that are ever written end up modified in steady
-                # state; warming them writable avoids a long upgrade transient.
-                node.warm_data(addr, writable=is_write or not shared)
-                if shared:
-                    home = self.system_map.home_node(addr)
-                    self.directories[home].warm_fill(addr, sharer=core_id, writable=is_write)
+                    instruction_lines.append((addr & block_mask, shared))
+                elif shared_base <= addr < shared_end:
+                    data_lines.append((addr & block_mask, modified if is_write else shared))
+                    directories[home_node(addr)].warm_fill(addr, sharer=core_id, writable=is_write)
+                else:
+                    # Private lines that are ever written end up modified in
+                    # steady state; warming them writable avoids a long
+                    # upgrade transient.
+                    data_lines.append((addr & block_mask, modified))
+            node.l1i.array.insert_all(instruction_lines)
+            node.l1d.array.insert_all(data_lines)
 
     # ------------------------------------------------------------------ #
     # Execution

@@ -179,15 +179,5 @@ class CoreNode(Component):
         self.writebacks_sent.add()
         self._send(self._home(victim_block), MessageClass.REQUEST, request, True)
 
-    # ------------------------------------------------------------------ #
-    # Warm-up
-    # ------------------------------------------------------------------ #
-    def warm_instruction(self, addr: int) -> None:
-        self.l1i.array.insert(self.block_address(addr), CacheLineState.SHARED)
-
-    def warm_data(self, addr: int, writable: bool = False) -> None:
-        state = CacheLineState.MODIFIED if writable else CacheLineState.SHARED
-        self.l1d.array.insert(self.block_address(addr), state)
-
     def _tick(self) -> None:  # pragma: no cover - event driven, never ticks
         pass

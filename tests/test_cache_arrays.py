@@ -1,5 +1,7 @@
 """Unit tests for address mapping, cache arrays, MSHRs and L1 caches."""
 
+import random
+
 import pytest
 
 from repro.cache.address import AddressMapper
@@ -43,6 +45,21 @@ class TestAddressMapper:
     def test_invalid_block_size_rejected(self):
         with pytest.raises(ValueError):
             AddressMapper(block_size=48)
+
+    @pytest.mark.parametrize(
+        "base, size",
+        [(0x1000, 64 * 100), (0x1010, 64 * 37 + 5), (0x2000, 64 * 3), (0x40, 64 * 16)],
+    )
+    def test_bank_stripes_partition_the_range_by_home_bank(self, base, size):
+        mapper = AddressMapper(64, num_llc_banks=16)
+        stripes = list(mapper.bank_stripes(base, size))
+        assert sorted(addr for stripe in stripes for addr in stripe) == list(
+            range(base, base + size, 64)
+        )
+        for stripe in stripes:
+            assert list(stripe) == sorted(stripe)
+            assert {mapper.home_bank(addr) for addr in stripe} == {mapper.home_bank(stripe[0])}
+        assert len({mapper.home_bank(stripe[0]) for stripe in stripes}) == len(stripes)
 
 
 def small_cache(size=1024, assoc=2, block=64):
@@ -113,6 +130,44 @@ class TestSetAssociativeCache:
         assert cache.probe(0x80) == CacheLineState.MODIFIED
         cache.update_state(0x80, CacheLineState.INVALID)
         assert cache.probe(0x80) is None
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("index_divisor", [1, 3, 16])
+    def test_insert_all_matches_repeated_insert(self, seed, index_divisor):
+        # 48 distinct blocks over 16 lines of capacity: tags are re-inserted
+        # while resident, full sets evict, and states change on re-insert.
+        rng = random.Random(seed)
+        states = [CacheLineState.SHARED, CacheLineState.EXCLUSIVE, CacheLineState.MODIFIED]
+        lines = [
+            (rng.randrange(48) * 64 + rng.randrange(64), rng.choice(states))
+            for _ in range(400)
+        ]
+        config = CacheConfig(1024, 2, 64)
+        one_by_one = SetAssociativeCache(config, index_divisor=index_divisor)
+        victims = [one_by_one.insert(addr, state) for addr, state in lines]
+        bulk = SetAssociativeCache(config, index_divisor=index_divisor)
+        bulk.insert_all(iter(lines))
+        assert any(victim is not None for victim in victims)
+        assert list(bulk.resident_blocks().items()) == list(
+            one_by_one.resident_blocks().items()
+        )
+
+    def test_insert_all_continues_from_existing_contents(self):
+        cache, reference = small_cache(), small_cache()
+        for target in (cache, reference):
+            target.insert(0x0, CacheLineState.MODIFIED)
+            target.insert(0x200, CacheLineState.SHARED)
+        lines = [(0x400, CacheLineState.SHARED), (0x0, CacheLineState.EXCLUSIVE)]
+        for addr, state in lines:
+            reference.insert(addr, state)
+        cache.insert_all(lines)
+        assert list(cache.resident_blocks().items()) == list(
+            reference.resident_blocks().items()
+        )
+
+    def test_insert_all_rejects_invalid_state(self):
+        with pytest.raises(ValueError):
+            small_cache().insert_all([(0x1000, CacheLineState.INVALID)])
 
     def test_cannot_insert_invalid_state(self):
         with pytest.raises(ValueError):

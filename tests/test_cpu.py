@@ -9,6 +9,7 @@ from repro.cache.coherence import (
     SnoopRequest,
     SnoopType,
 )
+from repro.cache.set_assoc import CacheLineState
 from repro.config.system import SystemConfig
 from repro.config.workload import WorkloadConfig
 from repro.cpu.core_node import CoreNode
@@ -87,7 +88,7 @@ class TestCoreModel:
     def test_warm_l1i_lets_core_run_without_network(self):
         block = FetchBlock(iaddr=0x1000, n_instructions=9, data_accesses=[])
         sim, node, sent = build_core([block])
-        node.warm_instruction(0x1000)
+        node.l1i.array.insert_all([(0x1000, CacheLineState.SHARED)])
         node.core.start()
         sim.run(50)
         assert node.core.instructions_committed.value > 50
@@ -96,7 +97,7 @@ class TestCoreModel:
     def test_committed_instructions_follow_issue_width(self):
         block = FetchBlock(iaddr=0x1000, n_instructions=9, data_accesses=[])
         sim, node, _ = build_core([block])
-        node.warm_instruction(0x1000)
+        node.l1i.array.insert_all([(0x1000, CacheLineState.SHARED)])
         node.core.start()
         sim.run(100)
         # 9 instructions per block at 3-wide issue = 3 cycles per block.
@@ -106,7 +107,7 @@ class TestCoreModel:
         accesses = [(0x20000 + i * 64, False) for i in range(4)]
         block = FetchBlock(iaddr=0x1000, n_instructions=12, data_accesses=accesses)
         sim, node, sent = build_core([block], mlp=2)
-        node.warm_instruction(0x1000)
+        node.l1i.array.insert_all([(0x1000, CacheLineState.SHARED)])
         node.core.start()
         sim.run(5)
         assert node.core.outstanding_data_misses == 2  # capped by MLP
@@ -119,7 +120,7 @@ class TestCoreModel:
         accesses = [(0x20000, False)]
         block = FetchBlock(iaddr=0x1000, n_instructions=6, data_accesses=accesses)
         sim, node, _ = build_core([block])
-        node.warm_instruction(0x1000)
+        node.l1i.array.insert_all([(0x1000, CacheLineState.SHARED)])
         node.core.start()
         sim.run(10)
         committed_before = node.core.instructions_committed.value
@@ -139,7 +140,7 @@ class TestCoreNodeProtocol:
     def test_store_miss_issues_getx(self):
         block = FetchBlock(iaddr=0x1000, n_instructions=6, data_accesses=[(0x30000, True)])
         sim, node, sent = build_core([block])
-        node.warm_instruction(0x1000)
+        node.l1i.array.insert_all([(0x1000, CacheLineState.SHARED)])
         node.core.start()
         sim.run(5)
         assert len(requests_of(sent, CoherenceRequestType.GETX)) == 1
@@ -148,7 +149,7 @@ class TestCoreNodeProtocol:
         accesses = [(0x30000, False), (0x30010, False)]
         block = FetchBlock(iaddr=0x1000, n_instructions=6, data_accesses=accesses)
         sim, node, sent = build_core([block])
-        node.warm_instruction(0x1000)
+        node.l1i.array.insert_all([(0x1000, CacheLineState.SHARED)])
         node.core.start()
         sim.run(5)
         assert len(requests_of(sent, CoherenceRequestType.GETS)) == 1
@@ -163,7 +164,7 @@ class TestCoreNodeProtocol:
     def test_snoop_invalidate_acks_and_invalidates(self):
         block = FetchBlock(iaddr=0x1000, n_instructions=6, data_accesses=[])
         sim, node, sent = build_core([block])
-        node.warm_data(0x40000, writable=False)
+        node.l1d.array.insert_all([(0x40000, CacheLineState.SHARED)])
         node.handle_snoop(SnoopRequest(SnoopType.INVALIDATE, 0x40000, home_node=HOME, target_core=0))
         acks = [p for _d, _c, p, _dd in sent if getattr(p, "resp_type", None) == ResponseType.INV_ACK]
         assert len(acks) == 1
@@ -172,7 +173,7 @@ class TestCoreNodeProtocol:
     def test_snoop_forward_returns_data_and_downgrades(self):
         block = FetchBlock(iaddr=0x1000, n_instructions=6, data_accesses=[])
         sim, node, sent = build_core([block])
-        node.warm_data(0x50000, writable=True)
+        node.l1d.array.insert_all([(0x50000, CacheLineState.MODIFIED)])
         node.handle_snoop(SnoopRequest(SnoopType.FORWARD, 0x50000, home_node=HOME, target_core=0))
         fwd = [p for _d, _c, p, _dd in sent if getattr(p, "resp_type", None) == ResponseType.FWD_DATA]
         assert len(fwd) == 1
@@ -200,7 +201,7 @@ class TestCoreNodeProtocol:
     def test_reset_statistics_clears_counters(self):
         block = FetchBlock(iaddr=0x1000, n_instructions=6, data_accesses=[])
         sim, node, _ = build_core([block])
-        node.warm_instruction(0x1000)
+        node.l1i.array.insert_all([(0x1000, CacheLineState.SHARED)])
         node.core.start()
         sim.run(20)
         assert node.l1i.accesses > 0

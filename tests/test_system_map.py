@@ -2,10 +2,15 @@
 
 import pytest
 
+from repro.chip.chip import Chip
 from repro.chip.system_map import NocOutSystemMap, TiledSystemMap, build_system_map
 from repro.config.noc import Topology
+from repro.scenarios.registry import build_system
+from repro.tenancy import TENANT_ADDRESS_STRIDE
+from repro.workloads.base import INSTRUCTION_BASE
 
-from tests._fixtures import small_system
+from tests._fixtures import small_system, small_workload
+from tests.test_stats_digests import CHIP_FABRICS
 
 
 class TestTiledSystemMap:
@@ -116,3 +121,23 @@ class TestBuildSystemMap:
         )
         assert isinstance(build_system_map(small_system(Topology.IDEAL)), TiledSystemMap)
         assert isinstance(build_system_map(small_system(Topology.NOC_OUT)), NocOutSystemMap)
+
+
+@pytest.mark.parametrize("fabric", CHIP_FABRICS)
+@pytest.mark.parametrize("base", [INSTRUCTION_BASE, INSTRUCTION_BASE + TENANT_ADDRESS_STRIDE])
+def test_bank_stripe_has_one_home_and_one_bank(fabric, base):
+    """Warm-up resolves a stripe's directory and bank from its first block."""
+    chip = Chip(build_system(fabric, num_cores=64, seed=3).with_workload(small_workload()))
+    system_map = chip.system_map
+    size = small_workload().instruction_footprint_bytes
+    stripes = list(system_map.mapper.bank_stripes(base, size))
+    assert len(stripes) == system_map.mapper.num_llc_banks
+    banks = set()
+    for stripe in stripes:
+        home = system_map.home_node(stripe[0])
+        bank = chip.directories[home].bank_for(stripe[0])
+        banks.add(id(bank))
+        for addr in stripe:
+            assert system_map.home_node(addr) == home
+            assert chip.directories[home].bank_for(addr) is bank
+    assert len(banks) == len(stripes)
