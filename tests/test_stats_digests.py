@@ -33,7 +33,8 @@ from repro.fabrics import ChipletNetwork, ChipletSystemMap, chiplet_system, cmes
 from repro.noc.mesh import MeshNetwork
 from repro.scenarios.registry import build_system, fabric_for
 from repro.sim.kernel import HeapSimulator, Simulator
-from repro.tenancy import build_placement
+from repro.tenancy import MatrixContext, build_placement, make_arrival, make_matrix
+from repro.tenancy.traffic import OpenLoopTrafficGenerator
 from repro.workloads.traffic import UniformRandomTrafficGenerator
 
 from tests._fixtures import small_system, small_workload
@@ -123,6 +124,36 @@ def tenanted_split_half() -> dict:
     return _chip_tree(Chip(config))
 
 
+#: Open-loop arrival processes and destination matrices, pinned pairwise.
+#: With one tenant spanning all 16 cores, ``partitioned`` picks the same
+#: destinations as ``uniform``, so those two digests coincide.
+OPEN_LOOP_ARRIVALS = ("poisson", "bursty", "diurnal")
+OPEN_LOOP_MATRICES = ("uniform", "hotspot", "partitioned")
+
+
+def _open_loop(arrival: str, matrix: str) -> Callable[[], dict]:
+    """Open-loop tenancy traffic on a bare 4x4 mesh."""
+
+    def run() -> dict:
+        sim = Simulator(seed=3)
+        config = small_system(Topology.MESH)
+        coords = {i: (i % 4, i // 4) for i in range(16)}
+        network = MeshNetwork(sim, config, coords)
+        generator = OpenLoopTrafficGenerator(
+            sim,
+            network,
+            list(coords),
+            arrival=make_arrival(arrival, 0.2),
+            pick_destination=make_matrix(matrix, MatrixContext(tuple(range(16)))),
+            seed=11,
+        )
+        generator.start()
+        sim.run(2500)
+        return _traffic_tree(sim, network, generator)
+
+    return run
+
+
 def _fabric_chip(name: str) -> Callable[[], dict]:
     def run() -> dict:
         config = build_system(name, num_cores=64, seed=3).with_workload(small_workload())
@@ -137,6 +168,11 @@ SCENARIOS: Dict[str, Callable[[], dict]] = {
     "chiplet_uniform_1024": chiplet_uniform_1024,
     "tenanted_split_half_16": tenanted_split_half,
     **{f"chip_64_{name}": _fabric_chip(name) for name in CHIP_FABRICS},
+    **{
+        f"open_loop_{arrival}_{matrix}_16": _open_loop(arrival, matrix)
+        for arrival in OPEN_LOOP_ARRIVALS
+        for matrix in OPEN_LOOP_MATRICES
+    },
 }
 
 
