@@ -13,7 +13,9 @@ Three scenarios bracket the design space:
   idle routers, so it measures how close "idle costs nothing" gets.
 * ``congested_mesh`` — heavy uniform traffic over narrow (64-bit) links on
   the same mesh; credit-blocked heads everywhere, so it measures the
-  wake/credit protocol under sustained backpressure.
+  wake/credit protocol under sustained backpressure.  Its event order is
+  pinned in tier-1 by the ``congested_mesh_8x8`` golden stats digest
+  (740,557 events, ``tests/test_stats_digests.py``).
 * ``chip_mesh``      — a 16-core chip (cores + caches + directory + NoC)
   running the synthetic test workload; the end-to-end mix.
 
@@ -33,7 +35,7 @@ from repro.config.noc import NocConfig, Topology
 from repro.config.system import SystemConfig
 from repro.config.workload import WorkloadConfig
 from repro.noc.mesh import MeshNetwork
-from repro.sim.kernel import HeapSimulator, Simulator
+from repro.sim.kernel import Simulator
 from repro.workloads.traffic import UniformRandomTrafficGenerator
 
 from bench_common import emit
@@ -87,12 +89,12 @@ def _bench_workload() -> WorkloadConfig:
 
 
 def _run_traffic_mesh(name: str, injection_rate: float, link_width_bits: int,
-                      cycles: int, kernel_cls=Simulator) -> HotpathResult:
+                      cycles: int) -> HotpathResult:
     best = None
     for _ in range(ROUNDS):
         noc = NocConfig(topology=Topology.MESH, link_width_bits=link_width_bits)
         config = SystemConfig(num_cores=64, noc=noc, seed=3)
-        sim = kernel_cls(seed=3)
+        sim = Simulator(seed=3)
         coords = {i: (i % 8, i // 8) for i in range(64)}
         network = MeshNetwork(sim, config, coords)
         generator = UniformRandomTrafficGenerator(
@@ -196,45 +198,3 @@ def test_kernel_hotpath_events_per_second():
     uniform, congested = results[0], results[1]
     assert uniform.events / uniform.cycles < congested.events / congested.cycles
 
-
-def test_calendar_vs_heap_kernel_congested_mesh():
-    """Calendar-queue vs reference heap kernel on the congested 8x8 mesh.
-
-    Two gates in one measurement:
-
-    * **Equivalence** — both kernels must process the exact same number of
-      events and deliver the same packets.  They execute identical
-      callbacks, so any count difference means event *order* diverged,
-      which the ``MODEL_VERSION`` policy forbids shipping silently
-      (``tests/test_stats_digests.py`` pins the full statistics tree of
-      the same scenario under both kernels).
-    * **No regression** — the calendar queue's whole point is dropping the
-      per-event heap discipline, so it must never be meaningfully slower
-      than the reference heap.  The floor is deliberately loose (CI
-      runners are noisy); the measured speedup is emitted for tracking.
-      On a quiet machine the calendar kernel wins by ~1.15x here and by
-      ~1.4x on the lighter uniform mesh, where ring appends and the
-      batch-drained buckets are a larger slice of the per-event cost.
-    """
-    heap = _run_traffic_mesh("heap", injection_rate=0.25,
-                             link_width_bits=64, cycles=6_000,
-                             kernel_cls=HeapSimulator)
-    calendar = _run_traffic_mesh("calendar", injection_rate=0.25,
-                                 link_width_bits=64, cycles=6_000,
-                                 kernel_cls=Simulator)
-
-    speedup = heap.wall_s / calendar.wall_s
-    lines = _render([heap, calendar]).splitlines()
-    lines.append(f"calendar speedup over heap kernel: {speedup:.2f}x")
-    emit("Kernel comparison: calendar vs heap (congested 8x8 mesh)",
-         "\n".join(lines))
-
-    assert calendar.events == heap.events, (
-        f"kernel divergence: calendar processed {calendar.events} events, "
-        f"heap {heap.events} — event order differs, trace before shipping"
-    )
-    assert calendar.work_items == heap.work_items
-    assert speedup > 0.9, (
-        f"calendar queue slower than the reference heap "
-        f"({calendar.wall_s:.2f}s vs {heap.wall_s:.2f}s)"
-    )

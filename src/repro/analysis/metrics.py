@@ -33,16 +33,6 @@ def speedup(new: float, old: float) -> float:
     return new / old
 
 
-def harmonic_mean(values: Sequence[float]) -> float:
-    """Harmonic mean (useful for rate-type metrics)."""
-    values = list(values)
-    if not values:
-        raise ValueError("harmonic mean of an empty sequence is undefined")
-    if any(v <= 0 for v in values):
-        raise ValueError("harmonic mean requires strictly positive values")
-    return len(values) / sum(1.0 / v for v in values)
-
-
 def percentile_key(p: float) -> str:
     """Canonical dict key for the ``p``-th percentile: ``p50``, ``p99.9``."""
     return f"p{int(p)}" if float(p).is_integer() else f"p{p:g}"

@@ -54,7 +54,3 @@ class AddressMapper:
     def memory_channel(self, addr: int) -> int:
         """Memory channel servicing ``addr``."""
         return (addr >> self._page_shift) % self.num_memory_channels
-
-    def same_block(self, addr_a: int, addr_b: int) -> bool:
-        """Whether two addresses fall in the same cache block."""
-        return self.block_number(addr_a) == self.block_number(addr_b)

@@ -49,10 +49,6 @@ class TechnologyConfig:
         cycles = latency_ps / self.cycle_time_ps
         return max(1, int(round(cycles + 0.49)))
 
-    def wire_reach_mm_per_cycle(self) -> float:
-        """Distance a signal covers on a repeated wire in one clock cycle."""
-        return self.cycle_time_ps / self.wire_latency_ps_per_mm
-
     def link_energy_joules(self, bits: float, distance_mm: float) -> float:
         """Energy to move ``bits`` across ``distance_mm`` of link."""
         return bits * distance_mm * self.wire_energy_fj_per_bit_mm * 1e-15

@@ -85,26 +85,6 @@ class NocOutFloorplan:
     # ------------------------------------------------------------------ #
     # Geometry
     # ------------------------------------------------------------------ #
-    def core_center_mm(self, position: CorePosition) -> Tuple[float, float]:
-        """Physical centre of the core tile at ``position``."""
-        column, row = position
-        x = (column + 0.5) * self.core_tile_width_mm
-        if row < self.rows_per_side:
-            y = (row + 0.5) * self.core_tile_height_mm
-        else:
-            y = (
-                self.rows_per_side * self.core_tile_height_mm
-                + self.llc_tile_height_mm
-                + (row - self.rows_per_side + 0.5) * self.core_tile_height_mm
-            )
-        return (x, y)
-
-    def llc_center_mm(self, column: int) -> Tuple[float, float]:
-        """Physical centre of the LLC tile in ``column``."""
-        x = (column + 0.5) * self.llc_tile_width_mm
-        y = self.rows_per_side * self.core_tile_height_mm + 0.5 * self.llc_tile_height_mm
-        return (x, y)
-
     def llc_link_length_mm(self, column_a: int, column_b: int) -> float:
         """Length of the LLC-network link between two LLC tiles."""
         return abs(column_a - column_b) * self.llc_tile_width_mm

@@ -152,7 +152,7 @@ class ChipletSystemMap(TiledSystemMap):
 
     Logical node structure is identical to :class:`TiledSystemMap` (node
     ``i`` holds core ``i`` plus LLC slice ``i``; memory controllers follow
-    the tiles) — only placement and distance accounting are chiplet-aware.
+    the tiles) — only placement is chiplet-aware.
     Chiplets tile the global grid: chiplet ``k`` sits at chiplet-grid
     coordinate ``(k % ccols, k // ccols)`` and its tiles fill an
     ``lcols x lrows`` sub-grid.
@@ -203,84 +203,11 @@ class ChipletSystemMap(TiledSystemMap):
             + group * self.params.concentration
         )
 
-    def uplink_node_for(self, node_id: int, dst: int) -> int:
-        """Boundary tile ``node_id``'s chiplet exits through to reach ``dst``.
-
-        Destination-keyed (``dst % groups``) so every router in the chiplet
-        agrees on one exit coordinate: the ascending path is plain XY toward
-        a single target, which keeps the two-level routing loop-free.
-        """
-        return self.boundary_node(self.chiplet_of(node_id), dst % self.params.groups)
-
     def mc_host_chiplet(self, index: int) -> int:
         """NoI router hosting MC ``index`` when there is no IO die."""
         if not 0 <= index < self.num_memory_controllers:
             raise ValueError(f"memory controller index {index} out of range")
         return index % self.params.count
-
-    # --- distance / hop accounting ------------------------------------- #
-    def crosses_chiplet(self, a: int, b: int) -> bool:
-        """Whether a message between nodes ``a`` and ``b`` leaves its die.
-
-        Memory controllers live on the interposer (IO die or NoI routers),
-        so any tile<->MC path crosses; MC<->MC traffic never enters a CPU
-        chiplet.
-        """
-        a_tile = a < self.num_cores
-        b_tile = b < self.num_cores
-        if a_tile and b_tile:
-            return self.chiplet_of(a) != self.chiplet_of(b)
-        return a_tile != b_tile
-
-    def hop_distance(self, a: int, b: int) -> int:
-        """Routers a packet from ``a`` to ``b`` traverses (= ``packet.hops``).
-
-        Every router on the path forwards the packet once (the last one into
-        the ejection interface), so the count is link traversals plus one;
-        same-node traffic never enters the network and scores 0.
-        """
-        if a == b:
-            return 0
-        p = self.params
-        if a < self.num_cores and b < self.num_cores:
-            if self.chiplet_of(a) == self.chiplet_of(b):
-                return self._local_manhattan(a, b) + 1
-            up = self.uplink_node_for(a, b)
-            down = self.boundary_node(self.chiplet_of(b), self.boundary_group(b))
-            noi = self._noi_manhattan(self.chiplet_of(a), self.chiplet_of(b))
-            ascend = self._local_manhattan(a, up) + 1
-            descend = self._local_manhattan(down, b) + 1
-            return ascend + noi + descend + 1
-        if a < self.num_cores:  # tile -> memory controller
-            up = self.uplink_node_for(a, b)
-            ascend = self._local_manhattan(a, up) + 1
-            if p.io_die:
-                return ascend + 2  # NoI router, IO-die router
-            host = self.mc_host_chiplet(b - self.num_cores)
-            return ascend + self._noi_manhattan(self.chiplet_of(a), host) + 1
-        if b < self.num_cores:  # memory controller -> tile
-            down = self.boundary_node(self.chiplet_of(b), self.boundary_group(b))
-            descend = 1 + self._local_manhattan(down, b) + 1
-            if p.io_die:
-                return 1 + 1 + descend - 1  # IO die, NoI router, then descend
-            host = self.mc_host_chiplet(a - self.num_cores)
-            return 1 + self._noi_manhattan(host, self.chiplet_of(b)) + descend - 1
-        # MC -> MC: one IO-die hop, or across the NoI between host routers.
-        if p.io_die:
-            return 1
-        hosts = (
-            self.mc_host_chiplet(a - self.num_cores),
-            self.mc_host_chiplet(b - self.num_cores),
-        )
-        return self._noi_manhattan(*hosts) + 1
-
-    def _local_manhattan(self, a: int, b: int) -> int:
-        (ax, ay), (bx, by) = self.local_coord(a), self.local_coord(b)
-        return abs(ax - bx) + abs(ay - by)
-
-    def _noi_manhattan(self, chiplet_a: int, chiplet_b: int) -> int:
-        (ax, ay), (bx, by) = self.chiplet_coord(chiplet_a), self.chiplet_coord(chiplet_b)
-        return abs(ax - bx) + abs(ay - by)
 
 
 class ChipletNetwork(Network):
@@ -530,18 +457,6 @@ class ChipletNetwork(Network):
         if dst < self.system.num_cores and dst in self.interfaces:
             return self._noi_router[dst // self.params.cores_per_chiplet]
         return self.interfaces[dst]
-
-    # ------------------------------------------------------------------ #
-    # Introspection (tests, diagnostics)
-    # ------------------------------------------------------------------ #
-    def crossing_ports(self) -> List:
-        """Every output port whose link crosses a die boundary."""
-        return (
-            self.uplink_ports
-            + self.downlink_ports
-            + self.noi_mesh_ports
-            + self.io_ports
-        )
 
 
 # --------------------------------------------------------------------------- #

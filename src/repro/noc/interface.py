@@ -90,7 +90,8 @@ class NetworkInterface(Component, PacketSink):
         if self._router is None:
             raise RuntimeError(f"{self.name}: interface not attached to a router")
         progressed = False
-        schedule_delivery = self.sim.schedule_delivery
+        schedule_call = self.sim.schedule_call
+        deliver = self._router.receive_packet
         for queue, vc_index, vc in self._inject_vcs:
             if not queue:
                 continue
@@ -102,8 +103,8 @@ class NetworkInterface(Component, PacketSink):
             if reserved + flits <= vc.capacity_flits or not reserved:
                 vc._reserved_flits = reserved + flits
                 queue.popleft()
-                schedule_delivery(
-                    self._router, packet, self._router_port, vc_index, self.injection_latency
+                schedule_call(
+                    deliver, (packet, self._router_port, vc_index), self.injection_latency
                 )
                 if queue:
                     progressed = True

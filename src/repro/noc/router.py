@@ -480,16 +480,11 @@ class Router(Component, PacketSink):
         out_port.flits_sent.add(num_flits)
         out_port.busy_until = now + num_flits
 
-        self.sim.schedule_delivery(
-            out_port.downstream,
-            packet,
-            out_port.downstream_port,
-            downstream_vc_index,
+        self.sim.schedule_call(
+            out_port.downstream.receive_packet,
+            (packet, out_port.downstream_port, downstream_vc_index),
             self.pipeline_latency + out_port.link_latency,
         )
-
-    def _has_buffered_packets(self) -> bool:
-        return any(not port.empty for port in self.input_ports)
 
     # ------------------------------------------------------------------ #
     @property

@@ -42,7 +42,3 @@ class WireModel:
     def energy_joules(self, bits: float, length_mm: float) -> float:
         """Energy to move ``bits`` of random data across ``length_mm``."""
         return self.technology.link_energy_joules(bits, length_mm)
-
-    def repeater_energy_joules(self, bits: float, length_mm: float) -> float:
-        """The repeater share of the link energy (19 % per the paper)."""
-        return self.energy_joules(bits, length_mm) * self.technology.repeater_energy_fraction

@@ -55,8 +55,7 @@ class Component:
         self._next_wake = target
         # Inlined calendar-queue append (see Simulator.schedule_at): wake is
         # the single most frequent scheduling call in any simulation, so the
-        # in-window case writes the ring directly.  On the heap kernel
-        # ``_win_end`` is 0, so every wake takes the schedule_at fallback.
+        # in-window case writes the ring directly.
         if target < sim._win_end:
             sim._buckets[target & sim._mask].append((self._run_tick, _NO_ARGS))
             sim._bucket_count += 1

@@ -6,26 +6,21 @@ idle 64-core chip costs nothing per cycle.  Determinism is guaranteed by
 the ``(cycle, seq)`` contract: events fire in cycle order, and events
 sharing a cycle fire in the order they were scheduled.
 
-Two interchangeable schedulers implement that contract:
-
-* :class:`Simulator` (the default) is a **calendar queue**: a ring of
-  per-cycle buckets covering a sliding window of ``horizon`` cycles ahead
-  of the clock, with a binary heap holding the rare far-future events that
-  fall outside the window.  Scheduling inside the window is a plain list
-  append, and :meth:`Simulator.run_until` drains one cycle's entire bucket
-  in FIFO order without any per-event re-heapifying — the append order of
-  a bucket *is* the ``seq`` order, so the sequence counter is only
-  materialised for overflow events.  Overflow events migrate into the ring
-  strictly before the window advances over their cycle, which keeps the
-  merged order identical to a global ``(cycle, seq)`` sort.
-* :class:`HeapSimulator` is the previous binary-heap implementation, kept
-  as the reference scheduler that tests construct directly.  The two
-  kernels execute bit-identical event orders (asserted against the golden
-  stats digests in ``tests/test_stats_digests.py``).
+The scheduler is a **calendar queue**: a ring of per-cycle buckets
+covering a sliding window of ``horizon`` cycles ahead of the clock, with a
+binary heap holding the rare far-future events that fall outside the
+window.  Scheduling inside the window is a plain list append, and
+:meth:`Simulator.run_until` drains one cycle's entire bucket in FIFO order
+without any per-event re-heapifying — the append order of a bucket *is*
+the ``seq`` order, so the sequence counter is only materialised for
+overflow events.  Overflow events migrate into the ring strictly before
+the window advances over their cycle, which keeps the merged order
+identical to a global ``(cycle, seq)`` sort.  The golden stats digests in
+``tests/test_stats_digests.py`` pin the resulting event order bit for bit.
 
 Internally every queue entry carries ``(callback, args)``.  Carrying the
 argument tuple in the event itself lets hot paths such as packet delivery
-(:meth:`Simulator.schedule_delivery`) schedule a bound method plus its
+(:meth:`Simulator.schedule_call`) schedule a bound method plus its
 arguments directly instead of allocating a fresh closure per packet, which
 measurably reduces allocation pressure in large sweeps.
 """
@@ -58,8 +53,8 @@ class Simulator:
     ----------
     seed:
         Seed for the simulator-owned random number generator.  All stochastic
-        decisions in the model draw either from this RNG or from per-component
-        RNGs derived from it, so runs are reproducible.
+        decisions in the model draw either from this RNG or from seeded
+        per-component RNGs, so runs are reproducible.
     horizon:
         Width of the calendar ring in cycles (rounded up to a power of two).
         Exposed for tests that exercise window wrap-around; the default suits
@@ -70,9 +65,6 @@ class Simulator:
     under its own name, so ``stats.reset()`` starts a measurement window
     for everything the simulation measures.
     """
-
-    #: Scheduler implementation name, for logs and equivalence checks.
-    kernel = "calendar"
 
     def __init__(self, seed: int = 0, horizon: int = DEFAULT_HORIZON) -> None:
         self.cycle: int = 0
@@ -137,30 +129,6 @@ class Simulator:
             self._bucket_count += 1
         else:
             heapq.heappush(self._overflow, (cycle, self._seq, callback, args))
-            self._seq += 1
-
-    def schedule_delivery(
-        self, sink, packet, in_port: int, vc_index: int, delay: int
-    ) -> None:
-        """Fast path for packet delivery: ``sink.receive_packet(packet, ...)``.
-
-        Equivalent to ``schedule(lambda: sink.receive_packet(...), delay)``
-        but allocation-light; this is the single most frequent event in any
-        network-bound simulation.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule event with negative delay {delay}")
-        cycle = self.cycle + delay
-        if cycle < self._win_end:
-            self._buckets[cycle & self._mask].append(
-                (sink.receive_packet, (packet, in_port, vc_index))
-            )
-            self._bucket_count += 1
-        else:
-            heapq.heappush(
-                self._overflow,
-                (cycle, self._seq, sink.receive_packet, (packet, in_port, vc_index)),
-            )
             self._seq += 1
 
     # ------------------------------------------------------------------ #
@@ -257,8 +225,7 @@ class Simulator:
         beyond it, so back-to-back bounded calls observe a consistent clock.
         Without a limit the clock rests at the last executed event.
         """
-        # Checked up front: a heap kernel pops the running event before
-        # calling it, so a reentrant call could otherwise see an empty queue.
+        # Checked up front, so the error does not depend on the queue state.
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
         if max_cycles is not None:
@@ -302,94 +269,9 @@ class Simulator:
         """
         return self._events_processed
 
-    def derived_rng(self, salt: int) -> random.Random:
-        """Return a deterministic per-component RNG derived from the seed."""
-        return random.Random((self.seed * 1_000_003 + salt) & 0xFFFFFFFF)
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
             f"{type(self).__name__}(cycle={self.cycle}, "
             f"pending={self.pending_events})"
         )
 
-
-class HeapSimulator(Simulator):
-    """Reference binary-heap scheduler (the pre-calendar implementation).
-
-    Instantiated directly by tests as the reference scheduler.  Events are
-    ``(cycle, seq, callback, args)`` heap entries; execution order is
-    bit-identical to the calendar queue, which the tier-1 suite asserts on a
-    congested mesh so the two can never silently diverge.
-    """
-
-    kernel = "heap"
-
-    #: Class-level sentinel: ``Component.wake``'s inlined ring-append fast
-    #: path tests ``target < sim._win_end`` — with a zero window every wake
-    #: falls through to :meth:`schedule_at` and lands on the heap.
-    _win_end = 0
-
-    def __init__(self, seed: int = 0, horizon: int = DEFAULT_HORIZON) -> None:
-        self.cycle = 0
-        self.seed = seed
-        self.rng = random.Random(seed)
-        self.stats = StatGroup("sim")
-        self._seq = 0
-        self._events_processed = 0
-        self._running = False
-        self._queue: list = []
-
-    # ------------------------------------------------------------------ #
-    def schedule_at(self, callback: Callable[[], None], cycle: int) -> None:
-        if cycle < self.cycle:
-            raise SimulationError(
-                f"cannot schedule event in the past (cycle {cycle} < now {self.cycle})"
-            )
-        heapq.heappush(self._queue, (cycle, self._seq, callback, _NO_ARGS))
-        self._seq += 1
-
-    def schedule_call(self, callback: Callable[..., None], args: Tuple, delay: int = 0) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule event with negative delay {delay}")
-        heapq.heappush(self._queue, (self.cycle + delay, self._seq, callback, args))
-        self._seq += 1
-
-    def schedule_delivery(
-        self, sink, packet, in_port: int, vc_index: int, delay: int
-    ) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule event with negative delay {delay}")
-        heapq.heappush(
-            self._queue,
-            (self.cycle + delay, self._seq, sink.receive_packet, (packet, in_port, vc_index)),
-        )
-        self._seq += 1
-
-    # ------------------------------------------------------------------ #
-    def run_until(self, end_cycle: int) -> int:
-        if self._running:
-            raise SimulationError("Simulator.run() is not reentrant")
-        self._running = True
-        processed = 0
-        queue = self._queue
-        pop = heapq.heappop
-        try:
-            while queue and queue[0][0] <= end_cycle:
-                cycle, _seq, callback, args = pop(queue)
-                self.cycle = cycle
-                processed += 1
-                callback(*args)
-            if end_cycle > self.cycle:
-                self.cycle = end_cycle
-        finally:
-            self._running = False
-            self._events_processed += processed
-        return processed
-
-    @property
-    def pending_events(self) -> int:
-        return len(self._queue)
-
-    @property
-    def next_event_cycle(self) -> Optional[int]:
-        return self._queue[0][0] if self._queue else None

@@ -135,11 +135,6 @@ class Histogram:
         frac = rank - low
         return ordered[low] * (1 - frac) + ordered[high] * frac
 
-    @property
-    def retained_samples(self) -> int:
-        """Number of samples currently held (<= reservoir when bounded)."""
-        return len(self._samples)
-
     def reset(self) -> None:
         self.count = 0
         self.total = 0.0

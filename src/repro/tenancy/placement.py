@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from repro.scenarios.registry import Registry
 
@@ -168,13 +168,6 @@ class WorkloadMap:
             if tenant == index
             for core in range(start, stop)
         ]
-
-    def core_tenant(self, core_id: int) -> Optional[int]:
-        """Tenant index owning ``core_id``, or ``None`` when unmapped."""
-        for start, stop, tenant in self.entries:
-            if start <= core_id < stop:
-                return tenant
-        return None
 
     def tenant_labels(self) -> List[str]:
         """A unique display label per tenant (workload name, ``#i`` on dups)."""

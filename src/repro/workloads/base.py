@@ -172,8 +172,3 @@ class SyntheticWorkloadStream(WorkloadStream):
     def shared_region(self) -> Tuple[int, int]:
         """(base, size) of the tenant-wide shared data region."""
         return self._shared_base, self.config.shared_region_bytes
-
-    @property
-    def private_region(self) -> Tuple[int, int]:
-        """(base, size) of this core's private dataset partition."""
-        return self._private_base, self._dataset_per_core

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.metrics import geometric_mean, harmonic_mean, normalize, speedup
+from repro.analysis.metrics import geometric_mean, normalize, speedup
 from repro.reporting.tables import ReportTable, format_float
 
 
@@ -22,10 +22,6 @@ class TestMetrics:
             geometric_mean([])
         with pytest.raises(ValueError):
             geometric_mean([1.0, 0.0])
-
-    def test_harmonic_mean(self):
-        assert harmonic_mean([1.0, 1.0]) == pytest.approx(1.0)
-        assert harmonic_mean([2.0, 6.0]) == pytest.approx(3.0)
 
     def test_normalize(self):
         normalised = normalize({"mesh": 2.0, "nocout": 3.0}, "mesh")

@@ -39,8 +39,8 @@ class TestAddressMapper:
 
     def test_same_block(self):
         mapper = AddressMapper(64)
-        assert mapper.same_block(0x100, 0x13F)
-        assert not mapper.same_block(0x100, 0x140)
+        assert mapper.block_number(0x100) == mapper.block_number(0x13F)
+        assert mapper.block_number(0x100) != mapper.block_number(0x140)
 
     def test_invalid_block_size_rejected(self):
         with pytest.raises(ValueError):

@@ -34,7 +34,10 @@ class TestTechnology:
         assert TechnologyConfig().wire_cycles(12.0) == 3
 
     def test_wire_reach_per_cycle(self):
-        assert TechnologyConfig().wire_reach_mm_per_cycle() == pytest.approx(4.0)
+        # Distance a signal covers on a repeated wire in one clock cycle.
+        tech = TechnologyConfig()
+        assert tech.cycle_time_ps / tech.wire_latency_ps_per_mm == pytest.approx(4.0)
+        assert tech.wire_cycles(4.0) == 1
 
     def test_link_energy_scales_with_bits_and_distance(self):
         tech = TechnologyConfig()

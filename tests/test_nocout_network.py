@@ -66,13 +66,6 @@ class TestFloorplan:
         with pytest.raises(ValueError):
             plan.side_of_row(8)
 
-    def test_llc_row_sits_between_core_rows(self):
-        plan = NocOutFloorplan(small_system(Topology.NOC_OUT, num_cores=64))
-        top_y = plan.core_center_mm((0, 3))[1]
-        llc_y = plan.llc_center_mm(0)[1]
-        bottom_y = plan.core_center_mm((0, 4))[1]
-        assert top_y < llc_y < bottom_y
-
     def test_odd_core_split_rejected(self):
         with pytest.raises(ValueError):
             NocOutFloorplan(small_system(Topology.NOC_OUT, num_cores=8))

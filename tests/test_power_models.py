@@ -23,10 +23,7 @@ class TestWireModel:
         assert wire.energy_joules(1, 1.0) == pytest.approx(50e-15)
 
     def test_repeater_energy_is_19_percent(self):
-        wire = WireModel()
-        assert wire.repeater_energy_joules(100, 2.0) == pytest.approx(
-            0.19 * wire.energy_joules(100, 2.0)
-        )
+        assert WireModel().technology.repeater_energy_fraction == pytest.approx(0.19)
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,8 @@ from repro.noc.buffer import VirtualChannelBuffer
 from repro.noc.arbiter import ArbitrationCandidate, RoundRobinArbiter, StaticPriorityArbiter
 from repro.noc.message import Message, MessageClass, Packet
 
+from tests._fixtures import private_region
+
 addresses = st.integers(min_value=0, max_value=2**40)
 
 
@@ -155,7 +157,7 @@ def test_workload_stream_respects_regions(core_id, seed):
     config = WorkloadConfig(name="prop", instruction_footprint_bytes=1024 * 1024)
     stream = SyntheticWorkloadStream(config, core_id, 64, seed=seed)
     instr_base, instr_size = stream.instruction_region
-    private_base, private_size = stream.private_region
+    private_base, private_size = private_region(config, core_id, 64)
     shared_base, shared_size = stream.shared_region
     for _ in range(20):
         block = stream.next_block()

@@ -25,6 +25,7 @@ from repro.noc.message import Message, MessageClass, Packet, control_message_bit
 from repro.noc.router import Router
 from repro.scenarios import build_system
 from repro.sim.kernel import Simulator
+from tests._fixtures import chiplet_hop_distance
 from tests.test_noc_router import SinkRecorder, inject, make_packet
 
 
@@ -92,7 +93,8 @@ class TestRouteWalk:
             chiplet_system(num_cores=num_cores, io_die=io_die)
         )
         for src, dst in node_pairs(network):
-            assert len(walk(network, src, dst)) == system_map.hop_distance(src, dst)
+            hops = chiplet_hop_distance(system_map, src, dst)
+            assert len(walk(network, src, dst)) == hops
 
 
 # --------------------------------------------------------------------- #

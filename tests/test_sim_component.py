@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.component import Component
-from repro.sim.kernel import HeapSimulator, Simulator
+from repro.sim.kernel import Simulator
 from repro.sim.stats import StatError
 
 
@@ -123,7 +123,7 @@ def test_component_has_stats_group():
     assert component.stats.counter("events").value == 1
 
 
-@pytest.mark.parametrize("kernel_cls", [Simulator, HeapSimulator])
+@pytest.mark.parametrize("kernel_cls", [Simulator])
 def test_component_stats_are_registered_in_the_simulator_tree(kernel_cls):
     sim = kernel_cls()
     component = TickRecorder(sim)

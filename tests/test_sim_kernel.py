@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.sim.kernel import HeapSimulator, SimulationError, Simulator
+from repro.sim.kernel import SimulationError, Simulator
 
-#: Both scheduler implementations must honor the same (cycle, seq) contract;
-#: the edge-case tests below run against each.
-KERNELS = [Simulator, HeapSimulator]
+#: Scheduler classes the edge-case tests below construct.
+KERNELS = [Simulator]
 
 
 def test_initial_state():
@@ -165,33 +164,6 @@ def test_schedule_call_rejects_negative_delay():
         sim.schedule_call(lambda: None, (), delay=-1)
 
 
-def test_schedule_delivery_invokes_receive_packet():
-    sim = Simulator()
-
-    class Sink:
-        def __init__(self):
-            self.received = []
-
-        def receive_packet(self, packet, in_port, vc_index):
-            self.received.append((packet, in_port, vc_index, sim.cycle))
-
-    sink = Sink()
-    sim.schedule_delivery(sink, "pkt", 2, 1, delay=3)
-    sim.run(5)
-    assert sink.received == [("pkt", 2, 1, 3)]
-
-
-def test_schedule_delivery_rejects_negative_delay():
-    sim = Simulator()
-
-    class Sink:
-        def receive_packet(self, packet, in_port, vc_index):
-            pass
-
-    with pytest.raises(SimulationError):
-        sim.schedule_delivery(Sink(), "pkt", 0, 0, delay=-2)
-
-
 def test_mixed_event_kinds_preserve_schedule_order():
     sim = Simulator()
     order = []
@@ -201,17 +173,10 @@ def test_mixed_event_kinds_preserve_schedule_order():
             order.append("delivery")
 
     sim.schedule(lambda: order.append("plain"), delay=2)
-    sim.schedule_delivery(Sink(), None, 0, 0, delay=2)
+    sim.schedule_call(Sink().receive_packet, (None, 0, 0), delay=2)
     sim.schedule_call(lambda tag: order.append(tag), ("call",), delay=2)
     sim.run(5)
     assert order == ["plain", "delivery", "call"]
-
-
-def test_derived_rng_is_deterministic():
-    sim_a = Simulator(seed=11)
-    sim_b = Simulator(seed=11)
-    assert sim_a.derived_rng(3).random() == sim_b.derived_rng(3).random()
-    assert sim_a.derived_rng(3).random() != sim_a.derived_rng(4).random()
 
 
 def test_events_processed_accumulates():
@@ -225,11 +190,11 @@ def test_events_processed_accumulates():
 
 
 # ---------------------------------------------------------------------- #
-# Edge cases the calendar queue must honor (run against both kernels)
+# Edge cases the calendar queue must honor
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("kernel_cls", KERNELS)
 def test_same_cycle_fifo_across_all_schedule_kinds(kernel_cls):
-    """Interleaved schedule/schedule_call/schedule_delivery keep seq order."""
+    """Interleaved schedule/schedule_call keep seq order."""
     sim = kernel_cls()
     order = []
 
@@ -239,9 +204,9 @@ def test_same_cycle_fifo_across_all_schedule_kinds(kernel_cls):
 
     sim.schedule_call(lambda tag: order.append(tag), ("call-1",), delay=3)
     sim.schedule(lambda: order.append("plain-1"), delay=3)
-    sim.schedule_delivery(Sink(), "delivery-1", 0, 0, delay=3)
+    sim.schedule_call(Sink().receive_packet, ("delivery-1", 0, 0), delay=3)
     sim.schedule_call(lambda tag: order.append(tag), ("call-2",), delay=3)
-    sim.schedule_delivery(Sink(), "delivery-2", 0, 0, delay=3)
+    sim.schedule_call(Sink().receive_packet, ("delivery-2", 0, 0), delay=3)
     sim.schedule(lambda: order.append("plain-2"), delay=3)
     sim.run(5)
     assert order == [
@@ -300,8 +265,7 @@ def test_far_future_event_crosses_bucket_horizon(kernel_cls):
     """An overflow event must merge back in ahead of later-scheduled peers."""
     sim = kernel_cls(horizon=8)
     order = []
-    # Scheduled far beyond the 8-cycle window: lands in the overflow heap
-    # (calendar) or simply deep in the heap (reference kernel).
+    # Scheduled far beyond the 8-cycle window: lands in the overflow heap.
     sim.schedule_at(lambda: order.append("early-seq"), 100)
     sim.schedule_at(lambda: order.append("waypoint"), 50)
 
@@ -369,7 +333,7 @@ def test_events_processed_counts_event_that_raises(kernel_cls):
 def test_next_event_cycle_reports_earliest(kernel_cls):
     sim = kernel_cls(horizon=8)
     assert sim.next_event_cycle is None
-    sim.schedule_at(lambda: None, 300)  # overflow on the calendar kernel
+    sim.schedule_at(lambda: None, 300)  # beyond the window: overflow heap
     assert sim.next_event_cycle == 300
     sim.schedule_at(lambda: None, 5)
     assert sim.next_event_cycle == 5
@@ -377,26 +341,35 @@ def test_next_event_cycle_reports_earliest(kernel_cls):
     assert sim.next_event_cycle == 300
 
 
-def test_kernels_execute_identical_event_order():
-    """Randomized workload: both kernels fire events in the same order."""
+def test_random_schedule_fires_in_cycle_then_schedule_order():
+    """Randomized workload: events fire in ``(target cycle, schedule index)``.
+
+    Each event is tagged when scheduled with its target cycle and a
+    global schedule counter; the fired trace must equal the tags sorted,
+    which is the ``(cycle, seq)`` contract itself.  The 16-cycle horizon
+    and the 1,500-cycle delays exercise ring wrap and overflow migration.
+    """
     import random
 
-    def drive(sim):
-        rng = random.Random(99)
-        trace = []
+    sim = Simulator(seed=7, horizon=16)
+    rng = random.Random(99)
+    scheduled = []
+    fired = []
 
-        def evt(tag):
-            trace.append((sim.cycle, tag))
-            for _ in range(rng.randrange(3)):
-                delay = rng.choice((0, 1, 2, 3, 17, 1500))
-                sim.schedule_call(evt, (f"{tag}/{delay}",), delay)
+    def schedule(delay):
+        tag = (sim.cycle + delay, len(scheduled))
+        scheduled.append(tag)
+        sim.schedule_call(evt, (tag,), delay)
 
-        for i in range(20):
-            sim.schedule_call(evt, (f"root{i}",), rng.randrange(40))
-        sim.run_until(4000)
-        return trace, sim.events_processed
+    def evt(tag):
+        assert sim.cycle == tag[0]
+        fired.append(tag)
+        for _ in range(rng.randrange(3)):
+            schedule(rng.choice((0, 1, 2, 3, 17, 1500)))
 
-    trace_cal, n_cal = drive(Simulator(seed=7, horizon=16))
-    trace_heap, n_heap = drive(HeapSimulator(seed=7))
-    assert n_cal == n_heap
-    assert trace_cal == trace_heap
+    for _ in range(20):
+        schedule(rng.randrange(40))
+    sim.run_until(4000)
+    due = sorted(tag for tag in scheduled if tag[0] <= 4000)
+    assert fired == due
+    assert sim.pending_events == len(scheduled) - len(due)

@@ -32,7 +32,7 @@ from repro.experiments.engine import MODEL_VERSION
 from repro.fabrics import ChipletNetwork, ChipletSystemMap, chiplet_system, cmesh_system
 from repro.noc.mesh import MeshNetwork
 from repro.scenarios.registry import build_system, fabric_for
-from repro.sim.kernel import HeapSimulator, Simulator
+from repro.sim.kernel import Simulator
 from repro.tenancy import MatrixContext, build_placement, make_arrival, make_matrix
 from repro.tenancy.traffic import OpenLoopTrafficGenerator
 from repro.workloads.traffic import UniformRandomTrafficGenerator
@@ -80,9 +80,9 @@ def _chip_tree(chip: Chip) -> dict:
     }
 
 
-def congested_mesh(kernel_cls=Simulator) -> dict:
+def congested_mesh() -> dict:
     """Heavy uniform traffic over 64-bit links on a bare 8x8 mesh."""
-    sim = kernel_cls(seed=3)
+    sim = Simulator(seed=3)
     noc = NocConfig(topology=Topology.MESH, link_width_bits=64)
     config = SystemConfig(num_cores=64, noc=noc, seed=3)
     coords = {i: (i % 8, i // 8) for i in range(64)}
@@ -194,12 +194,6 @@ def test_golden_file_matches_model_version():
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_stats_tree_matches_golden_digest(name):
     assert entry_for(SCENARIOS[name]()) == _golden()["scenarios"][name]
-
-
-def test_heap_kernel_matches_congested_mesh_digest():
-    """The reference heap scheduler reproduces the calendar queue's digest."""
-    tree = congested_mesh(HeapSimulator)
-    assert entry_for(tree) == _golden()["scenarios"]["congested_mesh_8x8"]
 
 
 if __name__ == "__main__":

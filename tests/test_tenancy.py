@@ -21,7 +21,7 @@ from repro.config.noc import Topology
 from repro.experiments.engine import ExperimentPoint, ResultCache, SweepExecutor
 from repro.noc.mesh import MeshNetwork
 from repro.scenarios import SweepSpec, run_sweep
-from repro.sim.kernel import HeapSimulator, Simulator
+from repro.sim.kernel import Simulator
 from repro.sim.stats import DEFAULT_RESERVOIR, Histogram, StatError, StatGroup
 from repro.tenancy import (
     MatrixContext,
@@ -94,9 +94,7 @@ class TestWorkloadMap:
         assert wmap.num_cores_required == 16
         assert wmap.tenant_cores(0) == list(range(8))
         assert wmap.tenant_cores(1) == list(range(8, 16))
-        assert wmap.core_tenant(3) == 0
-        assert wmap.core_tenant(12) == 1
-        assert wmap.core_tenant(99) is None
+        assert all(99 not in wmap.tenant_cores(i) for i in range(len(wmap.tenants)))
         wmap.validate_for(16)
         with pytest.raises(ValueError, match="needs 16 cores"):
             wmap.validate_for(8)
@@ -304,7 +302,7 @@ class TestReservoirHistogram:
         assert hist.count == 1000
         assert hist.mean == pytest.approx(499.5)
         assert hist.min == 0 and hist.max == 999
-        assert hist.retained_samples == 16
+        assert len(hist._samples) == 16
         assert 0 <= hist.percentile(50) <= 999
 
     def test_retained_set_is_deterministic_per_name(self):
@@ -322,7 +320,7 @@ class TestReservoirHistogram:
             hist.add(value)
         first = list(hist._samples)
         hist.reset()
-        assert hist.count == 0 and hist.retained_samples == 0
+        assert hist.count == 0 and len(hist._samples) == 0
         for value in range(500):
             hist.add(value)
         assert list(hist._samples) == first
@@ -346,7 +344,7 @@ class TestReservoirHistogram:
         hist = group.histogram("h", reservoir=4)
         for value in range(100):
             hist.add(value)
-        assert hist.retained_samples == 4
+        assert len(hist._samples) == 4
 
     def test_default_reservoir_is_a_fixed_constant(self):
         assert DEFAULT_RESERVOIR == 8192
@@ -573,50 +571,9 @@ class TestChipTenancy:
 
 
 # ----------------------------------------------------------------------- #
-# Determinism: kernels and process restarts (satellite)
+# Determinism: process restarts (satellite)
 # ----------------------------------------------------------------------- #
-def _run_open_loop(kernel_cls, arrival: str, matrix: str) -> dict:
-    from repro.tenancy.traffic import OpenLoopTrafficGenerator
-
-    sim = kernel_cls(seed=3)
-    config = small_system(Topology.MESH)
-    coords = {i: (i % 4, i // 4) for i in range(16)}
-    network = MeshNetwork(sim, config, coords)
-    generator = OpenLoopTrafficGenerator(
-        sim,
-        network,
-        list(coords),
-        arrival=make_arrival(arrival, 0.2),
-        pick_destination=make_matrix(matrix, MatrixContext(tuple(range(16)))),
-        seed=11,
-    )
-    generator.start()
-    sim.run(2500)
-    return {
-        "kernel": kernel_cls.__name__,
-        "events": sim.events_processed,
-        "network": network.stats.to_dict(),
-        "generator": generator.stats.to_dict(),
-    }
-
-
 class TestTenancyDeterminism:
-    @pytest.mark.parametrize("matrix", ("uniform", "hotspot", "partitioned"))
-    @pytest.mark.parametrize("arrival", ("poisson", "bursty", "diurnal"))
-    def test_kernels_agree_under_open_loop_traffic(self, arrival, matrix):
-        calendar = _run_open_loop(Simulator, arrival, matrix)
-        heap = _run_open_loop(HeapSimulator, arrival, matrix)
-        assert calendar["events"] == heap["events"]
-        assert calendar["network"] == heap["network"]
-        assert calendar["generator"] == heap["generator"]
-
-    def test_kernels_agree_on_a_tenanted_chip(self, monkeypatch):
-        _chip, calendar = run_tenancy_chip(split_pair(rate=0.08))
-        monkeypatch.setattr("repro.chip.chip.Simulator", HeapSimulator)
-        heap_chip, heap = run_tenancy_chip(split_pair(rate=0.08))
-        assert heap_chip.sim.kernel == "heap"
-        assert calendar.to_dict() == heap.to_dict()
-
     def test_tenanted_run_is_stable_across_process_restarts(self):
         script = (
             "import hashlib, json\n"

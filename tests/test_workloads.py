@@ -11,6 +11,7 @@ from repro.workloads.base import (
     SyntheticWorkloadStream,
 )
 from repro.workloads.cloudsuite import make_stream, workload_streams
+from tests._fixtures import private_region
 
 
 def small_workload(**overrides):
@@ -58,7 +59,7 @@ class TestSyntheticWorkloadStream:
 
     def test_data_addresses_stay_in_declared_regions(self):
         stream = SyntheticWorkloadStream(small_workload(), 2, 4, seed=1)
-        private_base, private_size = stream.private_region
+        private_base, private_size = private_region(stream.config, 2, 4)
         shared_base, shared_size = stream.shared_region
         for _ in range(500):
             for addr, _write in stream.next_block().data_accesses:
@@ -67,12 +68,17 @@ class TestSyntheticWorkloadStream:
                 assert in_private or in_shared
 
     def test_private_regions_do_not_overlap_between_cores(self):
-        streams = [SyntheticWorkloadStream(small_workload(), c, 4, seed=1) for c in range(4)]
-        regions = [s.private_region for s in streams]
-        for i, (base_i, size_i) in enumerate(regions):
-            for j, (base_j, _size_j) in enumerate(regions):
-                if i < j:
-                    assert base_i + size_i <= base_j or base_j >= base_i + size_i
+        config = small_workload()
+        regions = [private_region(config, c, 4) for c in range(4)]
+        for (base, size), (next_base, _size) in zip(regions, regions[1:]):
+            assert base + size <= next_base
+        for core, (base, size) in enumerate(regions):
+            stream = SyntheticWorkloadStream(config, core, 4, seed=1)
+            shared_base, shared_size = stream.shared_region
+            for _ in range(300):
+                for addr, _write in stream.next_block().data_accesses:
+                    if not shared_base <= addr < shared_base + shared_size:
+                        assert base <= addr < base + size
 
     def test_block_sizes_are_positive_and_bounded(self):
         stream = SyntheticWorkloadStream(small_workload(), 0, 4, seed=3)
