@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -45,10 +44,10 @@ class SetAssociativeCache:
         # banks; dividing the block number by the bank count before indexing
         # keeps all sets of each bank usable.
         self._index_divisor = index_divisor
-        # One ordered dict per set: tag -> state, ordered from LRU to MRU.
-        self._sets: List["OrderedDict[int, CacheLineState]"] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
+        # One plain dict per set: tag -> state, in insertion order from LRU
+        # to MRU.  A hit re-inserts its tag to make it MRU; the LRU victim is
+        # the first key.
+        self._sets: List[Dict[int, CacheLineState]] = [{} for _ in range(self.num_sets)]
 
     # ------------------------------------------------------------------ #
     def _index_and_tag(self, addr: int) -> Tuple[int, int]:
@@ -69,11 +68,12 @@ class SetAssociativeCache:
         """Return the line state if ``addr`` is present, else ``None``."""
         index, tag = self._index_and_tag(addr)
         cache_set = self._sets[index]
-        if tag not in cache_set:
-            return None
-        if update_lru:
-            cache_set.move_to_end(tag)
-        return cache_set[tag]
+        if not update_lru:
+            return cache_set.get(tag)
+        state = cache_set.pop(tag, None)
+        if state is not None:
+            cache_set[tag] = state
+        return state
 
     def probe(self, addr: int) -> Optional[CacheLineState]:
         """Like :meth:`lookup` but without touching LRU order."""
@@ -93,13 +93,9 @@ class SetAssociativeCache:
         index, tag = self._index_and_tag(addr)
         cache_set = self._sets[index]
         victim = None
-        if tag in cache_set:
-            cache_set[tag] = state
-            cache_set.move_to_end(tag)
-            return None
-        if len(cache_set) >= self.associativity:
-            victim_tag, victim_state = cache_set.popitem(last=False)
-            victim = (victim_tag << self._block_shift, victim_state)
+        if cache_set.pop(tag, None) is None and len(cache_set) >= self.associativity:
+            victim_tag = next(iter(cache_set))
+            victim = (victim_tag << self._block_shift, cache_set.pop(victim_tag))
         cache_set[tag] = state
         return victim
 
@@ -123,8 +119,43 @@ class SetAssociativeCache:
             # A resident tag is popped and re-added as MRU; a new one evicts
             # the LRU line of a full set first.
             if cache_set.pop(tag, None) is None and len(cache_set) >= ways:
-                cache_set.popitem(last=False)
+                del cache_set[next(iter(cache_set))]
             cache_set[tag] = state
+
+    def insert_stripe(self, stripe: range, state: CacheLineState) -> None:
+        """Install every address of a bank stripe in order, discarding victims.
+
+        ``stripe`` is a range of addresses stepping by exactly
+        ``index_divisor`` blocks (one bank's share of a region, see
+        :meth:`AddressMapper.bank_stripes`), so its blocks map to consecutive
+        sets: the set ``offset`` places after the first block's receives the
+        tags ``tags[offset::num_sets]``.  An empty set ends up holding the
+        last ``associativity`` of those, in order, which is what one
+        :meth:`insert` per address would leave; a set that already holds
+        lines (another region's) goes through :meth:`insert_all` instead.
+        """
+        if state is CacheLineState.INVALID:
+            raise ValueError("cannot insert a line in the INVALID state")
+        if stripe.step != self._index_divisor << self._block_shift:
+            raise ValueError(
+                f"stripe step {stripe.step} is not index_divisor x block size "
+                f"({self._index_divisor << self._block_shift})"
+            )
+        divisor = self._index_divisor
+        shift = self._block_shift
+        first_tag = stripe.start >> shift
+        tags = range(first_tag, first_tag + len(stripe) * divisor, divisor)
+        sets = self._sets
+        num_sets = self.num_sets
+        ways = self.associativity
+        first_set = first_tag // divisor
+        for offset in range(min(num_sets, len(tags))):
+            index = (first_set + offset) % num_sets
+            chunk = tags[offset::num_sets]
+            if sets[index]:
+                self.insert_all((tag << shift, state) for tag in chunk)
+            else:
+                sets[index] = dict.fromkeys(chunk[-ways:], state)
 
     def update_state(self, addr: int, state: CacheLineState) -> None:
         """Change the state of a resident line (or invalidate it)."""

@@ -9,7 +9,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Dict, List, Optional
 
 from repro.cache.directory import DirectoryController
@@ -312,10 +311,13 @@ class Chip:
         the shared-region directory state.
 
         Installs go in bulk but leave the state one install per address
-        would: the footprint goes bank by bank, each bank's blocks in
-        increasing address order, and each core's L1 lines go in one batch
-        per cache, in reference order.  Every bank and every L1 is its own
-        tag array, so only the order within one array matters.
+        would: the footprint goes bank by bank through
+        :meth:`SetAssociativeCache.insert_stripe`, which fills each empty
+        set with the last ``associativity`` blocks that map to it, in
+        increasing address order; each core's L1 lines go in one
+        ``insert_all`` batch per cache, in reference order.  Every bank and
+        every L1 is its own tag array, so only the order within one array
+        matters.
         """
         if not self.core_nodes:
             return
@@ -334,7 +336,7 @@ class Chip:
             for stripe in system_map.mapper.bank_stripes(instr_base, instr_size):
                 first = stripe[0]
                 bank = directories[home_node(first)].bank_for(first)
-                bank.array.insert_all(zip(stripe, repeat(shared)))
+                bank.array.insert_stripe(stripe, shared)
 
         # L1 lines are keyed by the chip's block address, whatever the L1's
         # own block size.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import log
 from typing import List, Tuple
 
 from repro.config.workload import WorkloadConfig
@@ -75,6 +76,19 @@ class SyntheticWorkloadStream(WorkloadStream):
             raise ValueError(f"core_id {core_id} out of range for {num_cores} cores")
         if address_offset < 0:
             raise ValueError(f"address_offset must be >= 0, got {address_offset}")
+        # The inlined draws below would spin forever on an empty range and
+        # build zero-instruction blocks from a sub-quarter mean, so refuse
+        # both here rather than mid-stream.
+        if config.shared_fraction > 0 and config.shared_region_bytes < 1:
+            raise ValueError(
+                "a stream with shared accesses needs shared_region_bytes >= 1, "
+                f"got {config.shared_region_bytes}"
+            )
+        if config.mean_block_instructions < 0.25:
+            raise ValueError(
+                "mean_block_instructions must be >= 0.25 so a block holds an "
+                f"instruction, got {config.mean_block_instructions}"
+            )
         self.config = config
         self.core_id = core_id
         self.num_cores = num_cores
@@ -94,73 +108,101 @@ class SyntheticWorkloadStream(WorkloadStream):
         self._private_base = (
             PRIVATE_DATA_BASE + address_offset + core_id * self._dataset_per_core
         )
-        self._pc = self._instruction_base + self._random_aligned(
-            config.instruction_footprint_bytes
-        )
-
-    # ------------------------------------------------------------------ #
-    # Address helpers
-    # ------------------------------------------------------------------ #
-    def _random_aligned(self, span: int, alignment: int = INSTRUCTION_BYTES) -> int:
-        return (self.rng.randrange(span) // alignment) * alignment
-
-    def _next_instruction_address(self, block_bytes: int) -> int:
-        config = self.config
-        instruction_base = self._instruction_base
-        address = self._pc
-        if self.rng.random() < config.jump_probability:
-            if self.rng.random() < config.hot_instruction_fraction:
-                target = instruction_base + self._random_aligned(self._hot_instr_bytes)
-            else:
-                target = instruction_base + self._random_aligned(
-                    config.instruction_footprint_bytes
-                )
-            address = target
-        self._pc = instruction_base + (
-            (address - instruction_base + block_bytes) % config.instruction_footprint_bytes
-        )
-        return address
-
-    def _next_data_access(self) -> DataAccess:
-        config = self.config
-        roll = self.rng.random()
-        is_write = self.rng.random() < config.write_fraction
-        if roll < config.shared_fraction:
-            addr = self._shared_base + self.rng.randrange(config.shared_region_bytes)
-            return addr, is_write
-        if roll < config.shared_fraction + config.data_reuse_fraction:
-            addr = self._private_base + self.rng.randrange(self._hot_data_bytes)
-            return addr, is_write
-        addr = self._private_base + self.rng.randrange(self._dataset_per_core)
-        return addr, is_write
+        # The block draw below inlines ``randrange`` and ``expovariate``;
+        # the per-stream constants they need are computed once here.
+        self._lambd = 1.0 / config.mean_block_instructions
+        self._max_block = int(config.mean_block_instructions * 4)
+        self._reuse_cutoff = config.shared_fraction + config.data_reuse_fraction
+        self._pc = self._instruction_base + (
+            self.rng.randrange(config.instruction_footprint_bytes) // INSTRUCTION_BYTES
+        ) * INSTRUCTION_BYTES
 
     # ------------------------------------------------------------------ #
     # Stream interface
     # ------------------------------------------------------------------ #
-    def next_block(self) -> FetchBlock:
+    def _draw_block(self) -> Tuple[int, int, List[DataAccess]]:
+        """Draw one fetch block as ``(iaddr, n_instructions, accesses)``.
+
+        Makes exactly the RNG calls, in the same order and with the same
+        arithmetic, as ``expovariate(1 / mean)`` for the block length,
+        ``random()`` for the jump rolls, ``randrange(span)`` for jump
+        targets, ``random()`` for the access-count roll, and per access
+        ``random()``, ``random()`` and ``randrange(span)``.  Each
+        ``randrange(n)`` is CPython's own rejection loop over
+        ``getrandbits(n.bit_length())``, and ``expovariate`` is
+        ``-log(1 - random()) / lambd``, so every stream, and the final RNG
+        state, is identical to the library calls.
+        """
         config = self.config
-        mean = config.mean_block_instructions
-        n_instructions = max(1, int(round(self.rng.expovariate(1.0 / mean))))
-        n_instructions = min(n_instructions, int(mean * 4))
-        iaddr = self._next_instruction_address(n_instructions * INSTRUCTION_BYTES)
+        random = self.rng.random
+        getrandbits = self.rng.getrandbits
+
+        n_instructions = int(round(-log(1.0 - random()) / self._lambd))
+        if n_instructions < 1:
+            n_instructions = 1
+        if n_instructions > self._max_block:
+            n_instructions = self._max_block
+
+        instruction_base = self._instruction_base
+        footprint = config.instruction_footprint_bytes
+        iaddr = self._pc
+        if random() < config.jump_probability:
+            span = (
+                self._hot_instr_bytes
+                if random() < config.hot_instruction_fraction
+                else footprint
+            )
+            k = span.bit_length()
+            r = getrandbits(k)
+            while r >= span:
+                r = getrandbits(k)
+            iaddr = instruction_base + (r // INSTRUCTION_BYTES) * INSTRUCTION_BYTES
+        self._pc = instruction_base + (
+            (iaddr - instruction_base + n_instructions * INSTRUCTION_BYTES) % footprint
+        )
 
         expected_accesses = config.loads_per_instruction * n_instructions
         n_accesses = int(expected_accesses)
-        if self.rng.random() < (expected_accesses - n_accesses):
+        if random() < (expected_accesses - n_accesses):
             n_accesses += 1
-        accesses = [self._next_data_access() for _ in range(n_accesses)]
+        accesses = []
+        shared_fraction = config.shared_fraction
+        reuse_cutoff = self._reuse_cutoff
+        write_fraction = config.write_fraction
+        private_base = self._private_base
+        for _ in range(n_accesses):
+            roll = random()
+            is_write = random() < write_fraction
+            if roll < shared_fraction:
+                base = self._shared_base
+                span = config.shared_region_bytes
+            elif roll < reuse_cutoff:
+                base = private_base
+                span = self._hot_data_bytes
+            else:
+                base = private_base
+                span = self._dataset_per_core
+            k = span.bit_length()
+            r = getrandbits(k)
+            while r >= span:
+                r = getrandbits(k)
+            accesses.append((base + r, is_write))
+        return iaddr, n_instructions, accesses
+
+    def next_block(self) -> FetchBlock:
+        iaddr, n_instructions, accesses = self._draw_block()
         return FetchBlock(iaddr=iaddr, n_instructions=n_instructions, data_accesses=accesses)
 
     def functional_references(self, count: int):
         """Yield warm-up references without advancing simulated time."""
+        draw_block = self._draw_block
         produced = 0
         while produced < count:
-            block = self.next_block()
-            yield block.iaddr, True, False
-            produced += 1
-            for addr, is_write in block.data_accesses:
+            iaddr, _n_instructions, accesses = draw_block()
+            yield iaddr, True, False
+            for addr, is_write in accesses:
                 yield addr, False, is_write
-                produced += 1
+            produced += 1 + len(accesses)
 
     # ------------------------------------------------------------------ #
     @property

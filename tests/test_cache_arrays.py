@@ -1,6 +1,8 @@
 """Unit tests for address mapping, cache arrays, MSHRs and L1 caches."""
 
 import random
+from collections import OrderedDict
+from itertools import repeat
 
 import pytest
 
@@ -164,6 +166,112 @@ class TestSetAssociativeCache:
         assert list(cache.resident_blocks().items()) == list(
             reference.resident_blocks().items()
         )
+
+    @pytest.mark.parametrize(
+        "base, size, preload",
+        [
+            # Empty banks, fewer blocks per bank than sets.
+            (0x1_0000_0000, 16 * 20 * 64, 0),
+            # Several times the bank's capacity: each set sees more blocks
+            # than it has ways and keeps only the last ones.
+            (0x1_0000_0000, 16 * 200 * 64, 0),
+            # Banks already holding lines, from the stripe and from another
+            # region; sets get fewer stripe blocks than ways, so some of the
+            # other region's lines survive.
+            (0x1_0000_0000, 16 * 20 * 64, 40),
+            # First block on bank 3 and set 5, unaligned, wrapping past the
+            # last set back to set 0.
+            (0x1_0000_0000 + (37 * 16 + 3) * 64 + 8, 16 * 70 * 64 + 100, 0),
+            (0x1_0000_0000 + (37 * 16 + 3) * 64 + 8, 16 * 40 * 64 + 100, 60),
+        ],
+    )
+    def test_insert_stripe_matches_insert_all(self, base, size, preload):
+        mapper = AddressMapper(64, num_llc_banks=16)
+        config = CacheConfig(32 * 2 * 64, 2, 64)  # 32 sets, 2 ways
+
+        def banks():
+            arrays = [SetAssociativeCache(config, index_divisor=16) for _ in range(16)]
+            rng = random.Random(preload)
+            for _ in range(preload):
+                addr = rng.choice((base, base + (1 << 30))) + rng.randrange(size)
+                arrays[mapper.home_bank(addr)].insert(addr, CacheLineState.MODIFIED)
+            return arrays
+
+        striped, reference = banks(), banks()
+        for stripe in mapper.bank_stripes(base, size):
+            bank = mapper.home_bank(stripe[0])
+            striped[bank].insert_stripe(stripe, CacheLineState.SHARED)
+            reference[bank].insert_all(zip(stripe, repeat(CacheLineState.SHARED)))
+        for got, want in zip(striped, reference):
+            assert list(got.resident_blocks().items()) == list(want.resident_blocks().items())
+        if preload:
+            survivors = [
+                state
+                for bank in reference
+                for state in bank.resident_blocks().values()
+                if state is CacheLineState.MODIFIED
+            ]
+            assert survivors
+
+    def test_insert_stripe_rejects_wrong_step_and_invalid_state(self):
+        cache = SetAssociativeCache(CacheConfig(32 * 2 * 64, 2, 64), index_divisor=16)
+        with pytest.raises(ValueError, match="step"):
+            cache.insert_stripe(range(0, 64 * 100, 64), CacheLineState.SHARED)
+        with pytest.raises(ValueError, match="step"):
+            cache.insert_stripe(range(0, 64 * 800, 64 * 8), CacheLineState.SHARED)
+        with pytest.raises(ValueError):
+            cache.insert_stripe(range(0, 64 * 800, 64 * 16), CacheLineState.INVALID)
+        cache.insert_stripe(range(0, 0, 64 * 16), CacheLineState.SHARED)
+        assert cache.occupancy == 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lru_matches_ordered_dict_model(self, seed):
+        # 5,000 mixed calls on one 4-way set, checked call by call against
+        # an OrderedDict model; the set's dict goes through many deletions
+        # and re-insertions.
+        cache = SetAssociativeCache(CacheConfig(4 * 64, 4, 64))
+        model = OrderedDict()
+        states = [CacheLineState.SHARED, CacheLineState.EXCLUSIVE, CacheLineState.MODIFIED]
+        rng = random.Random(seed)
+        victims = 0
+        for _ in range(5000):
+            tag = rng.randrange(7)
+            addr = tag * 64 + rng.randrange(64)
+            op = rng.randrange(6)
+            if op == 0:
+                state = rng.choice(states)
+                expected = None
+                if tag in model:
+                    model.move_to_end(tag)
+                elif len(model) >= 4:
+                    victim_tag, victim_state = model.popitem(last=False)
+                    expected = (victim_tag * 64, victim_state)
+                    victims += 1
+                model[tag] = state
+                assert cache.insert(addr, state) == expected
+            elif op == 1:
+                expected = model.get(tag)
+                if tag in model:
+                    model.move_to_end(tag)
+                assert cache.lookup(addr) == expected
+            elif op == 2:
+                assert cache.lookup(addr, update_lru=False) == model.get(tag)
+            elif op == 3:
+                assert cache.probe(addr) == model.get(tag)
+            elif op == 4:
+                assert cache.invalidate(addr) == model.pop(tag, None)
+            else:
+                state = rng.choice(states + [CacheLineState.INVALID])
+                if tag in model:
+                    if state is CacheLineState.INVALID:
+                        del model[tag]
+                    else:
+                        model[tag] = state
+                cache.update_state(addr, state)
+            assert list(cache.resident_blocks().items()) == [
+                (t * 64, s) for t, s in model.items()
+            ]
+        assert victims > 50
 
     def test_insert_all_rejects_invalid_state(self):
         with pytest.raises(ValueError):
