@@ -36,8 +36,6 @@ from repro.scenarios import (
     ResultSet,
     SweepSpec,
     iter_results,
-    register_topology,
-    register_workload,
     run_sweep,
 )
 
@@ -57,8 +55,6 @@ __all__ = [
     "ResultSet",
     "SweepSpec",
     "iter_results",
-    "register_topology",
-    "register_workload",
     "run_sweep",
     "__version__",
 ]

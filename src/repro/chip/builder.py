@@ -1,9 +1,7 @@
 """Factories assembling networks and chips from a :class:`SystemConfig`.
 
-Both factories are thin dispatches through the fabric-plugin registry
-(:func:`repro.scenarios.registry.fabric_for`): the plugin registered under
-the config's topology key owns network construction, so a new fabric needs
-no edits here — see :mod:`repro.fabrics`.
+:func:`build_network` calls the ``build_network`` of the config's row in
+:data:`repro.fabrics.FABRICS`, so a new fabric needs no edits here.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from repro.chip.system_map import SystemMap
 
 def build_network(sim: Simulator, config: SystemConfig, system_map: SystemMap) -> Network:
     """Instantiate the interconnect matching ``config.noc.topology``."""
-    from repro.scenarios.registry import fabric_for
+    from repro.fabrics import fabric_for  # the fabric modules import this package
 
     return fabric_for(config).build_network(sim, config, system_map)
 

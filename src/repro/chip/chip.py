@@ -14,6 +14,7 @@ from typing import Dict, List, Optional
 from repro.cache.directory import DirectoryController
 from repro.cache.memory_controller import MemoryController
 from repro.cache.set_assoc import CacheLineState
+from repro.config import presets
 from repro.config.noc import topology_key
 from repro.config.system import SystemConfig
 from repro.cpu.core_node import CoreNode
@@ -141,11 +142,7 @@ class Chip:
         """WorkloadConfig per tenant of the map (empty list when untenanted)."""
         if self.workload_map is None:
             return []
-        from repro.scenarios.registry import workload as workload_preset
-
-        return [
-            workload_preset(tenant.workload) for tenant in self.workload_map.tenants
-        ]
+        return [presets.workload(tenant.workload) for tenant in self.workload_map.tenants]
 
     def _tenant_active_cores(self) -> List[List[int]]:
         """Per tenant: the cores that actually execute (scalability-limited).

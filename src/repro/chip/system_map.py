@@ -250,12 +250,7 @@ class NocOutSystemMap(SystemMap):
 
 
 def build_system_map(config: SystemConfig) -> SystemMap:
-    """Factory selecting the layout matching the configured topology.
-
-    Thin dispatch through the fabric-plugin registry: the plugin registered
-    under the config's topology key owns the layout, so a new fabric needs
-    no edits here — see :mod:`repro.fabrics`.
-    """
-    from repro.scenarios.registry import fabric_for
+    """The layout of ``config``, built by its row in :data:`repro.fabrics.FABRICS`."""
+    from repro.fabrics import fabric_for  # the fabric modules import this one
 
     return fabric_for(config).build_system_map(config)

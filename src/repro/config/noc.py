@@ -11,11 +11,10 @@ class Topology(str, Enum):
     """The paper's four interconnect organizations.
 
     The enum is only the *config-level identifier* of the built-in fabrics:
-    everything that used to dispatch on it (network construction, system
-    maps, area descriptors) now goes through the fabric-plugin registry in
-    :mod:`repro.scenarios.registry`, keyed by :func:`topology_key`.  A
-    fabric registered from outside this package stores its registry name as
-    a plain string in :attr:`NocConfig.topology`; the enum is never
+    network construction, system maps and area descriptors come from the
+    fabric's row in :data:`repro.fabrics.FABRICS`, keyed by
+    :func:`topology_key`.  Any other fabric stores its table name as a
+    plain string in :attr:`NocConfig.topology`; the enum is never
     extended.
     """
 
@@ -31,15 +30,15 @@ NOC_OUT = Topology.NOC_OUT
 IDEAL = Topology.IDEAL
 
 #: A topology identifier: one of the paper's four built-ins (enum) or the
-#: registry name of a plugin fabric (plain string).
+#: table name of another fabric (plain string).
 TopologyLike = Union[Topology, str]
 
 
 def topology_key(topology: TopologyLike) -> str:
-    """The registry/dispatch key of a topology identifier.
+    """The fabric-table key of a topology identifier.
 
     Built-in enum members key by their string value (``Topology.MESH`` ->
-    ``"mesh"``); plugin fabrics carry their registry name directly.  Cache
+    ``"mesh"``); other fabrics carry their table name directly.  Cache
     keys are unaffected: the engine's canonical serialisation already
     reduced enum members to their values, and a plain string is its own
     value.
@@ -58,7 +57,7 @@ class NocConfig:
     NoC area matches NOC-Out's 2.5 mm2 budget.
 
     ``topology`` may be a :class:`Topology` member (the built-ins) or the
-    registry name of a plugin fabric as a plain string; use
+    table name of another fabric as a plain string; use
     :func:`topology_key` when a flat string is needed.
     """
 
@@ -79,9 +78,9 @@ class NocConfig:
 
     # NOC-Out tree networks.  ``tree_concentration`` doubles as the generic
     # concentration knob for fabrics that share one router between several
-    # endpoints (the NOC-Out trees and the concentrated mesh plugin); it
-    # predates the plugin layer, and renaming it would invalidate every
-    # cached result, so the historical name stays.
+    # endpoints (the NOC-Out trees and the concentrated mesh); it predates
+    # the concentrated mesh, and renaming it would invalidate every cached
+    # result, so the historical name stays.
     tree_hop_latency: int = 1
     tree_vcs_per_port: int = 2
     tree_vc_depth_flits: int = 3
@@ -96,7 +95,7 @@ class NocConfig:
     llc_tiles: int = 8
     llc_banks_per_tile: int = 2
 
-    # Chiplet / network-on-interposer fabric (the ``chiplet`` plugin).
+    # Chiplet / network-on-interposer fabric (the ``chiplet`` row).
     # All four knobs default to ``None`` ("use the fabric's defaults") and
     # are omitted from cache-key canonicalisation when unset, so every
     # pre-chiplet cache key stays byte-identical — the same pattern as
@@ -150,5 +149,5 @@ class NocConfig:
         return replace(self, link_width_bits=link_width_bits)
 
     def with_topology(self, topology: TopologyLike) -> "NocConfig":
-        """Return a copy targeting a different topology (enum or plugin name)."""
+        """Return a copy targeting a different topology (enum or table name)."""
         return replace(self, topology=topology)

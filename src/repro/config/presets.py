@@ -13,33 +13,21 @@ in the regimes the paper characterises (Section 2.1, Figure 4, Section 6):
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 from dataclasses import replace
 
 from repro.config.noc import NocConfig, Topology
 from repro.config.system import SystemConfig
 from repro.config.workload import WorkloadConfig
-from repro.scenarios.registry import register_workload, workloads as _workload_registry
 
 MB = 1024 * 1024
 GB = 1024 * MB
-
-#: Names of the six evaluated workloads, in the order used by the figures.
-WORKLOAD_NAMES: List[str] = [
-    "Data Serving",
-    "MapReduce-C",
-    "MapReduce-W",
-    "SAT Solver",
-    "Web Frontend",
-    "Web Search",
-]
 
 #: The two workloads used in Figure 1 (performance vs. core count).
 FIGURE1_WORKLOADS: List[str] = ["Data Serving", "MapReduce-W"]
 
 
-@register_workload("Data Serving")
 def data_serving() -> WorkloadConfig:
     """Cassandra-style key-value serving: lowest ILP/MLP, latency bound."""
     return WorkloadConfig(
@@ -60,7 +48,6 @@ def data_serving() -> WorkloadConfig:
     )
 
 
-@register_workload("MapReduce-C")
 def mapreduce_c() -> WorkloadConfig:
     """MapReduce text classification: batch, modest locality."""
     return WorkloadConfig(
@@ -81,7 +68,6 @@ def mapreduce_c() -> WorkloadConfig:
     )
 
 
-@register_workload("MapReduce-W")
 def mapreduce_w() -> WorkloadConfig:
     """MapReduce word count: batch, slightly better instruction locality."""
     return WorkloadConfig(
@@ -102,7 +88,6 @@ def mapreduce_w() -> WorkloadConfig:
     )
 
 
-@register_workload("SAT Solver")
 def sat_solver() -> WorkloadConfig:
     """Cloud9 SAT solver: batch, pointer chasing over a large working set."""
     return WorkloadConfig(
@@ -123,7 +108,6 @@ def sat_solver() -> WorkloadConfig:
     )
 
 
-@register_workload("Web Frontend")
 def web_frontend() -> WorkloadConfig:
     """SPECweb2009 e-banking front end: 16-core scalability limit."""
     return WorkloadConfig(
@@ -144,7 +128,6 @@ def web_frontend() -> WorkloadConfig:
     )
 
 
-@register_workload("Web Search")
 def web_search() -> WorkloadConfig:
     """Nutch/Lucene index serving: 16-core scalability limit."""
     return WorkloadConfig(
@@ -165,30 +148,46 @@ def web_search() -> WorkloadConfig:
     )
 
 
+#: Workload name -> factory.
+WORKLOADS: Dict[str, Callable[[], WorkloadConfig]] = {
+    "Data Serving": data_serving,
+    "MapReduce-C": mapreduce_c,
+    "MapReduce-W": mapreduce_w,
+    "SAT Solver": sat_solver,
+    "Web Frontend": web_frontend,
+    "Web Search": web_search,
+}
+
+#: Names of the six evaluated workloads, in the order used by the figures.
+WORKLOAD_NAMES: List[str] = list(WORKLOADS)
+
+
 def workload(name: str) -> WorkloadConfig:
-    """Return the :class:`WorkloadConfig` registered under ``name``.
+    """Build the :class:`WorkloadConfig` named ``name`` (a fresh instance).
 
-    Thin shim over the workload registry
-    (:data:`repro.scenarios.registry.workloads`): the six presets above are
-    seeded by their decorators, and anything added with
-    ``@register_workload`` elsewhere resolves here too.
+    Unknown names raise :class:`KeyError` listing the workloads in
+    :data:`WORKLOADS`.
     """
-    return _workload_registry.create(name)
+    try:
+        factory = WORKLOADS[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown workload {name!r}; available: {sorted(WORKLOADS)}"
+        ) from None
+    return factory()
 
 
-def all_workloads() -> Dict[str, WorkloadConfig]:
-    """All registered workload presets keyed by name (the paper's six, plus
-    any extras registered with ``@register_workload``)."""
-    return {name: _workload_registry.create(name) for name in _workload_registry.names()}
+def workload_names() -> List[str]:
+    """Every workload name, in table order."""
+    return list(WORKLOADS)
 
 
 # --------------------------------------------------------------------------- #
 # Chip configurations (Table 1)
 #
-# These are plain factories; registry wiring lives with the fabric plugins
-# in ``repro.fabrics`` (each plugin's ``build_system`` delegates here), so
-# ``build_system("mesh", ...)`` and ``presets.mesh_system(...)`` stay one
-# implementation.
+# These are plain factories; the rows of ``repro.fabrics.FABRICS`` name
+# them, so ``build_system("mesh", ...)`` and ``presets.mesh_system(...)``
+# stay one implementation.
 # --------------------------------------------------------------------------- #
 def baseline_system(
     topology: Topology = Topology.MESH,

@@ -95,7 +95,7 @@ def figure7_report(
     Each measured ``workload / fabric`` cell is compared against its
     digitized bar.  The ``GMean`` rows are only compared when all six
     baseline workloads were measured, and are then recomputed over exactly
-    those six — a run with extra registered workloads would otherwise score
+    those six — a run with extra workloads would otherwise score
     a different mean against the paper's.
     """
     normalised = run_figure7(

@@ -7,7 +7,7 @@ over 9x below the flattened butterfly).
 Unlike the other figures this one is purely analytic — the area model reads
 static topology descriptors, no simulation runs — so there is no
 :class:`~repro.scenarios.spec.SweepSpec` to declare and nothing to cache;
-the configs are built straight from the topology registry.
+the configs are built straight from the fabric table.
 """
 
 from __future__ import annotations

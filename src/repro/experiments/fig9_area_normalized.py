@@ -106,7 +106,7 @@ def figure9_report(
 
     The baseline digitizes the geometric-mean bars, so the comparison only
     engages when all six paper workloads were measured (and is then
-    computed over exactly those six, ignoring extra registered workloads);
+    computed over exactly those six, ignoring extra workloads);
     a reduced run still renders its measured table but reads as
     ``no-data``.
     """

@@ -77,7 +77,7 @@ def power_report(
 
     The baseline is the per-fabric power *averaged over the six workloads*,
     so the comparison only engages on the full workload set and then
-    averages over exactly those six (extra registered workloads are shown
+    averages over exactly those six (extra workloads are shown
     in the table but excluded from the compared average); reduced runs
     still render their measured table but read as ``no-data``.
     """

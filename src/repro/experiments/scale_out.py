@@ -32,8 +32,8 @@ from repro.scenarios import ResultSet, SweepSpec, run_sweep
 #: Core counts swept (the paper's 64 plus the scale-out sizes up to the
 #: chiplet-era 1024/2048 points).
 CORE_COUNTS = (64, 128, 256, 512, 1024, 2048)
-#: The fabrics compared: the baseline mesh, the concentrated mesh plugin,
-#: the paper's NOC-Out, and the chiplet/NoI plugin (registry names).
+#: The fabrics compared: the baseline mesh, the concentrated mesh, the
+#: paper's NOC-Out, and the chiplet/NoI fabric (fabric-table names).
 FABRICS = ("mesh", "cmesh", "noc_out", "chiplet")
 #: Workloads swept by default (the Figure 1 pair: one latency-bound, one
 #: batch workload).

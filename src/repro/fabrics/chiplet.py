@@ -2,7 +2,7 @@
 
 A flat mesh's diameter grows with the square root of the core count, so the
 paper's scale-out argument (Sections 2 and 7.1) gets most interesting
-exactly where a monolithic die stops being buildable.  This plugin models
+exactly where a monolithic die stops being buildable.  This module models
 the contemporary answer: several identical CPU chiplets, each with its own
 small NoC mesh, bridged by a network-on-interposer (NoI).  The two gem5
 exemplars in SNIPPETS.md are the direct models:
@@ -29,12 +29,12 @@ Structure built by :class:`ChipletNetwork`:
   star-connected to every NoI router and hosts all memory controllers;
   otherwise MC ``i`` attaches to NoI router ``i % chiplet_count``.
 
-Like :mod:`repro.fabrics.cmesh`, the module is self-contained and wires in
-purely through ``@register_topology`` — no dispatch site changes.  The
-four knobs live on :class:`~repro.config.noc.NocConfig` as optional fields
-(``None`` means "fabric default" and is canonically omitted, so adding the
-fabric invalidated no cache key), which also makes each knob a sweepable
-axis for free.
+Like :mod:`repro.fabrics.cmesh`, the module defines its preset, map,
+network and area descriptor, and one row of :data:`repro.fabrics.FABRICS`
+names them.  The four knobs live on :class:`~repro.config.noc.NocConfig` as
+optional fields (``None`` means "fabric default" and is canonically
+omitted, so adding the fabric invalidated no cache key), which also makes
+each knob a sweepable axis for free.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import List, Tuple
 
-from repro.chip.system_map import SystemMap, TiledSystemMap
+from repro.chip.system_map import TiledSystemMap
 from repro.config.noc import NocConfig
 from repro.config.system import SystemConfig, default_mesh_dimensions
 from repro.noc.buffer import InputPort
@@ -55,12 +55,11 @@ from repro.noc.topology import (
     RouterSpec,
     TopologyDescriptor,
 )
-from repro.scenarios.registry import register_topology
 from repro.sim.kernel import Simulator
 
 Coordinate = Tuple[int, int]
 
-#: Registry name (and the string stored in ``NocConfig.topology``).
+#: Table name (and the string stored in ``NocConfig.topology``).
 CHIPLET_NAME = "chiplet"
 #: Default number of CPU chiplets (a 2x2 NoI mesh).
 DEFAULT_CHIPLET_COUNT = 4
@@ -237,11 +236,6 @@ class ChipletNetwork(Network):
         self._tile_router: List[Router] = []
         self._noi_router: List[Router] = []
         self.io_router: Router = None
-        #: Crossing output ports by kind, exposed for tests and diagnostics.
-        self.uplink_ports: List = []
-        self.downlink_ports: List = []
-        self.noi_mesh_ports: List = []
-        self.io_ports: List = []
 
         self._build_tile_routers()
         self._build_noi_routers()
@@ -320,14 +314,12 @@ class ChipletNetwork(Network):
                 if not (0 <= nx < p.ccols and 0 <= ny < p.crows):
                     continue
                 neighbor = self._noi_router_at((nx, ny))
-                self.noi_mesh_ports.append(
-                    router.connect(
-                        neighbor,
-                        self._new_input_port(f"{neighbor.name}.in_{opposite(direction)}"),
-                        direction,
-                        link_latency=self.crossing_latency,
-                        link_length_mm=self.chiplet_mm,
-                    )
+                router.connect(
+                    neighbor,
+                    self._new_input_port(f"{neighbor.name}.in_{opposite(direction)}"),
+                    direction,
+                    link_latency=self.crossing_latency,
+                    link_length_mm=self.chiplet_mm,
                 )
 
     def _build_uplinks(self) -> None:
@@ -336,23 +328,19 @@ class ChipletNetwork(Network):
             noi = self._noi_router[chiplet]
             for group in range(p.groups):
                 boundary = self._tile_router[self.map.boundary_node(chiplet, group)]
-                self.uplink_ports.append(
-                    boundary.connect(
-                        noi,
-                        self._new_input_port(f"{noi.name}.in_up{group}"),
-                        "up",
-                        link_latency=self.crossing_latency,
-                        link_length_mm=self.tile_mm,
-                    )
+                boundary.connect(
+                    noi,
+                    self._new_input_port(f"{noi.name}.in_up{group}"),
+                    "up",
+                    link_latency=self.crossing_latency,
+                    link_length_mm=self.tile_mm,
                 )
-                self.downlink_ports.append(
-                    noi.connect(
-                        boundary,
-                        self._new_input_port(f"{boundary.name}.in_down"),
-                        f"down{group}",
-                        link_latency=self.crossing_latency,
-                        link_length_mm=self.tile_mm,
-                    )
+                noi.connect(
+                    boundary,
+                    self._new_input_port(f"{boundary.name}.in_down"),
+                    f"down{group}",
+                    link_latency=self.crossing_latency,
+                    link_length_mm=self.tile_mm,
                 )
 
     def _build_io_die(self) -> None:
@@ -368,23 +356,19 @@ class ChipletNetwork(Network):
         self.routers.append(self.io_router)
         for chiplet in range(p.count):
             noi = self._noi_router[chiplet]
-            self.io_ports.append(
-                self.io_router.connect(
-                    noi,
-                    self._new_input_port(f"{noi.name}.in_io"),
-                    f"to_c{chiplet}",
-                    link_latency=self.crossing_latency,
-                    link_length_mm=self.chiplet_mm,
-                )
+            self.io_router.connect(
+                noi,
+                self._new_input_port(f"{noi.name}.in_io"),
+                f"to_c{chiplet}",
+                link_latency=self.crossing_latency,
+                link_length_mm=self.chiplet_mm,
             )
-            self.io_ports.append(
-                noi.connect(
-                    self.io_router,
-                    self._new_input_port(f"{self.name}.io.in_c{chiplet}"),
-                    "io",
-                    link_latency=self.crossing_latency,
-                    link_length_mm=self.chiplet_mm,
-                )
+            noi.connect(
+                self.io_router,
+                self._new_input_port(f"{self.name}.io.in_c{chiplet}"),
+                "io",
+                link_latency=self.crossing_latency,
+                link_length_mm=self.chiplet_mm,
             )
 
     def _attach_interfaces(self) -> None:
@@ -551,7 +535,7 @@ def describe_chiplet(config: SystemConfig) -> TopologyDescriptor:
 
 
 # --------------------------------------------------------------------------- #
-# System preset + plugin registration
+# System preset
 # --------------------------------------------------------------------------- #
 def chiplet_system(
     num_cores: int = 1024,
@@ -575,25 +559,3 @@ def chiplet_system(
     chiplet_params(config)  # validate the whole geometry up front
     return config
 
-
-@register_topology(CHIPLET_NAME)
-class ChipletFabric:
-    """Hierarchical chiplet + network-on-interposer fabric."""
-
-    name = CHIPLET_NAME
-
-    def build_system(self, num_cores: int = 1024, **kwargs) -> SystemConfig:
-        return chiplet_system(num_cores=num_cores, **kwargs)
-
-    def build_system_map(self, config: SystemConfig) -> ChipletSystemMap:
-        return ChipletSystemMap(config)
-
-    def build_network(
-        self, sim: Simulator, config: SystemConfig, system_map: SystemMap
-    ) -> ChipletNetwork:
-        if not isinstance(system_map, ChipletSystemMap):
-            raise TypeError(f"{self.name} requires a ChipletSystemMap")
-        return ChipletNetwork(sim, config, system_map, name=CHIPLET_NAME)
-
-    def describe(self, config: SystemConfig) -> TopologyDescriptor:
-        return describe_chiplet(config)

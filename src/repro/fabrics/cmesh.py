@@ -3,18 +3,15 @@
 Section 2 of the paper observes that the baseline mesh's cost grows with
 the *tile* count, not the core count; concentrating several cores onto one
 router is the textbook way to keep router count (and average hop count)
-in check as chips scale out to hundreds of cores.  This plugin models the
+in check as chips scale out to hundreds of cores.  This module models the
 canonical concentrated mesh: ``concentration`` cores (default 4) share one
 local router, routers form a near-square 2-D mesh over the concentrated
 tiles, and everything else (XY routing, VC/buffer parameters, pipeline
 depths) matches the baseline mesh.
 
-The module is deliberately self-contained — it defines its own system
-preset, system map, network construction and area descriptor, and wires
-them in purely through ``@register_topology``.  It touches no dispatch
-site, which is the whole point of the fabric-plugin protocol: use it as
-the template for adding your own fabric (see "Add a fabric in one module"
-in the README).
+The module defines the fabric's system preset, system map, network
+builder and area descriptor; its row in :data:`repro.fabrics.FABRICS`
+names them.
 
 The concentration factor is carried by ``NocConfig.tree_concentration``
 (the pre-existing generic concentration knob), so sweeps can put it on an
@@ -26,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
-from repro.chip.system_map import SystemMap, TiledSystemMap
+from repro.chip.system_map import TiledSystemMap
 from repro.config.noc import NocConfig
 from repro.config.system import SystemConfig, default_mesh_dimensions
 from repro.noc.mesh import MeshNetwork
@@ -36,10 +33,9 @@ from repro.noc.topology import (
     RouterSpec,
     TopologyDescriptor,
 )
-from repro.scenarios.registry import register_topology
 from repro.sim.kernel import Simulator
 
-#: Registry name (and the string stored in ``NocConfig.topology``).
+#: Table name (and the string stored in ``NocConfig.topology``).
 CMESH_NAME = "cmesh"
 #: Cores sharing one router in the default preset.
 DEFAULT_CONCENTRATION = 4
@@ -138,37 +134,21 @@ def cmesh_system(
     return config
 
 
-@register_topology(CMESH_NAME)
-class ConcentratedMeshFabric:
-    """Concentrated mesh: 4 cores per router by default."""
-
-    name = CMESH_NAME
-
-    def build_system(self, num_cores: int = 64, **kwargs) -> SystemConfig:
-        return cmesh_system(num_cores=num_cores, **kwargs)
-
-    def build_system_map(self, config: SystemConfig) -> ConcentratedSystemMap:
-        return ConcentratedSystemMap(config)
-
-    def build_network(
-        self, sim: Simulator, config: SystemConfig, system_map: SystemMap
-    ) -> MeshNetwork:
-        if not isinstance(system_map, ConcentratedSystemMap):
-            raise TypeError(f"{self.name} requires a ConcentratedSystemMap")
-        # The router grid comes from the map itself, so node coordinates
-        # and network geometry cannot drift apart.
-        geometry = GridGeometry(
-            system_map.cols,
-            system_map.rows,
-            config.tile_width_mm * math.sqrt(system_map.concentration),
-        )
-        return MeshNetwork(
-            sim,
-            config,
-            system_map.node_coords(),
-            name=CMESH_NAME,
-            geometry=geometry,
-        )
-
-    def describe(self, config: SystemConfig) -> TopologyDescriptor:
-        return describe_cmesh(config)
+def cmesh_network(
+    sim: Simulator, config: SystemConfig, system_map: ConcentratedSystemMap
+) -> MeshNetwork:
+    """The concentrated mesh: a baseline mesh over the map's router grid."""
+    # The router grid comes from the map itself, so node coordinates
+    # and network geometry cannot drift apart.
+    geometry = GridGeometry(
+        system_map.cols,
+        system_map.rows,
+        config.tile_width_mm * math.sqrt(system_map.concentration),
+    )
+    return MeshNetwork(
+        sim,
+        config,
+        system_map.node_coords(),
+        name=CMESH_NAME,
+        geometry=geometry,
+    )

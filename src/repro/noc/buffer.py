@@ -176,10 +176,6 @@ class InputPort:
         return self.vcs[self.vc_index_for(msg_class)]
 
     @property
-    def empty(self) -> bool:
-        return all(vc.empty for vc in self.vcs)
-
-    @property
     def occupancy_flits(self) -> int:
         return sum(vc.occupancy_flits for vc in self.vcs)
 

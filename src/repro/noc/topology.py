@@ -205,12 +205,8 @@ def describe_flattened_butterfly(config: SystemConfig) -> TopologyDescriptor:
 
 
 def describe_topology(config: SystemConfig) -> TopologyDescriptor:
-    """Descriptor for ``config.noc.topology``, via the fabric registry.
-
-    Thin dispatch through the fabric-plugin registry: the plugin registered
-    under the config's topology key owns the static description, so a new
-    fabric needs no edits here — see :mod:`repro.fabrics`.
-    """
-    from repro.scenarios.registry import fabric_for
+    """Descriptor for ``config.noc.topology``, built by its row in
+    :data:`repro.fabrics.FABRICS`."""
+    from repro.fabrics import fabric_for  # the fabric modules import this one
 
     return fabric_for(config).describe(config)

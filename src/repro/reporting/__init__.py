@@ -10,7 +10,7 @@ This package is the repo's answer to "how faithful is this reproduction?":
   absolute/relative error, within-tolerance verdicts, pass/fail summary);
 * :mod:`~repro.reporting.render` — dependency-free Markdown rendering with
   ASCII bar charts, byte-stable for a given result cache;
-* :mod:`~repro.reporting.figures` — name registry over the per-figure
+* :mod:`~repro.reporting.figures` — name table over the per-figure
   ``*_report()`` hooks in :mod:`repro.experiments`;
 * :mod:`~repro.reporting.tables` — the plain-text :class:`ReportTable`
   (canonical home);
@@ -32,7 +32,7 @@ or, end to end::
 Import-order invariant: the figure modules under :mod:`repro.experiments`
 import this package at module level (for baselines and
 :class:`FigureReport`), so nothing here may import ``repro.experiments``
-eagerly — the registry in :mod:`~repro.reporting.figures` and the CLI
+eagerly — the table in :mod:`~repro.reporting.figures` and the CLI
 import the hooks lazily.
 """
 

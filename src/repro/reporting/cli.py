@@ -168,6 +168,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         settings = RunSettings().scaled(args.scale)
     else:
         settings = RunSettings.from_env()
+    if args.jobs is not None and args.jobs < 1:
+        print("--jobs must be at least 1", file=sys.stderr)
+        return 2
+    try:
+        core_counts = (
+            [int(c) for c in args.cores.split(",") if c.strip()] if args.cores else None
+        )
+    except ValueError:
+        print(
+            f"--cores must be comma-separated integers, got {args.cores!r}",
+            file=sys.stderr,
+        )
+        return 2
 
     # Validate user-supplied names up front so typos exit cleanly with the
     # available options, while genuine programming errors deeper in the
@@ -187,13 +200,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else None
     )
     if workloads:
-        from repro.scenarios import workload_names as registered_workloads
+        from repro.scenarios import workload_names
 
-        unknown_workloads = [w for w in workloads if w not in registered_workloads()]
+        unknown_workloads = [w for w in workloads if w not in workload_names()]
         if unknown_workloads:
             print(
                 f"unknown workload(s) {unknown_workloads}; "
-                f"available: {registered_workloads()}",
+                f"available: {workload_names()}",
                 file=sys.stderr,
             )
             return 2
@@ -211,11 +224,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         jobs=args.jobs,
         executor=executor,
         workload_names=workloads,
-        core_counts=(
-            [int(c) for c in args.cores.split(",") if c.strip()]
-            if args.cores
-            else None
-        ),
+        core_counts=core_counts,
     )
     stats = outcome["stats"]
     print(f"wrote {outcome['path']}")

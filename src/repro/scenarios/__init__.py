@@ -1,13 +1,12 @@
-"""Declarative scenario API: registries, sweep specs, structured results.
+"""Declarative scenario API: named inputs, sweep specs, structured results.
 
 This package is the experiment-facing surface of the reproduction:
 
-* :mod:`~repro.scenarios.registry` — ``@register_workload`` /
-  ``@register_topology`` name registries (workloads seeded by
-  :mod:`repro.config.presets`, fabric plugins by :mod:`repro.fabrics`), so
-  fabrics and workloads are discoverable and extensible by name; a fabric
-  registration carries the full build/describe protocol
-  (:func:`fabric_for` dispatches chip construction through it);
+* name lookups, re-exported from the two tables that hold them:
+  :func:`workload` and :func:`workload_names` read
+  :data:`repro.config.presets.WORKLOADS`; :func:`build_system`,
+  :func:`fabric_for` and :func:`topology_names` read
+  :data:`repro.fabrics.FABRICS`;
 * :mod:`~repro.scenarios.spec` — :class:`SweepSpec`, a frozen, JSON
   round-trippable description of a sweep (axes x fixed overrides) that
   expands to the engine's content-hashed experiment points and shards by
@@ -31,26 +30,12 @@ Typical usage::
     )
     table = run_sweep(spec).pivot("workload", "topology", "throughput_ipc")
 
-Import-order invariant: modules here import other ``repro`` subpackages
-only lazily (inside functions).  ``repro.config.presets`` imports the
-registration decorators at module level to seed the registries, and the
-figure modules under ``repro.experiments`` import this package at module
-level; eager imports in the other direction would cycle.
+The modules here import ``repro.experiments`` lazily (inside functions),
+because the figure modules there import this package at module level.
 """
 
-from repro.scenarios.registry import (
-    RegistrationError,
-    Registry,
-    build_system,
-    fabric_for,
-    register_topology,
-    register_workload,
-    topologies,
-    topology_names,
-    workload,
-    workload_names,
-    workloads,
-)
+from repro.config.presets import workload, workload_names
+from repro.fabrics import build_system, fabric_for, topology_names
 from repro.scenarios.results import (
     METRIC_NAMES,
     ResultRecord,
@@ -62,8 +47,6 @@ from repro.scenarios.spec import SweepPoint, SweepSpec, point_for_coords
 
 __all__ = [
     "METRIC_NAMES",
-    "RegistrationError",
-    "Registry",
     "ResultRecord",
     "ResultSet",
     "SweepPoint",
@@ -73,12 +56,8 @@ __all__ = [
     "iter_results",
     "point_for_coords",
     "record_for",
-    "register_topology",
-    "register_workload",
     "run_sweep",
-    "topologies",
     "topology_names",
     "workload",
     "workload_names",
-    "workloads",
 ]

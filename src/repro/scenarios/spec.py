@@ -14,10 +14,10 @@ Coordinates
 Recognised coordinate names (whether used as an axis or in ``fixed``):
 
 ``workload``
-    A workload preset name (resolved through the workload registry).
+    A workload preset name (a key of ``repro.config.presets.WORKLOADS``).
 ``topology``
-    A topology preset name (default ``"mesh"``, resolved through the
-    topology registry).
+    A fabric name (default ``"mesh"``, a key of
+    ``repro.fabrics.FABRICS``).
 ``num_cores`` / ``link_width_bits`` / ``seed``
     System parameters (defaults 64 / 128 / the settings' seed).
 ``workload_map``
@@ -26,8 +26,8 @@ Recognised coordinate names (whether used as an axis or in ``fixed``):
     attached to the config verbatim.  When present, ``workload`` may be
     omitted; it defaults to the map's first tenant.
 ``placement`` (+ ``tenants``, ``arrival``, ``load``, ``matrix``)
-    Scalar tenancy coordinates: ``placement`` names a registered
-    placement, ``tenants`` is the tuple of tenant workload names, and
+    Scalar tenancy coordinates: ``placement`` names a row of
+    ``PLACEMENTS``, ``tenants`` is the tuple of tenant workload names, and
     ``arrival``/``load``/``matrix`` shape every tenant's open-loop
     traffic (defaults ``poisson``/``0.0``/``uniform``).  The point builds
     the :class:`WorkloadMap` itself — this keeps co-location sweeps
@@ -297,7 +297,7 @@ class SweepSpec:
 def point_for_coords(coords: Mapping, settings) -> "ExperimentPoint":  # noqa: F821
     """Build the :class:`ExperimentPoint` described by one coordinate dict.
 
-    The registry builds the system for ``topology`` / ``num_cores`` /
+    The fabric table builds the system for ``topology`` / ``num_cores`` /
     ``link_width_bits`` / ``seed``; every other non-tenancy coordinate
     must name a :class:`NocConfig` field and overrides it; then the
     workload (and optional workload map) is applied.
@@ -305,8 +305,9 @@ def point_for_coords(coords: Mapping, settings) -> "ExperimentPoint":  # noqa: F
     import dataclasses as _dc
 
     from repro.config.noc import NocConfig
+    from repro.config.presets import workload
     from repro.experiments.engine import ExperimentPoint
-    from repro.scenarios import registry
+    from repro.fabrics import build_system
 
     c = dict(coords)
     workload_name = c.pop("workload", None)
@@ -367,7 +368,7 @@ def point_for_coords(coords: Mapping, settings) -> "ExperimentPoint":  # noqa: F
             f"{list(_SYSTEM_COORDS)} or a NocConfig field"
         )
 
-    config = registry.build_system(
+    config = build_system(
         str(topology_name),
         num_cores=num_cores,
         link_width_bits=link_width_bits,
@@ -375,7 +376,7 @@ def point_for_coords(coords: Mapping, settings) -> "ExperimentPoint":  # noqa: F
     )
     if c:
         config = config.with_noc(_dc.replace(config.noc, **c))
-    config = config.with_workload(registry.workload(str(workload_name)))
+    config = config.with_workload(workload(str(workload_name)))
     if workload_map is not None:
         config = config.with_workload_map(workload_map)
     return ExperimentPoint(config=config, settings=settings)

@@ -1,23 +1,22 @@
 """Tenancy layer: multi-tenant placement, open-loop arrivals, matrices.
 
 The subsystem behind co-location experiments: a frozen
-:class:`WorkloadMap` pins workloads to core groups (placements are
-registry plugins, like fabrics), arrival processes shape per-cycle
-injection rates over time, and traffic matrices pick destinations per
-tenant.  ``experiments/colocation.py`` sweeps all three.
+:class:`WorkloadMap` pins workloads to core groups, arrival processes
+shape per-cycle injection rates over time, and traffic matrices pick
+destinations per tenant.  Each of the three is a table from names to
+factories (``PLACEMENTS``, ``ARRIVALS``, ``MATRICES``).
+``experiments/colocation.py`` sweeps all three.
 """
 
 from repro.tenancy.arrivals import (
     ArrivalProcess,
     arrival_names,
     make_arrival,
-    register_arrival,
 )
 from repro.tenancy.matrices import (
     MatrixContext,
     make_matrix,
     matrix_names,
-    register_matrix,
 )
 from repro.tenancy.placement import (
     TENANT_ADDRESS_STRIDE,
@@ -26,7 +25,6 @@ from repro.tenancy.placement import (
     build_placement,
     is_workload_map_dict,
     placement_names,
-    register_placement,
 )
 
 __all__ = [
@@ -42,7 +40,4 @@ __all__ = [
     "make_matrix",
     "matrix_names",
     "placement_names",
-    "register_arrival",
-    "register_matrix",
-    "register_placement",
 ]

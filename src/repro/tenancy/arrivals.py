@@ -3,15 +3,8 @@
 Each process maps a cycle (relative to generator start) to the Bernoulli
 injection probability the traffic machinery in
 :mod:`repro.workloads.traffic` uses that cycle — the open-loop layer over
-the existing per-cycle draw loop.  Processes are named factories in a
-registry (the fabric-plugin pattern)::
-
-    from repro.tenancy import register_arrival
-
-    @register_arrival("my_process")
-    class MyProcess(ArrivalProcess):
-        def __init__(self, base_rate): ...
-        def rate(self, cycle, rng): ...
+the existing per-cycle draw loop.  :data:`ARRIVALS` names each process
+class; a new process is one class and one row.
 
 Every stochastic process draws exclusively from the ``rng`` handed in by
 its generator, so traces are fully determined by the generator seed —
@@ -22,30 +15,27 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List
-
-from repro.scenarios.registry import Registry
-
-arrivals = Registry("arrival process")
-
-
-def register_arrival(name: str, factory=None, **kwargs):
-    """Register a ``(base_rate) -> ArrivalProcess`` factory."""
-    return arrivals.register(name, factory, **kwargs)
+from typing import Callable, Dict, List
 
 
 def arrival_names() -> List[str]:
-    """Registered arrival-process names, in registration order."""
-    return list(arrivals)
+    """Arrival-process names, in table order."""
+    return list(ARRIVALS)
 
 
 def make_arrival(name: str, base_rate: float) -> "ArrivalProcess":
-    """Build the registered arrival process ``name`` at ``base_rate``."""
+    """Build the arrival process ``name`` of :data:`ARRIVALS` at ``base_rate``."""
     if not 0.0 <= base_rate <= 1.0:
         raise ValueError(
             f"arrival process {name!r}: base rate must be within [0, 1], got {base_rate}"
         )
-    return arrivals.create(name, base_rate)
+    try:
+        factory = ARRIVALS[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown arrival process {name!r}; available: {sorted(ARRIVALS)}"
+        ) from None
+    return factory(base_rate)
 
 
 class ArrivalProcess:
@@ -61,7 +51,6 @@ class ArrivalProcess:
         raise NotImplementedError
 
 
-@register_arrival("poisson")
 class PoissonArrival(ArrivalProcess):
     """Constant rate: per-cycle Bernoulli trials, i.e. binomial arrivals
     approximating a Poisson process at low rates."""
@@ -73,7 +62,6 @@ class PoissonArrival(ArrivalProcess):
         return self.base_rate
 
 
-@register_arrival("bursty")
 class BurstyArrival(ArrivalProcess):
     """Two-state Markov-modulated on/off process, mean-preserving.
 
@@ -113,7 +101,6 @@ class BurstyArrival(ArrivalProcess):
         return self.on_rate if self._on else self.off_rate
 
 
-@register_arrival("diurnal")
 class DiurnalArrival(ArrivalProcess):
     """Deterministic diurnal ramp: a sinusoid over ``period`` cycles.
 
@@ -135,3 +122,11 @@ class DiurnalArrival(ArrivalProcess):
     def rate(self, cycle: int, rng: random.Random) -> float:
         swing = 1.0 + self.amplitude * math.sin(2.0 * math.pi * cycle / self.period)
         return min(1.0, max(0.0, self.base_rate * swing))
+
+
+#: Arrival-process name -> ``(base_rate) -> ArrivalProcess``.
+ARRIVALS: Dict[str, Callable[[float], ArrivalProcess]] = {
+    "poisson": PoissonArrival,
+    "bursty": BurstyArrival,
+    "diurnal": DiurnalArrival,
+}

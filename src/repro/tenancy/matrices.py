@@ -3,39 +3,23 @@
 A matrix factory turns a :class:`MatrixContext` (the tenant's slot among
 the chip's LLC destinations) into a ``pick(source, rng) -> destination``
 callable — exactly the ``pick_destination`` shape the traffic machinery
-in :mod:`repro.workloads.traffic` already consumes.  Matrices are named
-factories in a registry, mirroring the placement and arrival registries::
-
-    from repro.tenancy import register_matrix
-
-    @register_matrix("my_matrix")
-    def my_matrix(context):
-        def pick(source, rng): ...
-        return pick
+in :mod:`repro.workloads.traffic` already consumes.  :data:`MATRICES`
+names each factory, like the placement and arrival tables.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
-
-from repro.scenarios.registry import Registry
+from typing import Callable, Dict, List, Tuple
 
 #: ``pick(source_node, rng) -> destination_node``
 DestinationPicker = Callable[[int, random.Random], int]
 
-matrices = Registry("traffic matrix")
-
-
-def register_matrix(name: str, factory=None, **kwargs):
-    """Register a ``(MatrixContext) -> picker`` factory."""
-    return matrices.register(name, factory, **kwargs)
-
 
 def matrix_names() -> List[str]:
-    """Registered traffic-matrix names, in registration order."""
-    return list(matrices)
+    """Traffic-matrix names, in table order."""
+    return list(MATRICES)
 
 
 @dataclass(frozen=True)
@@ -57,11 +41,16 @@ class MatrixContext:
 
 
 def make_matrix(name: str, context: MatrixContext) -> DestinationPicker:
-    """Build the registered traffic matrix ``name`` for ``context``."""
-    return matrices.create(name, context)
+    """Build the traffic matrix ``name`` of :data:`MATRICES` for ``context``."""
+    try:
+        factory = MATRICES[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown traffic matrix {name!r}; available: {sorted(MATRICES)}"
+        ) from None
+    return factory(context)
 
 
-@register_matrix("uniform")
 def _uniform(context: MatrixContext) -> DestinationPicker:
     """Uniform over every destination — the classic baseline matrix."""
     destinations = list(context.destinations)
@@ -72,7 +61,6 @@ def _uniform(context: MatrixContext) -> DestinationPicker:
     return pick
 
 
-@register_matrix("hotspot")
 def _hotspot(context: MatrixContext) -> DestinationPicker:
     """Half the traffic converges on one hot destination.
 
@@ -91,7 +79,6 @@ def _hotspot(context: MatrixContext) -> DestinationPicker:
     return pick
 
 
-@register_matrix("partitioned")
 def _partitioned(context: MatrixContext) -> DestinationPicker:
     """Each tenant keeps to its own stripe of the destinations.
 
@@ -111,3 +98,11 @@ def _partitioned(context: MatrixContext) -> DestinationPicker:
         return rng.choice(stripe)
 
     return pick
+
+
+#: Traffic-matrix name -> ``(MatrixContext) -> DestinationPicker``.
+MATRICES: Dict[str, Callable[[MatrixContext], DestinationPicker]] = {
+    "uniform": _uniform,
+    "hotspot": _hotspot,
+    "partitioned": _partitioned,
+}

@@ -2,19 +2,11 @@
 
 A :class:`WorkloadMap` pins different workloads to different core groups
 of a single chip — the rack-level co-location scenario the paper's
-homogeneous sweeps cannot express (ROADMAP item 2).  It mirrors the
-fabric-plugin pattern: placements are named factories in a registry, so
-
-    from repro.tenancy import register_placement
-
-    @register_placement("my_layout")
-    def my_layout(num_cores, tenants):
-        return WorkloadMap("my_layout", entries, tenants)
-
-immediately makes ``"my_layout"`` usable as a ``placement`` sweep
-coordinate.  Maps are frozen, validated, JSON round-trippable (the
-``__kind__`` tag lets the scenario layer revive them) and content-hashed,
-so they are sound cache-key material.
+homogeneous sweeps cannot express (ROADMAP item 2).  :data:`PLACEMENTS`
+names each placement factory, so a new row there is usable as a
+``placement`` sweep coordinate.  Maps are frozen, validated, JSON
+round-trippable (the ``__kind__`` tag lets the scenario layer revive
+them) and content-hashed, so they are sound cache-key material.
 """
 
 from __future__ import annotations
@@ -22,9 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
-
-from repro.scenarios.registry import Registry
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
 #: Address-space stride between tenants (1 TiB).  Larger than any layout
 #: span a single workload stream produces, so co-located tenants never
@@ -215,18 +205,10 @@ def is_workload_map_dict(value: object) -> bool:
     return isinstance(value, Mapping) and value.get("__kind__") == "workload_map"
 
 
-# -- placement registry ---------------------------------------------------- #
-placements = Registry("placement")
-
-
-def register_placement(name: str, factory=None, **kwargs):
-    """Register a ``(num_cores, tenants) -> WorkloadMap`` factory."""
-    return placements.register(name, factory, **kwargs)
-
-
+# -- placement table ------------------------------------------------------- #
 def placement_names() -> List[str]:
-    """Registered placement names, in registration order."""
-    return list(placements)
+    """Placement names, in table order."""
+    return list(PLACEMENTS)
 
 
 def build_placement(
@@ -237,7 +219,7 @@ def build_placement(
     rate: float = 0.0,
     matrix: str = "uniform",
 ) -> WorkloadMap:
-    """Build the registered placement ``name`` for a ``num_cores`` chip.
+    """Build the placement ``name`` of :data:`PLACEMENTS` for a ``num_cores`` chip.
 
     ``tenants`` entries may be :class:`TenantSpec` objects or bare
     workload names; names get the shared ``arrival``/``rate``/``matrix``
@@ -254,18 +236,22 @@ def build_placement(
     )
     if not specs:
         raise ValueError(f"placement {name!r} needs at least one tenant")
-    workload_map = placements.create(name, num_cores, specs)
+    try:
+        factory = PLACEMENTS[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown placement {name!r}; available: {sorted(PLACEMENTS)}"
+        ) from None
+    workload_map = factory(num_cores, specs)
     workload_map.validate_for(num_cores)
     return workload_map
 
 
-@register_placement("homogeneous")
 def _homogeneous(num_cores: int, tenants: Tuple[TenantSpec, ...]) -> WorkloadMap:
     """Every core runs the first tenant — the co-location baseline."""
     return WorkloadMap("homogeneous", ((0, num_cores, 0),), (tenants[0],))
 
 
-@register_placement("split_half")
 def _split_half(num_cores: int, tenants: Tuple[TenantSpec, ...]) -> WorkloadMap:
     """First tenant on the low half of the cores, second on the high half."""
     if len(tenants) < 2:
@@ -280,7 +266,6 @@ def _split_half(num_cores: int, tenants: Tuple[TenantSpec, ...]) -> WorkloadMap:
     )
 
 
-@register_placement("checkerboard")
 def _checkerboard(num_cores: int, tenants: Tuple[TenantSpec, ...]) -> WorkloadMap:
     """Two tenants interleaved core-by-core (maximal sharing of the fabric)."""
     if len(tenants) < 2:
@@ -289,3 +274,11 @@ def _checkerboard(num_cores: int, tenants: Tuple[TenantSpec, ...]) -> WorkloadMa
         raise ValueError("checkerboard placement needs at least two cores")
     entries = tuple((core, core + 1, core % 2) for core in range(num_cores))
     return WorkloadMap("checkerboard", entries, (tenants[0], tenants[1]))
+
+
+#: Placement name -> ``(num_cores, tenants) -> WorkloadMap``.
+PLACEMENTS: Dict[str, Callable[[int, Tuple[TenantSpec, ...]], WorkloadMap]] = {
+    "homogeneous": _homogeneous,
+    "split_half": _split_half,
+    "checkerboard": _checkerboard,
+}

@@ -71,4 +71,4 @@ def ideal_config(small_workload) -> SystemConfig:
 @pytest.fixture
 def paper_workloads():
     """The six workload presets of the paper."""
-    return presets.all_workloads()
+    return {name: factory() for name, factory in presets.WORKLOADS.items()}

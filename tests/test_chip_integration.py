@@ -8,7 +8,7 @@ from repro.chip.chip import Chip
 from repro.chip.tile import Tile
 from repro.config.noc import Topology
 from repro.noc.message import Message, MessageClass
-from repro.scenarios.registry import build_system
+from repro.scenarios import build_system
 from repro.tenancy import build_placement
 
 from tests._fixtures import small_system, small_workload

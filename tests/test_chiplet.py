@@ -3,8 +3,8 @@
 Covers knob validation with one-line errors, two-level geometry
 invariants from 64 to 2048 cores, die crossings and hop accounting that
 match the routes the network actually takes, the crossing-latency knob
-observed end to end, registration-only dispatch through the plugin
-registry, and bit-identical results across process restarts with
+observed end to end, dispatch through the fabric table's ``chiplet``
+row, and bit-identical results across process restarts with
 different hash seeds.  The golden stats digests in
 ``tests/test_stats_digests.py`` pin a 1024-core chiplet network and a
 64-core chiplet chip event for event.
@@ -31,6 +31,8 @@ from repro.fabrics import (
 )
 from repro.noc.message import Message, MessageClass, control_message_bits
 from repro.noc.topology import describe_topology
+from repro.fabrics import FABRICS
+from repro.noc.router import Router
 from repro.scenarios import build_system, fabric_for
 from repro.noc.interface import NetworkInterface
 from repro.sim.kernel import Simulator
@@ -58,19 +60,42 @@ def crosses_chiplet(system_map: ChipletSystemMap, a: int, b: int) -> bool:
     return (a < num_cores) != (b < num_cores)
 
 
-def crossing_ports(network: ChipletNetwork) -> list:
-    """Every output port whose link crosses a die boundary."""
-    return (
-        network.uplink_ports
-        + network.downlink_ports
-        + network.noi_mesh_ports
-        + network.io_ports
-    )
+def crossing_ports(network: ChipletNetwork) -> dict:
+    """Every output port whose link crosses a die boundary, by link kind.
+
+    Tile routers are the ones hosting a core's interface; every other
+    router sits on the interposer (a NoI router or the IO die).  A link
+    crosses when it joins two routers and at least one is on the
+    interposer.
+    """
+    tiles = {
+        id(network.interfaces[node]._router) for node in range(network.system.num_cores)
+    }
+    kinds = {"uplink": [], "downlink": [], "noi_mesh": [], "io": []}
+    for router in network.routers:
+        for port in router.output_ports:
+            target = port.downstream
+            if not isinstance(target, Router):
+                continue  # ejection into an interface
+            if network.io_router is not None and network.io_router in (router, target):
+                kinds["io"].append(port)
+            elif id(router) in tiles:
+                if id(target) not in tiles:
+                    kinds["uplink"].append(port)
+            elif id(target) in tiles:
+                kinds["downlink"].append(port)
+            else:
+                kinds["noi_mesh"].append(port)
+    return kinds
+
+
+def crossing_port_ids(network: ChipletNetwork) -> set:
+    return {id(port) for ports in crossing_ports(network).values() for port in ports}
 
 
 def route_crosses_a_die(network: ChipletNetwork, src: int, dst: int) -> bool:
     """Whether the route from ``src`` to ``dst`` uses a die-crossing link."""
-    crossing = {id(port) for port in crossing_ports(network)}
+    crossing = crossing_port_ids(network)
     router = network.interfaces[src]._router
     crossed = False
     while True:
@@ -210,10 +235,13 @@ class TestChipletNetworkStructure:
     def test_every_link_is_classified(self, io_die):
         _sim, network, _map = build_chiplet_network(64, io_die=io_die)
         p = network.params
-        crossing = {id(port) for port in crossing_ports(network)}
-        assert len(network.uplink_ports) == p.count * p.groups
-        assert len(network.downlink_ports) == p.count * p.groups
-        assert len(network.io_ports) == (2 * p.count if io_die else 0)
+        ports = crossing_ports(network)
+        crossing = crossing_port_ids(network)
+        assert len(ports["uplink"]) == p.count * p.groups
+        assert len(ports["downlink"]) == p.count * p.groups
+        assert len(ports["io"]) == (2 * p.count if io_die else 0)
+        noi_links = (p.ccols - 1) * p.crows + p.ccols * (p.crows - 1)
+        assert len(ports["noi_mesh"]) == 2 * noi_links
         for router in network.routers:
             for port in router.output_ports:
                 if id(port) in crossing:
@@ -280,11 +308,11 @@ class TestChipletNetworkStructure:
 
 
 # --------------------------------------------------------------------- #
-# Registration-only dispatch and the area model
+# Dispatch through the fabric table and the area model
 # --------------------------------------------------------------------- #
 class TestChipletDispatch:
     def test_registry_wires_map_network_and_describe(self):
-        assert fabric_for("chiplet").name == "chiplet"
+        assert fabric_for("chiplet") is FABRICS["chiplet"]
         config = build_system("chiplet", num_cores=64)
         system_map = build_system_map(config)
         assert isinstance(system_map, ChipletSystemMap)

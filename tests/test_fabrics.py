@@ -1,9 +1,9 @@
-"""Tests for the fabric-plugin layer and arbitrary-size grids.
+"""Tests for the fabric table and arbitrary-size grids.
 
-Covers the plugin registry dispatch for the built-ins, the unknown-topology
-error path, third-party plugin registration from a test-local module (this
-one), grid factorisation properties, and system-map invariants at the
-256/512-core scale-out sizes.
+Covers dispatch through the built-in rows, the unknown-topology error
+path, a fabric row added from a test-local module (this one), grid
+factorisation properties, and system-map invariants at the 256/512-core
+scale-out sizes.
 """
 
 import pytest
@@ -16,18 +16,18 @@ from repro.config.system import (
     SystemConfig,
     default_mesh_dimensions,
 )
-from repro.fabrics import ConcentratedSystemMap, cmesh_system
+from repro.fabrics import FABRICS, ConcentratedSystemMap, Fabric, cmesh_system
 from repro.noc.flattened_butterfly import FlattenedButterflyNetwork
 from repro.noc.ideal import IdealNetwork
 from repro.noc.mesh import MeshNetwork
 from repro.noc.topology import describe_topology
-from repro.scenarios import build_system, fabric_for, register_topology, topologies
+from repro.scenarios import build_system, fabric_for
 from repro.sim.kernel import Simulator
 from tests._fixtures import small_system, small_workload
 
 
 # --------------------------------------------------------------------- #
-# Registry dispatch for the built-ins
+# Dispatch through the built-in rows
 # --------------------------------------------------------------------- #
 class TestBuiltinDispatch:
     @pytest.mark.parametrize(
@@ -50,16 +50,11 @@ class TestBuiltinDispatch:
 
     def test_fabric_for_accepts_config_noc_and_bare_identifier(self):
         config = small_system(Topology.MESH)
-        assert fabric_for(config).name == "mesh"
-        assert fabric_for(config.noc).name == "mesh"
-        assert fabric_for(Topology.MESH).name == "mesh"
-        assert fabric_for("mesh").name == "mesh"
-
-    def test_mismatched_system_map_rejected(self):
-        mesh_config = small_system(Topology.MESH)
-        nocout_map = build_system_map(small_system(Topology.NOC_OUT))
-        with pytest.raises(TypeError, match="TiledSystemMap"):
-            build_network(Simulator(1), mesh_config, nocout_map)
+        mesh = FABRICS["mesh"]
+        assert fabric_for(config) is mesh
+        assert fabric_for(config.noc) is mesh
+        assert fabric_for(Topology.MESH) is mesh
+        assert fabric_for("mesh") is mesh
 
     def test_unknown_topology_lists_available(self):
         config = small_system(Topology.MESH).with_topology("torus")
@@ -70,63 +65,56 @@ class TestBuiltinDispatch:
 
 
 # --------------------------------------------------------------------- #
-# Third-party plugin registration (from this test-local module)
+# A fabric row added from outside ``repro.fabrics`` (this test module)
 # --------------------------------------------------------------------- #
-class _HalfWidthMeshFabric:
-    """A full plugin defined outside ``repro.fabrics``: a narrow-link mesh."""
+HALF_WIDTH_MESH = "__half_width_mesh__"
 
-    name = "__half_width_mesh__"
 
-    def build_system(self, num_cores=16, link_width_bits=128, seed=3):
-        noc = NocConfig(topology=self.name, link_width_bits=link_width_bits // 2)
-        return SystemConfig(num_cores=num_cores, noc=noc, seed=seed)
+def _half_width_system(num_cores=16, link_width_bits=128, seed=3):
+    noc = NocConfig(topology=HALF_WIDTH_MESH, link_width_bits=link_width_bits // 2)
+    return SystemConfig(num_cores=num_cores, noc=noc, seed=seed)
 
-    def build_system_map(self, config):
-        return TiledSystemMap(config)
 
-    def build_network(self, sim, config, system_map):
-        return MeshNetwork(sim, config, system_map.node_coords(), name=self.name)
+def _half_width_network(sim, config, system_map):
+    return MeshNetwork(sim, config, system_map.node_coords(), name=HALF_WIDTH_MESH)
 
-    def describe(self, config):
-        from repro.noc.topology import describe_mesh
 
-        descriptor = describe_mesh(config)
-        descriptor.name = self.name
-        return descriptor
+def _describe_half_width(config):
+    from repro.noc.topology import describe_mesh
+
+    descriptor = describe_mesh(config)
+    descriptor.name = HALF_WIDTH_MESH
+    return descriptor
 
 
 class TestThirdPartyPlugin:
-    def test_registration_alone_wires_build_and_describe(self):
-        register_topology("__half_width_mesh__", _HalfWidthMeshFabric)
-        try:
-            config = build_system("__half_width_mesh__", num_cores=16)
-            assert config.noc.link_width_bits == 64
-            assert topology_key(config.noc.topology) == "__half_width_mesh__"
-            # Dispatch sites were not edited, yet the chip builds end to end.
-            system_map = build_system_map(config)
-            assert isinstance(system_map, TiledSystemMap)
-            network = build_network(Simulator(1), config, system_map)
-            assert isinstance(network, MeshNetwork)
-            assert describe_topology(config).name == "__half_width_mesh__"
+    def test_registration_alone_wires_build_and_describe(self, monkeypatch):
+        monkeypatch.setitem(
+            FABRICS,
+            HALF_WIDTH_MESH,
+            Fabric(
+                _half_width_system,
+                TiledSystemMap,
+                _half_width_network,
+                _describe_half_width,
+            ),
+        )
+        config = build_system(HALF_WIDTH_MESH, num_cores=16)
+        assert config.noc.link_width_bits == 64
+        assert topology_key(config.noc.topology) == HALF_WIDTH_MESH
+        # Dispatch sites were not edited, yet the chip builds end to end.
+        system_map = build_system_map(config)
+        assert isinstance(system_map, TiledSystemMap)
+        network = build_network(Simulator(1), config, system_map)
+        assert isinstance(network, MeshNetwork)
+        assert describe_topology(config).name == HALF_WIDTH_MESH
 
-            from repro.chip.builder import build_chip
+        from repro.chip.builder import build_chip
 
-            chip = build_chip(config.with_workload(small_workload()))
-            chip.run_experiment(
-                warmup_references=200, detailed_warmup_cycles=100, measure_cycles=200
-            )
-        finally:
-            topologies.unregister("__half_width_mesh__")
-
-    @pytest.mark.parametrize(
-        "obj",
-        [object(), lambda num_cores=16, **kw: small_system(Topology.MESH)],
-        ids=["object", "bare_factory"],
-    )
-    def test_non_plugin_registration_rejected(self, obj):
-        with pytest.raises(TypeError, match="FabricPlugin"):
-            register_topology("__not_a_plugin__", obj)
-        assert "__not_a_plugin__" not in topologies
+        chip = build_chip(config.with_workload(small_workload()))
+        chip.run_experiment(
+            warmup_references=200, detailed_warmup_cycles=100, measure_cycles=200
+        )
 
 
 # --------------------------------------------------------------------- #

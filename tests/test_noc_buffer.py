@@ -155,12 +155,13 @@ class TestInputPort:
 
     def test_occupancy_and_empty(self):
         port = InputPort(num_vcs=2, vc_depth_flits=5)
-        assert port.empty
+        assert all(vc.empty for vc in port.vcs)
+        assert port.occupancy_flits == 0
         packet = make_packet(2)
         vc = port.vc_for(MessageClass.REQUEST)
         vc.reserve(2)
         vc.push(packet)
-        assert not port.empty
+        assert not all(vc.empty for vc in port.vcs)
         assert port.occupancy_flits == 2
 
     def test_invalid_vc_map_rejected(self):

@@ -305,6 +305,17 @@ class TestCli:
         code = main(["--scale", "0", "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_main_rejects_jobs_below_one(self, tmp_path, capsys, jobs):
+        code = main(["--jobs", jobs, "--out", str(tmp_path)])
+        assert code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_main_rejects_non_integer_cores(self, tmp_path, capsys):
+        code = main(["--cores", "4,x", "--out", str(tmp_path)])
+        assert code == 2
+        assert "--cores" in capsys.readouterr().err
+
     def test_main_list(self, capsys):
         assert main(["--list"]) == 0
         printed = capsys.readouterr().out.split()

@@ -1,4 +1,4 @@
-"""Tests for the declarative scenario API (registries, SweepSpec, ResultSet)."""
+"""Tests for the declarative scenario API (name tables, SweepSpec, ResultSet)."""
 
 import itertools
 import shutil
@@ -14,28 +14,26 @@ from repro.experiments.harness import (
     MIN_WARMUP_REFERENCES,
     RunSettings,
 )
+from repro.fabrics import FABRICS
 from repro.scenarios import (
-    RegistrationError,
-    Registry,
     SweepSpec,
     build_system,
+    fabric_for,
     iter_results,
     point_for_coords,
-    register_topology,
-    register_workload,
     run_sweep,
-    topologies,
     topology_names,
+    workload,
     workload_names,
-    workloads,
 )
 from repro.store import ColumnarStore
+from repro.tenancy import MatrixContext, build_placement, make_arrival, make_matrix
 
 from tests._fixtures import TINY_SETTINGS, small_workload
 
 
 # --------------------------------------------------------------------- #
-# Registries
+# Name tables
 # --------------------------------------------------------------------- #
 class TestRegistries:
     def test_builtin_workloads_registered(self):
@@ -45,8 +43,6 @@ class TestRegistries:
         assert set(topology_names()) >= {t.value for t in Topology}
 
     def test_workload_lookup_matches_presets(self):
-        from repro.scenarios import workload
-
         assert workload("Web Search") == presets.workload("Web Search")
 
     def test_build_system_matches_presets(self):
@@ -57,73 +53,42 @@ class TestRegistries:
         assert built == legacy
 
     def test_unknown_name_raises_keyerror_listing_available(self):
-        with pytest.raises(KeyError, match="unknown workload"):
-            workloads.get("HPC Linpack")
-        with pytest.raises(KeyError, match="available"):
-            topologies.get("torus")
+        with pytest.raises(KeyError, match="unknown workload.*available"):
+            workload("HPC Linpack")
+        with pytest.raises(KeyError, match="unknown topology.*available"):
+            fabric_for("torus")
+        with pytest.raises(KeyError, match="unknown placement.*available"):
+            build_placement("diagonal", 4, ["Web Search"])
+        with pytest.raises(KeyError, match="unknown arrival process.*available"):
+            make_arrival("sawtooth", 0.1)
+        with pytest.raises(KeyError, match="unknown traffic matrix.*available"):
+            make_matrix("transpose", MatrixContext(destinations=(0, 1)))
 
-    def test_duplicate_registration_rejected(self):
-        registry = Registry("thing")
-        registry.register("a", lambda: 1)
-        with pytest.raises(RegistrationError, match="already registered"):
-            registry.register("a", lambda: 2)
-        # replace=True is the explicit override escape hatch.
-        registry.register("a", lambda: 3, replace=True)
-        assert registry.create("a") == 3
+    def test_registered_workload_usable_in_spec(self, monkeypatch):
+        monkeypatch.setitem(presets.WORKLOADS, "__spec_workload__", small_workload)
+        spec = SweepSpec(
+            axes={"workload": ("__spec_workload__",)},
+            settings=TINY_SETTINGS,
+            fixed={"topology": "mesh", "num_cores": 16},
+        )
+        (sweep_point,) = spec.expand()
+        assert sweep_point.point.config.workload.name == "TestWorkload"
 
-    def test_duplicate_workload_name_rejected(self):
-        @register_workload("__temp_workload__")
-        def _factory():
-            return small_workload()
+    def test_registered_topology_usable_in_spec(self, monkeypatch):
+        def narrow_mesh(num_cores=64, link_width_bits=32, seed=42):
+            # Pins 32-bit links whatever width the sweep asks for.
+            return presets.mesh_system(num_cores=num_cores, link_width_bits=32, seed=seed)
 
-        try:
-            with pytest.raises(RegistrationError):
-                register_workload("__temp_workload__")(_factory)
-        finally:
-            workloads.unregister("__temp_workload__")
-
-    def test_registered_workload_usable_in_spec(self):
-        register_workload("__spec_workload__", small_workload)
-        try:
-            spec = SweepSpec(
-                axes={"workload": ("__spec_workload__",)},
-                settings=TINY_SETTINGS,
-                fixed={"topology": "mesh", "num_cores": 16},
-            )
-            (sweep_point,) = spec.expand()
-            assert sweep_point.point.config.workload.name == "TestWorkload"
-        finally:
-            workloads.unregister("__spec_workload__")
-
-    def test_registered_topology_usable_in_spec(self):
-        from repro.fabrics.mesh import MeshFabric
-
-        @register_topology("__narrow_mesh__")
-        class _NarrowMesh(MeshFabric):
-            def build_system(self, num_cores=64, link_width_bits=32, seed=42):
-                # Pins 32-bit links whatever width the sweep asks for.
-                return super().build_system(
-                    num_cores=num_cores, link_width_bits=32, seed=seed
-                )
-
-        try:
-            spec = SweepSpec(
-                axes={"topology": ("__narrow_mesh__",)},
-                settings=TINY_SETTINGS,
-                fixed={"workload": "Web Search", "num_cores": 16},
-            )
-            (sweep_point,) = spec.expand()
-            assert sweep_point.point.config.noc.link_width_bits == 32
-        finally:
-            topologies.unregister("__narrow_mesh__")
-
-    def test_presets_shim_sees_registered_workload(self):
-        register_workload("__shim_workload__", small_workload)
-        try:
-            assert presets.workload("__shim_workload__").name == "TestWorkload"
-            assert "__shim_workload__" in presets.all_workloads()
-        finally:
-            workloads.unregister("__shim_workload__")
+        monkeypatch.setitem(
+            FABRICS, "__narrow_mesh__", FABRICS["mesh"]._replace(build_system=narrow_mesh)
+        )
+        spec = SweepSpec(
+            axes={"topology": ("__narrow_mesh__",)},
+            settings=TINY_SETTINGS,
+            fixed={"workload": "Web Search", "num_cores": 16},
+        )
+        (sweep_point,) = spec.expand()
+        assert sweep_point.point.config.noc.link_width_bits == 32
 
 
 # --------------------------------------------------------------------- #

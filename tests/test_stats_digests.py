@@ -31,7 +31,7 @@ from repro.config.system import SystemConfig
 from repro.experiments.engine import MODEL_VERSION
 from repro.fabrics import ChipletNetwork, ChipletSystemMap, chiplet_system, cmesh_system
 from repro.noc.mesh import MeshNetwork
-from repro.scenarios.registry import build_system, fabric_for
+from repro.scenarios import build_system, fabric_for
 from repro.sim.kernel import Simulator
 from repro.tenancy import MatrixContext, build_placement, make_arrival, make_matrix
 from repro.tenancy.traffic import OpenLoopTrafficGenerator

@@ -5,7 +5,7 @@ import pytest
 from repro.chip.chip import Chip
 from repro.chip.system_map import NocOutSystemMap, TiledSystemMap, build_system_map
 from repro.config.noc import Topology
-from repro.scenarios.registry import build_system
+from repro.scenarios import build_system
 from repro.tenancy import TENANT_ADDRESS_STRIDE
 from repro.workloads.base import INSTRUCTION_BASE
 

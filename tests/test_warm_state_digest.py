@@ -30,7 +30,7 @@ from repro.chip.chip import Chip
 from repro.config.noc import Topology
 from repro.config.system import SystemConfig
 from repro.experiments.harness import RunSettings
-from repro.scenarios.registry import build_system, workload
+from repro.scenarios import build_system, workload
 
 from tests._fixtures import small_system
 from tests.test_stats_digests import CHIP_FABRICS

@@ -30,7 +30,7 @@ from repro.chip.builder import build_network
 from repro.chip.system_map import build_system_map
 from repro.config.system import SystemConfig
 from repro.fabrics import chiplet_system
-from repro.scenarios.registry import build_system
+from repro.scenarios import build_system
 from repro.sim.kernel import Simulator
 
 from tests.test_stats_digests import CHIP_FABRICS

@@ -220,7 +220,7 @@ class ReferenceStream:
 #: Every preset, plus a config with short blocks whose ``int(mean * 4)`` cap
 #: fires often and a fractional access count on every block.
 ORACLE_CONFIGS = {
-    **presets.all_workloads(),
+    **{name: factory() for name, factory in presets.WORKLOADS.items()},
     "capped": small_workload(
         name="capped", mean_block_instructions=1.3, loads_per_instruction=0.7
     ),
