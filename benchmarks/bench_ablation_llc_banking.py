@@ -4,20 +4,20 @@ The paper chooses 16 banks (two per LLC tile) after observing that four
 cores per bank performs within ~2 % of one core per bank.
 """
 
-from repro.experiments import ablations
+from repro.experiments.ablations import llc_banking_spec, render_ablation, throughput_by
+from repro.scenarios import run_sweep
 
 from bench_common import emit, run_once
 
 
 def test_llc_banking_ablation(benchmark, run_settings):
-    throughput = run_once(
-        benchmark,
-        ablations.run_llc_banking_ablation,
-        settings=run_settings.scaled(0.7),
+    results = run_once(
+        benchmark, run_sweep, llc_banking_spec(settings=run_settings.scaled(0.7))
     )
+    throughput = throughput_by(results, "llc_banks_per_tile")
     emit(
         "Ablation: LLC banks per NOC-Out tile (Data Serving)",
-        ablations.render_ablation(
+        render_ablation(
             throughput, "NOC-Out LLC banking", "Banks per LLC tile"
         ).render(),
     )

@@ -1,19 +1,19 @@
 """Ablation (Section 7.1): concentration and express links at 128 cores."""
 
-from repro.experiments import ablations
+from repro.experiments.ablations import render_ablation, scaling_spec, scaling_throughput
+from repro.scenarios import run_sweep
 
 from bench_common import emit, run_once
 
 
 def test_scaling_extensions_ablation(benchmark, run_settings):
-    throughput = run_once(
-        benchmark,
-        ablations.run_scaling_ablation,
-        settings=run_settings.scaled(0.6),
+    results = run_once(
+        benchmark, run_sweep, scaling_spec(settings=run_settings.scaled(0.6))
     )
+    throughput = scaling_throughput(results)
     emit(
         "Ablation: 128-core NOC-Out scaling extensions (MapReduce-W)",
-        ablations.render_ablation(
+        render_ablation(
             throughput, "NOC-Out scaling extensions", "Tree variant"
         ).render(),
     )

@@ -1,19 +1,23 @@
 """Ablation (Section 4.1): static-priority vs. round-robin tree arbitration."""
 
-from repro.experiments import ablations
+from repro.experiments.ablations import (
+    render_ablation,
+    throughput_by,
+    tree_arbitration_spec,
+)
+from repro.scenarios import run_sweep
 
 from bench_common import emit, run_once
 
 
 def test_tree_arbitration_ablation(benchmark, run_settings):
-    throughput = run_once(
-        benchmark,
-        ablations.run_tree_arbitration_ablation,
-        settings=run_settings.scaled(0.7),
+    results = run_once(
+        benchmark, run_sweep, tree_arbitration_spec(settings=run_settings.scaled(0.7))
     )
+    throughput = throughput_by(results, "tree_arbitration")
     emit(
         "Ablation: reduction/dispersion tree arbitration (Data Serving)",
-        ablations.render_ablation(
+        render_ablation(
             throughput, "NOC-Out tree arbitration", "Arbitration policy"
         ).render(),
     )

@@ -6,11 +6,12 @@ directory's ``conftest.py`` pytest put on ``sys.path`` first, and it once
 shadowed ``tests/conftest.py`` badly enough to break collection of the main
 suite.  A regular module with an unambiguous name has no such failure mode.
 
-Each benchmark drives a figure module's ``run_*`` entry point, which since
-the scenario-API redesign is a declarative ``SweepSpec`` executed by
-``repro.scenarios.run_sweep``: repeated invocations are served from the
-on-disk result cache and fresh points fan out over ``REPRO_JOBS`` worker
-processes; see ``docs/experiments.md``.
+Each simulation benchmark runs a figure module's ``*_spec()`` sweep with
+``repro.scenarios.run_sweep`` (timed by :func:`run_once`) and hands the
+resulting ``ResultSet`` to the module's pivot (``normalise_figure1``,
+``snoop_rates``, ``power_reports``, ...): repeated invocations are served
+from the on-disk result cache and fresh points fan out over ``REPRO_JOBS``
+worker processes; see ``docs/experiments.md``.
 """
 
 from __future__ import annotations

@@ -1,22 +1,27 @@
 """Figure 1: per-core performance vs. core count, ideal vs. mesh interconnect."""
 
-from repro.experiments import fig1_scaling
+from repro.experiments.fig1_scaling import (
+    figure1_spec,
+    mesh_penalty,
+    normalise_figure1,
+    render_figure1,
+)
+from repro.scenarios import run_sweep
 
 from bench_common import emit, run_once
 
 
 def test_figure1_core_count_scaling(benchmark, run_settings):
-    curves = run_once(
-        benchmark,
-        fig1_scaling.run_figure1,
-        settings=run_settings.scaled(0.6),
+    results = run_once(
+        benchmark, run_sweep, figure1_spec(settings=run_settings.scaled(0.6))
     )
+    curves = normalise_figure1(results)
     emit(
         "Figure 1: per-core performance vs. core count",
-        fig1_scaling.render_figure1(curves).render(),
+        render_figure1(curves).render(),
     )
 
-    penalty = fig1_scaling.mesh_penalty(curves, core_count=64)
+    penalty = mesh_penalty(curves, core_count=64)
     print(f"Mesh penalty vs. ideal at 64 cores: {penalty:.1%} (paper: ~22%)")
 
     for workload, data in curves.items():

@@ -1,18 +1,23 @@
 """Figure 7: system performance normalised to the mesh (six workloads + gmean)."""
 
 from repro.config.noc import Topology
-from repro.experiments import fig7_performance
+from repro.experiments.fig7_performance import (
+    figure7_spec,
+    normalise_to_mesh,
+    render_figure7,
+)
+from repro.scenarios import run_sweep
 
 from bench_common import emit, run_once
 
 
 def test_figure7_system_performance(benchmark, run_settings):
-    normalised = run_once(
-        benchmark, fig7_performance.run_figure7, settings=run_settings
+    normalised = normalise_to_mesh(
+        run_once(benchmark, run_sweep, figure7_spec(settings=run_settings))
     )
     emit(
         "Figure 7: system performance normalised to mesh",
-        fig7_performance.render_figure7(normalised).render(),
+        render_figure7(normalised).render(),
     )
 
     gmean = normalised["GMean"]

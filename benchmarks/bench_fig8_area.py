@@ -1,13 +1,13 @@
 """Figure 8: NoC area breakdown (links / buffers / crossbars)."""
 
-from repro.experiments import fig8_area
+from repro.experiments.fig8_area import render_figure8, run_figure8
 
 from bench_common import emit, run_once
 
 
 def test_figure8_noc_area_breakdown(benchmark):
-    breakdowns = run_once(benchmark, fig8_area.run_figure8)
-    emit("Figure 8: NoC area breakdown", fig8_area.render_figure8(breakdowns).render())
+    breakdowns = run_once(benchmark, run_figure8)
+    emit("Figure 8: NoC area breakdown", render_figure8(breakdowns).render())
 
     mesh = breakdowns["mesh"].total_mm2
     fbfly = breakdowns["flattened_butterfly"].total_mm2

@@ -1,18 +1,23 @@
 """Figure 9: performance under a fixed NoC area budget (NOC-Out's 2.5 mm2)."""
 
 from repro.config.noc import Topology
-from repro.experiments import fig9_area_normalized
+from repro.experiments.fig9_area_normalized import (
+    figure9_outcome,
+    figure9_spec,
+    render_figure9,
+)
+from repro.scenarios import run_sweep
 
 from bench_common import emit, run_once
 
 
 def test_figure9_area_normalized_performance(benchmark, run_settings):
-    outcome = run_once(
-        benchmark, fig9_area_normalized.run_figure9, settings=run_settings
+    outcome = figure9_outcome(
+        run_once(benchmark, run_sweep, figure9_spec(settings=run_settings))
     )
     emit(
         "Figure 9: performance under a fixed NoC area budget",
-        fig9_area_normalized.render_figure9(outcome).render(),
+        render_figure9(outcome).render(),
     )
 
     widths = outcome["link_widths"]

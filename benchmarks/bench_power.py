@@ -1,20 +1,20 @@
 """Section 6.4: NoC power analysis."""
 
 from repro.config.noc import Topology
-from repro.experiments import power_analysis
+from repro.experiments.fig7_performance import figure7_spec
+from repro.experiments.power_analysis import average_power, power_reports, render_power
+from repro.scenarios import run_sweep
 
 from bench_common import emit, run_once
 
 
 def test_noc_power_analysis(benchmark, run_settings):
-    reports = run_once(
-        benchmark,
-        power_analysis.run_power_analysis,
-        settings=run_settings.scaled(0.7),
+    reports = power_reports(
+        run_once(benchmark, run_sweep, figure7_spec(settings=run_settings.scaled(0.7)))
     )
-    emit("Section 6.4: NoC power", power_analysis.render_power(reports).render())
+    emit("Section 6.4: NoC power", render_power(reports).render())
 
-    averages = power_analysis.average_power(reports)
+    averages = average_power(reports)
     fbfly = averages[Topology.FLATTENED_BUTTERFLY.value]
     nocout = averages[Topology.NOC_OUT.value]
     # Paper: the NoC stays well under 2 W in every organization (cores alone

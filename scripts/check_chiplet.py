@@ -12,7 +12,7 @@ against a throwaway result cache, then requires:
   breakdown for the 1024-core chiplet chip reports non-zero link, buffer
   and crossbar area (i.e. ``describe()`` is populated, not a stub);
 * a warm re-run against the same cache performs **zero** re-simulations
-  while reproducing identical metrics — the chiplet results survive the
+  while reproducing identical results — the chiplet results survive the
   result-store round-trip.
 
 Violations raise (explicitly, not via ``assert``, so ``python -O``
@@ -71,17 +71,17 @@ def main() -> int:
         )
         record = results[0]
         check(
-            record.metrics["total_instructions"] > 0,
+            record.result.total_instructions > 0,
             "1024-core chiplet point committed no instructions",
         )
         check(
-            record.metrics["messages_delivered"] > 0,
+            record.result.messages_delivered > 0,
             "1024-core chiplet point delivered no messages",
         )
         print(
             f"chiplet @ {NUM_CORES} cores: "
-            f"throughput {record.metrics['throughput_ipc']:.3f} IPC, "
-            f"{int(record.metrics['messages_delivered'])} messages"
+            f"throughput {record.result.throughput_ipc:.3f} IPC, "
+            f"{record.result.messages_delivered} messages"
         )
 
         config = chiplet_system(num_cores=NUM_CORES)
@@ -104,8 +104,8 @@ def main() -> int:
             f"warm re-run re-simulated {warm_stats.simulations_run} points",
         )
         check(
-            warm_results[0].metrics == record.metrics,
-            "warm chiplet metrics diverged from the live run",
+            warm_results[0].result == record.result,
+            "warm chiplet results diverged from the live run",
         )
 
     print("chiplet smoke check passed")

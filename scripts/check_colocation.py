@@ -38,9 +38,10 @@ from repro.experiments.colocation import (  # noqa: E402
     PLACEMENTS,
     colocation_pivot,
     colocation_report,
-    run_colocation,
+    colocation_spec,
 )
 from repro.experiments.engine import ResultCache, SweepExecutor  # noqa: E402
+from repro.scenarios import run_sweep  # noqa: E402
 
 
 class CheckFailure(Exception):
@@ -54,9 +55,8 @@ def check(condition: bool, message: str) -> None:
 
 def run_reduced(cache_dir: Path):
     executor = SweepExecutor(cache=ResultCache(cache_dir))
-    results = run_colocation(
-        arrivals=("bursty",), loads=(LOADS[-1],), executor=executor
-    )
+    spec = colocation_spec(arrivals=("bursty",), loads=(LOADS[-1],))
+    results = run_sweep(spec, executor=executor)
     return results, executor.last_stats
 
 
@@ -107,7 +107,7 @@ def main() -> int:
             "warm per-tenant pivot diverged from the live run",
         )
 
-    report = colocation_report(arrivals=("bursty",), loads=(LOADS[-1],))
+        report = colocation_report(warm_results)
     check("split_half" in report.measured_table, "report table lost split_half rows")
     print(report.measured_table)
     print(f"colocation baseline check: {report.comparison.status}")

@@ -11,8 +11,8 @@ asserts:
   particular the 256-core concentrated-mesh point, which exercises the
   plugin-built large-grid path (factorised grids, concentrated system map,
   shared-router mesh construction);
-* the sweep's pivot renders through the reporting layer
-  (:func:`scale_out_report`), so the report hook cannot silently rot.
+* the sweep's records render through the report hook
+  (:func:`scale_out_report`), so it cannot silently rot.
 
 Exit code 0 on success; any assertion or simulation error fails the job.
 """
@@ -39,20 +39,18 @@ def main() -> int:
     assert len(results) == expected, f"expected {expected} points, got {len(results)}"
 
     for record in results:
-        assert record.metrics["total_instructions"] > 0, (
+        assert record.result.total_instructions > 0, (
             f"point {record.coords} committed no instructions"
         )
     cmesh_256 = results.filter(topology="cmesh", num_cores=256)
     assert len(cmesh_256) == 1, "256-core concentrated-mesh point missing"
     print(
         "cmesh @ 256 cores: "
-        f"throughput {cmesh_256[0].metrics['throughput_ipc']:.3f} IPC, "
-        f"{int(cmesh_256[0].metrics['messages_delivered'])} messages"
+        f"throughput {cmesh_256[0].result.throughput_ipc:.3f} IPC, "
+        f"{cmesh_256[0].result.messages_delivered} messages"
     )
 
-    report = scale_out_report(
-        workload_names=(workload,), core_counts=CORE_COUNTS, fabrics=FABRICS
-    )
+    report = scale_out_report(results)
     assert "cmesh" in report.measured_table
     assert "chiplet" in report.measured_table
     assert "512 cores" in report.measured_table

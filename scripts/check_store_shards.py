@@ -77,7 +77,7 @@ def fill_shard(index: int, store_dir: str) -> None:
     cache = RecordingCache(store_dir)
     executor = SweepExecutor(cache=cache)
     shard = figure1_spec().shard(index, SHARDS)
-    run_sweep(shard, executor=executor, keep_results=False)
+    run_sweep(shard, executor=executor)
     stats = executor.last_stats
     print(
         json.dumps(
@@ -196,7 +196,7 @@ def main() -> int:
             "--metric", "per_core_ipc",
         )
         executor = SweepExecutor(jobs=1, cache=ResultCache(store_dir))
-        table = run_sweep(spec, executor=executor, keep_results=False).pivot(
+        table = run_sweep(spec, executor=executor).pivot(
             "num_cores", "topology", metric="per_core_ipc"
         )
         check(

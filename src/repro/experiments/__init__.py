@@ -1,17 +1,17 @@
 """Experiment harnesses: one module per table / figure in the paper.
 
 Each figure module declares its sweep as a
-:class:`~repro.scenarios.spec.SweepSpec` (a ``*_spec`` function) and keeps
-a ``run_*`` entry point that executes the spec with
-:func:`~repro.scenarios.run.run_sweep` and pivots the resulting
-:class:`~repro.scenarios.results.ResultSet` into the figure's table shape,
-plus a ``render_*`` helper producing the text table the benchmarks print
-and a ``*_report`` hook producing the paper-vs-measured
+:class:`~repro.scenarios.spec.SweepSpec` (a ``*_spec`` function) and
+reports on it with a ``*_report(results)`` hook, which turns the sweep's
+:class:`~repro.scenarios.results.ResultSet` into the paper-vs-measured
 :class:`~repro.reporting.compare.FigureReport` consumed by
-``python -m repro.reporting`` (see :mod:`repro.reporting`).
-The benchmark suite under ``benchmarks/`` is a thin wrapper around these
-functions, so the full evaluation can also be driven programmatically (see
-``examples/`` and :mod:`repro.scenarios`).
+``python -m repro.reporting`` (see :mod:`repro.reporting`).  Small pivot
+functions of a ``ResultSet`` (``normalise_figure1``, ``snoop_rates``,
+``normalise_to_mesh``, ``power_reports``, ...) give the figure's table
+shape, and ``render_*`` helpers the text tables the benchmarks print.
+:func:`repro.reporting.figures.build_report` is the one place that runs
+a figure's spec; the benchmarks under ``benchmarks/`` and the scripts in
+``examples/`` run specs with :func:`~repro.scenarios.run.run_sweep`.
 
 All simulation sweeps execute through :mod:`repro.experiments.engine`: a
 parallel, cache-aware executor that deduplicates identical points, serves
@@ -24,7 +24,6 @@ from repro.experiments.engine import (
     ExperimentPoint,
     ResultCache,
     SweepExecutor,
-    run_experiments,
 )
 from repro.experiments.harness import RunSettings
 from repro.experiments import (
@@ -47,7 +46,6 @@ __all__ = [
     "RunSettings",
     "SweepExecutor",
     "engine",
-    "run_experiments",
     "ablations",
     "fig1_scaling",
     "fig4_snoops",

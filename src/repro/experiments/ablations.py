@@ -23,7 +23,7 @@ from repro.experiments.harness import RunSettings
 from repro.reporting import baselines
 from repro.reporting.compare import FigureReport, compare
 from repro.reporting.tables import ReportTable
-from repro.scenarios import SweepSpec, run_sweep
+from repro.scenarios import ResultSet, SweepSpec
 
 #: Banks-per-tile sweep: 8 tiles x {1, 2, 4, 8} banks = 8..64 LLC banks,
 #: i.e. from 8 cores per bank down to 1 core per bank on a 64-core chip.
@@ -53,23 +53,6 @@ def llc_banking_spec(
     )
 
 
-def run_llc_banking_ablation(
-    workload_name: str = "Data Serving",
-    banks_per_tile: Sequence[int] = BANKING_SWEEP,
-    num_cores: int = 64,
-    settings: Optional[RunSettings] = None,
-    jobs: Optional[int] = None,
-    executor=None,
-) -> Dict[int, float]:
-    """NOC-Out throughput as a function of LLC banks per tile."""
-    spec = llc_banking_spec(workload_name, banks_per_tile, num_cores, settings)
-    results = run_sweep(spec, jobs=jobs, executor=executor, keep_results=False)
-    return {
-        banks: results.value("throughput_ipc", llc_banks_per_tile=banks)
-        for banks in banks_per_tile
-    }
-
-
 def tree_arbitration_spec(
     workload_name: str = "Data Serving",
     num_cores: int = 64,
@@ -80,22 +63,6 @@ def tree_arbitration_spec(
         settings=settings or RunSettings.from_env(),
         fixed={"workload": workload_name, "topology": "noc_out", "num_cores": num_cores},
     )
-
-
-def run_tree_arbitration_ablation(
-    workload_name: str = "Data Serving",
-    num_cores: int = 64,
-    settings: Optional[RunSettings] = None,
-    jobs: Optional[int] = None,
-    executor=None,
-) -> Dict[str, float]:
-    """NOC-Out throughput with static-priority vs. round-robin tree arbiters."""
-    spec = tree_arbitration_spec(workload_name, num_cores, settings)
-    results = run_sweep(spec, jobs=jobs, executor=executor, keep_results=False)
-    return {
-        policy: results.value("throughput_ipc", tree_arbitration=policy)
-        for policy in ("static_priority", "round_robin")
-    }
 
 
 def scaling_spec(
@@ -113,16 +80,16 @@ def scaling_spec(
     )
 
 
-def run_scaling_ablation(
-    workload_name: str = "MapReduce-W",
-    num_cores: int = 128,
-    settings: Optional[RunSettings] = None,
-    jobs: Optional[int] = None,
-    executor=None,
-) -> Dict[str, float]:
-    """128-core NOC-Out: baseline trees vs. concentration vs. express links."""
-    spec = scaling_spec(workload_name, num_cores, settings)
-    results = run_sweep(spec, jobs=jobs, executor=executor, keep_results=False)
+def throughput_by(results: ResultSet, axis: str) -> Dict[object, float]:
+    """NOC-Out throughput per value of the one swept ``axis``."""
+    return {
+        value: results.value("throughput_ipc", **{axis: value})
+        for value in results.axis_values(axis)
+    }
+
+
+def scaling_throughput(results: ResultSet) -> Dict[str, float]:
+    """128-core NOC-Out throughput per named tree variant."""
     return {
         label: results.value(
             "throughput_ipc",
@@ -148,21 +115,19 @@ def _ratio(numerator: float, denominator: float) -> Optional[float]:
     return numerator / denominator if denominator else None
 
 
-def llc_banking_report(
-    workload_name: str = "Data Serving",
-    settings: Optional[RunSettings] = None,
-    jobs: Optional[int] = None,
-    executor=None,
-) -> FigureReport:
+def _workload(results: ResultSet) -> str:
+    (workload,) = results.axis_values("workload")
+    return workload
+
+
+def llc_banking_report(results: ResultSet) -> FigureReport:
     """Paper-vs-measured report for the LLC-banking ablation (Section 4.3).
 
     The paper's claim is a ratio: four cores per LLC bank (two banks per
     tile on the 64-core chip) within a couple of percent of one core per
     bank (eight banks per tile).
     """
-    throughput = run_llc_banking_ablation(
-        workload_name, settings=settings, jobs=jobs, executor=executor
-    )
+    throughput = throughput_by(results, "llc_banks_per_tile")
     measured = {}
     ratio = _ratio(throughput.get(2, 0.0), throughput.get(8, 0.0))
     if ratio is not None:
@@ -172,20 +137,13 @@ def llc_banking_report(
         measured_table=render_ablation(
             throughput, "Ablation: LLC banks per tile", "banks/tile"
         ).render(),
-        notes=f"Measured on {workload_name}.",
+        notes=f"Measured on {_workload(results)}.",
     )
 
 
-def tree_arbitration_report(
-    workload_name: str = "Data Serving",
-    settings: Optional[RunSettings] = None,
-    jobs: Optional[int] = None,
-    executor=None,
-) -> FigureReport:
+def tree_arbitration_report(results: ResultSet) -> FigureReport:
     """Paper-vs-measured report for the tree-arbitration ablation (Section 4.1)."""
-    throughput = run_tree_arbitration_ablation(
-        workload_name, settings=settings, jobs=jobs, executor=executor
-    )
+    throughput = throughput_by(results, "tree_arbitration")
     measured = {}
     ratio = _ratio(
         throughput.get("round_robin", 0.0), throughput.get("static_priority", 0.0)
@@ -197,30 +155,24 @@ def tree_arbitration_report(
         measured_table=render_ablation(
             throughput, "Ablation: tree arbitration policy", "policy"
         ).render(),
-        notes=f"Measured on {workload_name}.",
+        notes=f"Measured on {_workload(results)}.",
     )
 
 
-def scaling_report(
-    workload_name: str = "MapReduce-W",
-    settings: Optional[RunSettings] = None,
-    jobs: Optional[int] = None,
-    executor=None,
-) -> FigureReport:
+def scaling_report(results: ResultSet) -> FigureReport:
     """Paper-vs-measured report for the 128-core scaling ablation (Section 7.1)."""
-    throughput = run_scaling_ablation(
-        workload_name, settings=settings, jobs=jobs, executor=executor
-    )
+    throughput = scaling_throughput(results)
     tall = throughput.get("tall trees", 0.0)
     measured = {}
     for label in ("concentration x2", "express links", "concentration + express"):
         ratio = _ratio(throughput.get(label, 0.0), tall)
         if ratio is not None:
             measured[f"{label} vs tall trees"] = ratio
+    (num_cores,) = results.axis_values("num_cores")
     return FigureReport(
         comparison=compare(baselines.ABLATION_SCALING, measured),
         measured_table=render_ablation(
             throughput, "Ablation: 128-core tree scaling", "variant"
         ).render(),
-        notes=f"Measured on {workload_name} at 128 cores.",
+        notes=f"Measured on {_workload(results)} at {num_cores} cores.",
     )

@@ -13,11 +13,11 @@ qualitative model-expectation tripwire (there is no paper chart to
 digitize), and the report is deliberately *not* given a report hook in
 :data:`repro.reporting.figures.FIGURES`: the default report must stay
 resolvable from the committed warm cache, and this sweep's points are not
-in it.  Fill it explicitly with ``run_sweep(figure_spec("colocation"))``
-(:func:`repro.store.specs.figure_spec`) against the store; ``python -m
-repro.store.query pivot colocation ...`` then pivots its scalar metrics.
-The per-tenant tails live on the full results, which only a
-``keep_results=True`` sweep (:func:`run_colocation`) carries.
+in it.  Fill it explicitly with ``run_sweep(colocation_spec())`` (or
+``figure_spec("colocation")`` from :mod:`repro.store.specs`) against the
+store; :func:`colocation_report` reads the per-tenant tails off the
+records' results, and ``python -m repro.store.query pivot colocation ...``
+pivots their scalar metrics.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.experiments.harness import RunSettings
 from repro.reporting.baselines import Baseline
 from repro.reporting.compare import FigureReport, compare
 from repro.reporting.tables import ReportTable
-from repro.scenarios import ResultSet, SweepSpec, run_sweep
+from repro.scenarios import ResultSet, SweepSpec
 
 #: The three built-in placements, homogeneous first (the baseline the
 #: interference ratios normalise to).
@@ -106,40 +106,6 @@ def colocation_spec(
     )
 
 
-def run_colocation(
-    placements: Sequence[str] = PLACEMENTS,
-    arrivals: Sequence[str] = ARRIVALS,
-    loads: Sequence[float] = LOADS,
-    tenants: Iterable[str] = TENANTS,
-    num_cores: int = NUM_CORES,
-    settings: Optional[RunSettings] = None,
-    jobs: Optional[int] = None,
-    executor=None,
-) -> ResultSet:
-    """Run (or cache-resolve) the co-location sweep and return its records.
-
-    ``keep_results=True`` on purpose: the per-tenant latency summaries
-    live on the full :class:`SimulationResults`, not the scalar metrics.
-    """
-    spec = colocation_spec(placements, arrivals, loads, tenants, num_cores, settings=settings)
-    return run_sweep(spec, jobs=jobs, executor=executor, keep_results=True)
-
-
-def _tenant_tails(record) -> Dict[str, float]:
-    """Tenant label -> p99 for one record (tenants without samples skipped)."""
-    result = record.result
-    if result is None:
-        raise ValueError(
-            "per-tenant tails need full results; run the sweep with "
-            "keep_results=True"
-        )
-    return {
-        label: summary["p99"]
-        for label, summary in result.per_tenant_latency.items()
-        if "p99" in summary
-    }
-
-
 def _point_label(arrival: object, load: object) -> str:
     return f"{arrival}@{load:g}"
 
@@ -152,8 +118,10 @@ def colocation_pivot(
     for record in results:
         placement = record.coords.get("placement")
         point = _point_label(record.coords.get("arrival"), record.coords.get("load"))
-        for tenant, p99 in _tenant_tails(record).items():
-            table.setdefault(placement, {}).setdefault(tenant, {})[point] = p99
+        for tenant, summary in record.result.per_tenant_latency.items():
+            if "p99" in summary:  # tenants without samples have no tail
+                cells = table.setdefault(placement, {}).setdefault(tenant, {})
+                cells[point] = summary["p99"]
     return table
 
 
@@ -209,26 +177,16 @@ def render_colocation(results: ResultSet) -> ReportTable:
     return table
 
 
-def colocation_report(
-    placements: Sequence[str] = PLACEMENTS,
-    arrivals: Sequence[str] = ARRIVALS,
-    loads: Sequence[float] = LOADS,
-    tenants: Iterable[str] = TENANTS,
-    num_cores: int = NUM_CORES,
-    settings: Optional[RunSettings] = None,
-    jobs: Optional[int] = None,
-    executor=None,
-) -> FigureReport:
+def colocation_report(results: ResultSet) -> FigureReport:
     """Report hook: per-tenant tails plus the qualitative interference check.
 
     The placement ratios are compared only when the sweep covers
     ``homogeneous``, bursty arrivals and the default mid load; a reduced
     sweep still renders its pivot and leaves the ratios unmeasured.
     """
-    results = run_colocation(
-        placements, arrivals, loads, tenants, num_cores,
-        settings=settings, jobs=jobs, executor=executor,
-    )
+    placements = tuple(results.axis_values("placement"))
+    arrivals = tuple(results.axis_values("arrival"))
+    loads = tuple(results.axis_values("load"))
     mid_point = _point_label("bursty", LOADS[1])
     measured: Dict[str, float] = {}
     for placement, by_point in interference_pivot(results).items():
@@ -236,7 +194,7 @@ def colocation_report(
             key = f"{placement} p99 ratio (bursty @ {LOADS[1]:g})"
             measured[key] = by_point[mid_point]
     notes = "Extension beyond the paper: homogeneous chips only in the original."
-    if tuple(placements) != PLACEMENTS or tuple(arrivals) != ARRIVALS or tuple(loads) != LOADS:
+    if placements != PLACEMENTS or arrivals != ARRIVALS or loads != LOADS:
         notes += (
             f" Reduced sweep: placements {list(placements)}, arrivals "
             f"{list(arrivals)}, loads {list(loads)}."

@@ -51,7 +51,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.chip.chip import Chip, SimulationResults
 from repro.config.system import SystemConfig
@@ -302,17 +302,12 @@ class SweepExecutor:
     """
 
     def __init__(
-        self,
-        jobs: Optional[int] = None,
-        cache: Optional[ResultCache] = None,
-        use_cache: Optional[bool] = None,
+        self, jobs: Optional[int] = None, cache: Optional[ResultCache] = None
     ) -> None:
         self.jobs = resolve_jobs(jobs)
-        if use_cache is None:
-            use_cache = cache is not None or cache_enabled()
-        self.cache: Optional[ResultCache] = (
-            (cache if cache is not None else ResultCache()) if use_cache else None
-        )
+        if cache is None and cache_enabled():
+            cache = ResultCache()
+        self.cache: Optional[ResultCache] = cache
         self.last_stats = SweepStats()
         self.total_stats = SweepStats()
 
@@ -423,11 +418,3 @@ class SweepExecutor:
                                 self.cache.store(pending[position], future.result())
                 pool.shutdown(wait=consumed_fully, cancel_futures=True)
 
-
-def run_experiments(
-    points: Sequence[ExperimentPoint],
-    jobs: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-) -> List[SimulationResults]:
-    """One-shot convenience wrapper around :class:`SweepExecutor`."""
-    return SweepExecutor(jobs=jobs, cache=cache).run(points)

@@ -6,8 +6,7 @@ interconnect per-core performance degrades slowly; with a mesh the extra
 router traversals cost ~22 % at 64 cores.
 
 The sweep is declared as a :class:`~repro.scenarios.spec.SweepSpec`
-(workload x fabric x core count) and executed with
-:func:`~repro.scenarios.run.run_sweep`; :func:`run_figure1` then pivots the
+(workload x fabric x core count); :func:`normalise_figure1` pivots its
 records into the figure's ``{workload: {series: {cores: value}}}`` shape.
 """
 
@@ -20,7 +19,7 @@ from repro.experiments.harness import RunSettings
 from repro.reporting import baselines
 from repro.reporting.compare import FigureReport, compare
 from repro.reporting.tables import ReportTable
-from repro.scenarios import ResultSet, SweepSpec, run_sweep
+from repro.scenarios import ResultSet, SweepSpec
 
 #: Core counts swept in Figure 1.
 CORE_COUNTS = (1, 2, 4, 8, 16, 32, 64)
@@ -73,24 +72,6 @@ def normalise_figure1(results: ResultSet) -> Dict[str, Dict[str, Dict[int, float
     return curves
 
 
-def run_figure1(
-    workload_names: Optional[Iterable[str]] = None,
-    core_counts: Sequence[int] = CORE_COUNTS,
-    settings: Optional[RunSettings] = None,
-    jobs: Optional[int] = None,
-    executor=None,
-) -> Dict[str, Dict[str, Dict[int, float]]]:
-    """Per-core performance normalised to the single-core run.
-
-    Returns ``{workload: {"ideal"|"mesh": {core_count: normalised per-core perf}}}``.
-    All workload x fabric x core-count points run as one engine batch.
-    """
-    spec = figure1_spec(workload_names, core_counts, settings)
-    return normalise_figure1(
-        run_sweep(spec, jobs=jobs, executor=executor, keep_results=False)
-    )
-
-
 def mesh_penalty(curves: Dict[str, Dict[str, Dict[int, float]]], core_count: int = 64) -> float:
     """Average performance loss of the mesh vs. ideal at ``core_count`` cores."""
     penalties = []
@@ -102,29 +83,22 @@ def mesh_penalty(curves: Dict[str, Dict[str, Dict[int, float]]], core_count: int
     return sum(penalties) / len(penalties) if penalties else 0.0
 
 
-def figure1_report(
-    workload_names: Optional[Iterable[str]] = None,
-    core_counts: Sequence[int] = CORE_COUNTS,
-    settings: Optional[RunSettings] = None,
-    jobs: Optional[int] = None,
-    executor=None,
-) -> FigureReport:
-    """Paper-vs-measured report for Figure 1.
+def figure1_report(results: ResultSet) -> FigureReport:
+    """Paper-vs-measured report for Figure 1 over its sweep's records.
 
-    Runs (or cache-resolves) :func:`figure1_spec` and compares the measured
-    mesh penalty at 64 cores against the paper's ~22 %.  The comparison
-    only engages when 64 cores was swept **and** both figure workloads were
-    measured (and then averages over exactly those two, like the sibling
-    reports' mean gating); a reduced run still renders its curves but
-    leaves the baseline point unmeasured rather than wrong.
+    Compares the measured mesh penalty at 64 cores against the paper's
+    ~22 %.  The comparison only engages when 64 cores was swept **and**
+    both figure workloads were measured (and then averages over exactly
+    those two, like the sibling reports' mean gating); a reduced run still
+    renders its curves but leaves the baseline point unmeasured rather
+    than wrong.
     """
-    # Materialise once: both arguments may be single-pass iterables.
-    names = tuple(workload_names) if workload_names is not None else None
-    core_counts = tuple(core_counts)
-    curves = run_figure1(names, core_counts, settings, jobs=jobs, executor=executor)
+    names = results.axis_values("workload")
+    core_counts = tuple(results.axis_values("num_cores"))
+    curves = normalise_figure1(results)
     measured = {}
     notes = ""
-    full_set = names is None or set(names) >= set(WORKLOADS)
+    full_set = set(names) >= set(WORKLOADS)
     if 64 in core_counts and full_set:
         figure_curves = {name: curves[name] for name in WORKLOADS}
         measured["mesh penalty vs ideal @ 64 cores"] = 100.0 * mesh_penalty(
@@ -135,11 +109,9 @@ def figure1_report(
             "Penalty not compared: reduced workload set, the paper's figure "
             f"covers {list(WORKLOADS)}."
         )
-    if core_counts != CORE_COUNTS or names is not None:
+    if core_counts != CORE_COUNTS or tuple(names) != WORKLOADS:
         notes = (notes + " " if notes else "") + (
-            "Reduced sweep: core counts "
-            f"{sorted(core_counts)}, workloads "
-            f"{list(names) if names is not None else list(WORKLOADS)}."
+            f"Reduced sweep: core counts {sorted(core_counts)}, workloads {names}."
         )
     return FigureReport(
         comparison=compare(baselines.FIG1, measured),

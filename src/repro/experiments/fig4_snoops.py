@@ -17,7 +17,7 @@ from repro.experiments.harness import RunSettings
 from repro.reporting import baselines
 from repro.reporting.compare import FigureReport, compare
 from repro.reporting.tables import ReportTable
-from repro.scenarios import SweepSpec, run_sweep
+from repro.scenarios import ResultSet, SweepSpec
 
 #: Approximate per-workload values read off Figure 4 (percent), digitized
 #: in :mod:`repro.reporting.baselines`.
@@ -38,16 +38,8 @@ def figure4_spec(
     )
 
 
-def run_figure4(
-    workload_names: Optional[Iterable[str]] = None,
-    num_cores: int = 64,
-    settings: Optional[RunSettings] = None,
-    jobs: Optional[int] = None,
-    executor=None,
-) -> Dict[str, float]:
+def snoop_rates(results: ResultSet) -> Dict[str, float]:
     """Snoop-triggering LLC access percentage per workload (plus the mean)."""
-    spec = figure4_spec(workload_names, num_cores, settings)
-    results = run_sweep(spec, jobs=jobs, executor=executor, keep_results=False)
     names = results.axis_values("workload")
     rates: Dict[str, float] = {
         name: 100.0 * results.value("snoop_rate", workload=name) for name in names
@@ -56,13 +48,7 @@ def run_figure4(
     return rates
 
 
-def figure4_report(
-    workload_names: Optional[Iterable[str]] = None,
-    num_cores: int = 64,
-    settings: Optional[RunSettings] = None,
-    jobs: Optional[int] = None,
-    executor=None,
-) -> FigureReport:
+def figure4_report(results: ResultSet) -> FigureReport:
     """Paper-vs-measured report for Figure 4 (snoop rates per workload).
 
     The ``Mean`` baseline point is compared only when every baseline
@@ -70,7 +56,7 @@ def figure4_report(
     six — a restricted or extended workload set would not be the paper's
     mean.
     """
-    rates = run_figure4(workload_names, num_cores, settings, jobs=jobs, executor=executor)
+    rates = snoop_rates(results)
     names = [name for name in rates if name != "Mean"]
     baseline_workloads = [k for k in baselines.FIG4.keys() if k != "Mean"]
     measured = {name: rates[name] for name in names if name in baselines.FIG4.values}

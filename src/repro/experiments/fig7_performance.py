@@ -22,7 +22,7 @@ from repro.reporting import baselines
 from repro.reporting.baselines import KEY_SEPARATOR
 from repro.reporting.compare import FigureReport, compare
 from repro.reporting.tables import ReportTable
-from repro.scenarios import ResultSet, SweepSpec, run_sweep
+from repro.scenarios import ResultSet, SweepSpec
 
 #: Approximate values read off Figure 7 (normalised to mesh = 1.0),
 #: digitized in :mod:`repro.reporting.baselines`.
@@ -69,27 +69,7 @@ def normalise_to_mesh(results: ResultSet) -> Dict[str, Dict[str, float]]:
     return normalised
 
 
-def run_figure7(
-    workload_names: Optional[Iterable[str]] = None,
-    num_cores: int = 64,
-    settings: Optional[RunSettings] = None,
-    jobs: Optional[int] = None,
-    executor=None,
-) -> Dict[str, Dict[str, float]]:
-    """Run the Figure-7 sweep; returns normalised performance per workload."""
-    spec = figure7_spec(workload_names, num_cores, settings)
-    return normalise_to_mesh(
-        run_sweep(spec, jobs=jobs, executor=executor, keep_results=False)
-    )
-
-
-def figure7_report(
-    workload_names: Optional[Iterable[str]] = None,
-    num_cores: int = 64,
-    settings: Optional[RunSettings] = None,
-    jobs: Optional[int] = None,
-    executor=None,
-) -> FigureReport:
+def figure7_report(results: ResultSet) -> FigureReport:
     """Paper-vs-measured report for Figure 7 (throughput vs. the mesh).
 
     Each measured ``workload / fabric`` cell is compared against its
@@ -98,9 +78,7 @@ def figure7_report(
     those six — a run with extra workloads would otherwise score
     a different mean against the paper's.
     """
-    normalised = run_figure7(
-        workload_names, num_cores, settings, jobs=jobs, executor=executor
-    )
+    normalised = normalise_to_mesh(results)
     baseline_workloads = {
         key.split(KEY_SEPARATOR)[0] for key in baselines.FIG7.keys()
     } - {"GMean"}

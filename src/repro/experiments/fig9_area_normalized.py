@@ -25,7 +25,7 @@ from repro.power.area_model import NocAreaModel, link_width_for_area_budget
 from repro.reporting import baselines
 from repro.reporting.compare import FigureReport, compare
 from repro.reporting.tables import ReportTable
-from repro.scenarios import SweepSpec, run_sweep
+from repro.scenarios import ResultSet, SweepSpec
 
 #: Paper reference (geometric mean, normalised to the area-budgeted mesh),
 #: digitized in :mod:`repro.reporting.baselines`.
@@ -73,35 +73,26 @@ def figure9_spec(
     )
 
 
-def run_figure9(
-    workload_names: Optional[Iterable[str]] = None,
-    num_cores: int = 64,
-    settings: Optional[RunSettings] = None,
-    jobs: Optional[int] = None,
-    executor=None,
-) -> Dict[str, object]:
-    """Run the area-normalised comparison.
+def figure9_outcome(results: ResultSet) -> Dict[str, object]:
+    """The Figure-9 numbers of a sweep's records.
 
-    Returns a dictionary with the area budget, the chosen link widths and
-    per-workload performance normalised to the area-budgeted mesh.
+    Returns a dictionary with NOC-Out's area budget at the swept core
+    count, each fabric's swept link width and per-workload performance
+    normalised to the area-budgeted mesh.
     """
-    budget, widths = area_budget_link_widths(num_cores=num_cores)
-    spec = figure9_spec(workload_names, num_cores, settings, link_widths=widths)
-    results = run_sweep(spec, jobs=jobs, executor=executor, keep_results=False)
+    (num_cores,) = results.axis_values("num_cores")
+    budget, _ = area_budget_link_widths(num_cores=num_cores)
     return {
         "area_budget_mm2": budget,
-        "link_widths": {topology.value: width for topology, width in widths.items()},
+        "link_widths": {
+            record.coords["topology"]: record.coords["link_width_bits"]
+            for record in results
+        },
         "normalised_performance": normalise_to_mesh(results),
     }
 
 
-def figure9_report(
-    workload_names: Optional[Iterable[str]] = None,
-    num_cores: int = 64,
-    settings: Optional[RunSettings] = None,
-    jobs: Optional[int] = None,
-    executor=None,
-) -> FigureReport:
+def figure9_report(results: ResultSet) -> FigureReport:
     """Paper-vs-measured report for Figure 9 (area-budgeted fabrics).
 
     The baseline digitizes the geometric-mean bars, so the comparison only
@@ -110,12 +101,10 @@ def figure9_report(
     a reduced run still renders its measured table but reads as
     ``no-data``.
     """
-    # Materialise once: the argument may be a single-pass iterable.
-    names = tuple(workload_names) if workload_names is not None else None
-    outcome = run_figure9(names, num_cores, settings, jobs=jobs, executor=executor)
+    outcome = figure9_outcome(results)
     normalised = outcome["normalised_performance"]
     paper_workloads = sorted(presets.WORKLOAD_NAMES)
-    full_set = names is None or set(names) >= set(paper_workloads)
+    full_set = set(results.axis_values("workload")) >= set(paper_workloads)
     measured = (
         {
             topology: geometric_mean(

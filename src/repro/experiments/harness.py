@@ -4,13 +4,12 @@
 ``REPRO_EXPERIMENT_SCALE``.  Points are built from coordinates by
 :func:`~repro.scenarios.spec.point_for_coords`; sweeps are declared as
 :class:`~repro.scenarios.spec.SweepSpec`\\ s and run with
-:func:`~repro.scenarios.run.run_sweep`; the pre-scenario entry points
-(``run_topology_sweep`` / ``run_single``) were removed after their one
-deprecation release.
+:func:`~repro.scenarios.run.run_sweep`.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -43,19 +42,24 @@ class RunSettings:
     @classmethod
     def from_env(cls, base: Optional["RunSettings"] = None) -> "RunSettings":
         """Apply the ``REPRO_EXPERIMENT_SCALE`` multiplier to a base setting."""
-        settings = base or cls()
-        scale = float(os.environ.get(SCALE_ENV_VAR, "1.0"))
-        if scale <= 0:
-            raise ValueError(f"{SCALE_ENV_VAR} must be positive")
-        return settings.scaled(scale)
+        raw = os.environ.get(SCALE_ENV_VAR, "1.0")
+        try:
+            return (base or cls()).scaled(float(raw))
+        except ValueError as exc:
+            raise ValueError(
+                f"{SCALE_ENV_VAR} must be a finite positive number, got {raw!r}"
+            ) from exc
 
     def scaled(self, factor: float) -> "RunSettings":
         """Scale all three windows by ``factor``, floor-clamping each.
 
         ``factor == 1.0`` is an exact no-op, so explicitly-tiny settings
         (e.g. in tests) pass through ``from_env`` unclamped at the default
-        scale.
+        scale.  A factor that is not finite and positive raises
+        ``ValueError``.
         """
+        if not (math.isfinite(factor) and factor > 0):
+            raise ValueError(f"scale must be a finite positive number, got {factor!r}")
         if factor == 1.0:
             return self
         return replace(

@@ -7,24 +7,21 @@ shorter average core-to-LLC distance, followed by the flattened butterfly
 (~1.6 W) and the mesh (~1.8 W).
 
 The sweep is the same workload x topology spec as Figure 7; the energy
-model reads each record's full :class:`SimulationResults` (the
-``network_activity`` switching counters), so the sweep runs with
-``keep_results=True``.
+model reads each record's ``network_activity`` switching counters off its
+:class:`SimulationResults`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict
 
 from repro.config import presets
 from repro.config.noc import Topology
-from repro.experiments.fig7_performance import TOPOLOGY_NAMES, figure7_spec
-from repro.experiments.harness import RunSettings
 from repro.power.energy_model import NocEnergyModel, NocPowerReport
 from repro.reporting import baselines
 from repro.reporting.compare import FigureReport, compare
 from repro.reporting.tables import ReportTable
-from repro.scenarios import run_sweep
+from repro.scenarios import ResultSet
 
 #: NoC power reported by the paper (averaged over workloads) in watts,
 #: digitized in :mod:`repro.reporting.baselines`.
@@ -33,27 +30,14 @@ PAPER_REFERENCE = dict(baselines.POWER.values)
 TOPOLOGIES = (Topology.MESH, Topology.FLATTENED_BUTTERFLY, Topology.NOC_OUT)
 
 
-def run_power_analysis(
-    workload_names: Optional[Iterable[str]] = None,
-    num_cores: int = 64,
-    settings: Optional[RunSettings] = None,
-    energy_model: Optional[NocEnergyModel] = None,
-    jobs: Optional[int] = None,
-    executor=None,
-) -> Dict[str, Dict[str, NocPowerReport]]:
+def power_reports(results: ResultSet) -> Dict[str, Dict[str, NocPowerReport]]:
     """NoC power per (workload, topology) from recorded switching activity."""
-    names = list(workload_names) if workload_names is not None else list(presets.WORKLOAD_NAMES)
-    model = energy_model or NocEnergyModel()
-    spec = figure7_spec(names, num_cores, settings)
-    results = run_sweep(spec, jobs=jobs, executor=executor)
+    model = NocEnergyModel()
     reports: Dict[str, Dict[str, NocPowerReport]] = {}
-    for name in names:
-        reports[name] = {}
-        for topology in TOPOLOGY_NAMES:
-            record = results.filter(workload=name, topology=topology)[0]
-            reports[name][topology] = model.report(
-                record.result.network_activity, record.result.cycles
-            )
+    for record in results:
+        reports.setdefault(record.coords["workload"], {})[
+            record.coords["topology"]
+        ] = model.report(record.result.network_activity, record.result.cycles)
     return reports
 
 
@@ -66,13 +50,7 @@ def average_power(reports: Dict[str, Dict[str, NocPowerReport]]) -> Dict[str, fl
     return averages
 
 
-def power_report(
-    workload_names: Optional[Iterable[str]] = None,
-    num_cores: int = 64,
-    settings: Optional[RunSettings] = None,
-    jobs: Optional[int] = None,
-    executor=None,
-) -> FigureReport:
+def power_report(results: ResultSet) -> FigureReport:
     """Paper-vs-measured report for the Section 6.4 NoC power summary.
 
     The baseline is the per-fabric power *averaged over the six workloads*,
@@ -81,13 +59,9 @@ def power_report(
     in the table but excluded from the compared average); reduced runs
     still render their measured table but read as ``no-data``.
     """
-    # Materialise once: the argument may be a single-pass iterable.
-    names = list(workload_names) if workload_names is not None else None
-    reports = run_power_analysis(
-        names, num_cores, settings, jobs=jobs, executor=executor
-    )
+    reports = power_reports(results)
     paper_workloads = list(presets.WORKLOAD_NAMES)
-    full_set = names is None or set(names) >= set(paper_workloads)
+    full_set = set(reports) >= set(paper_workloads)
     measured = (
         average_power({name: reports[name] for name in paper_workloads})
         if full_set

@@ -99,12 +99,11 @@ def run_scale_out(
     core_counts: Sequence[int] = CORE_COUNTS,
     fabrics: Sequence[str] = FABRICS,
     settings: Optional[RunSettings] = None,
-    jobs: Optional[int] = None,
     executor=None,
 ) -> ResultSet:
     """Run (or cache-resolve) the scale-out sweep and return its records."""
     spec = scale_out_spec(workload_names, core_counts, fabrics, settings)
-    return run_sweep(spec, jobs=jobs, executor=executor, keep_results=False)
+    return run_sweep(spec, executor=executor)
 
 
 def scale_out_pivot(results: ResultSet) -> Dict[str, Dict[object, Dict[object, float]]]:
@@ -133,14 +132,7 @@ def render_scale_out(results: ResultSet) -> ReportTable:
     return table
 
 
-def scale_out_report(
-    workload_names: Optional[Iterable[str]] = None,
-    core_counts: Sequence[int] = CORE_COUNTS,
-    fabrics: Sequence[str] = FABRICS,
-    settings: Optional[RunSettings] = None,
-    jobs: Optional[int] = None,
-    executor=None,
-) -> FigureReport:
+def scale_out_report(results: ResultSet) -> FigureReport:
     """Report hook: measured pivot plus the qualitative ordering check.
 
     Each :data:`RATIO_POINTS` ratio is compared only when its core count,
@@ -148,11 +140,8 @@ def scale_out_report(
     swept workloads); a reduced sweep still renders its pivot and leaves
     the missing ratios unmeasured.
     """
-    core_counts = tuple(core_counts)
-    fabrics = tuple(fabrics)
-    results = run_scale_out(
-        workload_names, core_counts, fabrics, settings, jobs=jobs, executor=executor
-    )
+    core_counts = tuple(results.axis_values("num_cores"))
+    fabrics = results.axis_values("topology")
     measured: Dict[str, float] = {}
     for fabric, count in RATIO_POINTS:
         if fabric not in fabrics or count not in core_counts or "mesh" not in fabrics:

@@ -123,10 +123,6 @@ class VirtualChannelBuffer:
     def reserved_flits(self) -> int:
         return self._reserved_flits
 
-    @property
-    def empty(self) -> bool:
-        return not self._queue
-
     def __len__(self) -> int:
         return len(self._queue)
 

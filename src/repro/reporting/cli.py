@@ -47,23 +47,24 @@ def generate(
     figures: Optional[Sequence[str]] = None,
     out_dir: str = DEFAULT_OUT_DIR,
     settings: Optional[RunSettings] = None,
-    jobs: Optional[int] = None,
     workload_names: Optional[Sequence[str]] = None,
     core_counts: Optional[Sequence[int]] = None,
     executor: Optional[SweepExecutor] = None,
 ) -> Dict[str, object]:
     """Build the reports and write ``REPRODUCTION.md``.
 
-    Returns ``{"path", "text", "reports", "stats"}`` — the written path,
-    the report text, the per-figure :class:`FigureReport`\\ s, and the
-    executor's accumulated :class:`~repro.experiments.engine.SweepStats`.
+    Every figure's sweep runs through ``executor`` (default: a
+    :class:`SweepExecutor` on ``REPRO_JOBS`` and the ``REPRO_CACHE_DIR``
+    store).  Returns ``{"path", "text", "reports", "stats"}`` — the written
+    path, the report text, the per-figure :class:`FigureReport`\\ s, and
+    the executor's accumulated :class:`~repro.experiments.engine.SweepStats`.
     """
     names = list(figures) if figures else report_names()
     unknown = [name for name in names if name not in report_names()]
     if unknown:
         raise KeyError(f"unknown figure(s) {unknown}; available: {report_names()}")
     settings = settings or RunSettings.from_env()
-    executor = executor if executor is not None else SweepExecutor(jobs=jobs)
+    executor = executor if executor is not None else SweepExecutor()
 
     reports: List[FigureReport] = [
         build_report(
@@ -161,13 +162,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for name in report_names():
             print(name)
         return 0
-    if args.scale is not None:
-        if args.scale <= 0:
-            print("--scale must be positive", file=sys.stderr)
-            return 2
-        settings = RunSettings().scaled(args.scale)
-    else:
-        settings = RunSettings.from_env()
+    try:
+        settings = (
+            RunSettings().scaled(args.scale)
+            if args.scale is not None
+            else RunSettings.from_env()
+        )
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     if args.jobs is not None and args.jobs < 1:
         print("--jobs must be at least 1", file=sys.stderr)
         return 2
@@ -211,18 +214,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             return 2
 
-    executor = None
+    cache = None
     if args.store is not None:
         from repro.experiments.engine import ResultCache
 
-        executor = SweepExecutor(jobs=args.jobs, cache=ResultCache(args.store))
+        cache = ResultCache(args.store)
 
     outcome = generate(
         figures=args.figures,
         out_dir=args.out,
         settings=settings,
-        jobs=args.jobs,
-        executor=executor,
+        executor=SweepExecutor(jobs=args.jobs, cache=cache),
         workload_names=workloads,
         core_counts=core_counts,
     )

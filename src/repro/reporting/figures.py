@@ -1,8 +1,9 @@
 """The figure table: every named figure's sweep spec and report hook.
 
-Each reproduced figure/ablation module under :mod:`repro.experiments`
-exposes a ``*_spec()`` factory (the sweep the store fills and serves)
-and/or a ``*_report()`` hook returning a
+A reproduced figure/ablation module under :mod:`repro.experiments`
+exposes a ``*_spec()`` factory (the sweep the store fills and serves) and
+a ``*_report(results)`` hook that turns the sweep's
+:class:`~repro.scenarios.results.ResultSet` into a
 :class:`~repro.reporting.compare.FigureReport`.  :data:`FIGURES` maps the
 figure names (``fig1``, ``fig4``, ... see :mod:`repro.reporting.baselines`)
 to both, so the report CLI, ``scripts/make_report.py`` and the store's
@@ -14,18 +15,18 @@ The hooks are named as ``"module:function"`` under
 imports this package at module level (for :class:`FigureReport` and the
 baselines), so an eager import in the other direction would cycle.
 
-:func:`build_report` forwards only the keyword arguments a hook actually
-accepts — ``fig8`` is analytic and takes no run settings, the ablations
-fix their workload — so one call site can drive every figure with the
-same ``settings`` / ``jobs`` / ``executor`` / ``workload_names`` /
-``core_counts`` knobs.
+:func:`build_report` is the one place that runs a figure's spec: it
+builds the spec (forwarding only the keyword arguments the factory
+accepts), runs it through the given executor and hands the results to
+the report hook.  ``fig8`` is analytic: it has no spec and its hook takes
+no results.
 """
 
 from __future__ import annotations
 
 import importlib
 import inspect
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.reporting.compare import FigureReport
 
@@ -75,21 +76,35 @@ def report_names() -> List[str]:
     return [name for name, figure in FIGURES.items() if figure.report]
 
 
-def build_report(figure: str, **kwargs) -> FigureReport:
-    """Build ``figure``'s :class:`FigureReport`, forwarding applicable kwargs.
+def build_report(
+    figure: str,
+    *,
+    settings=None,
+    executor=None,
+    workload_names: Optional[Sequence[str]] = None,
+    core_counts: Optional[Sequence[int]] = None,
+) -> FigureReport:
+    """Run ``figure``'s sweep through ``executor`` and report on the results.
 
-    ``kwargs`` may include ``settings``, ``jobs``, ``executor``,
-    ``workload_names`` and ``core_counts``; anything the figure's hook does
-    not accept is dropped (``None`` values are dropped too, so hook
-    defaults stay in charge).
+    ``settings``, ``workload_names`` and ``core_counts`` go to the spec
+    factory if it accepts them (``None`` values are dropped, so factory
+    defaults stay in charge); ``executor=None`` runs the sweep on a
+    default :class:`~repro.experiments.engine.SweepExecutor`.
     """
     if figure not in report_names():
         raise KeyError(f"unknown figure {figure!r}; available: {report_names()}")
-    hook = resolve(FIGURES[figure].report)
-    accepted = inspect.signature(hook).parameters
-    applicable = {
-        key: value
-        for key, value in kwargs.items()
-        if key in accepted and value is not None
-    }
-    return hook(**applicable)
+    entry = FIGURES[figure]
+    report = resolve(entry.report)
+    if entry.spec is None:
+        return report()
+    from repro.scenarios.run import run_sweep
+
+    factory = resolve(entry.spec)
+    accepted = inspect.signature(factory).parameters
+    given = dict(
+        settings=settings, workload_names=workload_names, core_counts=core_counts
+    )
+    spec = factory(
+        **{k: v for k, v in given.items() if k in accepted and v is not None}
+    )
+    return report(run_sweep(spec, executor=executor))

@@ -36,17 +36,11 @@ because the figure modules there import this package at module level.
 
 from repro.config.presets import workload, workload_names
 from repro.fabrics import build_system, fabric_for, topology_names
-from repro.scenarios.results import (
-    METRIC_NAMES,
-    ResultRecord,
-    ResultSet,
-    record_for,
-)
+from repro.scenarios.results import ResultRecord, ResultSet, record_for
 from repro.scenarios.run import iter_results, run_sweep
 from repro.scenarios.spec import SweepPoint, SweepSpec, point_for_coords
 
 __all__ = [
-    "METRIC_NAMES",
     "ResultRecord",
     "ResultSet",
     "SweepPoint",

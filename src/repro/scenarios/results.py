@@ -1,75 +1,51 @@
 """Structured sweep results: tidy records instead of bespoke nested dicts.
 
 Every executed :class:`~repro.scenarios.spec.SweepPoint` becomes one
-:class:`ResultRecord` — its coordinate values plus a flat dictionary of
-scalar metrics — and a sweep returns a :class:`ResultSet`, which knows how
-to ``filter`` by coordinates, look up a single ``value`` and ``pivot``
-into the small nested tables the figures print.  The figure modules are
-therefore just a spec plus a few pivots; no more per-figure
-``{workload: {label: {cores: value}}}`` shapes invented from scratch.
+:class:`ResultRecord` — its coordinate values plus the point's full
+:class:`~repro.chip.chip.SimulationResults` — and a sweep returns a
+:class:`ResultSet`, which knows how to ``filter`` by coordinates, look up
+a single ``value`` and ``pivot`` into the small nested tables the figures
+print.  A figure is therefore a spec plus a report over its
+:class:`ResultSet`; the report reads the swept axes off the records.
 Results persist in the columnar store (:mod:`repro.store`), not here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence
-
-#: Scalar metrics copied off :class:`~repro.chip.chip.SimulationResults`
-#: into every record (attribute names; properties included).
-METRIC_NAMES = (
-    "throughput_ipc",
-    "per_core_ipc",
-    "cycles",
-    "total_instructions",
-    "messages_delivered",
-    "network_mean_latency",
-    "network_mean_hops",
-    "llc_accesses",
-    "llc_hit_rate",
-    "snoop_rate",
-    "l1i_mpki",
-    "memory_reads",
-)
+from typing import Dict, Iterator, List, Mapping, Sequence
 
 
 @dataclass(frozen=True)
 class ResultRecord:
-    """One executed point: its coordinates, scalar metrics, and provenance.
+    """One executed point: its coordinates, provenance and full results.
 
-    ``result`` retains the full :class:`SimulationResults` when the sweep
-    was run with ``keep_results=True`` (the default) — the power analysis
-    needs the per-component ``network_activity`` counters and the
-    co-location study the ``per_tenant_latency`` summaries, which are not
-    scalar metrics.
+    :meth:`metric` reads any numeric attribute of ``result``
+    (``throughput_ipc``, ``snoop_rate``, ...); the power analysis and the
+    co-location study read ``network_activity`` / ``per_tenant_latency``
+    off ``result`` directly.
     """
 
     coords: Dict[str, object]
-    metrics: Dict[str, float]
     point_hash: str
-    result: Optional["SimulationResults"] = field(  # noqa: F821 — lazy import
-        default=None, compare=False, repr=False
-    )
+    result: "SimulationResults" = field(repr=False)  # noqa: F821 — lazy import
 
     def metric(self, name: str) -> float:
-        try:
-            return self.metrics[name]
-        except KeyError:
-            raise KeyError(
-                f"unknown metric {name!r}; available: {sorted(self.metrics)}"
-            ) from None
+        value = getattr(self.result, name, None)
+        if not isinstance(value, (int, float)):
+            raise KeyError(f"unknown metric {name!r}")
+        return value
 
     def matches(self, selection: Mapping) -> bool:
         return all(self.coords.get(key) == value for key, value in selection.items())
 
 
-def record_for(sweep_point, result, keep_result: bool = True) -> ResultRecord:
+def record_for(sweep_point, result) -> ResultRecord:
     """Build the :class:`ResultRecord` for one executed sweep point."""
     return ResultRecord(
         coords=dict(sweep_point.coords),
-        metrics={name: getattr(result, name) for name in METRIC_NAMES},
         point_hash=sweep_point.content_hash(),
-        result=result if keep_result else None,
+        result=result,
     )
 
 
@@ -132,23 +108,12 @@ class ResultSet(Sequence[ResultRecord]):
         return list(seen)
 
     def pivot(
-        self,
-        index: str,
-        columns: str,
-        metric: str = "throughput_ipc",
-        transform: Optional[Callable[[float], float]] = None,
+        self, index: str, columns: str, metric: str = "throughput_ipc"
     ) -> Dict[object, Dict[object, float]]:
-        """Nested ``{index value: {column value: metric}}`` table.
-
-        This is the shape the legacy per-figure dicts used; ``transform``
-        (e.g. a normalisation) is applied to each cell if given.
-        """
+        """Nested ``{index value: {column value: metric}}`` table."""
         table: Dict[object, Dict[object, float]] = {}
         for record in self.records:
             row = record.coords.get(index)
             column = record.coords.get(columns)
-            value = record.metric(metric)
-            table.setdefault(row, {})[column] = (
-                transform(value) if transform is not None else value
-            )
+            table.setdefault(row, {})[column] = record.metric(metric)
         return table

@@ -97,8 +97,6 @@ def _fill_hint(root, name: str) -> str:
 
 def _settings(args: argparse.Namespace) -> RunSettings:
     if args.scale is not None:
-        if args.scale <= 0:
-            raise ValueError("--scale must be positive")
         return RunSettings().scaled(args.scale)
     return RunSettings.from_env()
 
@@ -164,7 +162,6 @@ def _cmd_pivot(store: ColumnarStore, args: argparse.Namespace) -> int:
     results = run_sweep(
         figure_spec(args.name, _settings(args)),
         executor=WarmStoreExecutor(ResultCache(store.root)),
-        keep_results=False,
     )
     selection = _parse_selection(args.where)
     if selection:

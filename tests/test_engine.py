@@ -21,7 +21,6 @@ from repro.experiments.engine import (
     ResultCache,
     SweepExecutor,
     resolve_jobs,
-    run_experiments,
 )
 from repro.config.noc import topology_key
 from repro.experiments.harness import RunSettings
@@ -134,14 +133,14 @@ class TestExperimentPoint:
 
 class TestSimulationResultsSerialization:
     def test_json_round_trip(self):
-        result = run_experiments([tiny_point()])[0]
+        result = SweepExecutor().run([tiny_point()])[0]
         restored = SimulationResults.from_dict(json.loads(json.dumps(result.to_dict())))
         assert restored == result
         # JSON stringifies the int keys; from_dict must restore them.
         assert all(isinstance(core, int) for core in restored.per_core_instructions)
 
     def test_from_dict_ignores_unknown_keys(self):
-        result = run_experiments([tiny_point()])[0]
+        result = SweepExecutor().run([tiny_point()])[0]
         data = result.to_dict()
         data["some_future_field"] = 123
         assert SimulationResults.from_dict(data) == result
@@ -328,26 +327,17 @@ class TestSweepExecutor:
         results = SweepExecutor(jobs=1, cache=ResultCache(tmp_path)).run(points)
         assert [r.topology for r in results] == ["mesh", "noc_out", "ideal"]
 
-    def test_parallel_matches_serial(self, tmp_path):
+    def test_parallel_matches_serial(self, monkeypatch):
         """Same seed, REPRO_JOBS=1 vs 4 workers: bit-identical results."""
+        monkeypatch.setenv("REPRO_CACHE", "0")
         points = [
             tiny_point(topology=topology, workload_name=name)
             for name in ("Web Search", "Data Serving")
             for topology in (Topology.MESH, Topology.NOC_OUT)
         ]
-        serial = SweepExecutor(jobs=1, use_cache=False).run(points)
-        parallel = SweepExecutor(jobs=4, use_cache=False).run(points)
+        serial = SweepExecutor(jobs=1).run(points)
+        parallel = SweepExecutor(jobs=4).run(points)
         assert serial == parallel
-
-    def test_sweep_rejects_jobs_with_explicit_executor(self, tmp_path):
-        executor = SweepExecutor(jobs=1, cache=ResultCache(tmp_path))
-        spec = SweepSpec(
-            axes={"workload": ("Web Search",), "topology": ("mesh",)},
-            settings=TINY_SETTINGS,
-            fixed={"num_cores": 16},
-        )
-        with pytest.raises(ValueError):
-            run_sweep(spec, jobs=2, executor=executor)
 
     def test_second_sweep_served_entirely_from_cache(self, tmp_path):
         """2 workloads x 3 topologies, rerun must run zero new simulations."""

@@ -63,8 +63,10 @@ class TestFigureHarnesses:
         assert widths[Topology.FLATTENED_BUTTERFLY] < widths[Topology.MESH] <= 128
 
     def test_figure7_single_workload_runs(self):
-        normalised = fig7_performance.run_figure7(
-            workload_names=["Web Search"], num_cores=16, settings=TINY
+        normalised = fig7_performance.normalise_to_mesh(
+            run_sweep(
+                fig7_performance.figure7_spec(["Web Search"], num_cores=16, settings=TINY)
+            )
         )
         assert "Web Search" in normalised and "GMean" in normalised
         row = normalised["Web Search"]
@@ -74,8 +76,8 @@ class TestFigureHarnesses:
         assert "Web Search" in rendered
 
     def test_figure4_reports_percentages(self):
-        rates = fig4_snoops.run_figure4(
-            workload_names=["Web Search"], num_cores=16, settings=TINY
+        rates = fig4_snoops.snoop_rates(
+            run_sweep(fig4_snoops.figure4_spec(["Web Search"], num_cores=16, settings=TINY))
         )
         assert 0.0 <= rates["Web Search"] <= 100.0
         assert "Mean" in rates

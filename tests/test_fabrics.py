@@ -285,7 +285,6 @@ class TestScaleOutSweep:
             workload_names=("MapReduce-W",),
             core_counts=(64, 256),
             settings=TINY_SETTINGS,
-            jobs=1,
         )
         pivot = scale_out_pivot(results)
         assert set(pivot["MapReduce-W"]) == {"mesh", "cmesh", "noc_out", "chiplet"}

@@ -198,10 +198,11 @@ class TestWakeMachineryDeterminism:
             points.append(ExperimentPoint(config=config, settings=TINY_SETTINGS))
         return points
 
-    def test_parallel_results_match_serial(self, tmp_path):
+    def test_parallel_results_match_serial(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE", "0")
         points = self._congested_points()
-        serial = SweepExecutor(jobs=1, use_cache=False).run(points)
-        parallel = SweepExecutor(jobs=2, use_cache=False).run(points)
+        serial = SweepExecutor(jobs=1).run(points)
+        parallel = SweepExecutor(jobs=2).run(points)
         assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
         assert all(isinstance(r, SimulationResults) for r in parallel)
         assert all(r.total_instructions > 0 for r in serial)

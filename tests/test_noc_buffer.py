@@ -59,7 +59,7 @@ class TestVirtualChannelBuffer:
     def test_reserve_accounts_before_arrival(self):
         vc = VirtualChannelBuffer(capacity_flits=5)
         vc.reserve(5)
-        assert vc.empty  # reserved but nothing buffered yet
+        assert len(vc) == 0  # reserved but nothing buffered yet
         assert not vc.can_reserve(1)
 
 
@@ -155,13 +155,13 @@ class TestInputPort:
 
     def test_occupancy_and_empty(self):
         port = InputPort(num_vcs=2, vc_depth_flits=5)
-        assert all(vc.empty for vc in port.vcs)
+        assert all(len(vc) == 0 for vc in port.vcs)
         assert port.occupancy_flits == 0
         packet = make_packet(2)
         vc = port.vc_for(MessageClass.REQUEST)
         vc.reserve(2)
         vc.push(packet)
-        assert not all(vc.empty for vc in port.vcs)
+        assert not all(len(vc) == 0 for vc in port.vcs)
         assert port.occupancy_flits == 2
 
     def test_invalid_vc_map_rejected(self):

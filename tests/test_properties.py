@@ -70,7 +70,7 @@ def test_vc_buffer_never_overflows_or_underflows(operations):
                 )
                 vc.push(packet)
         else:
-            if not vc.empty:
+            if len(vc):
                 vc.pop()
         assert 0 <= vc.occupancy_flits
         assert vc.reserved_flits >= vc.occupancy_flits - 8

@@ -1,6 +1,21 @@
 """Tests for the paper-vs-measured reporting layer (repro.reporting)."""
 
+import json
+from pathlib import Path
+
 import pytest
+
+from repro.chip.chip import SimulationResults
+from repro.config import presets
+from repro.config.noc import Topology
+from repro.experiments import ablations, colocation, scale_out
+from repro.experiments.engine import ResultCache, SweepExecutor
+from repro.experiments.fig1_scaling import figure1_report, figure1_spec
+from repro.experiments.fig4_snoops import figure4_report, figure4_spec
+from repro.experiments.fig7_performance import figure7_report, figure7_spec
+from repro.experiments.fig9_area_normalized import figure9_report, figure9_spec
+from repro.experiments.harness import RunSettings
+from repro.experiments.power_analysis import power_report
 
 from repro.reporting import (
     BASELINES,
@@ -25,9 +40,15 @@ from repro.reporting.compare import (
 )
 from repro.reporting.render import ascii_bar_chart, delta_table
 from repro.reporting.tables import markdown_table
-from repro.scenarios import ResultSet
+from repro.scenarios import ResultSet, record_for
+from repro.store.specs import report_points
 
 from tests._fixtures import TINY_SETTINGS
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+#: The full-scale results behind the committed report (read-only here).
+COMMITTED_RESULTS = REPO_ROOT / "benchmarks" / "perf" / "data" / "report_results.json"
+COMMITTED_REPORT = REPO_ROOT / "reports" / "REPRODUCTION.md"
 
 TEST_BASELINE = Baseline(
     figure="test",
@@ -305,6 +326,18 @@ class TestCli:
         code = main(["--scale", "0", "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_main_rejects_non_finite_scale(self, tmp_path, capsys, scale):
+        code = main(["--scale", scale, "--out", str(tmp_path)])
+        assert code == 2
+        assert "finite positive" in capsys.readouterr().err
+
+    def test_main_rejects_malformed_scale_variable(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_EXPERIMENT_SCALE", "abc")
+        code = main(["--out", str(tmp_path)])
+        assert code == 2
+        assert "REPRO_EXPERIMENT_SCALE must be" in capsys.readouterr().err
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_main_rejects_jobs_below_one(self, tmp_path, capsys, jobs):
         code = main(["--jobs", jobs, "--out", str(tmp_path)])
@@ -363,3 +396,233 @@ class TestCli:
         assert empty.pivot("workload", "topology") == {}
         comparison = compare(TEST_BASELINE, {})
         assert comparison.status == STATUS_NO_DATA
+
+
+# --------------------------------------------------------------------- #
+# The committed report, regenerated from its committed results
+# --------------------------------------------------------------------- #
+class TestCommittedReport:
+    def test_committed_results_regenerate_the_committed_report(self, tmp_path):
+        """Every report point served from the committed results, byte for byte."""
+        committed = json.loads(COMMITTED_RESULTS.read_text())
+        settings = RunSettings(seed=committed["seed"])
+        cache = ResultCache(tmp_path / "store")
+        rows = []
+        for sweep_point in report_points(settings):
+            coords = sweep_point.coords
+            label = ",".join(f"{key}={coords[key]}" for key in sorted(coords))
+            rows.append(
+                (
+                    sweep_point.content_hash(),
+                    SimulationResults.from_dict(committed["results"][label]),
+                )
+            )
+        cache.columnar.append_results(rows)
+
+        outcome = generate(
+            out_dir=str(tmp_path / "out"),
+            settings=settings,
+            executor=SweepExecutor(jobs=1, cache=cache),
+        )
+        stats = outcome["stats"]
+        assert (stats.simulations_run, stats.cache_misses) == (0, 0)
+        assert outcome["path"].read_bytes() == COMMITTED_REPORT.read_bytes()
+
+
+# --------------------------------------------------------------------- #
+# Report hooks are pure functions of a ResultSet
+# --------------------------------------------------------------------- #
+def hand_built(spec, **fields_for) -> ResultSet:
+    """``spec``'s records over hand-built results: no simulation runs.
+
+    Each keyword names a :class:`SimulationResults` field and maps a
+    point's coordinates to its value; every point commits 1000
+    instructions per core over 1000 cycles unless told otherwise.
+    """
+    records = []
+    for sweep_point in spec.expand():
+        coords = sweep_point.coords
+        num_cores = coords.get("num_cores", 64)
+        fields = dict(
+            workload=coords.get("workload", ""),
+            topology=coords.get("topology", "mesh"),
+            num_cores=num_cores,
+            active_cores=num_cores,
+            cycles=1000,
+            total_instructions=1000 * num_cores,
+        )
+        fields.update({name: value(coords) for name, value in fields_for.items()})
+        records.append(record_for(sweep_point, SimulationResults(**fields)))
+    return ResultSet(records)
+
+
+def measured_keys(report) -> set:
+    return {d.key for d in report.comparison.deltas if d.measured is not None}
+
+
+SIX = tuple(presets.WORKLOAD_NAMES)
+#: Throughput per fabric, relative to the mesh.
+SPEEDUP = {"mesh": 1.0, "flattened_butterfly": 1.2, "noc_out": 1.25}
+
+
+def fabric_instructions(coords):
+    return int(64_000 * SPEEDUP[coords["topology"]])
+
+
+class TestReportHooksArePure:
+    @pytest.fixture(autouse=True)
+    def _no_sweeps(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a report hook ran a sweep")
+
+        monkeypatch.setattr(SweepExecutor, "run_iter", refuse)
+
+    def test_fig1_penalty_with_the_two_workloads_passed_explicitly(self):
+        def instructions(coords):
+            slow = coords["topology"] == "mesh" and coords["num_cores"] == 64
+            return int(1000 * coords["num_cores"] * (0.75 if slow else 1.0))
+
+        spec = figure1_spec(presets.FIGURE1_WORKLOADS, settings=TINY_SETTINGS)
+        results = hand_built(spec, total_instructions=instructions)
+        report = figure1_report(results)
+        assert report.notes == ""  # exactly the default sweep: no reduced-sweep note
+        (delta,) = report.comparison.deltas
+        assert delta.measured == pytest.approx(25.0)
+        assert report == figure1_report(results)
+
+    def test_fig1_notes_follow_the_swept_axes(self):
+        spec = figure1_spec(["Web Search"], core_counts=(1, 64), settings=TINY_SETTINGS)
+        report = figure1_report(hand_built(spec))
+        assert report.comparison.status == STATUS_NO_DATA
+        assert report.notes.startswith("Penalty not compared")
+        assert (
+            "Reduced sweep: core counts [1, 64], workloads ['Web Search']."
+            in report.notes
+        )
+
+    def test_fig4_mean_gated_on_all_six_workloads(self):
+        def snoops(coords):
+            return 0.01 * (1 + SIX.index(coords["workload"]))
+
+        full = figure4_report(
+            hand_built(figure4_spec(settings=TINY_SETTINGS), snoop_rate=snoops)
+        )
+        assert "Mean" in measured_keys(full) and full.notes == ""
+        mean = next(d.measured for d in full.comparison.deltas if d.key == "Mean")
+        assert mean == pytest.approx(3.5)
+
+        reduced = figure4_report(
+            hand_built(figure4_spec(SIX[:2], settings=TINY_SETTINGS), snoop_rate=snoops)
+        )
+        assert "Mean" not in measured_keys(reduced)
+        assert reduced.notes.startswith("Mean not compared")
+
+    def test_fig7_gmean_gated_on_all_six_workloads(self):
+        full = figure7_report(
+            hand_built(
+                figure7_spec(settings=TINY_SETTINGS),
+                total_instructions=fabric_instructions,
+            )
+        )
+        gmean = {
+            d.key: d.measured
+            for d in full.comparison.deltas
+            if d.key.startswith("GMean")
+        }
+        assert gmean and full.notes == ""
+        assert gmean["GMean / noc_out"] == pytest.approx(1.25)
+
+        reduced = figure7_report(
+            hand_built(
+                figure7_spec(["Web Search"], settings=TINY_SETTINGS),
+                total_instructions=fabric_instructions,
+            )
+        )
+        assert not any(key.startswith("GMean") for key in measured_keys(reduced))
+        assert reduced.notes.startswith("GMean not compared")
+
+    def test_fig9_reads_link_widths_off_the_records(self):
+        widths = {"mesh": 100, "flattened_butterfly": 20, "noc_out": 128}
+        spec = figure9_spec(
+            settings=TINY_SETTINGS,
+            link_widths={Topology(name): width for name, width in widths.items()},
+        )
+        full = figure9_report(hand_built(spec, total_instructions=fabric_instructions))
+        assert "mesh=100b, fbfly=20b, noc_out=128b" in full.measured_table
+        assert measured_keys(full) and full.notes == ""
+
+        reduced = figure9_report(
+            hand_built(figure9_spec(["Web Search"], settings=TINY_SETTINGS))
+        )
+        assert reduced.comparison.status == STATUS_NO_DATA
+        assert reduced.notes.startswith("GMean not compared")
+
+    def test_power_average_gated_on_all_six_workloads(self):
+        def activity(coords):
+            return {"link_flit_mm": 1e6, "flits_switched": 1e5}
+
+        full = power_report(
+            hand_built(figure7_spec(settings=TINY_SETTINGS), network_activity=activity)
+        )
+        assert measured_keys(full) == {"mesh", "flattened_butterfly", "noc_out"}
+        assert full.notes == ""
+
+        reduced = power_report(
+            hand_built(
+                figure7_spec(SIX[:3], settings=TINY_SETTINGS), network_activity=activity
+            )
+        )
+        assert reduced.comparison.status == STATUS_NO_DATA
+        assert reduced.notes.startswith("Average not compared")
+
+    def test_ablations_note_the_workload_they_measured(self):
+        banking = ablations.llc_banking_report(
+            hand_built(ablations.llc_banking_spec("Web Search", settings=TINY_SETTINGS))
+        )
+        assert banking.notes == "Measured on Web Search."
+        assert measured_keys(banking) == {"4 cores/bank vs 1 core/bank"}
+
+        arbitration = ablations.tree_arbitration_report(
+            hand_built(ablations.tree_arbitration_spec(settings=TINY_SETTINGS))
+        )
+        assert arbitration.notes == "Measured on Data Serving."
+
+        scaling = ablations.scaling_report(
+            hand_built(ablations.scaling_spec(settings=TINY_SETTINGS))
+        )
+        assert scaling.notes == "Measured on MapReduce-W at 128 cores."
+        assert len(measured_keys(scaling)) == 3
+
+    def test_scale_out_ratios_follow_the_swept_fabrics(self):
+        spec = scale_out.scale_out_spec(
+            ["MapReduce-W"], core_counts=(512,), fabrics=("mesh", "cmesh"),
+            settings=TINY_SETTINGS,
+        )
+        report = scale_out.scale_out_report(
+            hand_built(
+                spec,
+                total_instructions=lambda c: 512_000 * (3 if c["topology"] == "cmesh" else 2),
+            )
+        )
+        (delta,) = [d for d in report.comparison.deltas if d.measured is not None]
+        assert delta.key == "cmesh vs mesh @ 512 cores"
+        assert delta.measured == pytest.approx(1.5)
+        assert (
+            "Reduced sweep: core counts [512], fabrics ['mesh', 'cmesh']."
+            in report.notes
+        )
+
+    def test_colocation_ratios_from_per_tenant_tails(self):
+        p99 = {"homogeneous": 100.0, "split_half": 50.0, "checkerboard": 65.0}
+        spec = colocation.colocation_spec(
+            arrivals=("bursty",), loads=(colocation.LOADS[1],), settings=TINY_SETTINGS
+        )
+        results = hand_built(
+            spec,
+            per_tenant_latency=lambda c: {
+                "Data Serving": {"count": 10.0, "p99": p99[c["placement"]]}
+            },
+        )
+        report = colocation.colocation_report(results)
+        assert report.comparison.status == STATUS_PASS
+        assert "Reduced sweep: placements" in report.notes

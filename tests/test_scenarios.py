@@ -7,7 +7,7 @@ import pytest
 
 from repro.config import presets
 from repro.config.noc import Topology
-from repro.experiments.engine import ResultCache, SweepExecutor, run_experiments
+from repro.experiments.engine import ResultCache, SweepExecutor
 from repro.experiments.harness import (
     MIN_DETAILED_WARMUP_CYCLES,
     MIN_MEASURE_CYCLES,
@@ -235,28 +235,27 @@ class TestRunSweep:
         assert len(results) == 4
         assert [r.coords["topology"] for r in results] == ["mesh", "mesh", "noc_out", "noc_out"]
         for record in results:
-            assert record.metric("throughput_ipc") > 0
-            assert record.result is not None  # keep_results defaults to True
-
-    def test_keep_results_false_drops_full_results(self):
-        results = run_sweep(ONE_WORKLOAD_SPEC, keep_results=False)
-        assert all(record.result is None for record in results)
-        assert all(record.metric("cycles") > 0 for record in results)
+            assert record.metric("throughput_ipc") == record.result.throughput_ipc > 0
+            assert record.metric("cycles") == record.result.cycles
+        with pytest.raises(KeyError, match="unknown metric"):
+            results[0].metric("no_such_metric")
+        with pytest.raises(KeyError, match="unknown metric"):
+            results[0].metric("workload")  # an attribute, but not a number
 
     def test_values_match_legacy_engine_run(self):
         results = run_sweep(ONE_WORKLOAD_SPEC)
-        legacy = run_experiments([sp.point for sp in ONE_WORKLOAD_SPEC.expand()])
+        legacy = SweepExecutor().run([sp.point for sp in ONE_WORKLOAD_SPEC.expand()])
         for record, result in zip(results, legacy):
             assert record.metric("throughput_ipc") == result.throughput_ipc
             assert record.result == result
 
     def test_iter_results_yields_every_record_of_blocking_call(self):
-        blocking = run_sweep(ONE_WORKLOAD_SPEC, keep_results=False)
-        streamed = list(iter_results(ONE_WORKLOAD_SPEC, keep_results=False))
+        blocking = run_sweep(ONE_WORKLOAD_SPEC)
+        streamed = list(iter_results(ONE_WORKLOAD_SPEC))
         assert {r.point_hash for r in streamed} == {r.point_hash for r in blocking}
         by_hash = {r.point_hash: r for r in streamed}
         for record in blocking:
-            assert by_hash[record.point_hash].metrics == record.metrics
+            assert by_hash[record.point_hash].result == record.result
             assert by_hash[record.point_hash].coords == record.coords
 
     def test_iter_results_streams_cache_hits_first(self, tmp_path):
@@ -271,26 +270,20 @@ class TestRunSweep:
         assert first.point_hash in cached_hashes  # a hit, before any simulation
         list(stream)
 
-    def test_jobs_and_executor_are_exclusive(self):
-        with pytest.raises(ValueError):
-            run_sweep(ONE_WORKLOAD_SPEC, jobs=2, executor=SweepExecutor(jobs=1))
-
     def test_sharded_union_equals_full_sweep(self, tmp_path):
-        full = run_sweep(ONE_WORKLOAD_SPEC, keep_results=False)
+        full = run_sweep(ONE_WORKLOAD_SPEC)
         union = {}
         for index in range(2):
-            for record in run_sweep(
-                ONE_WORKLOAD_SPEC.shard(index, 2), keep_results=False
-            ):
+            for record in run_sweep(ONE_WORKLOAD_SPEC.shard(index, 2)):
                 union[record.point_hash] = record
         assert {r.point_hash for r in full} == set(union)
         for record in full:
-            assert union[record.point_hash].metrics == record.metrics
+            assert union[record.point_hash].result == record.result
 
 
 class TestResultSet:
     def test_filter_and_value(self):
-        results = run_sweep(ONE_WORKLOAD_SPEC, keep_results=False)
+        results = run_sweep(ONE_WORKLOAD_SPEC)
         mesh = results.filter(topology="mesh")
         assert len(mesh) == 2
         value = results.value("throughput_ipc", topology="mesh", num_cores=32)
@@ -300,13 +293,12 @@ class TestResultSet:
 
     def test_pivot_matches_legacy_fig1_nested_dict(self):
         """The ResultSet pivot reproduces the pre-redesign fig1 shape exactly."""
-        from repro.experiments.fig1_scaling import figure1_spec, run_figure1
+        from repro.experiments.fig1_scaling import figure1_spec, normalise_figure1
 
         names = ["Web Search"]
         core_counts = (1, 4)
-        curves = run_figure1(
-            workload_names=names, core_counts=core_counts, settings=TINY_SETTINGS
-        )
+        results = run_sweep(figure1_spec(names, core_counts, TINY_SETTINGS))
+        curves = normalise_figure1(results)
 
         # Legacy computation from the pre-redesign fig1_scaling: one point
         # per (workload, series, core count), run as a flat engine batch.
@@ -323,7 +315,7 @@ class TestResultSet:
                         )
                     )
         per_core = dict(
-            zip(keys, (r.per_core_ipc for r in run_experiments(points)))
+            zip(keys, (r.per_core_ipc for r in SweepExecutor().run(points)))
         )
         expected = {}
         for name in names:
@@ -337,14 +329,11 @@ class TestResultSet:
         assert curves == expected
 
         # And the generic pivot helper returns the same raw table.
-        results = run_sweep(
-            figure1_spec(names, core_counts, TINY_SETTINGS), keep_results=False
-        )
         raw = results.pivot("topology", "num_cores", "per_core_ipc")
         assert raw["ideal"][4] == per_core[("Web Search", "ideal", 4)]
 
     def test_axis_values_preserve_order(self):
-        results = run_sweep(ONE_WORKLOAD_SPEC, keep_results=False)
+        results = run_sweep(ONE_WORKLOAD_SPEC)
         assert results.axis_values("topology") == ["mesh", "noc_out"]
         assert results.axis_values("num_cores") == [16, 32]
 
@@ -383,6 +372,19 @@ class TestRunSettingsScaling:
         monkeypatch.delenv("REPRO_EXPERIMENT_SCALE", raising=False)
         assert RunSettings.from_env() == RunSettings()
         assert TINY_SETTINGS.scaled(1.0) == TINY_SETTINGS
+
+    @pytest.mark.parametrize("factor", [0.0, -0.5, float("nan"), float("inf")])
+    def test_scaled_rejects_non_finite_or_non_positive_factor(self, factor):
+        with pytest.raises(ValueError, match="finite positive"):
+            RunSettings().scaled(factor)
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "nan", "inf"])
+    def test_from_env_names_the_variable(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_EXPERIMENT_SCALE", raw)
+        with pytest.raises(
+            ValueError, match="REPRO_EXPERIMENT_SCALE must be a finite positive"
+        ):
+            RunSettings.from_env()
 
 
 # --------------------------------------------------------------------- #

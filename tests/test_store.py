@@ -256,6 +256,30 @@ class TestQueryCLI:
         assert status == 2
 
 
+    @pytest.mark.parametrize("scale", ["0", "nan", "inf"])
+    def test_bad_scale_is_exit_code_2(self, tmp_path, capsys, scale):
+        store = ColumnarStore(tmp_path / "empty")
+        status = query.main(
+            ["--store", str(store.root), "--scale", scale, "figure", "fig1"]
+        )
+        assert status == 2
+        assert "finite positive" in capsys.readouterr().err
+
+    def test_malformed_scale_variable_is_exit_code_2(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_EXPERIMENT_SCALE", "abc")
+        store = ColumnarStore(tmp_path / "empty")
+        status = query.main(
+            [
+                "--store", str(store.root),
+                "pivot", "fig1", "--index", "num_cores", "--columns", "topology",
+            ]
+        )
+        assert status == 2
+        assert "REPRO_EXPERIMENT_SCALE must be" in capsys.readouterr().err
+
+
 class TestSpecRegistry:
     def test_figure_names_and_order_are_pinned(self):
         from repro.reporting.figures import report_names
