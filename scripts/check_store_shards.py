@@ -10,8 +10,8 @@ would:
    wait for both;
 2. require the shards' simulated sets are disjoint and together cover
    every point of the sweep;
-3. compact the store and require a single canonical segment holding the
-   full sweep;
+3. require the shared store to hold exactly one ``results/<hash>.json``
+   per sweep point and nothing else;
 4. serve the figure and a pivot through ``python -m repro.store.query``
    and require success — the query CLI cannot simulate by construction,
    so a warm answer proves zero re-simulations;
@@ -45,7 +45,6 @@ from repro.experiments.engine import ResultCache, SweepExecutor  # noqa: E402
 from repro.experiments.fig1_scaling import figure1_spec  # noqa: E402
 from repro.reporting.cli import generate  # noqa: E402
 from repro.scenarios import run_sweep  # noqa: E402
-from repro.store.columnar import ColumnarStore  # noqa: E402
 
 SHARDS = 2
 FIGURE = "fig1"
@@ -171,17 +170,19 @@ def main() -> int:
             f"shards covered {len(union)} of {len(all_hashes)} points",
         )
 
-        store = ColumnarStore(store_dir)
-        compact_stats = store.compact()
-        print(f"  compacted: {compact_stats.summary()}")
-        check(
-            len(store.segment_paths()) == 1,
-            f"compaction left {len(store.segment_paths())} segments, expected 1",
+        expected_files = sorted(f"results/{digest}.json" for digest in all_hashes)
+        stored_files = sorted(
+            str(path.relative_to(store_dir))
+            for path in store_dir.rglob("*")
+            if path.is_file()
         )
         check(
-            set(store.hashes()) == all_hashes,
-            "compacted store does not hold exactly the sweep's points",
+            stored_files == expected_files,
+            f"store holds {len(stored_files)} file(s) "
+            f"({sorted(set(stored_files) - set(expected_files))[:3]} unexpected), "
+            f"expected one results/<hash>.json per point ({len(expected_files)})",
         )
+        print(f"  store: one result file per point ({len(stored_files)} files)")
 
         figure_text = run_query(store_dir, "figure", FIGURE)
         check(
@@ -201,7 +202,7 @@ def main() -> int:
         )
         check(
             executor.last_stats.simulations_run == 0,
-            "run_sweep over the compacted store simulated "
+            "run_sweep over the shard-filled store simulated "
             f"{executor.last_stats.simulations_run} point(s)",
         )
         expected = json.dumps(table, indent=2, sort_keys=True, default=str)
@@ -228,7 +229,7 @@ def main() -> int:
         )
 
     print(
-        "OK: 2-shard fill of one store + compact serves the figure "
+        "OK: 2-shard fill of one store serves the figure "
         "with zero re-simulations"
     )
     return 0

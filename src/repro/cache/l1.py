@@ -96,7 +96,3 @@ class L1Cache:
     @property
     def misses(self) -> int:
         return self.read_misses.value + self.write_misses.value
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0

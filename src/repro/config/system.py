@@ -137,8 +137,5 @@ class SystemConfig:
     def with_topology(self, topology: Topology) -> "SystemConfig":
         return replace(self, noc=self.noc.with_topology(topology))
 
-    def with_cores(self, num_cores: int) -> "SystemConfig":
-        return replace(self, num_cores=num_cores)
-
     def with_workload_map(self, workload_map: Optional[WorkloadMap]) -> "SystemConfig":
         return replace(self, workload_map=workload_map)

@@ -93,14 +93,6 @@ class NocOutFloorplan:
         """Length of one hop in a reduction/dispersion tree."""
         return self.core_tile_height_mm
 
-    @property
-    def die_width_mm(self) -> float:
-        return self.columns * self.core_tile_width_mm
-
-    @property
-    def die_height_mm(self) -> float:
-        return self.core_rows * self.core_tile_height_mm + self.llc_tile_height_mm
-
 
 # --------------------------------------------------------------------------- #
 # Static descriptor for the area model (Figure 8)

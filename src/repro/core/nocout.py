@@ -151,13 +151,3 @@ class NocOutNetwork(Network):
             if dst_column == column:
                 return self.interfaces[node_id]
         return self.llc_routers[dst_column]
-
-    # ------------------------------------------------------------------ #
-    # Introspection helpers (used by tests and the ablation studies)
-    # ------------------------------------------------------------------ #
-    def llc_router(self, column: int) -> Router:
-        return self.llc_routers[column]
-
-    @property
-    def num_tree_nodes(self) -> int:
-        return len(self.reduction_nodes) + len(self.dispersion_nodes)

@@ -7,9 +7,9 @@ parallel.  This module turns a sweep into explicit data:
 
 * :class:`ExperimentPoint` — one (configuration, run settings) pair with a
   stable content hash that identifies the simulation it describes;
-* :class:`ResultCache` — an on-disk columnar result store
-  (:mod:`repro.store`) keyed by that hash, so re-running a figure script
-  after touching only plotting code is free;
+* :class:`ResultCache` — the on-disk result store, one JSON file per
+  point named by that hash, so re-running a figure script after touching
+  only plotting code is free;
 * :class:`SweepExecutor` — fans points out over a
   :class:`~concurrent.futures.ProcessPoolExecutor` (worker count from the
   ``REPRO_JOBS`` environment variable, default ``os.cpu_count()``), with a
@@ -24,7 +24,8 @@ Environment variables
 ``REPRO_JOBS``
     Worker processes for a sweep.  ``1`` forces the serial path.
 ``REPRO_CACHE_DIR``
-    Result-store directory (default ``~/.cache/repro``).
+    Result-store directory (default ``~/.cache/repro``); results live in
+    its ``results/`` subdirectory.
 ``REPRO_CACHE``
     Set to ``0``/``off``/``false``/``no`` to disable the result cache.
 ``REPRO_EXPERIMENT_SCALE``
@@ -34,10 +35,11 @@ Environment variables
 ``REPRO_PROFILE``
     Set to ``1`` to run every simulated point under :mod:`cProfile`.  Each
     point writes ``<hash>.pstats`` (raw, for ``snakeviz``/``pstats``) and
-    ``<hash>.profile.txt`` (top-20 functions by cumulative time) into the
-    cache directory, next to the point's cache entry — cache *hits* are
-    never profiled, so delete the entry (or disable the cache) to profile
-    an already-cached point.  See "Profiling a sweep" in
+    ``<hash>.profile.txt`` (top-20 functions by cumulative time) into
+    ``REPRO_CACHE_DIR``, named by the point hash — even when the sweep's
+    store is elsewhere.  Cache *hits* are never profiled, so delete the
+    point's result file (or disable the cache) to profile an
+    already-cached point.  See "Profiling a sweep" in
     ``docs/performance.md``.
 """
 
@@ -47,6 +49,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import tempfile
+import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from enum import Enum
@@ -62,12 +66,12 @@ JOBS_ENV_VAR = "REPRO_JOBS"
 CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 #: Cache kill-switch environment variable.
 CACHE_ENV_VAR = "REPRO_CACHE"
-#: Per-point cProfile switch; profiles land next to the cache entries.
+#: Per-point cProfile switch; profiles land in ``REPRO_CACHE_DIR``.
 PROFILE_ENV_VAR = "REPRO_PROFILE"
 #: How many rows of the cumulative-time table ``*.profile.txt`` keeps.
 PROFILE_TOP_N = 20
 
-#: Bump whenever the hash payload or the cache file layout changes; old
+#: Bump whenever the hash payload or the result file layout changes; old
 #: entries then read as misses instead of deserialisation errors.
 CACHE_SCHEMA_VERSION = 2
 
@@ -230,37 +234,99 @@ def cache_enabled() -> bool:
     )
 
 
+class CacheCorruptionWarning(UserWarning):
+    """A stored result was unreadable and has been quarantined."""
+
+
+#: Quarantine warns at most once per process (a sweep over a damaged store
+#: would otherwise emit one identical warning per file); the quarantine
+#: itself still happens for every bad file.
+_corruption_warned = False
+
+
+def _quarantine(path: Path) -> None:
+    """Move an unreadable result file aside (``*.corrupt``) and warn once.
+
+    ``os.replace`` keeps this atomic; losing the race against a sibling
+    process that already quarantined the file is fine — either way the
+    bad file no longer answers lookups.
+    """
+    global _corruption_warned
+    try:
+        os.replace(path, path.with_name(path.name + ".corrupt"))
+    except OSError:
+        return
+    if not _corruption_warned:
+        _corruption_warned = True
+        warnings.warn(
+            f"quarantined corrupt result file {path.name} (kept as "
+            f"{path.name}.corrupt, its point reads as a miss; further corrupt "
+            "files will be quarantined silently)",
+            CacheCorruptionWarning,
+            stacklevel=3,
+        )
+
+
 class ResultCache:
     """Result store keyed by :meth:`ExperimentPoint.content_hash`.
 
-    A thin adapter from experiment points to a :class:`ColumnarStore` at
-    ``root`` (default ``REPRO_CACHE_DIR``): ``load`` looks the point's hash
-    up, ``store`` appends a one-row segment.  Segments that fail to parse
-    are quarantined by the store (renamed to ``*.corrupt``, warned about
-    once per process with
-    :class:`~repro.store.columnar.CacheCorruptionWarning`) and their rows
-    read as misses, so a damaged entry is re-simulated instead of aborting
-    a sweep.
+    Each result is one file, ``<root>/results/<hash>.json``, holding
+    :meth:`SimulationResults.to_dict` as sorted-key JSON (``root`` defaults
+    to ``REPRO_CACHE_DIR``).  Writes go to a temp file in the same
+    directory and ``os.replace`` into place, so readers never see a torn
+    file and writers sharing one directory (shards on several machines)
+    never contend; two writers of the same point write identical bytes.
+    Stores merge by copying ``results/*.json`` from one into the other.
 
-    The store is an append-only archive without a size cap: prune it with
-    :meth:`ColumnarStore.compact` or by deleting the directory.
+    A file that fails to parse or has the wrong shape is renamed to
+    ``*.corrupt`` (warned about once per process with
+    :class:`CacheCorruptionWarning`) and reads as a miss, so a damaged
+    entry is re-simulated instead of aborting a sweep.  Layout versions
+    live in the key: :data:`CACHE_SCHEMA_VERSION` and
+    :data:`MODEL_VERSION` are hashed into every file name.  The store has
+    no size cap; prune it by deleting files or the directory.
     """
 
     def __init__(self, root: Optional[os.PathLike] = None) -> None:
-        # Imported here so that processes which never open a store (bare
-        # network runs, cache-less sweeps) do not pay for the store module.
-        from repro.store.columnar import ColumnarStore
-
         self.root = Path(root) if root is not None else default_cache_root()
-        self.columnar = ColumnarStore(self.root)
+        self.results_dir = self.root / "results"
+
+    def path(self, point: ExperimentPoint) -> Path:
+        """Where ``point``'s result file lives (whether or not it exists)."""
+        return self.results_dir / f"{point.content_hash()}.json"
 
     def load(self, point: ExperimentPoint) -> Optional[SimulationResults]:
         """Return the stored result for ``point``, or ``None`` on a miss."""
-        return self.columnar.get(point.content_hash())
+        path = self.path(point)
+        try:
+            raw = path.read_bytes()
+        except FileNotFoundError:
+            return None
+        try:
+            return SimulationResults.from_dict(json.loads(raw))
+        except (ValueError, TypeError, AttributeError):
+            # Torn, hand-edited or wrong-shaped: a miss, kept for diagnosis.
+            _quarantine(path)
+            return None
 
     def store(self, point: ExperimentPoint, result: SimulationResults) -> Path:
-        """Atomically append ``result`` under the point's hash; return its segment."""
-        return self.columnar.append_results([(point.content_hash(), result)])
+        """Atomically write ``result`` as the point's file; return its path."""
+        path = self.path(point)
+        self.results_dir.mkdir(parents=True, exist_ok=True)
+        fd, tmp_name = tempfile.mkstemp(dir=self.results_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                json.dump(
+                    result.to_dict(), handle, sort_keys=True, separators=(",", ":")
+                )
+            os.replace(tmp_name, path)
+        except BaseException:
+            try:
+                os.unlink(tmp_name)
+            except OSError:
+                pass
+            raise
+        return path
 
 
 # --------------------------------------------------------------------- #

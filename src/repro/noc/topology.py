@@ -67,10 +67,6 @@ class TopologyDescriptor:
         return sum(spec.total_buffer_bits for spec in self.routers)
 
     @property
-    def total_link_bit_mm(self) -> float:
-        return sum(spec.total_bit_mm for spec in self.links)
-
-    @property
     def num_routers(self) -> int:
         return sum(spec.count for spec in self.routers)
 
@@ -101,14 +97,6 @@ class GridGeometry:
 
     def manhattan_tiles(self, a: Tuple[int, int], b: Tuple[int, int]) -> int:
         return abs(a[0] - b[0]) + abs(a[1] - b[1])
-
-    @property
-    def die_width_mm(self) -> float:
-        return self.cols * self.tile_width_mm
-
-    @property
-    def die_height_mm(self) -> float:
-        return self.rows * self.tile_width_mm
 
     def all_coords(self) -> Iterable[Tuple[int, int]]:
         for row in range(self.rows):

@@ -178,9 +178,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         core_counts = (
             [int(c) for c in args.cores.split(",") if c.strip()] if args.cores else None
         )
+        if core_counts and min(core_counts) < 1:
+            raise ValueError
     except ValueError:
         print(
-            f"--cores must be comma-separated integers, got {args.cores!r}",
+            f"--cores must be comma-separated integers >= 1, got {args.cores!r}",
             file=sys.stderr,
         )
         return 2

@@ -7,7 +7,8 @@ Every executed :class:`~repro.scenarios.spec.SweepPoint` becomes one
 a single ``value`` and ``pivot`` into the small nested tables the figures
 print.  A figure is therefore a spec plus a report over its
 :class:`ResultSet`; the report reads the swept axes off the records.
-Results persist in the columnar store (:mod:`repro.store`), not here.
+Results persist in the result store (:class:`~repro.experiments.engine.ResultCache`),
+not here.
 """
 
 from __future__ import annotations

@@ -50,10 +50,9 @@ Sharding
 --------
 ``spec.shard(i, n)`` returns a spec whose expansion keeps only the points
 with ``content_hash % n == i``.  The hash is stable across processes and
-machines, so ``n`` machines can each run one shard against a private store
-and the stores can be merged afterwards (copy one store's
-``segments/*.json`` into the other and :meth:`ColumnarStore.compact
-<repro.store.columnar.ColumnarStore.compact>`); every point of the full
+machines, so ``n`` machines can each run one shard against one shared
+store directory, or against private stores merged afterwards by copying
+one store's ``results/*.json`` into the other; every point of the full
 spec lands in exactly one shard.
 
 Serialisation

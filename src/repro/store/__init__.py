@@ -1,12 +1,10 @@
-"""Columnar result store: where every simulated point lands.
+"""Result store: where every simulated point lands, and how it is served.
 
-Results live in an **append-only columnar segment store** (stdlib-only);
-the engine's :class:`~repro.experiments.engine.ResultCache` is a thin
-point-keyed adapter over it:
+Results live in a directory with one file per point,
+``<root>/results/<content hash>.json``, written and read by the engine's
+:class:`~repro.experiments.engine.ResultCache` (stdlib-only).  This
+package holds the read side:
 
-* :mod:`repro.store.columnar` — the segment format and
-  :class:`ColumnarStore` (atomic appends, point reads by content hash,
-  ``compact()`` folding, quarantine of unreadable segments);
 * :mod:`repro.store.query` — the serving CLI: any registered figure or
   pivot query answered from the warm store without touching the simulator
   (``python -m repro.store.query``), read through the same
@@ -16,24 +14,10 @@ point-keyed adapter over it:
 
 The store is filled by running sweeps against it: one machine's process
 pool (``SweepExecutor``), or ``spec.shard(i, n)`` on many machines sharing
-the directory.  See the "result path" section of ``docs/architecture.md``
-for the segment format and ``docs/experiments.md`` for recipes.  A
-directory of pre-columnar ``<hash>.json`` files is not read: it opens as
-an empty store and its points re-simulate into ``segments/``.
+the directory.  Stores merge by copying ``results/*.json`` from one into
+the other.  See the "result path" section of ``docs/architecture.md`` for
+the file layout and ``docs/experiments.md`` for recipes.  A directory in
+an older layout (root-level ``<hash>.json`` files, or the ``segments/``
+tables of the earlier columnar layout) is not read: it opens as an empty
+store and its points re-simulate into ``results/``.
 """
-
-from repro.store.columnar import (
-    SEGMENT_SCHEMA_VERSION,
-    CacheCorruptionWarning,
-    ColumnarStore,
-    CompactStats,
-    StoreError,
-)
-
-__all__ = [
-    "SEGMENT_SCHEMA_VERSION",
-    "CacheCorruptionWarning",
-    "ColumnarStore",
-    "CompactStats",
-    "StoreError",
-]

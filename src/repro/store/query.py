@@ -1,4 +1,4 @@
-"""Serving CLI: answer figure/pivot queries from a warm columnar store.
+"""Serving CLI: answer figure/pivot queries from a warm result store.
 
 ``python -m repro.store.query`` is the read side of the result store: it
 **never simulates**.  Every query resolves through the store only; a
@@ -34,7 +34,6 @@ from typing import Iterator, Optional, Sequence, Tuple
 from repro.experiments.engine import ResultCache, SweepExecutor, SweepStats
 from repro.experiments.harness import RunSettings
 from repro.scenarios import run_sweep
-from repro.store.columnar import ColumnarStore
 from repro.store.specs import figure_spec, spec_names
 
 
@@ -101,23 +100,18 @@ def _settings(args: argparse.Namespace) -> RunSettings:
     return RunSettings.from_env()
 
 
-def _cmd_stats(store: ColumnarStore, args: argparse.Namespace) -> int:
-    segments = store.segment_paths()
-    rows = len(store)
+def _cmd_stats(cache: ResultCache, args: argparse.Namespace) -> int:
+    rows = 0
     total_bytes = 0
-    for path in segments:
+    for path in cache.results_dir.glob("*.json"):
         try:
             total_bytes += path.stat().st_size
         except OSError:
-            pass
+            continue
+        rows += 1
     print(
         json.dumps(
-            {
-                "store": str(store.root),
-                "rows": rows,
-                "segments": len(segments),
-                "bytes": total_bytes,
-            },
+            {"store": str(cache.root), "rows": rows, "bytes": total_bytes},
             indent=2,
             sort_keys=True,
         )
@@ -125,7 +119,7 @@ def _cmd_stats(store: ColumnarStore, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_figure(store: ColumnarStore, args: argparse.Namespace) -> int:
+def _cmd_figure(cache: ResultCache, args: argparse.Namespace) -> int:
     from repro.reporting.figures import build_report, report_names
     from repro.reporting.render import render_figure
 
@@ -135,11 +129,11 @@ def _cmd_figure(store: ColumnarStore, args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    executor = WarmStoreExecutor(ResultCache(store.root))
+    executor = WarmStoreExecutor(cache)
     report = build_report(args.name, settings=_settings(args), executor=executor)
     print(render_figure(report))
     print(
-        f"<!-- served from {store.root}: {executor.total_stats.cache_hits} "
+        f"<!-- served from {cache.root}: {executor.total_stats.cache_hits} "
         "row(s), 0 simulations -->"
     )
     return 0
@@ -158,10 +152,10 @@ def _parse_selection(pairs: Optional[Sequence[str]]) -> dict:
     return selection
 
 
-def _cmd_pivot(store: ColumnarStore, args: argparse.Namespace) -> int:
+def _cmd_pivot(cache: ResultCache, args: argparse.Namespace) -> int:
     results = run_sweep(
         figure_spec(args.name, _settings(args)),
-        executor=WarmStoreExecutor(ResultCache(store.root)),
+        executor=WarmStoreExecutor(cache),
     )
     selection = _parse_selection(args.where)
     if selection:
@@ -174,10 +168,10 @@ def _cmd_pivot(store: ColumnarStore, args: argparse.Namespace) -> int:
 def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="python -m repro.store.query",
-        description="Serve figure/pivot queries from a warm columnar store "
+        description="Serve figure/pivot queries from a warm result store "
         "(never simulates).",
     )
-    parser.add_argument("--store", required=True, help="columnar store directory")
+    parser.add_argument("--store", required=True, help="result store directory")
     parser.add_argument(
         "--scale",
         type=float,
@@ -186,7 +180,7 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("stats", help="row/segment counts for the store")
+    sub.add_parser("stats", help="result count and bytes for the store")
 
     figure = sub.add_parser(
         "figure", help="render one figure's paper-vs-measured section"
@@ -211,12 +205,12 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parse_args(argv)
-    store = ColumnarStore(args.store)
+    cache = ResultCache(args.store)
     commands = {"stats": _cmd_stats, "figure": _cmd_figure, "pivot": _cmd_pivot}
     try:
-        return commands[args.command](store, args)
+        return commands[args.command](cache, args)
     except ColdStoreError as exc:
-        hint = _fill_hint(store.root, args.name)
+        hint = _fill_hint(cache.root, args.name)
         print(f"cold store: {exc}; {hint}", file=sys.stderr)
         return 3
     except (ValueError, KeyError) as exc:

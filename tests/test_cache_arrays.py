@@ -397,7 +397,7 @@ class TestL1Cache:
         l1.read(0x0)
         l1.fill(0x0, writable=False)
         l1.read(0x0)
-        assert l1.miss_rate == pytest.approx(0.5)
+        assert l1.misses / l1.accesses == pytest.approx(0.5)
 
 
 class TestLLCBank:

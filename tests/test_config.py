@@ -1,5 +1,7 @@
 """Unit tests for the configuration objects (Table 1 parameters)."""
 
+import dataclasses
+
 import pytest
 
 from repro.config.cache import CacheConfig, CacheHierarchyConfig
@@ -161,7 +163,8 @@ class TestSystemConfig:
 
     def test_with_helpers_produce_copies(self):
         config = SystemConfig()
-        other = config.with_cores(16).with_topology(Topology.NOC_OUT)
+        other = config.with_topology(Topology.NOC_OUT)
+        other = dataclasses.replace(other, num_cores=16)
         assert other.num_cores == 16
         assert other.noc.topology == Topology.NOC_OUT
         assert config.num_cores == 64

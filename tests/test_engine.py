@@ -26,16 +26,14 @@ from repro.config.noc import topology_key
 from repro.experiments.harness import RunSettings
 from repro.scenarios import SweepSpec, point_for_coords, run_sweep
 
-from repro.store import columnar
-
 from tests._fixtures import TINY_SETTINGS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def segments(root: Path):
-    """The segment files of the result store at ``root``."""
-    return columnar.ColumnarStore(root).segment_paths()
+def result_files(root: Path):
+    """The result files of the store at ``root``."""
+    return sorted((root / "results").glob("*.json"))
 
 
 def tiny_point(
@@ -185,10 +183,10 @@ class TestResultCache:
         point = tiny_point()
         (result,) = SweepExecutor(jobs=1, cache=ResultCache(tmp_path)).run([point])
 
-        (path,) = segments(tmp_path)
+        (path,) = result_files(tmp_path)
         path.write_text("{ this is not json")
         assert ResultCache(tmp_path).load(point) is None
-        assert not path.exists()  # corrupt segment moved aside, not left to re-fail
+        assert not path.exists()  # corrupt file moved aside, not left to re-fail
 
         executor = SweepExecutor(jobs=1, cache=ResultCache(tmp_path))
         (recovered,) = executor.run([point])
@@ -199,14 +197,17 @@ class TestResultCache:
         "payload",
         ["null", "[1, 2, 3]", '{"schema": 1, "result": [1, 2]}', '{"schema": 1}'],
     )
-    def test_wrong_shaped_json_is_a_miss(self, tmp_path, payload):
-        """A segment of valid JSON but the wrong shape reads as a miss."""
+    def test_wrong_shaped_json_is_a_miss(self, tmp_path, monkeypatch, payload):
+        """A file of valid JSON but the wrong shape is quarantined as a miss."""
+        monkeypatch.setattr(engine, "_corruption_warned", True)
         cache = ResultCache(tmp_path)
-        path = cache.columnar.segment_dir / "seg-0-0-1.json"
+        point = tiny_point()
+        path = cache.path(point)
         path.parent.mkdir(parents=True)
         path.write_text(payload)
-        assert cache.load(tiny_point()) is None
+        assert cache.load(point) is None
         assert not path.exists()
+        assert path.with_name(path.name + ".corrupt").read_text() == payload
 
     def test_schema_mismatch_is_a_miss(self, tmp_path, monkeypatch):
         """The cache schema is hashed into every key: a bump turns rows into misses."""
@@ -228,16 +229,16 @@ class TestResultCache:
     def test_truncated_entry_is_quarantined_with_one_warning(
         self, tmp_path, monkeypatch
     ):
-        """A torn segment reads as a miss, is kept as *.corrupt, warns once."""
-        monkeypatch.setattr(columnar, "_corruption_warned", False)
+        """A torn file reads as a miss, is kept as *.corrupt, warns once."""
+        monkeypatch.setattr(engine, "_corruption_warned", False)
         point = tiny_point()
         (result,) = SweepExecutor(jobs=1, cache=ResultCache(tmp_path)).run([point])
 
-        (path,) = segments(tmp_path)
+        (path,) = result_files(tmp_path)
         intact = path.read_text()
         path.write_text(intact[: len(intact) // 2])  # disk trouble mid-file
         cache = ResultCache(tmp_path)
-        with pytest.warns(columnar.CacheCorruptionWarning):
+        with pytest.warns(engine.CacheCorruptionWarning):
             assert cache.load(point) is None
         assert not path.exists()
         quarantined = path.with_name(path.name + ".corrupt")
@@ -249,30 +250,30 @@ class TestResultCache:
         assert executor.last_stats.simulations_run == 1
 
         # Further corruption is quarantined silently: one warning per process.
-        (path,) = segments(tmp_path)
+        (path,) = result_files(tmp_path)
         path.write_text("{ torn again")
         with warnings.catch_warnings():
-            warnings.simplefilter("error", columnar.CacheCorruptionWarning)
+            warnings.simplefilter("error", engine.CacheCorruptionWarning)
             assert ResultCache(tmp_path).load(point) is None
         assert not path.exists()
 
     def test_quarantined_entries_never_answer_lookups_again(
         self, tmp_path, monkeypatch
     ):
-        monkeypatch.setattr(columnar, "_corruption_warned", True)
+        monkeypatch.setattr(engine, "_corruption_warned", True)
         point = tiny_point()
         SweepExecutor(jobs=1, cache=ResultCache(tmp_path)).run([point])
-        (path,) = segments(tmp_path)
+        (path,) = result_files(tmp_path)
         path.write_text("not json at all")
         cache = ResultCache(tmp_path)
         assert cache.load(point) is None
         assert cache.load(point) is None  # the .corrupt file is not re-read
         assert ResultCache(tmp_path).load(point) is None
-        assert segments(tmp_path) == []
+        assert result_files(tmp_path) == []
 
     def test_old_json_layout_is_ignored_and_resimulated(self, tmp_path):
-        """A pre-columnar ``<hash>.json`` entry is not read and not warned
-        about: its point misses, re-simulates into ``segments/``, and the
+        """A root-level ``<hash>.json`` entry is never read and not warned
+        about: its point misses, re-simulates into ``results/``, and the
         stray file is left as it was."""
         point = tiny_point()
         stray = tmp_path / f"{point.content_hash()}.json"
@@ -286,6 +287,8 @@ class TestResultCache:
                 sort_keys=True,
             )
         )
+        # The same name one level down is where a result is read from.
+        assert ResultCache(tmp_path).path(point) == tmp_path / "results" / stray.name
         before = stray.read_bytes()
 
         with warnings.catch_warnings():
@@ -296,9 +299,44 @@ class TestResultCache:
             (result,) = executor.run([point])
 
         assert executor.last_stats.simulations_run == 1
-        assert len(segments(tmp_path)) == 1
+        assert len(result_files(tmp_path)) == 1
         assert ResultCache(tmp_path).load(point) == result
         assert stray.read_bytes() == before
+
+    def test_columnar_segment_layout_is_ignored_and_resimulated(self, tmp_path):
+        """A store in the earlier columnar layout (``manifest.json`` plus
+        ``segments/seg-*.json`` tables) opens empty: its points re-simulate
+        into ``results/`` and its files stay byte-for-byte as they were."""
+        point = tiny_point()
+        row = engine.execute_point(point).to_dict()
+        (tmp_path / "segments").mkdir()
+        old_files = {
+            tmp_path / "manifest.json": {"cache_schema": 2, "schema": 1},
+            tmp_path / "segments" / "seg-0000000000000001-1-1.json": {
+                "schema": 1,
+                "count": 1,
+                "hashes": [point.content_hash()],
+                "columns": {name: [value] for name, value in row.items()},
+            },
+        }
+        for path, payload in old_files.items():
+            path.write_text(json.dumps(payload, sort_keys=True))
+        before = {path: path.read_bytes() for path in old_files}
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cache = ResultCache(tmp_path)
+            assert cache.load(point) is None
+            executor = SweepExecutor(jobs=1, cache=cache)
+            (result,) = executor.run([point])
+
+        assert executor.last_stats.simulations_run == 1
+        assert result_files(tmp_path) == [cache.path(point)]
+        assert ResultCache(tmp_path).load(point) == result
+        assert {path: path.read_bytes() for path in old_files} == before
+        assert sorted((tmp_path / "segments").iterdir()) == [
+            tmp_path / "segments" / "seg-0000000000000001-1-1.json"
+        ]
 
 
 class TestSweepExecutor:

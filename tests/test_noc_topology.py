@@ -13,6 +13,11 @@ from repro.noc.topology import (
 )
 
 
+def link_bit_mm(descriptor) -> float:
+    """Total wire (bit x mm) over a descriptor's links."""
+    return sum(spec.total_bit_mm for spec in descriptor.links)
+
+
 class TestGridGeometry:
     def test_positions_are_tile_centres(self):
         geometry = GridGeometry(4, 4, 2.0)
@@ -26,8 +31,10 @@ class TestGridGeometry:
 
     def test_die_dimensions(self):
         geometry = GridGeometry(8, 8, 1.5)
-        assert geometry.die_width_mm == pytest.approx(12.0)
-        assert geometry.die_height_mm == pytest.approx(12.0)
+        # The far edge of the last tile is cols (rows) tiles from the origin.
+        x, y = geometry.position_mm((7, 7))
+        half = geometry.tile_width_mm / 2
+        assert (x + half, y + half) == pytest.approx((12.0, 12.0))
 
     def test_out_of_range_coordinate_rejected(self):
         with pytest.raises(ValueError):
@@ -77,7 +84,7 @@ class TestFlattenedButterflyDescriptor:
     def test_total_wire_length_far_exceeds_mesh(self):
         mesh = describe_mesh(presets.mesh_system())
         fbfly = describe_flattened_butterfly(presets.flattened_butterfly_system())
-        assert fbfly.total_link_bit_mm > 5 * mesh.total_link_bit_mm
+        assert link_bit_mm(fbfly) > 5 * link_bit_mm(mesh)
 
 
 class TestDescribeTopology:
@@ -92,7 +99,7 @@ class TestDescribeTopology:
     def test_ideal_topology_has_no_hardware(self):
         descriptor = describe_topology(presets.ideal_system())
         assert descriptor.num_routers == 0
-        assert descriptor.total_link_bit_mm == 0
+        assert link_bit_mm(descriptor) == 0
 
     def test_tiled_geometry_uses_system_tile_width(self):
         config = presets.mesh_system()

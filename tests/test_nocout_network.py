@@ -29,6 +29,11 @@ def build_nocout(num_cores=16, **noc_kwargs):
     return sim, config, system_map, network, received
 
 
+def tree_nodes(network) -> int:
+    """Reduction plus dispersion tree nodes of a NOC-Out network."""
+    return len(network.reduction_nodes) + len(network.dispersion_nodes)
+
+
 def send(network, src, dst, msg_class=MessageClass.REQUEST, data=False):
     bits = data_message_bits() if data else control_message_bits()
     message = Message(src=src, dst=dst, msg_class=msg_class, size_bits=bits)
@@ -136,13 +141,13 @@ class TestNocOutNetwork:
     def test_tree_node_counts(self):
         _sim, _config, _map, network, _ = build_nocout()
         # 16 cores with one core per half-column: 16 reduction + 16 dispersion nodes.
-        assert network.num_tree_nodes == 32
+        assert tree_nodes(network) == 32
 
     def test_concentration_halves_tree_nodes(self):
         _sim, _config, _map, baseline, _ = build_nocout(num_cores=32)
         _sim2, _config2, _map2, concentrated, _ = build_nocout(num_cores=32, tree_concentration=2)
-        assert baseline.num_tree_nodes == 64
-        assert concentrated.num_tree_nodes == 32
+        assert tree_nodes(baseline) == 64
+        assert tree_nodes(concentrated) == 32
 
     def test_express_links_still_deliver(self):
         sim, _config, system_map, network, received = build_nocout(

@@ -344,8 +344,9 @@ class TestCli:
         assert code == 2
         assert "--jobs" in capsys.readouterr().err
 
-    def test_main_rejects_non_integer_cores(self, tmp_path, capsys):
-        code = main(["--cores", "4,x", "--out", str(tmp_path)])
+    @pytest.mark.parametrize("cores", ["4,x", "0", "-4"])
+    def test_main_rejects_non_integer_cores(self, tmp_path, capsys, cores):
+        code = main(["--cores", cores, "--out", str(tmp_path)])
         assert code == 2
         assert "--cores" in capsys.readouterr().err
 
@@ -407,17 +408,13 @@ class TestCommittedReport:
         committed = json.loads(COMMITTED_RESULTS.read_text())
         settings = RunSettings(seed=committed["seed"])
         cache = ResultCache(tmp_path / "store")
-        rows = []
         for sweep_point in report_points(settings):
             coords = sweep_point.coords
             label = ",".join(f"{key}={coords[key]}" for key in sorted(coords))
-            rows.append(
-                (
-                    sweep_point.content_hash(),
-                    SimulationResults.from_dict(committed["results"][label]),
-                )
+            cache.store(
+                sweep_point.point,
+                SimulationResults.from_dict(committed["results"][label]),
             )
-        cache.columnar.append_results(rows)
 
         outcome = generate(
             out_dir=str(tmp_path / "out"),

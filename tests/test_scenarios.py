@@ -26,7 +26,6 @@ from repro.scenarios import (
     workload,
     workload_names,
 )
-from repro.store import ColumnarStore
 from repro.tenancy import MatrixContext, build_placement, make_arrival, make_matrix
 
 from tests._fixtures import TINY_SETTINGS, small_workload
@@ -390,36 +389,48 @@ class TestRunSettingsScaling:
 # --------------------------------------------------------------------- #
 # Store merging
 # --------------------------------------------------------------------- #
+def stored_hashes(root) -> set:
+    """Content hashes of the results stored under ``root``."""
+    return {path.stem for path in (root / "results").glob("*.json")}
+
+
+def store_bytes(root) -> dict:
+    """Every file of the store at ``root``, by path relative to it."""
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
 class TestCacheMerge:
     def test_merge_combines_shard_caches(self, tmp_path):
-        """Shards on two stores: copy segments across, compact, serve the spec."""
+        """Shards on two stores: copy result files across, serve the spec."""
         spec = ONE_WORKLOAD_SPEC
-        for index in range(2):
-            executor = SweepExecutor(jobs=1, cache=ResultCache(tmp_path / f"s{index}"))
-            run_sweep(spec.shard(index, 2), executor=executor)
+        caches = [ResultCache(tmp_path / f"s{index}") for index in range(2)]
+        for index, cache in enumerate(caches):
+            run_sweep(spec.shard(index, 2), executor=SweepExecutor(jobs=1, cache=cache))
 
-        merged = ColumnarStore(tmp_path / "s0")
-        for segment in ColumnarStore(tmp_path / "s1").segment_paths():
-            shutil.copy2(segment, merged.segment_dir / segment.name)
-        stats = merged.compact()
-        assert stats.segments_out == 1
-        assert stats.rows_out == len(spec.expand())
+        merged, other = caches
+        for path in other.results_dir.glob("*.json"):
+            shutil.copy2(path, merged.results_dir / path.name)
+        assert stored_hashes(merged.root) == {sp.content_hash() for sp in spec.expand()}
 
         executor = SweepExecutor(jobs=1, cache=ResultCache(merged.root))
         run_sweep(spec, executor=executor)
         assert executor.last_stats.simulations_run == 0
 
-    def test_shards_sharing_one_store_compact_to_serial_bytes(self, tmp_path):
+    def test_shards_sharing_one_store_match_serial_bytes(self, tmp_path):
         """Shards on one shared root, as two machines sharing a directory."""
         spec = ONE_WORKLOAD_SPEC
         shared = tmp_path / "shared"
         caches = [ResultCache(shared), ResultCache(shared)]  # one per machine
         simulated = []
         for index, cache in enumerate(caches):
-            before = set(ColumnarStore(shared).hashes())
+            before = stored_hashes(shared)
             executor = SweepExecutor(jobs=1, cache=cache)
             run_sweep(spec.shard(index, 2), executor=executor)
-            added = set(ColumnarStore(shared).hashes()) - before
+            added = stored_hashes(shared) - before
             # No shard finds its points already simulated by the other.
             assert executor.last_stats.cache_hits == 0
             assert executor.last_stats.simulations_run == len(added)
@@ -435,8 +446,4 @@ class TestCacheMerge:
 
         serial = tmp_path / "serial"
         run_sweep(spec, executor=SweepExecutor(jobs=1, cache=ResultCache(serial)))
-        stores = [ColumnarStore(shared), ColumnarStore(serial)]
-        for store in stores:
-            store.compact()
-        (shared_segment,), (serial_segment,) = (s.segment_paths() for s in stores)
-        assert shared_segment.read_bytes() == serial_segment.read_bytes()
+        assert store_bytes(shared) == store_bytes(serial)

@@ -1,22 +1,24 @@
-"""Tests for the columnar result store and the query path.
+"""Tests for the result store and the query path.
 
-Covers the result path end to end: segment format round-trips,
-compaction canonicalisation, quarantine of damaged segments,
-:class:`ResultCache` over the store and the never-simulates query CLI,
-whose figures and pivots read through that same cache.
+Covers the result path end to end: one-file-per-result round-trips,
+writers sharing a directory, quarantine of damaged files,
+:class:`ResultCache` under the executor and the never-simulates query
+CLI, whose figures and pivots read through that same cache.
 """
 
 import json
+import sys
+import threading
 
 import pytest
 
 from repro.chip.chip import SimulationResults
 from repro.config.noc import Topology
+from repro.experiments import engine
 from repro.experiments.engine import ResultCache, SweepExecutor
 from repro.experiments.harness import RunSettings
 from repro.scenarios import run_sweep
-from repro.store import ColumnarStore, StoreError
-from repro.store import columnar, query, specs
+from repro.store import query, specs
 
 from tests._fixtures import TINY_SETTINGS
 from tests.test_engine import tiny_point
@@ -42,110 +44,93 @@ def fake_result(seed: int = 0) -> SimulationResults:
     )
 
 
-class TestColumnarStore:
-    def test_append_get_round_trip(self, tmp_path):
-        store = ColumnarStore(tmp_path / "store")
-        rows = [(f"{i:064x}", fake_result(i)) for i in range(3)]
-        path = store.append_results(rows)
-        assert path is not None and path.exists()
-        for digest, result in rows:
-            assert digest in store
-            assert store.get(digest) == result
-        assert store.get("f" * 64) is None
-        assert len(store) == 3
+class TestResultFiles:
+    def test_store_load_round_trip(self, tmp_path):
+        cache = ResultCache(tmp_path / "store")
+        points = [tiny_point(num_cores=cores) for cores in (4, 8, 16)]
+        for seed, point in enumerate(points):
+            path = cache.store(point, fake_result(seed))
+            assert path == cache.results_dir / f"{point.content_hash()}.json"
+        for seed, point in enumerate(points):
+            assert cache.load(point) == fake_result(seed)
+        assert cache.load(tiny_point(num_cores=2)) is None
+        assert sorted(cache.results_dir.iterdir()) == sorted(
+            cache.path(point) for point in points
+        )
 
-    def test_append_empty_is_a_no_op(self, tmp_path):
-        store = ColumnarStore(tmp_path / "store")
-        assert store.append_results([]) is None
-        assert store.segment_paths() == []
+    def test_file_is_sorted_key_json(self, tmp_path):
+        path = ResultCache(tmp_path).store(tiny_point(), fake_result())
+        text = path.read_text()
+        assert text == json.dumps(
+            fake_result().to_dict(), sort_keys=True, separators=(",", ":")
+        )
 
-    def test_refresh_sees_sibling_appends(self, tmp_path):
-        """A second store instance over the same directory sees new rows."""
-        writer = ColumnarStore(tmp_path / "store")
-        reader = ColumnarStore(tmp_path / "store")
-        assert reader.get("0" * 64) is None
-        writer.append_results([("0" * 64, fake_result())])
-        # The reader refreshes lazily on the miss and finds the new segment.
-        assert reader.get("0" * 64) == fake_result()
+    def test_second_cache_sees_sibling_writes(self, tmp_path):
+        """A second cache over the same directory sees new results at once."""
+        writer = ResultCache(tmp_path / "store")
+        reader = ResultCache(tmp_path / "store")
+        point = tiny_point()
+        assert reader.load(point) is None
+        writer.store(point, fake_result())
+        assert reader.load(point) == fake_result()
 
-    def test_first_write_wins_on_duplicate_hashes(self, tmp_path):
-        store = ColumnarStore(tmp_path / "store")
-        store.append_results([("0" * 64, fake_result(1))])
-        store.append_results([("0" * 64, fake_result(2))])
-        assert store.get("0" * 64) == fake_result(1)
-        stats = store.compact()
-        assert stats.duplicates_dropped == 1
-        assert store.get("0" * 64) == fake_result(1)
+    def test_two_caches_store_the_same_point(self, tmp_path):
+        """Two writers of one point both succeed; both read the result back."""
+        caches = [ResultCache(tmp_path / "store"), ResultCache(tmp_path / "store")]
+        point = tiny_point()
+        paths = [cache.store(point, fake_result()) for cache in caches]
+        assert paths[0] == paths[1]
+        assert [cache.load(point) for cache in caches] == [fake_result()] * 2
+        # Only the result file remains: no temp files are left behind.
+        assert list(caches[0].results_dir.iterdir()) == [paths[0]]
 
-    def test_compact_folds_to_one_canonical_segment(self, tmp_path):
-        """Same rows, different arrival orders -> byte-identical segment."""
-        rows = [(f"{i:064x}", fake_result(i)) for i in range(5)]
+    def test_concurrent_writers_never_expose_a_torn_file(self, tmp_path):
+        """Threads re-storing one point through their own caches always
+        read back the whole result: no load ever sees a partial file."""
+        point = tiny_point()
+        torn = []
 
-        def fill(root, order):
-            store = ColumnarStore(root)
-            for index in order:
-                store.append_results([rows[index]])
-            store.compact()
-            (segment,) = store.segment_paths()
-            return segment.read_bytes()
+        def write_and_read():
+            cache = ResultCache(tmp_path / "store")
+            for _ in range(25):
+                cache.store(point, fake_result())
+                if cache.load(point) != fake_result():
+                    torn.append(True)
 
-        bytes_a = fill(tmp_path / "a", [0, 1, 2, 3, 4])
-        bytes_b = fill(tmp_path / "b", [4, 2, 0, 3, 1])
-        assert bytes_a == bytes_b
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write_and_read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert torn == []
+        cache = ResultCache(tmp_path / "store")
+        assert list(cache.results_dir.iterdir()) == [cache.path(point)]
 
-    def test_compact_is_idempotent(self, tmp_path):
-        store = ColumnarStore(tmp_path / "store")
-        store.append_results([(f"{i:064x}", fake_result(i)) for i in range(3)])
-        store.compact()
-        (segment,) = store.segment_paths()
-        before = segment.read_bytes()
-        stats = store.compact()
-        assert stats.duplicates_dropped == 0
-        (segment,) = store.segment_paths()
-        assert segment.read_bytes() == before
-
-    def test_malformed_segment_is_quarantined(self, tmp_path, monkeypatch):
-        """An unparseable segment drops out as *.corrupt; its rows are misses."""
-        monkeypatch.setattr(columnar, "_corruption_warned", False)
-        store = ColumnarStore(tmp_path / "store")
-        store.append_results([("0" * 64, fake_result(0))])
-        store.append_results([("1" * 64, fake_result(1))])
-        bad, good = store.segment_paths()
+    def test_malformed_file_is_quarantined(self, tmp_path, monkeypatch):
+        """An unparseable file drops out as *.corrupt; its point is a miss."""
+        monkeypatch.setattr(engine, "_corruption_warned", False)
+        bad_point, good_point = tiny_point(num_cores=4), tiny_point(num_cores=8)
+        cache = ResultCache(tmp_path / "store")
+        bad = cache.store(bad_point, fake_result(0))
+        good = cache.store(good_point, fake_result(1))
         bad.write_text("{ not json")
 
-        reader = ColumnarStore(tmp_path / "store")
-        with pytest.warns(columnar.CacheCorruptionWarning, match=bad.name):
-            assert reader.refresh() == 1
-        assert reader.segment_paths() == [good]
+        with pytest.warns(engine.CacheCorruptionWarning, match=bad.name):
+            assert cache.load(bad_point) is None
+        assert sorted(cache.results_dir.glob("*.json")) == [good]
         assert bad.with_name(bad.name + ".corrupt").exists()
-        assert reader.get("0" * 64) is None
-        assert reader.get("1" * 64) == fake_result(1)
-
-    def test_future_segment_schema_refuses_loudly(self, tmp_path):
-        """A foreign schema version is not damage: it raises, nothing is moved."""
-        store = ColumnarStore(tmp_path / "store")
-        store.append_results([("0" * 64, fake_result())])
-        (segment,) = store.segment_paths()
-        payload = json.loads(segment.read_text())
-        payload["schema"] = 99
-        segment.write_text(json.dumps(payload))
-        with pytest.raises(StoreError, match="schema 99"):
-            ColumnarStore(tmp_path / "store").refresh()
-        assert segment.exists()
-
-    def test_future_manifest_schema_refuses_loudly(self, tmp_path):
-        store = ColumnarStore(tmp_path / "store")
-        store.append_results([("0" * 64, fake_result())])
-        manifest = json.loads(store.manifest_path.read_text())
-        manifest["schema"] = 99
-        store.manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(StoreError, match="manifest schema"):
-            ColumnarStore(tmp_path / "store").refresh()
+        assert cache.load(good_point) == fake_result(1)
 
 
 class TestResultCacheRoundTrip:
-    def test_executor_round_trip_on_columnar_backend(self, tmp_path):
-        """Simulate through the columnar cache; rerun serves purely from it."""
+    def test_executor_round_trip(self, tmp_path):
+        """Simulate through the result cache; rerun serves purely from it."""
         cache = ResultCache(tmp_path / "store")
         points = [
             tiny_point(topology=Topology.MESH),
@@ -168,19 +153,22 @@ class TestQueryCLI:
     def fill_fig1(self, tmp_path):
         """Fill the fig1 sweep with synthetic results (no real sims)."""
         spec = specs.figure_spec("fig1", RunSettings().scaled(float(self.SCALE)))
-        store = ColumnarStore(tmp_path / "store")
-        store.append_results(
-            (sp.content_hash(), fake_result(sp.point.config.num_cores))
-            for sp in spec.expand()
-        )
+        store = ResultCache(tmp_path / "store")
+        for sp in spec.expand():
+            store.store(sp.point, fake_result(sp.point.config.num_cores))
         return store
 
-    def test_stats_reports_rows_and_segments(self, tmp_path, capsys):
+    def test_stats_reports_rows_and_bytes(self, tmp_path, capsys):
         store = self.fill_fig1(tmp_path)
+        files = list(store.results_dir.glob("*.json"))
+        (store.results_dir / "stray.json.corrupt").write_text("{")
         assert query.main(["--store", str(store.root), "stats"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["rows"] == len(store)
-        assert payload["segments"] == len(store.segment_paths())
+        assert payload == {
+            "store": str(store.root),
+            "rows": len(files),
+            "bytes": sum(path.stat().st_size for path in files),
+        }
 
     def test_figure_served_from_warm_store(self, tmp_path, capsys):
         store = self.fill_fig1(tmp_path)
@@ -195,7 +183,7 @@ class TestQueryCLI:
     def test_pivot_served_from_warm_store(self, tmp_path, capsys):
         """The served pivot is run_sweep's pivot over the same store."""
         store = self.fill_fig1(tmp_path)
-        segments_before = store.segment_paths()
+        files_before = sorted(store.results_dir.iterdir())
         status = query.main(
             [
                 "--store", str(store.root), "--scale", self.SCALE,
@@ -207,7 +195,7 @@ class TestQueryCLI:
         )
         assert status == 0
         served = capsys.readouterr().out
-        assert store.segment_paths() == segments_before
+        assert sorted(store.results_dir.iterdir()) == files_before
 
         spec = specs.figure_spec("fig1", RunSettings().scaled(float(self.SCALE)))
         executor = SweepExecutor(jobs=1, cache=ResultCache(store.root))
@@ -221,7 +209,7 @@ class TestQueryCLI:
         assert served == expected + "\n"
 
     def test_cold_store_is_exit_code_3_not_a_simulation(self, tmp_path, capsys):
-        store = ColumnarStore(tmp_path / "empty")
+        store = ResultCache(tmp_path / "empty")
         status = query.main(
             ["--store", str(store.root), "--scale", self.SCALE, "figure", "fig1"]
         )
@@ -230,10 +218,10 @@ class TestQueryCLI:
         assert "cold store" in err
         # The hint names a fill command that exists, pointed at this store.
         assert f"python -m repro.reporting --store {store.root}" in err
-        assert len(store) == 0  # nothing was simulated to paper over the miss
+        assert not store.root.exists()  # nothing was simulated to paper over the miss
 
     def test_cold_on_demand_sweep_names_run_sweep(self, tmp_path, capsys):
-        store = ColumnarStore(tmp_path / "empty")
+        store = ResultCache(tmp_path / "empty")
         status = query.main(
             [
                 "--store", str(store.root), "--scale", self.SCALE,
@@ -245,7 +233,7 @@ class TestQueryCLI:
         assert 'run_sweep(figure_spec("scale_out"))' in capsys.readouterr().err
 
     def test_unknown_names_are_exit_code_2(self, tmp_path, capsys):
-        store = ColumnarStore(tmp_path / "empty")
+        store = ResultCache(tmp_path / "empty")
         assert query.main(["--store", str(store.root), "figure", "nope"]) == 2
         status = query.main(
             [
@@ -258,7 +246,7 @@ class TestQueryCLI:
 
     @pytest.mark.parametrize("scale", ["0", "nan", "inf"])
     def test_bad_scale_is_exit_code_2(self, tmp_path, capsys, scale):
-        store = ColumnarStore(tmp_path / "empty")
+        store = ResultCache(tmp_path / "empty")
         status = query.main(
             ["--store", str(store.root), "--scale", scale, "figure", "fig1"]
         )
@@ -269,7 +257,7 @@ class TestQueryCLI:
         self, tmp_path, capsys, monkeypatch
     ):
         monkeypatch.setenv("REPRO_EXPERIMENT_SCALE", "abc")
-        store = ColumnarStore(tmp_path / "empty")
+        store = ResultCache(tmp_path / "empty")
         status = query.main(
             [
                 "--store", str(store.root),
