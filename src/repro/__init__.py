@@ -19,7 +19,7 @@ Quickstart::
 
     config = presets.nocout_system().with_workload(presets.workload("Web Search"))
     chip = build_chip(config)
-    results = chip.run_experiment(measure_cycles=4000)
+    results = chip.run_experiment()  # the windows of RunSettings()
     print(results.throughput_ipc, results.network_mean_latency)
 """
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -23,6 +24,11 @@ class CacheLineState(Enum):
     @property
     def is_writable(self) -> bool:
         return self in (CacheLineState.EXCLUSIVE, CacheLineState.MODIFIED)
+
+
+#: One-byte codes for line states in :meth:`SetAssociativeCache.packed_lines`.
+_STATES = tuple(CacheLineState)
+_STATE_CODES = {state: code for code, state in enumerate(_STATES)}
 
 
 class SetAssociativeCache:
@@ -156,6 +162,35 @@ class SetAssociativeCache:
                 self.insert_all((tag << shift, state) for tag in chunk)
             else:
                 sets[index] = dict.fromkeys(chunk[-ways:], state)
+
+    def packed_lines(self) -> Tuple[array, bytearray]:
+        """Every resident line as ``(tags, state codes)``, set by set from LRU to MRU.
+
+        Tags (block numbers) go in an ``array('q')`` and states in a
+        ``bytearray``, neither of which the garbage collector tracks;
+        :meth:`install_packed` puts exactly these lines back.
+        """
+        sets = self._sets
+        # Built from lists, so both buffers are allocated at their exact size.
+        tags = array("q", [tag for cache_set in sets for tag in cache_set])
+        codes = bytearray(
+            [_STATE_CODES[state] for cache_set in sets for state in cache_set.values()]
+        )
+        return tags, codes
+
+    def install_packed(self, tags: array, codes: bytearray) -> None:
+        """Replace the contents with the lines of :meth:`packed_lines`' output.
+
+        Lines of one set arrive from LRU to MRU, so appending them in order
+        restores each set's LRU order.
+        """
+        sets = self._sets
+        for cache_set in sets:
+            cache_set.clear()
+        divisor = self._index_divisor
+        num_sets = self.num_sets
+        for tag, code in zip(tags, codes):
+            sets[tag // divisor % num_sets][tag] = _STATES[code]
 
     def update_state(self, addr: int, state: CacheLineState) -> None:
         """Change the state of a resident line (or invalidate it)."""

@@ -8,8 +8,9 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.cache.directory import DirectoryController
 from repro.cache.memory_controller import MemoryController
@@ -29,6 +30,32 @@ from repro.workloads.cloudsuite import make_stream
 from repro.chip.builder import build_network
 from repro.chip.system_map import build_system_map
 from repro.chip.tile import Tile
+
+
+class WarmCore(NamedTuple):
+    """One core's fabric-independent share of :meth:`Chip.warmup`, packed.
+
+    The four ``l1*`` fields are :meth:`SetAssociativeCache.packed_lines`
+    of the warmed L1s; ``fill_addrs`` / ``fill_writes`` are the core's
+    shared-region accesses in draw order; the last three are the stream's
+    :meth:`~repro.workloads.base.SyntheticWorkloadStream.packed_state`
+    after the draw.  One flat tuple keeps the per-core overhead small.
+    """
+
+    l1i_tags: array
+    l1i_states: bytearray
+    l1d_tags: array
+    l1d_states: bytearray
+    fill_addrs: array
+    fill_writes: bytearray
+    rng_words: array
+    gauss_next: Optional[float]
+    pc: int
+
+
+#: Warm-up memo: the chip's key (warm-up count, block size, L1 geometries,
+#: every core's stream identity) -> one :class:`WarmCore` per core.
+WarmupMemo = Dict[tuple, Tuple[WarmCore, ...]]
 
 
 @dataclass
@@ -299,13 +326,16 @@ class Chip:
     # ------------------------------------------------------------------ #
     # Warm-up
     # ------------------------------------------------------------------ #
-    def warmup(self, references_per_core: int = 3000) -> None:
+    def warmup(
+        self, references_per_core: Optional[int] = None, memo: Optional[WarmupMemo] = None
+    ) -> None:
         """Functionally warm the caches and directory before timed simulation.
 
         The full instruction footprint is installed in the LLC (it fits in
         the 8 MB cache, mirroring the paper's warmed checkpoints), and each
         core replays a short reference stream to warm its private L1s and
-        the shared-region directory state.
+        the shared-region directory state.  ``references_per_core``
+        defaults to :class:`~repro.experiments.harness.RunSettings`'.
 
         Installs go in bulk but leave the state one install per address
         would: the footprint goes bank by bank through
@@ -315,14 +345,27 @@ class Chip:
         ``insert_all`` batch per cache, in reference order.  Every bank and
         every L1 is its own tag array, so only the order within one array
         matters.
+
+        The per-core part does not depend on the fabric, so it goes
+        through ``memo`` (a fresh dict when none is given): an entry keyed
+        on every core's stream identity holds the warmed L1 contents, the
+        shared-region fills and each stream's end state.  A hit installs
+        the L1s, replays the fills through this chip's directories (their
+        homes are the fabric's) and resumes each stream where the original
+        draw left it, which is bit for bit what drawing again would do.
         """
+        if references_per_core is None:
+            # repro.experiments imports this module, so not at the top.
+            from repro.experiments.harness import RunSettings
+
+            references_per_core = RunSettings().warmup_references
+        memo = {} if memo is None else memo
         if not self.core_nodes:
             return
         system_map = self.system_map
         home_node = system_map.home_node
         directories = self.directories
         shared = CacheLineState.SHARED
-        modified = CacheLineState.MODIFIED
 
         # One footprint per tenant (homogeneous chips share a single
         # region); sorted so the fill order is deterministic.
@@ -335,21 +378,53 @@ class Chip:
                 bank = directories[home_node(first)].bank_for(first)
                 bank.array.insert_stripe(stripe, shared)
 
+        caches = self.config.caches
+        key = (
+            references_per_core,
+            caches.block_size,
+            caches.l1i,
+            caches.l1d,
+            tuple(node.core.stream.identity() for node in self.core_nodes.values()),
+        )
+        # Hit or miss, the install below is what warms this chip: a miss
+        # only draws the product first.
+        product = memo.get(key)
+        if product is None:
+            product = memo[key] = self._draw_warm_cores(references_per_core)
+        for (core_id, node), warm in zip(self.core_nodes.items(), product):
+            node.l1i.array.install_packed(warm.l1i_tags, warm.l1i_states)
+            node.l1d.array.install_packed(warm.l1d_tags, warm.l1d_states)
+            for addr, is_write in zip(warm.fill_addrs, warm.fill_writes):
+                directories[home_node(addr)].warm_fill(addr, sharer=core_id, writable=is_write)
+            node.core.stream.restore(warm.rng_words, warm.gauss_next, warm.pc)
+
+    def _draw_warm_cores(self, references_per_core: int) -> Tuple[WarmCore, ...]:
+        """Draw every core's warm-up references into its L1s; return the product.
+
+        Shared-region data accesses are recorded as fills, in order, for
+        :meth:`warmup` to replay into the directories.
+        """
         # L1 lines are keyed by the chip's block address, whatever the L1's
         # own block size.
         block_mask = -self.config.caches.block_size
-        for core_id, node in self.core_nodes.items():
+        shared = CacheLineState.SHARED
+        modified = CacheLineState.MODIFIED
+        product = []
+        for node in self.core_nodes.values():
             stream = node.core.stream
             shared_base, shared_size = stream.shared_region
             shared_end = shared_base + shared_size
             instruction_lines = []
             data_lines = []
+            fill_addrs = []
+            fill_writes = []
             for addr, is_instruction, is_write in stream.functional_references(references_per_core):
                 if is_instruction:
                     instruction_lines.append((addr & block_mask, shared))
                 elif shared_base <= addr < shared_end:
                     data_lines.append((addr & block_mask, modified if is_write else shared))
-                    directories[home_node(addr)].warm_fill(addr, sharer=core_id, writable=is_write)
+                    fill_addrs.append(addr)
+                    fill_writes.append(is_write)
                 else:
                     # Private lines that are ever written end up modified in
                     # steady state; warming them writable avoids a long
@@ -357,6 +432,16 @@ class Chip:
                     data_lines.append((addr & block_mask, modified))
             node.l1i.array.insert_all(instruction_lines)
             node.l1d.array.insert_all(data_lines)
+            product.append(
+                WarmCore(
+                    *node.l1i.array.packed_lines(),
+                    *node.l1d.array.packed_lines(),
+                    array("q", fill_addrs),
+                    bytearray(fill_writes),
+                    *stream.packed_state(),
+                )
+            )
+        return tuple(product)
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -385,12 +470,25 @@ class Chip:
 
     def run_experiment(
         self,
-        warmup_references: int = 3000,
-        detailed_warmup_cycles: int = 2000,
-        measure_cycles: int = 8000,
+        warmup_references: Optional[int] = None,
+        detailed_warmup_cycles: Optional[int] = None,
+        measure_cycles: Optional[int] = None,
+        memo: Optional[WarmupMemo] = None,
     ) -> SimulationResults:
-        """Warm up, run a timed warm window, then measure and return results."""
-        self.warmup(warmup_references)
+        """Warm up, run a timed warm window, then measure and return results.
+
+        A window left as ``None`` takes
+        :class:`~repro.experiments.harness.RunSettings`' default; ``memo``
+        is passed to :meth:`warmup`.
+        """
+        from repro.experiments.harness import RunSettings
+
+        defaults = RunSettings()
+        if detailed_warmup_cycles is None:
+            detailed_warmup_cycles = defaults.detailed_warmup_cycles
+        if measure_cycles is None:
+            measure_cycles = defaults.measure_cycles
+        self.warmup(warmup_references, memo)
         self.start_cores()
         if detailed_warmup_cycles:
             self.sim.run(detailed_warmup_cycles)

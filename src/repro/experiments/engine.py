@@ -46,6 +46,7 @@ Environment variables
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -57,7 +58,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.chip.chip import Chip, SimulationResults
+from repro.chip.chip import Chip, SimulationResults, WarmupMemo
 from repro.config.system import SystemConfig
 
 #: Worker-count environment variable (default: ``os.cpu_count()``).
@@ -172,8 +173,14 @@ def profiling_enabled() -> bool:
     )
 
 
-def execute_point(point: ExperimentPoint) -> SimulationResults:
+def execute_point(
+    point: ExperimentPoint, memo: Optional[WarmupMemo] = None
+) -> SimulationResults:
     """Run one point's simulation (also the process-pool worker function).
+
+    ``memo`` is the warm-up memo :meth:`Chip.warmup` reads and fills;
+    :class:`SweepExecutor` passes its own on the serial path, and a pool
+    worker, called without one, warms from a fresh dict.
 
     Under ``REPRO_PROFILE=1`` the run executes inside a :mod:`cProfile`
     profiler and drops ``<hash>.pstats`` plus a rendered top-N table
@@ -183,25 +190,28 @@ def execute_point(point: ExperimentPoint) -> SimulationResults:
     per point instead of one blended profile per process.
     """
     if profiling_enabled():
-        return _execute_point_profiled(point)
-    return _simulate(point)
+        return _execute_point_profiled(point, memo)
+    return _simulate(point, memo)
 
 
-def _simulate(point: ExperimentPoint) -> SimulationResults:
+def _simulate(point: ExperimentPoint, memo: Optional[WarmupMemo]) -> SimulationResults:
     return Chip(point.config).run_experiment(
         warmup_references=point.settings.warmup_references,
         detailed_warmup_cycles=point.settings.detailed_warmup_cycles,
         measure_cycles=point.settings.measure_cycles,
+        memo=memo,
     )
 
 
-def _execute_point_profiled(point: ExperimentPoint) -> SimulationResults:
+def _execute_point_profiled(
+    point: ExperimentPoint, memo: Optional[WarmupMemo]
+) -> SimulationResults:
     import cProfile
     import io
     import pstats
 
     profiler = cProfile.Profile()
-    result = profiler.runcall(_simulate, point)
+    result = profiler.runcall(_simulate, point, memo)
 
     root = default_cache_root()
     root.mkdir(parents=True, exist_ok=True)
@@ -365,6 +375,12 @@ class SweepExecutor:
     points to a process pool.  Per-point results are independent of the
     worker count because every simulation seeds its own
     :class:`~repro.sim.kernel.Simulator`.
+
+    ``warmup_memo`` lives exactly as long as the executor: on the serial
+    path every point's :meth:`Chip.warmup` shares it, so a core stream that
+    several points draw (the same workload, core count and seed on another
+    fabric) is warmed once per executor.  Pool workers warm each point
+    from a fresh memo.
     """
 
     def __init__(
@@ -376,6 +392,7 @@ class SweepExecutor:
         self.cache: Optional[ResultCache] = cache
         self.last_stats = SweepStats()
         self.total_stats = SweepStats()
+        self.warmup_memo: WarmupMemo = {}
 
     def run(self, points: Iterable[ExperimentPoint]) -> List[SimulationResults]:
         """Execute ``points`` and return their results in the same order."""
@@ -441,10 +458,15 @@ class SweepExecutor:
         # run_iter consumer leaves accurate stats behind.
         if self.jobs == 1 or len(pending) == 1:
             for point, indices in zip(pending, pending_indices):
-                result = execute_point(point)
+                result = execute_point(point, self.warmup_memo)
                 stats.simulations_run += 1
                 if self.cache is not None:
                     self.cache.store(point, result)
+                # A finished chip is one large reference cycle.  Collecting
+                # it here keeps a sweep's peak at one chip plus the memo,
+                # instead of however many chips pile up between the
+                # collector's own full passes.
+                gc.collect()
                 for index in indices:
                     yield index, result
         else:

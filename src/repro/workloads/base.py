@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+from array import array
 from dataclasses import dataclass, field
 from math import log
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.config.workload import WorkloadConfig
 
@@ -205,6 +207,41 @@ class SyntheticWorkloadStream(WorkloadStream):
             produced += 1 + len(accesses)
 
     # ------------------------------------------------------------------ #
+    def identity(self) -> tuple:
+        """Everything the stream's next draws depend on, as a hashable key.
+
+        Two streams with equal identities draw identical blocks from here
+        on: the key holds the config, rank, core count and region bases
+        that fix the address layout, the program counter, and a 128-bit
+        digest of the RNG state.
+        """
+        _version, words, gauss_next = self.rng.getstate()
+        return (
+            self.config,
+            self.core_id,
+            self.num_cores,
+            self._instruction_base,
+            self._shared_base,
+            self._private_base,
+            self._pc,
+            gauss_next,
+            hashlib.blake2b(array("I", words).tobytes(), digest_size=16).digest(),
+        )
+
+    def packed_state(self) -> tuple:
+        """The stream's mutable state: ``(RNG words, gauss_next, pc)``.
+
+        The 624 Mersenne-Twister words plus their index are packed in an
+        ``array('I')``; :meth:`restore` puts the state back.
+        """
+        _version, words, gauss_next = self.rng.getstate()
+        return array("I", words), gauss_next, self._pc
+
+    def restore(self, words: array, gauss_next: Optional[float], pc: int) -> None:
+        """Resume from a :meth:`packed_state`, exactly as the stream left it."""
+        self.rng.setstate((self.rng.VERSION, tuple(words), gauss_next))
+        self._pc = pc
+
     @property
     def instruction_region(self) -> Tuple[int, int]:
         """(base, size) of the instruction footprint."""

@@ -8,7 +8,9 @@ it with the window-scale-0.1 reference count and reduces the warm state
 to one sha256: every LLC bank's sets in LRU order with states, every
 directory entry (state, owner, sorted sharers), and every core's L1-I and
 L1-D sets (keyed by core id) in LRU order with states.  The digests in
-``tests/data/warm_state_digests.json`` pin that state bit for bit.
+``tests/data/warm_state_digests.json`` pin that state bit for bit, both
+for a fresh warm-up (a memo miss) and for one served from a memo entry
+that another fabric's chip with the same streams left behind.
 
 Rewrite the golden file (only for a deliberate warm-up change) with::
 
@@ -21,7 +23,7 @@ import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 import pytest
 
@@ -48,9 +50,17 @@ def _lines(array: SetAssociativeCache) -> list:
     return [[addr, state.value] for addr, state in array.resident_blocks().items()]
 
 
-def warm_state(config: SystemConfig) -> dict:
+def warm_chip(config: SystemConfig, memo: Optional[dict] = None) -> Chip:
     chip = Chip(config)
-    chip.warmup(WARMUP_REFERENCES)
+    chip.warmup(WARMUP_REFERENCES, memo)
+    return chip
+
+
+def warm_state(config: SystemConfig) -> dict:
+    return chip_state(warm_chip(config))
+
+
+def chip_state(chip: Chip) -> dict:
     directories = [chip.directories[node] for node in sorted(chip.directories)]
     return {
         "llc": [_lines(bank.array) for directory in directories for bank in directory.banks],
@@ -104,6 +114,34 @@ def entry_for(state: dict) -> dict:
 def test_warm_state_matches_golden_digest(name):
     golden = json.loads(GOLDEN.read_text())
     assert entry_for(warm_state(SCENARIOS[name]())) == golden[name]
+
+
+@pytest.mark.parametrize("name", CHIP_FABRICS)
+def test_memo_hit_from_another_fabric_matches_golden_digest(name):
+    """A chip served by another fabric's memo entry warms bit for bit.
+
+    The donor chip has the same workload, core count and seed, so every
+    core draws the same stream; the entry it leaves must rebuild this
+    fabric's golden warm state (its directory homes and core ids differ)
+    and leave every stream exactly where a fresh draw would.
+    """
+    donor = CHIP_FABRICS[(CHIP_FABRICS.index(name) + 1) % len(CHIP_FABRICS)]
+    memo: dict = {}
+    warm_chip(SCENARIOS[f"{donor}_64"](), memo)
+    assert len(memo) == 1
+    chip = warm_chip(SCENARIOS[f"{name}_64"](), memo)
+    assert len(memo) == 1, "the second chip missed the donor's entry"
+
+    golden = json.loads(GOLDEN.read_text())
+    assert entry_for(chip_state(chip)) == golden[f"{name}_64"]
+
+    fresh = warm_chip(SCENARIOS[f"{name}_64"]())
+    assert list(chip.core_nodes) == list(fresh.core_nodes)
+    for core_id, node in chip.core_nodes.items():
+        stream = node.core.stream
+        fresh_stream = fresh.core_nodes[core_id].core.stream
+        assert stream.rng.getstate() == fresh_stream.rng.getstate()
+        assert stream._pc == fresh_stream._pc
 
 
 if __name__ == "__main__":
