@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""CI check: a sharded fill of one shared store serves the figure query path warm.
+"""CI check: a sharded fill of one shared store serves the figure and a pivot warm.
 
 Two concurrent processes split the Figure-1 spec with ``spec.shard(i, 2)``
 and fill the *same* store directory, as two machines sharing a directory
@@ -12,9 +12,9 @@ would:
    every point of the sweep;
 3. require the shared store to hold exactly one ``results/<hash>.json``
    per sweep point and nothing else;
-4. serve the figure and a pivot through ``python -m repro.store.query``
-   and require success — the query CLI cannot simulate by construction,
-   so a warm answer proves zero re-simulations;
+4. serve a pivot through ``python -m repro.reporting --store DIR pivot``
+   and require success — ``pivot`` cannot simulate by construction, so a
+   warm answer proves zero re-simulations;
 5. require the served pivot to equal the pivot ``run_sweep`` computes over
    the same store, with zero simulations;
 6. regenerate the figure's report section through the reporting layer
@@ -114,15 +114,18 @@ def run_shards(store_dir: Path) -> list:
     return summaries
 
 
-def run_query(store_dir: Path, *args: str) -> str:
+def run_pivot(store_dir: Path, *args: str) -> str:
     result = subprocess.run(
-        [sys.executable, "-m", "repro.store.query", "--store", str(store_dir), *args],
+        [
+            sys.executable, "-m", "repro.reporting",
+            "--store", str(store_dir), "pivot", *args,
+        ],
         capture_output=True,
         text=True,
     )
     check(
         result.returncode == 0,
-        f"query {' '.join(args)} exited with {result.returncode}: {result.stderr}",
+        f"pivot {' '.join(args)} exited with {result.returncode}: {result.stderr}",
     )
     return result.stdout
 
@@ -184,14 +187,9 @@ def main() -> int:
         )
         print(f"  store: one result file per point ({len(stored_files)} files)")
 
-        figure_text = run_query(store_dir, "figure", FIGURE)
-        check(
-            "0 simulations" in figure_text,
-            "query CLI did not confirm a purely warm serve",
-        )
-        pivot_text = run_query(
+        pivot_text = run_pivot(
             store_dir,
-            "pivot", FIGURE,
+            FIGURE,
             "--index", "num_cores",
             "--columns", "topology",
             "--metric", "per_core_ipc",
@@ -210,7 +208,7 @@ def main() -> int:
             pivot_text == expected + "\n",
             "served pivot differs from run_sweep's pivot over the same store",
         )
-        print("  query CLI served figure + pivot (equal to run_sweep's) warm")
+        print("  pivot served warm, equal to run_sweep's")
 
         outcome = generate(
             figures=[FIGURE],
@@ -229,7 +227,7 @@ def main() -> int:
         )
 
     print(
-        "OK: 2-shard fill of one store serves the figure "
+        "OK: 2-shard fill of one store serves the figure and a pivot "
         "with zero re-simulations"
     )
     return 0

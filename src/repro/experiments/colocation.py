@@ -14,10 +14,10 @@ digitize), and the report is deliberately *not* given a report hook in
 :data:`repro.reporting.figures.FIGURES`: the default report must stay
 resolvable from the committed warm cache, and this sweep's points are not
 in it.  Fill it explicitly with ``run_sweep(colocation_spec())`` (or
-``figure_spec("colocation")`` from :mod:`repro.store.specs`) against the
-store; :func:`colocation_report` reads the per-tenant tails off the
-records' results, and ``python -m repro.store.query pivot colocation ...``
-pivots their scalar metrics.
+``figure_spec("colocation")`` from :mod:`repro.reporting.figures`)
+against the store; :func:`colocation_report` reads the per-tenant tails
+off the records' results, and ``python -m repro.reporting pivot
+colocation ...`` pivots their scalar metrics.
 """
 
 from __future__ import annotations

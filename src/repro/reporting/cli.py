@@ -1,4 +1,4 @@
-"""``python -m repro.reporting`` — generate the paper-vs-measured report.
+"""``python -m repro.reporting`` — the paper-vs-measured report, and pivots.
 
 Resolves each requested figure's ``*_spec()`` sweep through the result
 cache: on a warm cache the whole report is pure post-processing (zero new
@@ -6,12 +6,19 @@ simulations — the executor's cache-hit counters prove it and are printed
 at the end); on a cold cache the missing points are simulated at the
 requested scale first.
 
+The ``pivot`` command serves one sweep's pivot table from the store and
+**never simulates**: it reads each point of ``figure_spec(NAME)`` with
+``ResultCache.load``, and a point missing from the store exits 3 with
+the command that fills it.
+
 Usage::
 
     PYTHONPATH=src python -m repro.reporting                    # all figures
     PYTHONPATH=src python -m repro.reporting --figure fig1      # one figure
     PYTHONPATH=src python -m repro.reporting --scale 0.1 \\
         --workloads "Web Search" --cores 4,8,16                 # smoke scale
+    PYTHONPATH=src python -m repro.reporting --store DIR pivot fig7 \\
+        --index workload --columns topology --metric throughput_ipc
 
 The report lands in ``reports/REPRODUCTION.md`` (``--out`` to change) and
 its content is byte-stable for a given cache + parameters, so regenerating
@@ -21,14 +28,21 @@ without code or cache changes is a no-op diff.
 from __future__ import annotations
 
 import argparse
+import json
+import shlex
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.engine import SweepExecutor
+from repro.experiments.engine import ResultCache, SweepExecutor
 from repro.experiments.harness import RunSettings
 from repro.reporting.compare import FigureReport
-from repro.reporting.figures import build_report, report_names
+from repro.reporting.figures import (
+    build_report,
+    figure_spec,
+    report_names,
+    spec_names,
+)
 from repro.reporting.render import render_report
 
 #: Default output directory (relative to the working directory).
@@ -134,9 +148,8 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
         default=None,
         metavar="DIR",
         help=(
-            "serve results from the result store at DIR (repro.store) "
-            "instead of the REPRO_CACHE_DIR store; equivalent to "
-            "REPRO_CACHE_DIR=DIR"
+            "read and fill the result store at DIR instead of the "
+            "REPRO_CACHE_DIR store; equivalent to REPRO_CACHE_DIR=DIR"
         ),
     )
     parser.add_argument(
@@ -152,7 +165,89 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     parser.add_argument(
         "--list", action="store_true", help="list reportable figures and exit"
     )
+    sub = parser.add_subparsers(dest="command")
+    pivot = sub.add_parser(
+        "pivot",
+        help="print one sweep's pivot table from the store (never simulates)",
+    )
+    pivot.add_argument("name", help=f"sweep name, one of {spec_names()}")
+    pivot.add_argument("--index", required=True, help="coordinate for rows")
+    pivot.add_argument("--columns", required=True, help="coordinate for columns")
+    pivot.add_argument(
+        "--metric", default="throughput_ipc", help="metric (default throughput_ipc)"
+    )
+    pivot.add_argument(
+        "--where",
+        action="append",
+        metavar="NAME=VALUE",
+        help="filter records before pivoting (repeatable)",
+    )
     return parser.parse_args(argv)
+
+
+def _fill_hint(root, name: str, scale: Optional[float]) -> str:
+    """The command that fills sweep ``name`` into ``root`` at the query's scale.
+
+    Reportable figures fill through the report; the on-demand sweeps
+    (``scale_out``, ``colocation``) through ``run_sweep``.
+    """
+    store = shlex.quote(str(root))
+    if name in report_names():
+        scale_flag = f" --scale {scale}" if scale is not None else ""
+        return f"python -m repro.reporting --store {store}{scale_flag} --figure {name}"
+    scale_env = f" REPRO_EXPERIMENT_SCALE={scale}" if scale is not None else ""
+    return (
+        f"REPRO_CACHE_DIR={store}{scale_env} python -c 'from repro.scenarios "
+        "import run_sweep; from repro.reporting.figures import figure_spec; "
+        f"run_sweep(figure_spec(\"{name}\"))'"
+    )
+
+
+def _parse_selection(pairs: Optional[Sequence[str]]) -> dict:
+    selection = {}
+    for pair in pairs or ():
+        if "=" not in pair:
+            raise ValueError(f"--where expects name=value, got {pair!r}")
+        key, _, raw = pair.partition("=")
+        try:
+            selection[key] = json.loads(raw)
+        except ValueError:
+            selection[key] = raw  # bare strings are the common case
+    return selection
+
+
+def _json_key(value: object) -> object:
+    """``value`` if JSON takes it as a key, else its ``str`` (e.g. a tuple)."""
+    if isinstance(value, (str, int, float, bool, type(None))):
+        return value
+    return str(value)
+
+
+def _pivot(args: argparse.Namespace, settings: RunSettings) -> int:
+    """Print ``args.name``'s pivot from the store; exit 3 on any miss."""
+    from repro.scenarios import ResultSet, record_for
+
+    selection = _parse_selection(args.where)
+    cache = ResultCache(args.store)
+    sweep_points = figure_spec(args.name, settings).expand()
+    loaded = [(sp, cache.load(sp.point)) for sp in sweep_points]
+    missing = [sp for sp, result in loaded if result is None]
+    if missing:
+        print(
+            f"cold store: {len(missing)} of {len(loaded)} point(s) missing (first: "
+            f"{missing[0].point.describe()} = {missing[0].content_hash()}); fill it "
+            f"with: {_fill_hint(cache.root, args.name, args.scale)}",
+            file=sys.stderr,
+        )
+        return 3
+    results = ResultSet([record_for(sp, result) for sp, result in loaded])
+    table = results.filter(**selection).pivot(args.index, args.columns, args.metric)
+    table = {
+        _json_key(row): {_json_key(column): value for column, value in cells.items()}
+        for row, cells in table.items()
+    }
+    print(json.dumps(table, indent=2, sort_keys=True, default=str))
+    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -171,6 +266,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
+    if args.command == "pivot":
+        try:
+            return _pivot(args, settings)
+        except (ValueError, KeyError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except BrokenPipeError:
+            # Piped into something that exited early (head, less): no traceback.
+            sys.stderr.close()
+            return 0
     if args.jobs is not None and args.jobs < 1:
         print("--jobs must be at least 1", file=sys.stderr)
         return 2
@@ -216,11 +321,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             return 2
 
-    cache = None
-    if args.store is not None:
-        from repro.experiments.engine import ResultCache
-
-        cache = ResultCache(args.store)
+    cache = ResultCache(args.store) if args.store is not None else None
 
     outcome = generate(
         figures=args.figures,

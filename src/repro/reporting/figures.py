@@ -6,9 +6,10 @@ a ``*_report(results)`` hook that turns the sweep's
 :class:`~repro.scenarios.results.ResultSet` into a
 :class:`~repro.reporting.compare.FigureReport`.  :data:`FIGURES` maps the
 figure names (``fig1``, ``fig4``, ... see :mod:`repro.reporting.baselines`)
-to both, so the report CLI, ``scripts/make_report.py`` and the store's
-query CLI (:mod:`repro.store.specs`) resolve figures by name from one
-place.
+to both, so the report CLI (its report and its ``pivot`` command) and
+``scripts/make_report.py`` resolve figures by name from one place:
+:func:`spec_names`, :func:`figure_spec` and :func:`report_points` name
+the sweeps a store is filled and served from.
 
 The hooks are named as ``"module:function"`` under
 :mod:`repro.experiments` and imported lazily: :mod:`repro.experiments`
@@ -74,6 +75,42 @@ def resolve(ref: str) -> Callable:
 def report_names() -> List[str]:
     """All reportable figure names, in report order."""
     return [name for name, figure in FIGURES.items() if figure.report]
+
+
+def spec_names() -> List[str]:
+    """All figures with a sweep spec, in table order."""
+    return [name for name, figure in FIGURES.items() if figure.spec]
+
+
+def figure_spec(name: str, settings=None):
+    """The :class:`~repro.scenarios.spec.SweepSpec` for ``name``.
+
+    An unknown name raises ``KeyError`` listing what exists.
+    ``settings=None`` honours the environment via each factory's
+    ``RunSettings.from_env()`` default.  ``power`` reuses the Figure-7
+    sweep: the power analysis post-processes those very records.
+    """
+    if name not in spec_names():
+        raise KeyError(f"unknown sweep {name!r}; available: {spec_names()}")
+    return resolve(FIGURES[name].spec)(settings=settings)
+
+
+def report_points(settings=None):
+    """Every :class:`SweepPoint` any default report figure needs, deduplicated.
+
+    The union of the expansions of every figure with both a spec and a
+    report hook (first occurrence wins), i.e. the full warm-store working
+    set behind ``python -m repro.reporting``.  Sweeps without a report
+    hook (``scale_out``, ``colocation``) are on-demand: fill them by
+    passing their names to :func:`figure_spec` yourself.
+    """
+    seen = {}
+    for name, figure in FIGURES.items():
+        if not (figure.spec and figure.report):
+            continue
+        for sweep_point in figure_spec(name, settings).expand():
+            seen.setdefault(sweep_point.content_hash(), sweep_point)
+    return list(seen.values())
 
 
 def build_report(

@@ -14,8 +14,8 @@ This package is the experiment-facing surface of the reproduction:
 * :mod:`~repro.scenarios.results` — :class:`ResultSet` /
   :class:`ResultRecord`, tidy records with ``filter`` / ``value`` /
   ``pivot`` queries (the figures, the paper-vs-measured layer in
-  :mod:`repro.reporting` and the query CLI in :mod:`repro.store.query`
-  consume these);
+  :mod:`repro.reporting`, including its ``pivot`` command, consume
+  these);
 * :mod:`~repro.scenarios.run` — :func:`run_sweep` (blocking) and
   :func:`iter_results` (streams records as simulations finish).
 

@@ -48,7 +48,7 @@ def test_suite_collects_without_errors():
         "repro.chip",
         "repro.experiments",
         "repro.reporting",
-        "repro.store.query",
+        "repro.store.specs",
     ],
 )
 def test_module_imports_first_in_a_fresh_interpreter(module):

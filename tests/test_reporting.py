@@ -38,10 +38,10 @@ from repro.reporting.compare import (
     STATUS_PARTIAL,
     STATUS_PASS,
 )
+from repro.reporting.figures import report_points
 from repro.reporting.render import ascii_bar_chart, delta_table
 from repro.reporting.tables import markdown_table
 from repro.scenarios import ResultSet, record_for
-from repro.store.specs import report_points
 
 from tests._fixtures import TINY_SETTINGS
 

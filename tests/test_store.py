@@ -2,8 +2,8 @@
 
 Covers the result path end to end: one-file-per-result round-trips,
 writers sharing a directory, quarantine of damaged files,
-:class:`ResultCache` under the executor and the never-simulates query
-CLI, whose figures and pivots read through that same cache.
+:class:`ResultCache` under the executor, and the report CLI's
+never-simulating ``pivot`` command, which reads through that same cache.
 """
 
 import json
@@ -18,7 +18,7 @@ from repro.experiments import engine
 from repro.experiments.engine import ResultCache, SweepExecutor
 from repro.experiments.harness import RunSettings
 from repro.scenarios import run_sweep
-from repro.store import query, specs
+from repro.reporting import cli, figures
 
 from tests._fixtures import TINY_SETTINGS
 from tests.test_engine import tiny_point
@@ -148,56 +148,51 @@ class TestResultCacheRoundTrip:
 
 
 class TestQueryCLI:
+    """``python -m repro.reporting pivot``: served from the store, never simulated."""
+
     SCALE = "0.02"
 
-    def fill_fig1(self, tmp_path):
-        """Fill the fig1 sweep with synthetic results (no real sims)."""
-        spec = specs.figure_spec("fig1", RunSettings().scaled(float(self.SCALE)))
+    def fill(self, tmp_path, name="fig1"):
+        """Fill sweep ``name`` with synthetic results (no real sims)."""
+        spec = figures.figure_spec(name, RunSettings().scaled(float(self.SCALE)))
         store = ResultCache(tmp_path / "store")
         for sp in spec.expand():
             store.store(sp.point, fake_result(sp.point.config.num_cores))
         return store
 
-    def test_stats_reports_rows_and_bytes(self, tmp_path, capsys):
-        store = self.fill_fig1(tmp_path)
-        files = list(store.results_dir.glob("*.json"))
-        (store.results_dir / "stray.json.corrupt").write_text("{")
-        assert query.main(["--store", str(store.root), "stats"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload == {
-            "store": str(store.root),
-            "rows": len(files),
-            "bytes": sum(path.stat().st_size for path in files),
-        }
+    def pivot(self, store, name="fig1", *extra, scale=SCALE):
+        argv = ["--store", str(store.root)]
+        if scale is not None:
+            argv += ["--scale", scale]
+        argv += ["pivot", name, "--index", "num_cores", "--columns", "topology"]
+        return cli.main(argv + list(extra))
 
     def test_figure_served_from_warm_store(self, tmp_path, capsys):
-        store = self.fill_fig1(tmp_path)
-        status = query.main(
-            ["--store", str(store.root), "--scale", self.SCALE, "figure", "fig1"]
+        """``--store DIR --figure NAME`` renders a warm figure with 0 simulations."""
+        store = self.fill(tmp_path)
+        status = cli.main(
+            [
+                "--store", str(store.root), "--scale", self.SCALE,
+                "--figure", "fig1", "--out", str(tmp_path / "out"),
+            ]
         )
         assert status == 0
-        out = capsys.readouterr().out
-        assert "0 simulations" in out
-        assert "Figure 1" in out
+        assert "simulations run: 0" in capsys.readouterr().out
+        assert "Figure 1" in (tmp_path / "out" / "REPRODUCTION.md").read_text()
 
     def test_pivot_served_from_warm_store(self, tmp_path, capsys):
         """The served pivot is run_sweep's pivot over the same store."""
-        store = self.fill_fig1(tmp_path)
+        store = self.fill(tmp_path)
         files_before = sorted(store.results_dir.iterdir())
-        status = query.main(
-            [
-                "--store", str(store.root), "--scale", self.SCALE,
-                "pivot", "fig1",
-                "--index", "num_cores", "--columns", "topology",
-                "--metric", "per_core_ipc",
-                "--where", "workload=Data Serving",
-            ]
+        status = self.pivot(
+            store, "fig1",
+            "--metric", "per_core_ipc", "--where", "workload=Data Serving",
         )
         assert status == 0
         served = capsys.readouterr().out
         assert sorted(store.results_dir.iterdir()) == files_before
 
-        spec = specs.figure_spec("fig1", RunSettings().scaled(float(self.SCALE)))
+        spec = figures.figure_spec("fig1", RunSettings().scaled(float(self.SCALE)))
         executor = SweepExecutor(jobs=1, cache=ResultCache(store.root))
         table = (
             run_sweep(spec, executor=executor)
@@ -208,49 +203,71 @@ class TestQueryCLI:
         expected = json.dumps(table, indent=2, sort_keys=True, default=str)
         assert served == expected + "\n"
 
+    def test_tuple_coordinates_print_as_strings(self, tmp_path, capsys):
+        """A tuple-valued coordinate (colocation's ``tenants``) is a string key."""
+        store = self.fill(tmp_path, "colocation")
+        status = cli.main(
+            [
+                "--store", str(store.root), "--scale", self.SCALE,
+                "pivot", "colocation", "--index", "tenants", "--columns", "placement",
+            ]
+        )
+        assert status == 0
+        table = json.loads(capsys.readouterr().out)
+        from repro.experiments.colocation import TENANTS
+
+        assert list(table) == [str(tuple(TENANTS))]
+        assert sorted(table[str(tuple(TENANTS))]) == [
+            "checkerboard", "homogeneous", "split_half",
+        ]
+
     def test_cold_store_is_exit_code_3_not_a_simulation(self, tmp_path, capsys):
         store = ResultCache(tmp_path / "empty")
-        status = query.main(
-            ["--store", str(store.root), "--scale", self.SCALE, "figure", "fig1"]
-        )
-        assert status == 3
+        assert self.pivot(store, "fig1") == 3
         err = capsys.readouterr().err
         assert "cold store" in err
-        # The hint names a fill command that exists, pointed at this store.
-        assert f"python -m repro.reporting --store {store.root}" in err
+        # The hint names a fill command that exists, pointed at this store
+        # and at the query's scale.
+        assert (
+            f"python -m repro.reporting --store {store.root} --scale 0.02 "
+            "--figure fig1" in err
+        )
         assert not store.root.exists()  # nothing was simulated to paper over the miss
+
+    def test_cold_hint_without_scale_leaves_scale_to_the_environment(
+        self, tmp_path, capsys
+    ):
+        store = ResultCache(tmp_path / "empty")
+        assert self.pivot(store, "fig1", scale=None) == 3
+        err = capsys.readouterr().err
+        assert f"--store {store.root} --figure fig1" in err
+        assert "--scale" not in err
 
     def test_cold_on_demand_sweep_names_run_sweep(self, tmp_path, capsys):
         store = ResultCache(tmp_path / "empty")
-        status = query.main(
-            [
-                "--store", str(store.root), "--scale", self.SCALE,
-                "pivot", "scale_out", "--index", "num_cores", "--columns", "topology",
-            ]
-        )
-        assert status == 3
-        # scale_out is not a report figure, so the hint fills it via run_sweep.
-        assert 'run_sweep(figure_spec("scale_out"))' in capsys.readouterr().err
+        assert self.pivot(store, "scale_out") == 3
+        # scale_out is not a report figure, so the hint fills it via run_sweep,
+        # at the query's scale.
+        err = capsys.readouterr().err
+        assert f"REPRO_CACHE_DIR={store.root} REPRO_EXPERIMENT_SCALE=0.02 " in err
+        assert "from repro.reporting.figures import figure_spec" in err
+        assert 'run_sweep(figure_spec("scale_out"))' in err
 
     def test_unknown_names_are_exit_code_2(self, tmp_path, capsys):
         store = ResultCache(tmp_path / "empty")
-        assert query.main(["--store", str(store.root), "figure", "nope"]) == 2
-        status = query.main(
-            [
-                "--store", str(store.root), "pivot", "nope",
-                "--index", "a", "--columns", "b",
-            ]
-        )
-        assert status == 2
+        assert cli.main(["--store", str(store.root), "--figure", "nope"]) == 2
+        assert self.pivot(store, "nope") == 2
+        assert "unknown sweep 'nope'" in capsys.readouterr().err
 
+    def test_malformed_where_is_exit_code_2(self, tmp_path, capsys):
+        store = self.fill(tmp_path)
+        assert self.pivot(store, "fig1", "--where", "workload") == 2
+        assert "--where expects name=value" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scale", ["0", "nan", "inf"])
     def test_bad_scale_is_exit_code_2(self, tmp_path, capsys, scale):
         store = ResultCache(tmp_path / "empty")
-        status = query.main(
-            ["--store", str(store.root), "--scale", scale, "figure", "fig1"]
-        )
-        assert status == 2
+        assert self.pivot(store, "fig1", scale=scale) == 2
         assert "finite positive" in capsys.readouterr().err
 
     def test_malformed_scale_variable_is_exit_code_2(
@@ -258,21 +275,13 @@ class TestQueryCLI:
     ):
         monkeypatch.setenv("REPRO_EXPERIMENT_SCALE", "abc")
         store = ResultCache(tmp_path / "empty")
-        status = query.main(
-            [
-                "--store", str(store.root),
-                "pivot", "fig1", "--index", "num_cores", "--columns", "topology",
-            ]
-        )
-        assert status == 2
+        assert self.pivot(store, "fig1", scale=None) == 2
         assert "REPRO_EXPERIMENT_SCALE must be" in capsys.readouterr().err
 
 
 class TestSpecRegistry:
     def test_figure_names_and_order_are_pinned(self):
-        from repro.reporting.figures import report_names
-
-        assert specs.spec_names() == [
+        assert figures.spec_names() == [
             "fig1",
             "fig4",
             "fig7",
@@ -284,7 +293,7 @@ class TestSpecRegistry:
             "scale_out",
             "colocation",
         ]
-        assert report_names() == [
+        assert figures.report_names() == [
             "fig1",
             "fig4",
             "fig7",
@@ -297,29 +306,37 @@ class TestSpecRegistry:
         ]
 
     def test_report_points_cover_figures_with_spec_and_report(self):
-        from repro.reporting.figures import report_names
-
-        reported = set(report_names())
+        reported = set(figures.report_names())
         expected = {}
-        for name in specs.spec_names():
+        for name in figures.spec_names():
             if name in reported:
-                for sweep_point in specs.figure_spec(name, TINY_SETTINGS).expand():
+                for sweep_point in figures.figure_spec(name, TINY_SETTINGS).expand():
                     expected.setdefault(sweep_point.content_hash(), sweep_point)
-        points = specs.report_points(TINY_SETTINGS)
+        points = figures.report_points(TINY_SETTINGS)
         assert [sp.content_hash() for sp in points] == list(expected)
 
+    def test_store_shim_reexports_report_points(self):
+        """The old import path the frozen benchmark harness uses still works."""
+        from repro.store.specs import report_points
+
+        assert report_points is figures.report_points
+        assert [sp.content_hash() for sp in report_points(TINY_SETTINGS)] == [
+            sp.content_hash() for sp in figures.report_points(TINY_SETTINGS)
+        ]
+
     def test_power_reuses_fig7_sweep(self):
-        settings = TINY_SETTINGS
-        power = {sp.content_hash() for sp in specs.figure_spec("power", settings).expand()}
-        fig7 = {sp.content_hash() for sp in specs.figure_spec("fig7", settings).expand()}
+        power, fig7 = (
+            {sp.content_hash() for sp in figures.figure_spec(n, TINY_SETTINGS).expand()}
+            for n in ("power", "fig7")
+        )
         assert power == fig7
 
     def test_report_points_deduplicates(self):
-        points = specs.report_points(TINY_SETTINGS)
+        points = figures.report_points(TINY_SETTINGS)
         hashes = [sp.content_hash() for sp in points]
         assert len(hashes) == len(set(hashes))
         assert len(hashes) > 0
 
     def test_unknown_spec_name_lists_options(self):
         with pytest.raises(KeyError, match="fig1"):
-            specs.figure_spec("nope")
+            figures.figure_spec("nope")

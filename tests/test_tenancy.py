@@ -377,7 +377,7 @@ class TestConfigIntegration:
 
     def test_pre_tenancy_spec_hashes_are_byte_identical(self, monkeypatch):
         """Golden gate: every pre-existing sweep keeps its cache keys."""
-        from repro.store.specs import figure_spec
+        from repro.reporting.figures import figure_spec
 
         monkeypatch.delenv("REPRO_EXPERIMENT_SCALE", raising=False)
         golden = json.loads(GOLDEN_HASHES.read_text())
@@ -482,7 +482,7 @@ class TestSpecCoordinates:
         assert len({p.content_hash() for p in points}) == 27
 
     def test_colocation_registered_but_outside_report_set(self):
-        from repro.store.specs import figure_spec, report_points, spec_names
+        from repro.reporting.figures import figure_spec, report_points, spec_names
 
         assert "colocation" in spec_names()
         colocation = {
