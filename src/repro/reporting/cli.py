@@ -44,6 +44,7 @@ from repro.reporting.figures import (
     spec_names,
 )
 from repro.reporting.render import render_report
+from repro.scenarios import ResultSet, record_for
 
 #: Default output directory (relative to the working directory).
 DEFAULT_OUT_DIR = "reports"
@@ -225,8 +226,6 @@ def _json_key(value: object) -> object:
 
 def _pivot(args: argparse.Namespace, settings: RunSettings) -> int:
     """Print ``args.name``'s pivot from the store; exit 3 on any miss."""
-    from repro.scenarios import ResultSet, record_for
-
     selection = _parse_selection(args.where)
     cache = ResultCache(args.store)
     sweep_points = figure_spec(args.name, settings).expand()
