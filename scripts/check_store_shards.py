@@ -12,11 +12,11 @@ would:
    every point of the sweep;
 3. require the shared store to hold exactly one ``results/<hash>.json``
    per sweep point and nothing else;
-4. serve a pivot through ``python -m repro.reporting --store DIR pivot``
-   and require success — ``pivot`` cannot simulate by construction, so a
-   warm answer proves zero re-simulations;
-5. require the served pivot to equal the pivot ``run_sweep`` computes over
-   the same store, with zero simulations;
+4. serve one pivot per workload through ``python -m repro.reporting
+   --store DIR pivot`` and require success — ``pivot`` cannot simulate by
+   construction, so a warm answer proves zero re-simulations;
+5. require each served pivot to equal the pivot ``run_sweep`` computes
+   over the same store, with zero simulations;
 6. regenerate the figure's report section through the reporting layer
    against the same store and require zero simulations.
 
@@ -187,28 +187,33 @@ def main() -> int:
         )
         print(f"  store: one result file per point ({len(stored_files)} files)")
 
-        pivot_text = run_pivot(
-            store_dir,
-            FIGURE,
-            "--index", "num_cores",
-            "--columns", "topology",
-            "--metric", "per_core_ipc",
-        )
         executor = SweepExecutor(jobs=1, cache=ResultCache(store_dir))
-        table = run_sweep(spec, executor=executor).pivot(
-            "num_cores", "topology", metric="per_core_ipc"
-        )
+        results = run_sweep(spec, executor=executor)
         check(
             executor.last_stats.simulations_run == 0,
             "run_sweep over the shard-filled store simulated "
             f"{executor.last_stats.simulations_run} point(s)",
         )
-        expected = json.dumps(table, indent=2, sort_keys=True, default=str)
-        check(
-            pivot_text == expected + "\n",
-            "served pivot differs from run_sweep's pivot over the same store",
-        )
-        print("  pivot served warm, equal to run_sweep's")
+        # One pivot per workload: a (num_cores, topology) cell holds one
+        # point only once the workload is pinned.
+        for workload in results.axis_values("workload"):
+            pivot_text = run_pivot(
+                store_dir,
+                FIGURE,
+                "--index", "num_cores",
+                "--columns", "topology",
+                "--metric", "per_core_ipc",
+                "--where", f"workload={workload}",
+            )
+            table = results.filter(workload=workload).pivot(
+                "num_cores", "topology", metric="per_core_ipc"
+            )
+            expected = json.dumps(table, indent=2, sort_keys=True, default=str)
+            check(
+                pivot_text == expected + "\n",
+                f"served {workload} pivot differs from run_sweep's over the same store",
+            )
+        print("  pivots served warm, equal to run_sweep's")
 
         outcome = generate(
             figures=[FIGURE],

@@ -36,7 +36,7 @@ class L1Cache:
     def read(self, addr: int) -> bool:
         """Look up ``addr`` for a read; returns ``True`` on a hit."""
         state = self.array.lookup(addr)
-        if state is not None and state.is_valid:
+        if state is not None:
             self.read_hits.add()
             return True
         self.read_misses.add()

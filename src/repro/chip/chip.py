@@ -339,9 +339,9 @@ class Chip:
 
         Installs go in bulk but leave the state one install per address
         would: the footprint goes bank by bank through
-        :meth:`SetAssociativeCache.insert_stripe`, which fills each empty
-        set with the last ``associativity`` blocks that map to it, in
-        increasing address order; each core's L1 lines go in one
+        :meth:`SetAssociativeCache.insert_stripe`, which logs it; a set
+        takes the blocks that map to it, in increasing address order, when
+        it is first touched; each core's L1 lines go in one
         ``insert_all`` batch per cache, in reference order.  Every bank and
         every L1 is its own tag array, so only the order within one array
         matters.

@@ -1,5 +1,7 @@
 """Unit tests for address mapping, cache arrays, MSHRs and L1 caches."""
 
+import copy
+import gc
 import random
 from collections import OrderedDict
 from itertools import repeat
@@ -11,7 +13,10 @@ from repro.cache.l1 import L1Cache
 from repro.cache.llc import LLCBank
 from repro.cache.mshr import MshrFile
 from repro.cache.set_assoc import CacheLineState, SetAssociativeCache
+from repro.chip.chip import Chip
 from repro.config.cache import CacheConfig
+from repro.experiments.harness import RunSettings
+from repro.scenarios import build_system, workload
 from repro.sim.stats import StatGroup
 
 
@@ -294,6 +299,131 @@ class TestSetAssociativeCache:
         resident = cache.resident_blocks()
         assert resident[0x100] == CacheLineState.SHARED
         assert resident[0x2000] == CacheLineState.MODIFIED
+
+
+def resident(array):
+    """``array``'s lines in order, read from a copy so its own log stays pending."""
+    return list(copy.deepcopy(array).resident_blocks().items())
+
+
+class TestStripeLog:
+    """``insert_stripe`` logs the footprint; each set applies it on first touch."""
+
+    STATES = [CacheLineState.SHARED, CacheLineState.EXCLUSIVE, CacheLineState.MODIFIED]
+
+    @pytest.mark.parametrize("seed", range(9))
+    def test_lazy_install_matches_eager_install(self, seed):
+        # Four banks of 16 sets x 4 ways.  The lazy banks take each region's
+        # stripes through insert_stripe; the eager model installs the same
+        # addresses at once with insert_all.  Preloaded lines, random calls
+        # between regions and sets touched between two of their stripes must
+        # all leave both sides returning and holding the same, call by call.
+        rng = random.Random(seed)
+        mapper = AddressMapper(64, num_llc_banks=4)
+        config = CacheConfig(16 * 4 * 64, 4, 64)
+        lazy = [SetAssociativeCache(config, index_divisor=4) for _ in range(4)]
+        eager = [SetAssociativeCache(config, index_divisor=4) for _ in range(4)]
+        base = 0x1_0000_0000
+        # Unaligned starts.  Small regions leave some sets nothing and others
+        # fewer blocks than ways; large ones reach three times the capacity,
+        # so their stripes wrap past the last set.
+        regions = [
+            (
+                base + r * (1 << 20) + rng.randrange(64 * 64),
+                rng.choice((rng.randrange(1, 160), rng.randrange(160, 800))) * 64 + 5,
+            )
+            for r in range(1 + seed % 3)
+        ]
+        pool = [start + rng.randrange(size) for start, size in regions for _ in range(8)]
+        pool += [base + (7 << 20) + rng.randrange(64 * 64) for _ in range(8)]
+
+        def check(bank):
+            assert resident(lazy[bank]) == list(eager[bank].resident_blocks().items())
+
+        def random_call():
+            addr = rng.choice(pool)
+            bank = mapper.home_bank(addr)
+            op = rng.randrange(6)
+            if op == 5:
+                lines = [(rng.choice(pool), rng.choice(self.STATES)) for _ in range(6)]
+                for bank in range(4):
+                    mine = [line for line in lines if mapper.home_bank(line[0]) == bank]
+                    lazy[bank].insert_all(mine)
+                    eager[bank].insert_all(mine)
+                    check(bank)
+                return
+            if op == 0:
+                state = rng.choice(self.STATES)
+                assert lazy[bank].insert(addr, state) == eager[bank].insert(addr, state)
+            elif op == 1:
+                update = rng.random() < 0.5
+                assert lazy[bank].lookup(addr, update) == eager[bank].lookup(addr, update)
+            elif op == 2:
+                assert lazy[bank].probe(addr) == eager[bank].probe(addr)
+            elif op == 3:
+                assert lazy[bank].invalidate(addr) == eager[bank].invalidate(addr)
+            else:
+                state = rng.choice(self.STATES + [CacheLineState.INVALID])
+                lazy[bank].update_state(addr, state)
+                eager[bank].update_state(addr, state)
+            check(bank)
+
+        for _ in range(rng.randrange(30)):
+            addr = rng.choice(pool)
+            bank = mapper.home_bank(addr)
+            lazy[bank].insert(addr, CacheLineState.MODIFIED)
+            eager[bank].insert(addr, CacheLineState.MODIFIED)
+        for start, size in regions:
+            state = rng.choice(self.STATES)
+            for stripe in mapper.bank_stripes(start, size):
+                bank = mapper.home_bank(stripe[0])
+                lazy[bank].insert_stripe(stripe, state)
+                eager[bank].insert_all(zip(stripe, repeat(state)))
+                check(bank)
+            # Touch the sets holding each stripe's first and last blocks
+            # before the next region's stripes arrive.
+            for stripe in mapper.bank_stripes(start, size):
+                bank = mapper.home_bank(stripe[0])
+                foreign = stripe[0] + (5 << 20)
+                assert lazy[bank].insert(foreign, CacheLineState.MODIFIED) == eager[
+                    bank
+                ].insert(foreign, CacheLineState.MODIFIED)
+                assert lazy[bank].invalidate(stripe[-1]) == eager[bank].invalidate(stripe[-1])
+                check(bank)
+            for _ in range(40):
+                random_call()
+        if len(regions) > 1:
+            # Some set saw the first region's stripe but not yet the last's.
+            assert any(
+                0 < applied < len(bank._log) for bank in lazy for applied in bank._applied
+            )
+        for got, want in zip(lazy, eager):
+            assert got.occupancy == want.occupancy
+            assert list(got.resident_blocks().items()) == list(want.resident_blocks().items())
+
+    def test_fresh_bank_fills_only_the_sets_it_touches(self):
+        mapper = AddressMapper(64, num_llc_banks=16)
+        bank = SetAssociativeCache(CacheConfig(32 * 2 * 64, 2, 64), index_divisor=16)
+        stripe = next(iter(mapper.bank_stripes(0x1_0000_0000, 16 * 200 * 64)))
+        bank.insert_stripe(stripe, CacheLineState.SHARED)
+        assert not any(bank._sets)
+        assert bank.probe(stripe[-1]) is CacheLineState.SHARED
+        touched = [index for index, cache_set in enumerate(bank._sets) if cache_set]
+        assert touched == [(stripe[-1] >> 6) // 16 % 32]
+
+    def test_warmed_chip_tag_sets_are_not_tracked_by_the_collector(self):
+        config = build_system("mesh", num_cores=64, seed=42).with_workload(
+            workload("Data Serving")
+        )
+        chip = Chip(config)
+        chip.warmup(RunSettings(seed=42).scaled(0.1).warmup_references)
+        arrays = [bank.array for directory in chip.directories.values() for bank in directory.banks]
+        arrays += [l1.array for node in chip.core_nodes.values() for l1 in (node.l1i, node.l1d)]
+        assert len(arrays) == 64 + 2 * 64
+        assert not any(gc.is_tracked(cache_set) for array in arrays for cache_set in array._sets)
+        # Applying every logged stripe fills the LLC sets, still untracked.
+        assert sum(array.occupancy for array in arrays[:64]) > 0
+        assert not any(gc.is_tracked(cache_set) for array in arrays for cache_set in array._sets)
 
 
 class TestMshrFile:

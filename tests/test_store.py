@@ -210,6 +210,7 @@ class TestQueryCLI:
             [
                 "--store", str(store.root), "--scale", self.SCALE,
                 "pivot", "colocation", "--index", "tenants", "--columns", "placement",
+                "--where", "arrival=poisson", "--where", "load=0.06",
             ]
         )
         assert status == 0
@@ -221,6 +222,27 @@ class TestQueryCLI:
             "checkerboard", "homogeneous", "split_half",
         ]
 
+    def test_points_sharing_a_cell_are_exit_code_2(self, tmp_path, capsys):
+        """A cell two points fall into is an error naming what varies in it."""
+        store = self.fill(tmp_path, "ablation_arbitration")
+        argv = [
+            "--store", str(store.root), "--scale", self.SCALE, "pivot",
+            "ablation_arbitration", "--index", "workload", "--columns", "topology",
+        ]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "2 points share the cell workload='Data Serving', topology='noc_out'" in err
+        assert "they differ in tree_arbitration" in err
+        assert "--where" in err
+        # Pinning the varying axis, or pivoting on it, serves one point a cell.
+        assert cli.main(argv + ["--where", "tree_arbitration=round_robin"]) == 0
+        assert json.loads(capsys.readouterr().out).keys() == {"Data Serving"}
+        argv[argv.index("topology")] = "tree_arbitration"
+        assert cli.main(argv) == 0
+        table = json.loads(capsys.readouterr().out)
+        assert len(table["Data Serving"]) == 2
+
     def test_cold_store_is_exit_code_3_not_a_simulation(self, tmp_path, capsys):
         store = ResultCache(tmp_path / "empty")
         assert self.pivot(store, "fig1") == 3
@@ -228,9 +250,11 @@ class TestQueryCLI:
         assert "cold store" in err
         # The hint names a fill command that exists, pointed at this store
         # and at the query's scale.
+        # Its --out is under the store, so running the hint from the
+        # repository root leaves reports/REPRODUCTION.md alone.
         assert (
             f"python -m repro.reporting --store {store.root} --scale 0.02 "
-            "--figure fig1" in err
+            f"--figure fig1 --out {store.root / 'report'}" in err
         )
         assert not store.root.exists()  # nothing was simulated to paper over the miss
 
@@ -240,7 +264,7 @@ class TestQueryCLI:
         store = ResultCache(tmp_path / "empty")
         assert self.pivot(store, "fig1", scale=None) == 3
         err = capsys.readouterr().err
-        assert f"--store {store.root} --figure fig1" in err
+        assert f"--store {store.root} --figure fig1 --out {store.root / 'report'}" in err
         assert "--scale" not in err
 
     def test_cold_on_demand_sweep_names_run_sweep(self, tmp_path, capsys):
