@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.config.system import SystemConfig
-from repro.noc.topology import LinkSpec, RouterSpec, TopologyDescriptor
+from repro.noc.topology import LinkSpec, RouterSpec, TopologyDescriptor, ordered_link_spans
 
 CorePosition = Tuple[int, int]  # (column, core-row); the LLC row is not counted
 
@@ -150,18 +150,13 @@ def describe_nocout(config: SystemConfig) -> TopologyDescriptor:
             label="dispersion tree link",
         ),
     ]
-    span_counts: Dict[int, int] = {}
-    for a in range(plan.columns):
-        for b in range(plan.columns):
-            if a != b:
-                span_counts[abs(a - b)] = span_counts.get(abs(a - b), 0) + 1
-    for span, count in sorted(span_counts.items()):
-        links.append(
-            LinkSpec(
-                count=count,
-                length_mm=span * plan.llc_tile_width_mm,
-                width_bits=width,
-                label=f"LLC network link ({span} tiles)",
-            )
+    links += [
+        LinkSpec(
+            count=count,
+            length_mm=span * plan.llc_tile_width_mm,
+            width_bits=width,
+            label=f"LLC network link ({span} tiles)",
         )
+        for span, count in ordered_link_spans(plan.columns)
+    ]
     return TopologyDescriptor("noc_out", routers, links)

@@ -10,7 +10,7 @@ simulator, so the area study is instantaneous.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.config.system import SystemConfig
 
@@ -142,6 +142,15 @@ def describe_mesh(config: SystemConfig) -> TopologyDescriptor:
     return TopologyDescriptor("mesh", routers, links)
 
 
+def ordered_link_spans(positions: int) -> List[Tuple[int, int]]:
+    """``(span, links)`` for a row of ``positions`` nodes, every ordered pair linked.
+
+    Span ``s`` (in positions) carries ``2 * (positions - s)`` unidirectional
+    links; spans ascend from 1 to ``positions - 1``.
+    """
+    return [(span, 2 * (positions - span)) for span in range(1, positions)]
+
+
 def describe_flattened_butterfly(config: SystemConfig) -> TopologyDescriptor:
     """2-D flattened butterfly inventory: 15-port routers, long links."""
     noc = config.noc
@@ -159,36 +168,26 @@ def describe_flattened_butterfly(config: SystemConfig) -> TopologyDescriptor:
             label="flattened butterfly router",
         )
     ]
-    links: List[LinkSpec] = []
-    # Row links: for each row, one unidirectional link per ordered pair.
-    span_counts: Dict[int, int] = {}
-    for a in range(cols):
-        for b in range(cols):
-            if a != b:
-                span_counts[abs(a - b)] = span_counts.get(abs(a - b), 0) + 1
-    for span, count in sorted(span_counts.items()):
-        links.append(
-            LinkSpec(
-                count=count * rows,
-                length_mm=span * geometry.tile_width_mm,
-                width_bits=noc.link_width_bits,
-                label=f"row link ({span} tiles)",
-            )
+    # One unidirectional link per ordered pair in each row and each column.
+    row_links = [
+        LinkSpec(
+            count=count * rows,
+            length_mm=span * geometry.tile_width_mm,
+            width_bits=noc.link_width_bits,
+            label=f"row link ({span} tiles)",
         )
-    span_counts = {}
-    for a in range(rows):
-        for b in range(rows):
-            if a != b:
-                span_counts[abs(a - b)] = span_counts.get(abs(a - b), 0) + 1
-    for span, count in sorted(span_counts.items()):
-        links.append(
-            LinkSpec(
-                count=count * cols,
-                length_mm=span * geometry.tile_width_mm,
-                width_bits=noc.link_width_bits,
-                label=f"column link ({span} tiles)",
-            )
+        for span, count in ordered_link_spans(cols)
+    ]
+    column_links = [
+        LinkSpec(
+            count=count * cols,
+            length_mm=span * geometry.tile_width_mm,
+            width_bits=noc.link_width_bits,
+            label=f"column link ({span} tiles)",
         )
+        for span, count in ordered_link_spans(rows)
+    ]
+    links = row_links + column_links
     return TopologyDescriptor("flattened_butterfly", routers, links)
 
 

@@ -226,27 +226,6 @@ def _json_key(value: object) -> object:
     return str(value)
 
 
-def _reject_shared_cells(results: ResultSet, index: str, columns: str) -> None:
-    """Raise ``ValueError`` if two records fall into one cell of the pivot.
-
-    The pivot would keep only the last of them; the message names the
-    coordinates that vary inside the cell, which ``--where`` can pin.
-    """
-    cells: Dict[tuple, List[dict]] = {}
-    for record in results:
-        cell = (record.coords.get(index), record.coords.get(columns))
-        cells.setdefault(cell, []).append(record.coords)
-    for (row, column), coords in cells.items():
-        if len(coords) > 1:
-            names = dict.fromkeys(name for point in coords for name in point)
-            varying = [n for n in names if any(c.get(n) != coords[0].get(n) for c in coords)]
-            raise ValueError(
-                f"{len(coords)} points share the cell {index}={row!r}, "
-                f"{columns}={column!r}; they differ in {', '.join(varying) or 'nothing'}: "
-                "pin each with --where NAME=VALUE"
-            )
-
-
 def _pivot(args: argparse.Namespace, settings: RunSettings) -> int:
     """Print ``args.name``'s pivot from the store; exit 3 on any miss."""
     selection = _parse_selection(args.where)
@@ -263,7 +242,6 @@ def _pivot(args: argparse.Namespace, settings: RunSettings) -> int:
         )
         return 3
     results = ResultSet([record_for(sp, result) for sp, result in loaded]).filter(**selection)
-    _reject_shared_cells(results, args.index, args.columns)
     table = results.pivot(args.index, args.columns, args.metric)
     table = {
         _json_key(row): {_json_key(column): value for column, value in cells.items()}

@@ -111,10 +111,28 @@ class ResultSet(Sequence[ResultRecord]):
     def pivot(
         self, index: str, columns: str, metric: str = "throughput_ipc"
     ) -> Dict[object, Dict[object, float]]:
-        """Nested ``{index value: {column value: metric}}`` table."""
+        """Nested ``{index value: {column value: metric}}`` table.
+
+        Raises ``ValueError`` if two records fall into one cell, naming
+        the coordinates that vary inside it; ``filter`` can pin them.
+        """
         table: Dict[object, Dict[object, float]] = {}
         for record in self.records:
             row = record.coords.get(index)
             column = record.coords.get(columns)
-            table.setdefault(row, {})[column] = record.metric(metric)
+            cells = table.setdefault(row, {})
+            if column in cells:
+                shared = [
+                    other.coords
+                    for other in self.records
+                    if other.coords.get(index) == row and other.coords.get(columns) == column
+                ]
+                names = dict.fromkeys(name for point in shared for name in point)
+                varying = [n for n in names if any(c.get(n) != shared[0].get(n) for c in shared)]
+                raise ValueError(
+                    f"{len(shared)} points share the cell {index}={row!r}, "
+                    f"{columns}={column!r}; they differ in {', '.join(varying) or 'nothing'}: "
+                    "pin each with filter(NAME=VALUE) / --where NAME=VALUE"
+                )
+            cells[column] = record.metric(metric)
         return table

@@ -1,20 +1,13 @@
-"""Open-loop tenant traffic: arrival-modulated injection over the chip NoC.
+"""One tenant's open-loop probe overlay inside a full chip.
 
-Two generators, both layered on the Bernoulli machinery of
-:class:`repro.workloads.traffic._TrafficGenerator`:
-
-* :class:`OpenLoopTrafficGenerator` — network-only (no cores/caches),
-  for NoC characterisation under time-varying load; it simply swaps the
-  constant injection rate for an :class:`~repro.tenancy.arrivals
-  .ArrivalProcess` via the ``_rate_this_cycle`` hook.
-* :class:`TenantTraffic` — the per-tenant overlay inside a full
-  :class:`~repro.chip.chip.Chip`.  It injects request-class *probe*
-  messages from the tenant's cores toward the LLC (per the tenant's
-  traffic matrix); the receiving tile echoes a data-class response back,
-  and the round-trip time lands in a reservoir histogram.  Probes share
-  links, routers and virtual networks with the coherence traffic — the
-  interference is fabric-borne, which is exactly what the co-location
-  figures measure.
+:class:`TenantTraffic` is :class:`repro.workloads.traffic
+.OpenLoopTrafficGenerator` with a different message: it injects
+request-class *probe* messages from the tenant's cores toward the LLC
+(per the tenant's traffic matrix); the receiving tile echoes a
+data-class response back, and the round-trip time lands in a reservoir
+histogram.  Probes share links, routers and virtual networks with the
+coherence traffic — the interference is fabric-borne, which is exactly
+what the co-location figures measure.
 """
 
 from __future__ import annotations
@@ -22,17 +15,12 @@ from __future__ import annotations
 import random
 from typing import Callable, Sequence
 
-from repro.noc.message import (
-    Message,
-    MessageClass,
-    control_message_bits,
-    data_message_bits,
-)
+from repro.noc.message import Message, MessageClass
 from repro.noc.network import Network
 from repro.sim.kernel import Simulator
 from repro.sim.stats import DEFAULT_RESERVOIR
 from repro.tenancy.arrivals import ArrivalProcess
-from repro.workloads.traffic import _TrafficGenerator
+from repro.workloads.traffic import OpenLoopTrafficGenerator
 
 
 class TenantProbe:
@@ -56,48 +44,7 @@ class TenantProbe:
         return f"TenantProbe({self.tenant!r}, created={self.created_cycle})"
 
 
-class OpenLoopTrafficGenerator(_TrafficGenerator):
-    """Network-only generator whose rate follows an arrival process.
-
-    The arrival process is evaluated once per cycle (cycles counted from
-    :meth:`start`) through the ``_rate_this_cycle`` hook; everything else
-    — per-source Bernoulli draws, destination picking, request/response
-    mix — is the parent's unchanged machinery.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        sources: Sequence[int],
-        arrival: ArrivalProcess,
-        pick_destination: Callable[[int, random.Random], int],
-        request_fraction: float = 0.5,
-        seed: int = 0,
-        name: str = "open_loop_traffic",
-    ) -> None:
-        super().__init__(
-            sim,
-            name,
-            network,
-            sources,
-            injection_rate=0.0,
-            pick_destination=pick_destination,
-            request_fraction=request_fraction,
-            seed=seed,
-        )
-        self.arrival = arrival
-        self._start_cycle = 0
-
-    def start(self) -> None:
-        self._start_cycle = self.sim.cycle
-        super().start()
-
-    def _rate_this_cycle(self) -> float:
-        return self.arrival.rate(self.sim.cycle - self._start_cycle, self.rng)
-
-
-class TenantTraffic(_TrafficGenerator):
+class TenantTraffic(OpenLoopTrafficGenerator):
     """One tenant's open-loop probe overlay inside a full chip.
 
     Does *not* register endpoints (the chip's tiles own every node); the
@@ -121,61 +68,31 @@ class TenantTraffic(_TrafficGenerator):
     ) -> None:
         super().__init__(
             sim,
-            f"tenant_traffic[{tenant}]",
             network,
             sources,
-            injection_rate=0.0,
-            pick_destination=pick_destination,
+            arrival,
+            pick_destination,
             seed=seed,
+            name=f"tenant_traffic[{tenant}]",
             register_endpoints=False,
         )
         self.tenant = tenant
-        self.arrival = arrival
-        self._start_cycle = 0
-        self._data_bits = data_message_bits()
         self.probes_sent = self.stats.counter("probes_sent")
         self.probes_echoed = self.stats.counter("probes_echoed")
         self.round_trip_latency = self.stats.histogram(
             "round_trip_latency", keep_samples=True, reservoir=reservoir
         )
 
-    def start(self) -> None:
-        self._start_cycle = self.sim.cycle
-        super().start()
-
-    def _rate_this_cycle(self) -> float:
-        return self.arrival.rate(self.sim.cycle - self._start_cycle, self.rng)
-
-    def _tick(self) -> None:
-        if not self._running:
-            return
-        rng = self.rng
-        rand = rng.random
-        rate = self._rate_this_cycle()
-        pick = self._pick_destination
-        send = self.network.send
-        sent = self.probes_sent
-        control_bits = control_message_bits()
-        cycle = self.sim.cycle
-        for source in self.sources:
-            if rand() >= rate:
-                continue
-            destination = pick(source, rng)
-            if destination == source:
-                continue
-            probe = TenantProbe(self.tenant, cycle, self.on_probe)
-            send(
-                Message(
-                    src=source,
-                    dst=destination,
-                    msg_class=MessageClass.REQUEST,
-                    size_bits=control_bits,
-                    payload=probe,
-                )
-            )
-            sent.add()
-            self.messages_generated.add()
-        self.wake(1)
+    def _message(self, source: int, destination: int) -> Message:
+        """A request-class probe; no class draw."""
+        self.probes_sent.add()
+        return Message(
+            src=source,
+            dst=destination,
+            msg_class=MessageClass.REQUEST,
+            size_bits=self._control_bits,
+            payload=TenantProbe(self.tenant, self.sim.cycle, self.on_probe),
+        )
 
     def on_probe(self, message: Message) -> None:
         """Handle a delivered probe: echo requests, time responses."""

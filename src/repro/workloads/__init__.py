@@ -8,7 +8,7 @@ ILP/MLP) are controlled by :class:`repro.config.workload.WorkloadConfig`.
 
 from repro.workloads.base import FetchBlock, WorkloadStream, SyntheticWorkloadStream
 from repro.workloads.cloudsuite import make_stream, workload_streams
-from repro.workloads.traffic import BilateralTrafficGenerator, UniformRandomTrafficGenerator
+from repro.workloads.traffic import UniformRandomTrafficGenerator
 
 __all__ = [
     "FetchBlock",
@@ -16,6 +16,5 @@ __all__ = [
     "SyntheticWorkloadStream",
     "make_stream",
     "workload_streams",
-    "BilateralTrafficGenerator",
     "UniformRandomTrafficGenerator",
 ]

@@ -1,44 +1,54 @@
-"""Raw synthetic traffic generators for network-only experiments.
+"""Open-loop synthetic traffic: per-cycle Bernoulli injection over a NoC.
 
-These generators exercise the NoC models directly (without cores or
-caches): uniform-random traffic for classic NoC characterisation and a
-bilateral core-to-cache pattern matching the traffic shape the paper
-identifies as dominant in scale-out workloads (Section 3).
+One generator, :class:`OpenLoopTrafficGenerator`, drives every synthetic
+traffic pattern.  It takes an arrival process (the per-cycle injection
+probability, :mod:`repro.tenancy.arrivals`) and a destination picker (a
+traffic matrix, :mod:`repro.tenancy.matrices`); subclasses change only
+the message each injection sends.
+
+* :class:`UniformRandomTrafficGenerator` — constant-rate uniform-random
+  traffic over every node, for classic NoC characterisation without
+  cores or caches.
+* :class:`repro.tenancy.traffic.TenantTraffic` — one tenant's probe
+  overlay inside a full chip.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Sequence
+from typing import Callable, Sequence
 
 from repro.noc.message import Message, MessageClass, control_message_bits, data_message_bits
 from repro.noc.network import Network
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
+from repro.tenancy.arrivals import ArrivalProcess, make_arrival
+from repro.tenancy.matrices import MatrixContext, make_matrix
 
 
-class _TrafficGenerator(Component):
-    """Common machinery: per-cycle Bernoulli injection from a set of sources."""
+class OpenLoopTrafficGenerator(Component):
+    """Per-cycle Bernoulli injection from a set of sources.
+
+    Each cycle (counted from :meth:`start`) the arrival process gives the
+    injection probability; every source then injects with that
+    probability to the destination ``pick_destination`` draws, unless
+    that is the source itself.  With ``register_endpoints`` the generator
+    absorbs deliveries at every network node; an in-chip overlay leaves
+    the endpoints to the chip's tiles.
+    """
 
     def __init__(
         self,
         sim: Simulator,
-        name: str,
         network: Network,
         sources: Sequence[int],
-        injection_rate: float,
+        arrival: ArrivalProcess,
         pick_destination: Callable[[int, random.Random], int],
-        request_fraction: float = 0.5,
         seed: int = 0,
+        name: str = "open_loop_traffic",
         register_endpoints: bool = True,
     ) -> None:
         super().__init__(sim, name)
-        if not 0.0 <= injection_rate <= 1.0:
-            raise ValueError(f"{name}: injection_rate must be within [0, 1], got {injection_rate}")
-        if not 0.0 <= request_fraction <= 1.0:
-            raise ValueError(
-                f"{name}: request_fraction must be within [0, 1], got {request_fraction}"
-            )
         self.network = network
         self.sources = list(sources)
         duplicates = sorted({n for n in self.sources if self.sources.count(n) > 1})
@@ -47,73 +57,58 @@ class _TrafficGenerator(Component):
                 f"{name}: duplicate source node(s) {duplicates} would inject "
                 f"a silently doubled load; pass each source once"
             )
-        self.injection_rate = injection_rate
-        self.request_fraction = request_fraction
+        self.arrival = arrival
         self._pick_destination = pick_destination
         self.rng = random.Random(seed)
         self.messages_generated = self.stats.counter("messages_generated")
-        self._running = False
+        self._start_cycle = 0
+        self._control_bits = control_message_bits()
+        self._data_bits = data_message_bits()
         if register_endpoints:
             for node in self.sources:
                 network.register_endpoint(node, self._sink)
-            for node in set(self._all_destinations()) - set(self.sources):
+            for node in set(network.node_ids) - set(self.sources):
                 network.register_endpoint(node, self._sink)
-
-    def _all_destinations(self) -> List[int]:
-        return list(self.network.node_ids)
 
     def _sink(self, message: Message) -> None:
         """Traffic generators simply absorb delivered messages."""
 
     def start(self) -> None:
-        self._running = True
+        self._start_cycle = self.sim.cycle
         self.wake(0)
 
-    def stop(self) -> None:
-        self._running = False
-
-    def _rate_this_cycle(self) -> float:
-        """Injection probability for the current cycle.
-
-        The base implementation returns the constant ``injection_rate``
-        without touching any RNG, so existing generators keep their exact
-        draw sequence.  Open-loop subclasses (:mod:`repro.tenancy.traffic`)
-        override this to modulate load over time.
-        """
-        return self.injection_rate
+    def _message(self, source: int, destination: int) -> Message:
+        """The message one injection sends: request or response at even odds."""
+        if self.rng.random() < 0.5:
+            msg_class, bits = MessageClass.REQUEST, self._control_bits
+        else:
+            msg_class, bits = MessageClass.RESPONSE, self._data_bits
+        return Message(src=source, dst=destination, msg_class=msg_class, size_bits=bits)
 
     def _tick(self) -> None:
-        if not self._running:
-            return
         # This runs every cycle for every source, so hoist the per-draw
         # attribute lookups.  The RNG draw *sequence* is part of the model's
-        # deterministic contract (MODEL_VERSION policy) and is unchanged.
+        # deterministic contract (MODEL_VERSION policy).
         rng = self.rng
         rand = rng.random
-        rate = self._rate_this_cycle()
+        rate = self.arrival.rate(self.sim.cycle - self._start_cycle, rng)
         pick = self._pick_destination
-        req_fraction = self.request_fraction
+        message = self._message
         send = self.network.send
         generated = self.messages_generated
-        control_bits = control_message_bits()
-        data_bits = data_message_bits()
         for source in self.sources:
             if rand() >= rate:
                 continue
             destination = pick(source, rng)
             if destination == source:
                 continue
-            if rand() < req_fraction:
-                msg_class, bits = MessageClass.REQUEST, control_bits
-            else:
-                msg_class, bits = MessageClass.RESPONSE, data_bits
-            send(Message(src=source, dst=destination, msg_class=msg_class, size_bits=bits))
+            send(message(source, destination))
             generated.add()
         self.wake(1)
 
 
-class UniformRandomTrafficGenerator(_TrafficGenerator):
-    """Each source sends to a uniformly random other node."""
+class UniformRandomTrafficGenerator(OpenLoopTrafficGenerator):
+    """Each source sends to a uniformly random node at a constant rate."""
 
     def __init__(
         self,
@@ -123,33 +118,12 @@ class UniformRandomTrafficGenerator(_TrafficGenerator):
         injection_rate: float,
         seed: int = 0,
     ) -> None:
-        def pick(_source: int, rng: random.Random) -> int:
-            return rng.choice(network.node_ids)
-
         super().__init__(
-            sim, "uniform_traffic", network, sources, injection_rate, pick, seed=seed
-        )
-
-
-class BilateralTrafficGenerator(_TrafficGenerator):
-    """Cores send only to LLC nodes, mirroring the bilateral access pattern."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        core_nodes: Sequence[int],
-        llc_nodes: Sequence[int],
-        injection_rate: float,
-        seed: int = 0,
-    ) -> None:
-        llc_nodes = list(llc_nodes)
-        if not llc_nodes:
-            raise ValueError("bilateral traffic needs at least one LLC node")
-
-        def pick(_source: int, rng: random.Random) -> int:
-            return rng.choice(llc_nodes)
-
-        super().__init__(
-            sim, "bilateral_traffic", network, core_nodes, injection_rate, pick, seed=seed
+            sim,
+            network,
+            sources,
+            arrival=make_arrival("poisson", injection_rate),
+            pick_destination=make_matrix("uniform", MatrixContext(tuple(network.node_ids))),
+            seed=seed,
+            name="uniform_traffic",
         )

@@ -49,6 +49,8 @@ def test_suite_collects_without_errors():
         "repro.experiments",
         "repro.reporting",
         "repro.store.specs",
+        "repro.workloads.traffic",
+        "repro.tenancy.traffic",
     ],
 )
 def test_module_imports_first_in_a_fresh_interpreter(module):
@@ -56,6 +58,28 @@ def test_module_imports_first_in_a_fresh_interpreter(module):
     # given module is the first one a process imports.
     completed = subprocess.run(
         [sys.executable, "-c", f"import {module}"],
+        cwd=REPO_ROOT,
+        capture_output=True,
+        text=True,
+        env=_env(),
+    )
+    assert completed.returncode == 0, completed.stderr
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(
+        str(path.relative_to(REPO_ROOT))
+        for pattern in ("scripts/*.py", "examples/*.py")
+        for path in REPO_ROOT.glob(pattern)
+    ),
+)
+def test_script_imports_in_a_fresh_interpreter(path):
+    # Each file keeps its work behind a ``__main__`` guard, so importing it
+    # only resolves its imports: a deleted or renamed public name fails here
+    # rather than only when the script itself runs.
+    completed = subprocess.run(
+        [sys.executable, "-c", f"import runpy; runpy.run_path({path!r}, run_name='imported')"],
         cwd=REPO_ROOT,
         capture_output=True,
         text=True,

@@ -336,6 +336,22 @@ class TestResultSet:
         assert results.axis_values("topology") == ["mesh", "noc_out"]
         assert results.axis_values("num_cores") == [16, 32]
 
+    def test_pivot_rejects_points_sharing_a_cell(self):
+        """Two records in one cell raise instead of the last one winning."""
+        results = run_sweep(ONE_WORKLOAD_SPEC)
+        with pytest.raises(ValueError) as excinfo:
+            results.pivot("workload", "topology")
+        message = str(excinfo.value)
+        assert "2 points share the cell workload='Web Search', topology='mesh'" in message
+        assert "they differ in num_cores" in message
+        assert "filter(" in message and "--where" in message
+        assert results.filter(num_cores=16).pivot("workload", "topology") == {
+            "Web Search": {
+                topology: results.value("throughput_ipc", topology=topology, num_cores=16)
+                for topology in ("mesh", "noc_out")
+            }
+        }
+
 
 # --------------------------------------------------------------------- #
 # RunSettings scaling fix

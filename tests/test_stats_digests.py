@@ -34,8 +34,7 @@ from repro.noc.mesh import MeshNetwork
 from repro.scenarios import build_system, fabric_for
 from repro.sim.kernel import Simulator
 from repro.tenancy import MatrixContext, build_placement, make_arrival, make_matrix
-from repro.tenancy.traffic import OpenLoopTrafficGenerator
-from repro.workloads.traffic import UniformRandomTrafficGenerator
+from repro.workloads.traffic import OpenLoopTrafficGenerator, UniformRandomTrafficGenerator
 
 from tests._fixtures import small_system, small_workload
 

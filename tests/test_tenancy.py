@@ -35,7 +35,7 @@ from repro.tenancy import (
     matrix_names,
     placement_names,
 )
-from repro.workloads.traffic import _TrafficGenerator
+from repro.workloads.traffic import OpenLoopTrafficGenerator, UniformRandomTrafficGenerator
 
 from tests._fixtures import TINY_SETTINGS, small_system, small_workload
 
@@ -266,29 +266,23 @@ class TestTrafficValidation:
         coords = {i: (i % 4, i // 4) for i in range(16)}
         return sim, MeshNetwork(sim, config, coords)
 
-    def test_injection_rate_error_names_the_generator(self):
+    def test_out_of_range_injection_rate_rejected(self):
         sim, network = self._network()
-        with pytest.raises(ValueError, match=r"gen_a: injection_rate"):
-            _TrafficGenerator(
-                sim, "gen_a", network, [0, 1], 1.5, lambda s, rng: 0,
-                register_endpoints=False,
-            )
-
-    def test_request_fraction_error_names_the_generator(self):
-        sim, network = self._network()
-        with pytest.raises(ValueError, match=r"gen_b: request_fraction"):
-            _TrafficGenerator(
-                sim, "gen_b", network, [0, 1], 0.1, lambda s, rng: 0,
-                request_fraction=-0.2, register_endpoints=False,
-            )
+        with pytest.raises(ValueError, match=r"base rate must be within \[0, 1\], got 1.5"):
+            UniformRandomTrafficGenerator(sim, network, [0, 1], 1.5)
 
     def test_duplicate_sources_rejected(self):
         sim, network = self._network()
         with pytest.raises(ValueError, match=r"gen_c: duplicate source node\(s\) \[1\]"):
-            _TrafficGenerator(
-                sim, "gen_c", network, [0, 1, 1, 2], 0.1, lambda s, rng: 0,
-                register_endpoints=False,
+            OpenLoopTrafficGenerator(
+                sim, network, [0, 1, 1, 2], make_arrival("poisson", 0.1),
+                lambda s, rng: 0, name="gen_c", register_endpoints=False,
             )
+
+    def test_source_outside_the_network_rejected_at_construction(self):
+        sim, network = self._network()
+        with pytest.raises(KeyError, match=r"unknown node 99"):
+            UniformRandomTrafficGenerator(sim, network, [0, 99], 0.1)
 
 
 # ----------------------------------------------------------------------- #
