@@ -218,9 +218,13 @@ def nocout_system(num_cores: int = 64, **kwargs) -> SystemConfig:
     widens to 16 tiles so the per-column core count (tree depth) keeps
     scaling sublinearly on 256/512-core chips.
     """
+    # Imported here: repro.config sits below the core layer it validates against.
+    from repro.core.floorplan import NocOutFloorplan
+
     config = baseline_system(Topology.NOC_OUT, num_cores=num_cores, **kwargs)
     if num_cores > 128:
         config = config.with_noc(replace(config.noc, llc_tiles=16))
+    NocOutFloorplan(config)  # validate the floorplan up front
     return config
 
 

@@ -13,6 +13,7 @@ from functools import partial
 from typing import Dict, List, Sequence, Tuple
 
 from repro.config.system import SystemConfig
+from repro.core.floorplan import express_span
 from repro.sim.kernel import Simulator
 from repro.noc.interface import NetworkInterface
 from repro.noc.router import PacketSink, Router
@@ -70,19 +71,19 @@ def build_dispersion_tree(
         )
 
     # Optional express link from the head directly to the farthest node.
-    express = noc.tree_express_links and len(nodes) >= 4
-    if express:
+    span = express_span(noc, len(nodes))
+    if span:
         farthest = nodes[-1]
         nodes[0].connect(
             farthest,
             tree_input_port(config, f"{farthest.name}.from_express"),
             "express",
             link_latency=0,
-            link_length_mm=hop_length_mm * (len(nodes) - 1),
+            link_length_mm=hop_length_mm * span,
         )
 
     for index, node in enumerate(nodes):
-        node.route_fn = partial(_dispersion_hop, nodes, home, express, index)
+        node.route_fn = partial(_dispersion_hop, nodes, home, span > 0, index)
     return nodes
 
 

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple, TypeVar
 
+from repro.config.noc import NocConfig
 from repro.config.system import SystemConfig
 from repro.noc.topology import LinkSpec, RouterSpec, TopologyDescriptor, ordered_link_spans
 
 CorePosition = Tuple[int, int]  # (column, core-row); the LLC row is not counted
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -95,6 +97,27 @@ class NocOutFloorplan:
 
 
 # --------------------------------------------------------------------------- #
+# Tree shape: shared by the tree builders and the inventory
+# --------------------------------------------------------------------------- #
+def tree_node_groups(cores: Sequence[T], concentration: int) -> List[Sequence[T]]:
+    """The cores each node of one tree serves, farthest from the LLC first.
+
+    ``cores`` is the tree's half-column in that order; every run of
+    ``concentration`` consecutive cores shares one node (Section 7.1).
+    """
+    return [cores[i : i + concentration] for i in range(0, len(cores), concentration)]
+
+
+def express_span(noc: NocConfig, tree_nodes: int) -> int:
+    """Hops spanned by the express link of a ``tree_nodes``-node tree; 0 if none.
+
+    With ``tree_express_links``, a tree of four or more nodes links its
+    LLC-adjacent node and its farthest node directly (Section 7.1).
+    """
+    return tree_nodes - 1 if noc.tree_express_links and tree_nodes >= 4 else 0
+
+
+# --------------------------------------------------------------------------- #
 # Static descriptor for the area model (Figure 8)
 # --------------------------------------------------------------------------- #
 def describe_nocout(config: SystemConfig) -> TopologyDescriptor:
@@ -103,26 +126,22 @@ def describe_nocout(config: SystemConfig) -> TopologyDescriptor:
     plan = NocOutFloorplan(config)
     width = noc.link_width_bits
 
-    tree_nodes_per_network = config.num_cores // max(1, noc.tree_concentration)
+    trees = plan.tree_groups()
+    nodes_per_tree = len(tree_node_groups(trees[0].core_rows, noc.tree_concentration))
+    tree_nodes = len(trees) * nodes_per_tree  # in each of the two tree networks
     routers = [
         RouterSpec(
-            count=tree_nodes_per_network,
+            count=tree_nodes,
             ports=2,
             vcs_per_port=noc.tree_vcs_per_port,
             vc_depth_flits=noc.tree_vc_depth_flits,
             flit_width_bits=width,
             uses_sram_buffers=False,
-            label="reduction tree node",
-        ),
-        RouterSpec(
-            count=tree_nodes_per_network,
-            ports=2,
-            vcs_per_port=noc.tree_vcs_per_port,
-            vc_depth_flits=noc.tree_vc_depth_flits,
-            flit_width_bits=width,
-            uses_sram_buffers=False,
-            label="dispersion tree node",
-        ),
+            label=f"{kind} tree node",
+        )
+        for kind in ("reduction", "dispersion")
+    ]
+    routers.append(
         RouterSpec(
             count=noc.llc_tiles,
             ports=(noc.llc_tiles - 1) + 4,  # inter-tile + 2 tree terminals + local + MC
@@ -131,25 +150,25 @@ def describe_nocout(config: SystemConfig) -> TopologyDescriptor:
             flit_width_bits=width,
             uses_sram_buffers=False,
             label="LLC network router",
-        ),
-    ]
+        )
+    )
 
+    # One link per tree node: the chain plus the link at the LLC end.
     hop_mm = plan.tree_hop_length_mm()
-    tree_links_per_network = 2 * plan.columns * plan.rows_per_side
     links = [
-        LinkSpec(
-            count=tree_links_per_network,
-            length_mm=hop_mm,
-            width_bits=width,
-            label="reduction tree link",
-        ),
-        LinkSpec(
-            count=tree_links_per_network,
-            length_mm=hop_mm,
-            width_bits=width,
-            label="dispersion tree link",
-        ),
+        LinkSpec(count=tree_nodes, length_mm=hop_mm, width_bits=width, label=f"{kind} tree link")
+        for kind in ("reduction", "dispersion")
     ]
+    express_hops = express_span(noc, nodes_per_tree)
+    if express_hops:
+        links.append(
+            LinkSpec(
+                count=2 * len(trees),  # one per reduction and dispersion tree
+                length_mm=express_hops * hop_mm,
+                width_bits=width,
+                label=f"tree express link ({express_hops} hops)",
+            )
+        )
     links += [
         LinkSpec(
             count=count,

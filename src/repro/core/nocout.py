@@ -17,7 +17,7 @@ from repro.sim.kernel import Simulator
 from repro.noc.network import Network
 from repro.noc.router import PacketSink, Router
 from repro.core.dispersion_tree import build_dispersion_tree
-from repro.core.floorplan import CorePosition, NocOutFloorplan
+from repro.core.floorplan import CorePosition, NocOutFloorplan, tree_node_groups
 from repro.core.llc_network import build_llc_network, llc_input_port
 from repro.core.reduction_tree import build_reduction_tree, tree_input_port
 
@@ -98,10 +98,12 @@ class NocOutNetwork(Network):
             llc_router = self.llc_routers[group.column]
             label = f"{self.name}.{group.side}{group.column}"
 
+            # The cores each tree node serves, farthest from the LLC first.
+            node_cores = tree_node_groups(cores, concentration)
+
             # Reduction tree: cores -> LLC router of this column.
             core_groups = [
-                [self.interfaces[node_id] for node_id in cores[i : i + concentration]]
-                for i in range(0, len(cores), concentration)
+                [self.interfaces[node_id] for node_id in members] for members in node_cores
             ]
             reduction = build_reduction_tree(
                 self.sim,
@@ -117,11 +119,8 @@ class NocOutNetwork(Network):
 
             # Dispersion tree: LLC router of this column -> cores.
             bindings = [
-                [
-                    (node_id, self.interfaces[node_id])
-                    for node_id in cores[i : i + concentration]
-                ]
-                for i in range(0, len(cores), concentration)
+                [(node_id, self.interfaces[node_id]) for node_id in members]
+                for members in node_cores
             ]
             dispersion = build_dispersion_tree(
                 self.sim, self.system, f"{label}.disp", bindings, hop_mm

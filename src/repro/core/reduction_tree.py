@@ -14,6 +14,7 @@ from functools import partial
 from typing import FrozenSet, Iterable, List, Sequence
 
 from repro.config.system import SystemConfig
+from repro.core.floorplan import express_span
 from repro.sim.kernel import Simulator
 from repro.noc.arbiter import RoundRobinArbiter, StaticPriorityArbiter
 from repro.noc.buffer import InputPort
@@ -113,14 +114,15 @@ def build_reduction_tree(
 
     # Optional express link: the farthest node bypasses the chain entirely
     # and feeds the terminal-adjacent node directly (Section 7.1).
-    if noc.tree_express_links and len(nodes) >= 4:
+    span = express_span(noc, len(nodes))
+    if span:
         express_target = nodes[-1]
         nodes[0].connect(
             express_target,
             tree_input_port(config, f"{express_target.name}.from_express"),
             "express",
             link_latency=0,
-            link_length_mm=hop_length_mm * (len(nodes) - 1),
+            link_length_mm=hop_length_mm * span,
         )
         hops[0] = express_target
 

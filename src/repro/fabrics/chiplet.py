@@ -41,19 +41,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.chip.system_map import TiledSystemMap
 from repro.config.noc import NocConfig
 from repro.config.system import SystemConfig, default_mesh_dimensions
-from repro.noc.buffer import InputPort
-from repro.noc.mesh import DIRECTIONS, opposite, step, xy_direction
+from repro.noc.mesh import join_mesh, mesh_input_port, step, xy_direction
 from repro.noc.network import Network
 from repro.noc.router import PacketSink, Router
 from repro.noc.topology import (
     LinkSpec,
-    RouterSpec,
     TopologyDescriptor,
+    mesh_link_count,
+    mesh_router_spec,
 )
 from repro.sim.kernel import Simulator
 
@@ -234,7 +234,11 @@ class ChipletNetwork(Network):
         self.crossing_latency = self.noc.mesh_link_latency + p.latency_increase
 
         self._tile_router: List[Router] = []
+        #: per chiplet: local coordinate -> tile router
+        self._tile_grid: List[Dict[Coordinate, Router]] = [{} for _ in range(p.count)]
         self._noi_router: List[Router] = []
+        #: chiplet-grid coordinate -> NoI router
+        self._noi_grid: Dict[Coordinate, Router] = {}
         self.io_router: Router = None
 
         self._build_tile_routers()
@@ -246,22 +250,6 @@ class ChipletNetwork(Network):
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
-    def _new_input_port(self, label: str) -> InputPort:
-        return InputPort(
-            num_vcs=self.noc.mesh_vcs_per_port,
-            vc_depth_flits=self.noc.mesh_vc_depth_flits,
-            name=label,
-        )
-
-    def _tile_node_at(self, chiplet: int, local: Coordinate) -> int:
-        """The tile node at local coordinate ``local`` of ``chiplet``."""
-        p = self.params
-        return chiplet * p.cores_per_chiplet + local[1] * p.lcols + local[0]
-
-    def _noi_router_at(self, coord: Coordinate) -> Router:
-        """The NoI router at chiplet-grid coordinate ``coord``."""
-        return self._noi_router[coord[1] * self.params.ccols + coord[0]]
-
     def _build_tile_routers(self) -> None:
         p = self.params
         for node in range(self.system.num_cores):
@@ -273,29 +261,15 @@ class ChipletNetwork(Network):
                 pipeline_latency=self.noc.mesh_router_pipeline,
                 route_fn=partial(self._tile_hop, node),
             )
+            self._tile_grid[chiplet][(lx, ly)] = router
             self._tile_router.append(router)
             self.routers.append(router)
         # Intra-chiplet mesh links (never crossing).
-        for node in range(self.system.num_cores):
-            chiplet = node // p.cores_per_chiplet
-            coord = self.map.local_coord(node)
-            router = self._tile_router[node]
-            for direction in DIRECTIONS:
-                nx, ny = step(coord, direction)
-                if not (0 <= nx < p.lcols and 0 <= ny < p.lrows):
-                    continue
-                neighbor = self._tile_router[self._tile_node_at(chiplet, (nx, ny))]
-                router.connect(
-                    neighbor,
-                    self._new_input_port(f"{neighbor.name}.in_{opposite(direction)}"),
-                    direction,
-                    link_latency=self.noc.mesh_link_latency,
-                    link_length_mm=self.tile_mm,
-                )
+        for grid in self._tile_grid:
+            join_mesh(self.system, grid, self.noc.mesh_link_latency, self.tile_mm)
 
     def _build_noi_routers(self) -> None:
-        p = self.params
-        for chiplet in range(p.count):
+        for chiplet in range(self.params.count):
             cx, cy = self.map.chiplet_coord(chiplet)
             router = Router(
                 self.sim,
@@ -303,24 +277,11 @@ class ChipletNetwork(Network):
                 pipeline_latency=self.noc.mesh_router_pipeline,
                 route_fn=partial(self._noi_hop, chiplet),
             )
+            self._noi_grid[(cx, cy)] = router
             self._noi_router.append(router)
             self.routers.append(router)
         # NoI mesh links: chiplet-to-chiplet across the interposer.
-        for chiplet in range(p.count):
-            coord = self.map.chiplet_coord(chiplet)
-            router = self._noi_router[chiplet]
-            for direction in DIRECTIONS:
-                nx, ny = step(coord, direction)
-                if not (0 <= nx < p.ccols and 0 <= ny < p.crows):
-                    continue
-                neighbor = self._noi_router_at((nx, ny))
-                router.connect(
-                    neighbor,
-                    self._new_input_port(f"{neighbor.name}.in_{opposite(direction)}"),
-                    direction,
-                    link_latency=self.crossing_latency,
-                    link_length_mm=self.chiplet_mm,
-                )
+        join_mesh(self.system, self._noi_grid, self.crossing_latency, self.chiplet_mm)
 
     def _build_uplinks(self) -> None:
         p = self.params
@@ -330,14 +291,14 @@ class ChipletNetwork(Network):
                 boundary = self._tile_router[self.map.boundary_node(chiplet, group)]
                 boundary.connect(
                     noi,
-                    self._new_input_port(f"{noi.name}.in_up{group}"),
+                    mesh_input_port(self.system, f"{noi.name}.in_up{group}"),
                     "up",
                     link_latency=self.crossing_latency,
                     link_length_mm=self.tile_mm,
                 )
                 noi.connect(
                     boundary,
-                    self._new_input_port(f"{boundary.name}.in_down"),
+                    mesh_input_port(self.system, f"{boundary.name}.in_down"),
                     f"down{group}",
                     link_latency=self.crossing_latency,
                     link_length_mm=self.tile_mm,
@@ -358,14 +319,14 @@ class ChipletNetwork(Network):
             noi = self._noi_router[chiplet]
             self.io_router.connect(
                 noi,
-                self._new_input_port(f"{noi.name}.in_io"),
+                mesh_input_port(self.system, f"{noi.name}.in_io"),
                 f"to_c{chiplet}",
                 link_latency=self.crossing_latency,
                 link_length_mm=self.chiplet_mm,
             )
             noi.connect(
                 self.io_router,
-                self._new_input_port(f"{self.name}.io.in_c{chiplet}"),
+                mesh_input_port(self.system, f"{self.name}.io.in_c{chiplet}"),
                 "io",
                 link_latency=self.crossing_latency,
                 link_length_mm=self.chiplet_mm,
@@ -376,7 +337,7 @@ class ChipletNetwork(Network):
         for node in range(self.system.num_cores):
             router = self._tile_router[node]
             self.attach_interface(
-                node, router, self._new_input_port(f"{router.name}.in_local{node}")
+                node, router, mesh_input_port(self.system, f"{router.name}.in_local{node}")
             )
         for index in range(self.map.num_memory_controllers):
             host = (
@@ -387,7 +348,7 @@ class ChipletNetwork(Network):
             self.attach_interface(
                 self.map.mc_node(index),
                 host,
-                self._new_input_port(f"{host.name}.in_mc{index}"),
+                mesh_input_port(self.system, f"{host.name}.in_mc{index}"),
             )
 
     # ------------------------------------------------------------------ #
@@ -410,9 +371,7 @@ class ChipletNetwork(Network):
         coord = self.map.local_coord(node)
         if coord == target:
             return terminal
-        return self._tile_router[
-            self._tile_node_at(chiplet, step(coord, xy_direction(coord, target)))
-        ]
+        return self._tile_grid[chiplet][step(coord, xy_direction(coord, target))]
 
     def _noi_hop(self, chiplet: int, dst: int) -> PacketSink:
         """NoI router of ``chiplet``: descend into the home chiplet, traverse
@@ -434,7 +393,7 @@ class ChipletNetwork(Network):
                 return self.interfaces[dst]
         coord = self.map.chiplet_coord(chiplet)
         target = self.map.chiplet_coord(target_chiplet)
-        return self._noi_router_at(step(coord, xy_direction(coord, target)))
+        return self._noi_grid[step(coord, xy_direction(coord, target))]
 
     def _io_hop(self, dst: int) -> PacketSink:
         """IO die: every chiplet one hop away, MCs eject locally."""
@@ -453,53 +412,28 @@ def describe_chiplet(config: SystemConfig) -> TopologyDescriptor:
     tile_mm = config.tile_width_mm
     chiplet_mm = p.lcols * tile_mm
     boundary_count = p.count * p.groups
+    tile_routers = p.count * p.cores_per_chiplet - boundary_count
     routers = [
-        RouterSpec(
-            count=p.count * p.cores_per_chiplet - boundary_count,
-            ports=5,  # N/S/E/W + local
-            vcs_per_port=noc.mesh_vcs_per_port,
-            vc_depth_flits=noc.mesh_vc_depth_flits,
-            flit_width_bits=noc.link_width_bits,
-            uses_sram_buffers=False,
-            label="chiplet tile router",
-        ),
-        RouterSpec(
-            count=boundary_count,
-            ports=6,  # mesh ports + local + uplink
-            vcs_per_port=noc.mesh_vcs_per_port,
-            vc_depth_flits=noc.mesh_vc_depth_flits,
-            flit_width_bits=noc.link_width_bits,
-            uses_sram_buffers=False,
-            label="chiplet boundary router",
-        ),
-        RouterSpec(
-            count=p.count,
-            ports=4 + p.groups + 1,  # NoI mesh + downlinks + IO/MC side
-            vcs_per_port=noc.mesh_vcs_per_port,
-            vc_depth_flits=noc.mesh_vc_depth_flits,
-            flit_width_bits=noc.link_width_bits,
+        # N/S/E/W + local; boundary routers add an uplink
+        mesh_router_spec(config, tile_routers, 5, "chiplet tile router"),
+        mesh_router_spec(config, boundary_count, 6, "chiplet boundary router"),
+        # NoI mesh + downlinks + IO/MC side
+        mesh_router_spec(
+            config, p.count, 4 + p.groups + 1, "interposer (NoI) router",
             uses_sram_buffers=True,
-            label="interposer (NoI) router",
         ),
     ]
     if p.io_die:
         routers.append(
-            RouterSpec(
-                count=1,
-                ports=p.count + config.num_memory_controllers,
-                vcs_per_port=noc.mesh_vcs_per_port,
-                vc_depth_flits=noc.mesh_vc_depth_flits,
-                flit_width_bits=noc.link_width_bits,
+            mesh_router_spec(
+                config, 1, p.count + config.num_memory_controllers, "IO-die router",
                 uses_sram_buffers=True,
-                label="IO-die router",
             )
         )
     routers = [spec for spec in routers if spec.count > 0]
-    horizontal = (p.lcols - 1) * p.lrows
-    vertical = p.lcols * (p.lrows - 1)
     links = [
         LinkSpec(
-            count=p.count * 2 * (horizontal + vertical),
+            count=p.count * mesh_link_count(p.lcols, p.lrows),
             length_mm=tile_mm,
             width_bits=noc.link_width_bits,
             label="chiplet mesh link",
@@ -511,12 +445,11 @@ def describe_chiplet(config: SystemConfig) -> TopologyDescriptor:
             label="interposer via (up/down) link",
         ),
     ]
-    noi_horizontal = (p.ccols - 1) * p.crows
-    noi_vertical = p.ccols * (p.crows - 1)
-    if noi_horizontal + noi_vertical:
+    noi_links = mesh_link_count(p.ccols, p.crows)
+    if noi_links:
         links.append(
             LinkSpec(
-                count=2 * (noi_horizontal + noi_vertical),
+                count=noi_links,
                 length_mm=chiplet_mm,
                 width_bits=noc.link_width_bits,
                 label="interposer (NoI) link",

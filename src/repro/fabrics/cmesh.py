@@ -27,12 +27,7 @@ from repro.chip.system_map import TiledSystemMap
 from repro.config.noc import NocConfig
 from repro.config.system import SystemConfig, default_mesh_dimensions
 from repro.noc.mesh import MeshNetwork
-from repro.noc.topology import (
-    GridGeometry,
-    LinkSpec,
-    RouterSpec,
-    TopologyDescriptor,
-)
+from repro.noc.topology import GridGeometry, TopologyDescriptor, describe_grid_mesh
 from repro.sim.kernel import Simulator
 
 #: Table name (and the string stored in ``NocConfig.topology``).
@@ -67,10 +62,9 @@ class ConcentratedSystemMap(TiledSystemMap):
 
     def __init__(self, config: SystemConfig) -> None:
         self.concentration = _concentration(config)
-        super().__init__(
-            config,
-            grid=default_mesh_dimensions(config.num_cores // self.concentration),
-        )
+        #: The router grid (:func:`cmesh_grid_geometry`) the network is built over.
+        self.geometry = cmesh_grid_geometry(config)
+        super().__init__(config, grid=(self.geometry.cols, self.geometry.rows))
 
     def tile_coord(self, node_id: int) -> Tuple[int, int]:
         self._check_core(node_id)
@@ -88,32 +82,13 @@ def cmesh_grid_geometry(config: SystemConfig) -> GridGeometry:
 
 def describe_cmesh(config: SystemConfig) -> TopologyDescriptor:
     """Static inventory: fewer, higher-radix routers; longer, fewer links."""
-    noc = config.noc
-    concentration = _concentration(config)
-    geometry = cmesh_grid_geometry(config)
-    cols, rows = geometry.cols, geometry.rows
-    routers = [
-        RouterSpec(
-            count=cols * rows,
-            ports=4 + concentration,  # N/S/E/W plus one local port per core
-            vcs_per_port=noc.mesh_vcs_per_port,
-            vc_depth_flits=noc.mesh_vc_depth_flits,
-            flit_width_bits=noc.link_width_bits,
-            uses_sram_buffers=False,
-            label="concentrated mesh router",
-        )
-    ]
-    horizontal = (cols - 1) * rows
-    vertical = cols * (rows - 1)
-    links = [
-        LinkSpec(
-            count=2 * (horizontal + vertical),
-            length_mm=geometry.tile_width_mm,
-            width_bits=noc.link_width_bits,
-            label="concentrated mesh link",
-        )
-    ]
-    return TopologyDescriptor(CMESH_NAME, routers, links)
+    return describe_grid_mesh(
+        config,
+        CMESH_NAME,
+        cmesh_grid_geometry(config),
+        4 + _concentration(config),  # N/S/E/W plus one local port per core
+        "concentrated mesh",
+    )
 
 
 def cmesh_system(
@@ -129,8 +104,7 @@ def cmesh_system(
         tree_concentration=concentration,
     )
     config = SystemConfig(num_cores=num_cores, noc=noc, seed=seed)
-    _concentration(config)  # validate divisibility up front
-    default_mesh_dimensions(num_cores // concentration)  # and the router grid
+    cmesh_grid_geometry(config)  # validate divisibility and the router grid up front
     return config
 
 
@@ -138,17 +112,10 @@ def cmesh_network(
     sim: Simulator, config: SystemConfig, system_map: ConcentratedSystemMap
 ) -> MeshNetwork:
     """The concentrated mesh: a baseline mesh over the map's router grid."""
-    # The router grid comes from the map itself, so node coordinates
-    # and network geometry cannot drift apart.
-    geometry = GridGeometry(
-        system_map.cols,
-        system_map.rows,
-        config.tile_width_mm * math.sqrt(system_map.concentration),
-    )
     return MeshNetwork(
         sim,
         config,
         system_map.node_coords(),
         name=CMESH_NAME,
-        geometry=geometry,
+        geometry=system_map.geometry,
     )

@@ -9,21 +9,23 @@ physical span of the link (up to two tiles per cycle, Table 1).
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import Dict, Tuple
 
 from repro.config.system import SystemConfig
 from repro.sim.kernel import Simulator
 from repro.noc.buffer import InputPort
-from repro.noc.network import Network
-from repro.noc.router import PacketSink, Router
-from repro.noc.topology import GridGeometry, tiled_grid_geometry
+from repro.noc.mesh import MeshNetwork
+from repro.noc.router import PacketSink
 
 Coordinate = Tuple[int, int]
 
 
-class FlattenedButterflyNetwork(Network):
-    """2-D flattened butterfly with dimension-order (X then Y) routing."""
+class FlattenedButterflyNetwork(MeshNetwork):
+    """2-D flattened butterfly with dimension-order (X then Y) routing.
+
+    The mesh's router grid and local ports, with the butterfly's own
+    ports, pipeline, express links and route.
+    """
 
     def __init__(
         self,
@@ -32,33 +34,18 @@ class FlattenedButterflyNetwork(Network):
         node_coords: Dict[int, Coordinate],
         name: str = "fbfly",
     ) -> None:
-        super().__init__(sim, config, name, node_coords.keys())
-        self.node_coords = dict(node_coords)
-        self.geometry: GridGeometry = tiled_grid_geometry(config)
-        self._router_at: Dict[Coordinate, Router] = {}
-
-        self._build_routers()
-        self._build_express_links()
-        self._attach_interfaces()
+        super().__init__(sim, config, node_coords, name)
 
     # ------------------------------------------------------------------ #
-    def _new_input_port(self, label: str) -> InputPort:
+    def _input_port(self, label: str) -> InputPort:
         return InputPort(
             num_vcs=self.noc.fbfly_vcs_per_port,
             vc_depth_flits=self.noc.fbfly_vc_depth_flits,
             name=label,
         )
 
-    def _build_routers(self) -> None:
-        for coord in self.geometry.all_coords():
-            router = Router(
-                self.sim,
-                f"{self.name}.r{coord[0]}_{coord[1]}",
-                pipeline_latency=self.noc.fbfly_router_pipeline,
-                route_fn=partial(self._next_hop, coord),
-            )
-            self._router_at[coord] = router
-            self.routers.append(router)
+    def _router_pipeline(self) -> int:
+        return self.noc.fbfly_router_pipeline
 
     def link_latency_for_span(self, span_tiles: int) -> int:
         """Cycles needed to traverse a link spanning ``span_tiles`` tiles."""
@@ -66,7 +53,8 @@ class FlattenedButterflyNetwork(Network):
             return 1
         return max(1, math.ceil(span_tiles / self.noc.fbfly_tiles_per_cycle))
 
-    def _build_express_links(self) -> None:
+    def _build_links(self) -> None:
+        """Link every router to all others in its row, then its column."""
         tile_mm = self.geometry.tile_width_mm
         for coord, router in self._router_at.items():
             col, row = coord
@@ -77,18 +65,11 @@ class FlattenedButterflyNetwork(Network):
                 span = self.geometry.manhattan_tiles(coord, peer_coord)
                 router.connect(
                     peer,
-                    self._new_input_port(f"{peer.name}.in_from{col}_{row}"),
+                    self._input_port(f"{peer.name}.in_from{col}_{row}"),
                     f"to{peer_coord[0]}_{peer_coord[1]}",
                     link_latency=self.link_latency_for_span(span),
                     link_length_mm=span * tile_mm,
                 )
-
-    def _attach_interfaces(self) -> None:
-        for node_id, coord in self.node_coords.items():
-            router = self._router_at[coord]
-            self.attach_interface(
-                node_id, router, self._new_input_port(f"{router.name}.in_local{node_id}")
-            )
 
     def _next_hop(self, coord: Coordinate, node_id: int) -> PacketSink:
         """Route function of the router at ``coord``: destination column, then row."""
@@ -98,8 +79,3 @@ class FlattenedButterflyNetwork(Network):
         if dst_coord[0] != coord[0]:
             return self._router_at[(dst_coord[0], coord[1])]
         return self._router_at[(coord[0], dst_coord[1])]
-
-    # ------------------------------------------------------------------ #
-    def router_at(self, coord: Coordinate) -> Router:
-        """The router at grid coordinate ``coord`` (used by tests)."""
-        return self._router_at[coord]

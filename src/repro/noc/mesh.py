@@ -27,8 +27,48 @@ DIRECTIONS = {
 }
 
 
+def mesh_input_port(config: SystemConfig, label: str) -> InputPort:
+    """An input port as used by every mesh router (tile, cmesh and NoI)."""
+    noc = config.noc
+    return InputPort(
+        num_vcs=noc.mesh_vcs_per_port,
+        vc_depth_flits=noc.mesh_vc_depth_flits,
+        name=label,
+    )
+
+
+def join_mesh(
+    config: SystemConfig,
+    grid: Dict[Coordinate, Router],
+    link_latency: int,
+    link_length_mm: float,
+) -> None:
+    """Link every router of ``grid`` to its N/S/E/W neighbours in ``grid``.
+
+    Routers are visited in dict order and directions in
+    :data:`DIRECTIONS` order; that order is every router's port order.
+    """
+    for coord, router in grid.items():
+        for direction in DIRECTIONS:
+            neighbor = grid.get(step(coord, direction))
+            if neighbor is None:
+                continue
+            router.connect(
+                neighbor,
+                mesh_input_port(config, f"{neighbor.name}.in_{opposite(direction)}"),
+                direction,
+                link_latency=link_latency,
+                link_length_mm=link_length_mm,
+            )
+
+
 class MeshNetwork(Network):
-    """2-D mesh with XY dimension-order routing."""
+    """2-D mesh with XY dimension-order routing.
+
+    One router per grid coordinate, one local port per node.  A fabric on
+    the same grid (the flattened butterfly) overrides only its port
+    factory, router pipeline, links and route.
+    """
 
     def __init__(
         self,
@@ -44,51 +84,37 @@ class MeshNetwork(Network):
         # grid; the plain mesh derives one router per core tile.
         self.geometry: GridGeometry = geometry or tiled_grid_geometry(config)
         self._router_at: Dict[Coordinate, Router] = {}
-
-        self._build_routers()
-        self._build_mesh_links()
-        self._attach_interfaces()
-
-    # ------------------------------------------------------------------ #
-    def _new_input_port(self, label: str) -> InputPort:
-        return InputPort(
-            num_vcs=self.noc.mesh_vcs_per_port,
-            vc_depth_flits=self.noc.mesh_vc_depth_flits,
-            name=label,
-        )
-
-    def _build_routers(self) -> None:
         for coord in self.geometry.all_coords():
             router = Router(
-                self.sim,
-                f"{self.name}.r{coord[0]}_{coord[1]}",
-                pipeline_latency=self.noc.mesh_router_pipeline,
+                sim,
+                f"{name}.r{coord[0]}_{coord[1]}",
+                pipeline_latency=self._router_pipeline(),
                 route_fn=partial(self._next_hop, coord),
             )
             self._router_at[coord] = router
             self.routers.append(router)
 
-    def _build_mesh_links(self) -> None:
-        tile_mm = self.geometry.tile_width_mm
-        for coord, router in self._router_at.items():
-            for direction in DIRECTIONS:
-                neighbor = self._router_at.get(step(coord, direction))
-                if neighbor is None:
-                    continue
-                router.connect(
-                    neighbor,
-                    self._new_input_port(f"{neighbor.name}.in_{opposite(direction)}"),
-                    direction,
-                    link_latency=self.noc.mesh_link_latency,
-                    link_length_mm=tile_mm,
-                )
-
-    def _attach_interfaces(self) -> None:
+        self._build_links()
         for node_id, coord in self.node_coords.items():
             router = self._router_at[coord]
             self.attach_interface(
-                node_id, router, self._new_input_port(f"{router.name}.in_local{node_id}")
+                node_id, router, self._input_port(f"{router.name}.in_local{node_id}")
             )
+
+    # ------------------------------------------------------------------ #
+    def _input_port(self, label: str) -> InputPort:
+        return mesh_input_port(self.system, label)
+
+    def _router_pipeline(self) -> int:
+        return self.noc.mesh_router_pipeline
+
+    def _build_links(self) -> None:
+        join_mesh(
+            self.system,
+            self._router_at,
+            self.noc.mesh_link_latency,
+            self.geometry.tile_width_mm,
+        )
 
     def _next_hop(self, coord: Coordinate, node_id: int) -> PacketSink:
         """Route function of the router at ``coord``: XY toward ``node_id``."""

@@ -113,33 +113,48 @@ def tiled_grid_geometry(config: SystemConfig) -> GridGeometry:
 # --------------------------------------------------------------------------- #
 # Static descriptors for the area model
 # --------------------------------------------------------------------------- #
-def describe_mesh(config: SystemConfig) -> TopologyDescriptor:
-    """Mesh NoC inventory: 5-port routers plus nearest-neighbour links."""
+def mesh_link_count(cols: int, rows: int) -> int:
+    """Unidirectional links of a ``cols x rows`` mesh: two per neighbour pair."""
+    return 2 * ((cols - 1) * rows + cols * (rows - 1))
+
+
+def mesh_router_spec(
+    config: SystemConfig, count: int, ports: int, label: str, uses_sram_buffers: bool = False
+) -> RouterSpec:
+    """``count`` routers with the mesh's virtual channels and buffers."""
     noc = config.noc
-    geometry = tiled_grid_geometry(config)
+    return RouterSpec(
+        count=count,
+        ports=ports,
+        vcs_per_port=noc.mesh_vcs_per_port,
+        vc_depth_flits=noc.mesh_vc_depth_flits,
+        flit_width_bits=noc.link_width_bits,
+        uses_sram_buffers=uses_sram_buffers,
+        label=label,
+    )
+
+
+def describe_grid_mesh(
+    config: SystemConfig, name: str, geometry: GridGeometry, ports: int, label: str
+) -> TopologyDescriptor:
+    """A mesh over ``geometry``: one ``ports``-port router per coordinate,
+    links between neighbours one grid tile long."""
     cols, rows = geometry.cols, geometry.rows
-    routers = [
-        RouterSpec(
-            count=cols * rows,
-            ports=5,
-            vcs_per_port=noc.mesh_vcs_per_port,
-            vc_depth_flits=noc.mesh_vc_depth_flits,
-            flit_width_bits=noc.link_width_bits,
-            uses_sram_buffers=False,
-            label="mesh router",
-        )
-    ]
-    horizontal = (cols - 1) * rows
-    vertical = cols * (rows - 1)
+    routers = [mesh_router_spec(config, cols * rows, ports, f"{label} router")]
     links = [
         LinkSpec(
-            count=2 * (horizontal + vertical),
+            count=mesh_link_count(cols, rows),
             length_mm=geometry.tile_width_mm,
-            width_bits=noc.link_width_bits,
-            label="mesh link",
+            width_bits=config.noc.link_width_bits,
+            label=f"{label} link",
         )
     ]
-    return TopologyDescriptor("mesh", routers, links)
+    return TopologyDescriptor(name, routers, links)
+
+
+def describe_mesh(config: SystemConfig) -> TopologyDescriptor:
+    """Mesh NoC inventory: 5-port routers plus nearest-neighbour links."""
+    return describe_grid_mesh(config, "mesh", tiled_grid_geometry(config), 5, "mesh")
 
 
 def ordered_link_spans(positions: int) -> List[Tuple[int, int]]:

@@ -256,6 +256,43 @@ class TestConcentratedMesh:
 
 
 # --------------------------------------------------------------------- #
+# NOC-Out floorplan validation
+# --------------------------------------------------------------------- #
+UNBUILDABLE_NOCOUT = pytest.mark.parametrize(
+    "num_cores, message",
+    [
+        (4, "cannot be split over 8 columns"),
+        (8, "even number of core rows"),
+        (24, "even number of core rows"),
+        (40, "even number of core rows"),
+    ],
+)
+
+
+class TestNocOutValidation:
+    """An unbuildable NOC-Out floorplan fails when the config is made, not
+    when its chip is built in the middle of a sweep."""
+
+    @UNBUILDABLE_NOCOUT
+    def test_preset_rejects_the_floorplan(self, num_cores, message):
+        with pytest.raises(ValueError, match=message):
+            build_system("noc_out", num_cores=num_cores)
+
+    @UNBUILDABLE_NOCOUT
+    def test_spec_expansion_rejects_the_floorplan(self, num_cores, message):
+        from repro.scenarios import SweepSpec
+        from tests._fixtures import TINY_SETTINGS
+
+        spec = SweepSpec(
+            axes={"num_cores": (16, num_cores)},
+            settings=TINY_SETTINGS,
+            fixed={"workload": "Web Search", "topology": "noc_out"},
+        )
+        with pytest.raises(ValueError, match=message):
+            spec.expand()
+
+
+# --------------------------------------------------------------------- #
 # Scale-out sweep (reduced; CI runs the full 64-512 version)
 # --------------------------------------------------------------------- #
 class TestScaleOutSweep:

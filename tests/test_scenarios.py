@@ -98,7 +98,7 @@ def tiny_spec(**overrides) -> SweepSpec:
         axes={
             "workload": ("Web Search", "Data Serving"),
             "topology": ("mesh", "noc_out"),
-            "num_cores": (4, 16),
+            "num_cores": (16, 32),  # both build a NOC-Out floorplan
         },
         settings=TINY_SETTINGS,
     )
@@ -115,7 +115,7 @@ class TestSweepSpec:
                   for sp in points]
         assert coords == list(
             itertools.product(
-                ("Web Search", "Data Serving"), ("mesh", "noc_out"), (4, 16)
+                ("Web Search", "Data Serving"), ("mesh", "noc_out"), (16, 32)
             )
         )
 
