@@ -129,7 +129,12 @@ class SimulationResults:
 
 
 class Chip:
-    """A complete simulated chip for one (configuration, workload) pair."""
+    """A complete simulated chip for one (configuration, workload) pair.
+
+    A chip's life is build (the constructor), warm (:meth:`warmup`), run
+    (:meth:`start_cores`, :meth:`run`), collect (:meth:`collect_results`)
+    and close (:meth:`close`); :meth:`run_experiment` does the middle three.
+    """
 
     def __init__(self, config: SystemConfig) -> None:
         self.workload_map = config.workload_map
@@ -495,6 +500,16 @@ class Chip:
         self.reset_statistics()
         self.sim.run(measure_cycles)
         return self.collect_results(measure_cycles)
+
+    def close(self) -> None:
+        """Break the chip's reference cycles once its results are collected.
+
+        See :meth:`Simulator.close`; the chip also drops its own
+        attributes, so reference counting frees the whole model.  Neither
+        the chip nor any of its components may be used afterwards.
+        """
+        self.sim.close()
+        self.__dict__.clear()
 
     # ------------------------------------------------------------------ #
     # Results

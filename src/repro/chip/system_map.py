@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.cache.address import AddressMapper
 from repro.config.cache import CacheConfig
 from repro.config.system import SystemConfig
+from repro.core.floorplan import CorePosition, NocOutFloorplan
 
 
 class SystemMap:
@@ -162,15 +163,17 @@ class TiledSystemMap(SystemMap):
 
 
 class NocOutSystemMap(SystemMap):
-    """NOC-Out layout: core nodes plus a central row of LLC tiles."""
+    """NOC-Out layout: core nodes plus a central row of LLC tiles.
+
+    Columns, core rows and core positions are the :class:`NocOutFloorplan`'s,
+    so a config the floorplan rejects cannot build a map either.
+    """
 
     def __init__(self, config: SystemConfig) -> None:
         super().__init__(config)
         noc = config.noc
-        self.columns = noc.llc_tiles
-        if config.num_cores % self.columns:
-            raise ValueError("core count must divide evenly across LLC columns")
-        self.core_rows = config.num_cores // self.columns
+        self.floorplan = NocOutFloorplan(config)
+        self._positions = self.floorplan.core_positions()
         self.banks_per_tile = noc.llc_banks_per_tile
         self.total_banks = noc.llc_banks
         self.mapper = AddressMapper(
@@ -186,18 +189,18 @@ class NocOutSystemMap(SystemMap):
         return core_id
 
     def llc_node(self, index: int) -> int:
-        if not 0 <= index < self.columns:
+        if not 0 <= index < self.floorplan.columns:
             raise ValueError(f"LLC tile index {index} out of range")
         return self.num_cores + index
 
     def mc_node(self, index: int) -> int:
         if not 0 <= index < self.num_memory_controllers:
             raise ValueError(f"memory controller index {index} out of range")
-        return self.num_cores + self.columns + index
+        return self.num_cores + self.floorplan.columns + index
 
     @property
     def llc_node_ids(self) -> List[int]:
-        return [self.llc_node(i) for i in range(self.columns)]
+        return [self.llc_node(i) for i in range(self.floorplan.columns)]
 
     # --- address mapping -------------------------------------------------- #
     def home_node(self, addr: int) -> int:
@@ -212,21 +215,22 @@ class NocOutSystemMap(SystemMap):
         return [bank_config for _ in range(self.banks_per_tile)]
 
     # --- placement -------------------------------------------------- #
-    def core_position(self, core_id: int) -> Tuple[int, int]:
+    def core_position(self, core_id: int) -> CorePosition:
         """(column, core-row) of a core; rows count across both sides of the LLC."""
-        return (core_id % self.columns, core_id // self.columns)
+        return self._positions[self.core_node(core_id)]
 
-    def core_positions(self) -> Dict[int, Tuple[int, int]]:
-        return {self.core_node(c): self.core_position(c) for c in range(self.num_cores)}
+    def core_positions(self) -> Dict[int, CorePosition]:
+        return dict(enumerate(self._positions))
 
     def llc_columns(self) -> Dict[int, int]:
-        return {self.llc_node(i): i for i in range(self.columns)}
+        return {self.llc_node(i): i for i in range(self.floorplan.columns)}
 
     def mc_columns(self) -> Dict[int, int]:
         """Memory controllers split between the two edge LLC tiles."""
         columns = {}
+        last = self.floorplan.columns - 1
         for index in range(self.num_memory_controllers):
-            column = 0 if index < self.num_memory_controllers // 2 else self.columns - 1
+            column = 0 if index < self.num_memory_controllers // 2 else last
             columns[self.mc_node(index)] = column
         return columns
 
@@ -235,12 +239,11 @@ class NocOutSystemMap(SystemMap):
 
         Used to place workloads that do not scale to the full core count.
         """
+        middle = (self.floorplan.core_rows - 1) / 2.0
+        positions = self._positions
         by_distance = sorted(
             range(self.num_cores),
-            key=lambda core: (
-                abs(self.core_position(core)[1] - (self.core_rows - 1) / 2.0),
-                self.core_position(core)[0],
-            ),
+            key=lambda core: (abs(positions[core][1] - middle), positions[core][0]),
         )
         return sorted(by_distance[:count])
 

@@ -46,7 +46,6 @@ Environment variables
 from __future__ import annotations
 
 import dataclasses
-import gc
 import hashlib
 import json
 import os
@@ -195,12 +194,18 @@ def execute_point(
 
 
 def _simulate(point: ExperimentPoint, memo: Optional[WarmupMemo]) -> SimulationResults:
-    return Chip(point.config).run_experiment(
-        warmup_references=point.settings.warmup_references,
-        detailed_warmup_cycles=point.settings.detailed_warmup_cycles,
-        measure_cycles=point.settings.measure_cycles,
-        memo=memo,
-    )
+    chip = Chip(point.config)
+    try:
+        return chip.run_experiment(
+            warmup_references=point.settings.warmup_references,
+            detailed_warmup_cycles=point.settings.detailed_warmup_cycles,
+            measure_cycles=point.settings.measure_cycles,
+            memo=memo,
+        )
+    finally:
+        # Closing frees the chip by reference counting, here, instead of
+        # leaving a chip-sized cycle for the garbage collector.
+        chip.close()
 
 
 def _execute_point_profiled(
@@ -374,7 +379,9 @@ class SweepExecutor:
     bit-identical to the pre-engine loops; higher counts dispatch uncached
     points to a process pool.  Per-point results are independent of the
     worker count because every simulation seeds its own
-    :class:`~repro.sim.kernel.Simulator`.
+    :class:`~repro.sim.kernel.Simulator`.  Each point closes its chip
+    (:meth:`Chip.close`) before its result is stored, so reference counting
+    frees the chip at once and a serial sweep holds one chip at a time.
 
     ``warmup_memo`` lives exactly as long as the executor: on the serial
     path every point's :meth:`Chip.warmup` shares it, so a core stream that
@@ -462,11 +469,6 @@ class SweepExecutor:
                 stats.simulations_run += 1
                 if self.cache is not None:
                     self.cache.store(point, result)
-                # A finished chip is one large reference cycle.  Collecting
-                # it here keeps a sweep's peak at one chip plus the memo,
-                # instead of however many chips pile up between the
-                # collector's own full passes.
-                gc.collect()
                 for index in indices:
                     yield index, result
         else:

@@ -92,16 +92,16 @@ class _VcState:
     Created once per VC on first activation and reused for the router's
     lifetime.  ``blocked`` implements credit-blocked head skipping: when a
     tick finds a head that cannot reserve downstream space, the state is
-    marked blocked and ``on_credit`` (a stable bound method) is registered
-    with the downstream VC; the VC is then skipped by every arbitration
-    round until the downstream ``pop`` fires the listener.  Reservations
-    only ever shrink on ``pop``, so skipping is exactly equivalent to
-    re-checking ``can_reserve`` each round — just without the work.
+    marked blocked and registers itself (it is callable) as the downstream
+    VC's credit listener; the VC is then skipped by every arbitration
+    round until the downstream ``pop`` calls it.  Reservations only ever
+    shrink on ``pop``, so skipping is exactly equivalent to re-checking
+    ``can_reserve`` each round — just without the work.
     """
 
     __slots__ = (
         "key", "in_port", "vc_index", "vc", "buffer", "packet", "is_local",
-        "active", "blocked", "blocked_port", "on_credit", "_router",
+        "active", "blocked", "blocked_port", "_router",
     )
 
     def __init__(
@@ -126,14 +126,17 @@ class _VcState:
         #: Only meaningful while ``blocked`` is True.
         self.blocked_port = None
         self._router = router
-        # Stable bound callback so VirtualChannelBuffer.wait_for_space can
-        # deduplicate registrations without allocating per registration.
-        self.on_credit = self._credit_return
 
     def __lt__(self, other: "_VcState") -> bool:
         return self.key < other.key
 
-    def _credit_return(self) -> None:
+    def __call__(self) -> None:
+        """Credit return: the downstream VC this head waited on popped.
+
+        The state itself is the listener, so registering it allocates
+        nothing, repeat registrations deduplicate, and no stored bound
+        method points back at the state.
+        """
         self.blocked = False
         router = self._router
         if router._next_wake != router.sim.cycle:
@@ -380,8 +383,8 @@ class Router(Component, PacketSink):
         for state in self._active_vcs:
             if state.blocked:
                 # Credit-blocked head: the downstream VC cannot have gained
-                # space (only its pop can free any, and that fires
-                # ``on_credit``), so skip the route/credit work — but keep
+                # space (only its pop can free any, and that calls the
+                # state), so skip the route/credit work — but keep
                 # the busy-expiry contribution the full check would have
                 # made, so the wake schedule (and hence event order) is
                 # identical to re-examining the head.  ``blocked_port`` was
@@ -415,7 +418,7 @@ class Router(Component, PacketSink):
             if reserved + flits > downstream_vc.capacity_flits and reserved:
                 state.blocked = True
                 state.blocked_port = cached[2]
-                downstream_vc.wait_for_space(state.on_credit)
+                downstream_vc.wait_for_space(state)
                 continue
             out_index = cached[1]
             state.packet = packet
@@ -485,6 +488,18 @@ class Router(Component, PacketSink):
             (packet, out_port.downstream_port, downstream_vc_index),
             self.pipeline_latency + out_port.link_latency,
         )
+
+    def close(self) -> None:
+        """Also drop each input VC's cached head route.
+
+        A blocked head's VC caches the downstream VC, whose listeners hold
+        this VC's state, so two VCs can point at each other through no
+        component.
+        """
+        for port in self.input_ports:
+            for vc in port.vcs:
+                vc.head_route = None
+        super().close()
 
     # ------------------------------------------------------------------ #
     @property

@@ -19,6 +19,9 @@ class Component:
 
     Each component's ``stats`` group is registered in ``sim.stats`` under
     the component's name, which must therefore be unique per simulator.
+    The component is also listed in ``sim.components``, so
+    :meth:`Simulator.close` can close it; a closed component keeps only
+    its ``name``.
     """
 
     def __init__(self, sim: Simulator, name: str) -> None:
@@ -26,6 +29,7 @@ class Component:
         self.name = name
         self.stats = sim.stats.new_group(name)
         self._next_wake: int = -1
+        sim.components.append(self)
 
     # ------------------------------------------------------------------ #
     def wake(self, delay: int = 0) -> None:
@@ -71,6 +75,16 @@ class Component:
     def _tick(self) -> None:
         """Do one cycle of work.  Subclasses override."""
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Drop every attribute but ``name`` (see :meth:`Simulator.close`).
+
+        Subclasses whose parts point at one another without passing
+        through a component break those links too.
+        """
+        name = self.name
+        self.__dict__.clear()
+        self.name = name
 
     @property
     def now(self) -> int:

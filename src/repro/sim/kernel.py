@@ -63,7 +63,8 @@ class Simulator:
     ``stats`` is the root of the simulation's one statistics tree: every
     :class:`~repro.sim.component.Component` registers its group there
     under its own name, so ``stats.reset()`` starts a measurement window
-    for everything the simulation measures.
+    for everything the simulation measures.  ``components`` lists every
+    component in construction order, for :meth:`close`.
     """
 
     def __init__(self, seed: int = 0, horizon: int = DEFAULT_HORIZON) -> None:
@@ -71,6 +72,7 @@ class Simulator:
         self.seed = seed
         self.rng = random.Random(seed)
         self.stats = StatGroup("sim")
+        self.components: list = []
         self._seq: int = 0
         self._events_processed: int = 0
         self._running = False
@@ -234,6 +236,25 @@ class Simulator:
         while self.pending_events:
             processed += self.run_until(self.next_event_cycle)
         return processed
+
+    def close(self) -> None:
+        """Drop every queued event and release every component.
+
+        Components point at the simulator and at each other (routers at
+        their neighbours, queued events at their components), so a
+        finished simulation is one large reference cycle.  Closing each
+        component (:meth:`Component.close`) breaks those cycles and lets
+        reference counting free the model without waiting for the cyclic
+        garbage collector.  Neither the simulator nor any component may be
+        used afterwards.
+        """
+        for bucket in self._buckets:
+            bucket.clear()
+        self._bucket_count = 0
+        self._overflow.clear()
+        for component in self.components:
+            component.close()
+        self.components.clear()
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -174,8 +174,9 @@ class TestScaleOutSystemMaps:
         assert config.noc.llc_tiles == 16  # widened row beyond 128 cores
         system_map = build_system_map(config)
         assert isinstance(system_map, NocOutSystemMap)
-        assert system_map.core_rows * system_map.columns == num_cores
-        assert system_map.core_rows % 2 == 0
+        floorplan = system_map.floorplan
+        assert floorplan.core_rows * floorplan.columns == num_cores
+        assert floorplan.core_rows % 2 == 0
         # Node ids partition: cores, then LLC tiles, then MCs.
         assert system_map.llc_node_ids == list(
             range(num_cores, num_cores + config.noc.llc_tiles)

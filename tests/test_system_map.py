@@ -112,6 +112,21 @@ class TestNocOutSystemMap:
         with pytest.raises(ValueError):
             NocOutSystemMap(small_system(Topology.NOC_OUT, num_cores=4))
 
+    def test_odd_core_rows_rejected_by_the_floorplan(self):
+        # 24 cores over 8 LLC columns is 3 core rows: no even split above
+        # and below the LLC row.  A config built directly, not through
+        # nocout_system, meets the floorplan's check when its map is built.
+        config = small_system(Topology.NOC_OUT, num_cores=24)
+        with pytest.raises(ValueError, match="even number of core rows"):
+            NocOutSystemMap(config)
+
+    def test_positions_are_the_floorplans(self):
+        floorplan = self.map.floorplan
+        assert list(self.map.core_positions().values()) == floorplan.core_positions()
+        assert [self.map.core_position(core) for core in range(64)] == floorplan.core_positions()
+        with pytest.raises(ValueError, match="out of range"):
+            self.map.core_position(64)
+
 
 class TestBuildSystemMap:
     def test_factory_selects_layout(self):
