@@ -9,15 +9,17 @@ tracks that build path for the four scale-out fabrics — up to the
 eager per-destination table fill, or a per-group position scan creeping
 back into tree construction) shows up as a number, not an anecdote.
 
-No simulation runs here — chips are built and discarded.
+No simulation runs here: each chip is built and closed.  A build is timed
+the way the experiment engine builds a point's chip (:func:`frozen_chip`:
+automatic collection paused, graph frozen until close), so the table and
+the linear-scaling tripwire measure the construction a sweep pays.
 """
 
 from __future__ import annotations
 
-import gc
 import time
 
-from repro.chip.builder import build_chip
+from repro.experiments.engine import frozen_chip
 from repro.reporting.tables import ReportTable
 from repro.scenarios import build_system, workload
 
@@ -35,12 +37,9 @@ def _build_all(fabric: str, core_counts=CORE_COUNTS):
     base_workload = workload("MapReduce-W")
     for num_cores in core_counts:
         config = build_system(fabric, num_cores=num_cores).with_workload(base_workload)
-        # Collect the previous build's garbage untimed, so a collection it
-        # triggers is not charged to this (possibly 64-core) build.
-        gc.collect()
         start = time.perf_counter()
-        build_chip(config)
-        wall[num_cores] = time.perf_counter() - start
+        with frozen_chip(config):
+            wall[num_cores] = time.perf_counter() - start
     return wall
 
 
@@ -57,7 +56,7 @@ def test_chip_build_scaling(benchmark):
     )
     for fabric, wall in results.items():
         table.add_row(fabric, *[wall[n] for n in CORE_COUNTS])
-    emit("Chip construction time at 64-512 cores", table.render())
+    emit("Chip construction time at 64-2048 cores", table.render())
 
     largest = CORE_COUNTS[-1]
     for fabric, wall in results.items():

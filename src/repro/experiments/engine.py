@@ -46,12 +46,14 @@ Environment variables
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import os
 import tempfile
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -193,19 +195,54 @@ def execute_point(
     return _simulate(point, memo)
 
 
-def _simulate(point: ExperimentPoint, memo: Optional[WarmupMemo]) -> SimulationResults:
-    chip = Chip(point.config)
+@contextmanager
+def frozen_chip(config: SystemConfig) -> Iterator[Chip]:
+    """Build ``config``'s chip out of the cyclic collector's sight; close it on exit.
+
+    The young generations are collected first: whatever they hold would
+    otherwise be frozen with the chip and thawed into the oldest
+    generation, where no automatic pass reaches it during a serial sweep
+    (freezing resets the generation counts), so cyclic garbage left
+    between points (such as a JSON encoder's closures from the previous
+    store write) would pile up.  The chip is then built with automatic
+    collection paused, so the growing graph (about 276k tracked objects
+    for a 2048-core mesh) triggers no full pass that would walk it and
+    find nothing.  The built graph is frozen (:func:`gc.freeze`) and
+    collection resumes for the run's own garbage.  On exit
+    :meth:`Chip.close` frees the chip by reference counting,
+    :func:`gc.unfreeze` returns whatever is still frozen to the oldest
+    generation, and the collector is left enabled or disabled as it was
+    found, on every exit path.  ``gc.unfreeze`` is process-wide: a host
+    program's own :func:`gc.freeze` is thawed too.
+    """
+    gc.collect(1)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        chip = Chip(config)
+        gc.freeze()
+        if enabled:
+            gc.enable()
+        try:
+            yield chip
+        finally:
+            chip.close()
+    finally:
+        gc.unfreeze()
+        if enabled:
+            gc.enable()
+
+
+def _simulate(point: ExperimentPoint, memo: Optional[WarmupMemo]) -> SimulationResults:
+    # The chip stays frozen until closing has freed it by reference
+    # counting, so the collector neither walks it nor is left a cycle.
+    with frozen_chip(point.config) as chip:
         return chip.run_experiment(
             warmup_references=point.settings.warmup_references,
             detailed_warmup_cycles=point.settings.detailed_warmup_cycles,
             measure_cycles=point.settings.measure_cycles,
             memo=memo,
         )
-    finally:
-        # Closing frees the chip by reference counting, here, instead of
-        # leaving a chip-sized cycle for the garbage collector.
-        chip.close()
 
 
 def _execute_point_profiled(
@@ -379,9 +416,12 @@ class SweepExecutor:
     bit-identical to the pre-engine loops; higher counts dispatch uncached
     points to a process pool.  Per-point results are independent of the
     worker count because every simulation seeds its own
-    :class:`~repro.sim.kernel.Simulator`.  Each point closes its chip
+    :class:`~repro.sim.kernel.Simulator`.  Each point builds its chip with
+    automatic collection paused and keeps it frozen (:func:`frozen_chip`),
+    so the cyclic collector never walks a chip; it closes the chip
     (:meth:`Chip.close`) before its result is stored, so reference counting
     frees the chip at once and a serial sweep holds one chip at a time.
+    Pool workers run points the same way.
 
     ``warmup_memo`` lives exactly as long as the executor: on the serial
     path every point's :meth:`Chip.warmup` shares it, so a core stream that

@@ -3,19 +3,24 @@
 ``execute_point`` closes its chip once the results are collected, or when
 the run raises.  Closing breaks every reference cycle in the model, so
 reference counting frees the chip and a full collection afterwards finds
-no unreachable object.  Whether an object is freed by reference counting
-or only by the cyclic collector is a CPython detail, so CI also runs this
-file on newer interpreters.
+no unreachable object.  The engine also keeps its chip out of the
+collector's sight: it builds the chip with automatic collection paused and
+freezes it until close, then thaws the heap and leaves the collector as it
+found it.  Whether an object is freed by reference counting or only by the
+cyclic collector is a CPython detail, so CI also runs this file on newer
+interpreters.
 """
 
 from __future__ import annotations
 
 import gc
 import itertools
+import weakref
 from contextlib import contextmanager
 
 import pytest
 
+import repro.chip.chip as chip_module
 from repro.chip.chip import Chip
 from repro.config.noc import Topology
 from repro.experiments.engine import ExperimentPoint, execute_point
@@ -29,14 +34,22 @@ from tests._fixtures import TINY_SETTINGS, small_system, small_workload
 
 
 @contextmanager
-def collector_off():
-    """Run the body with the cyclic collector off, starting from a clean heap."""
-    gc.collect()
-    gc.disable()
+def collector_state(enabled: bool):
+    """Run the body with the collector on or off, restoring it afterwards."""
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
     try:
         yield
     finally:
-        gc.enable()
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@contextmanager
+def collector_off():
+    """Run the body with the cyclic collector off, starting from a clean heap."""
+    gc.collect()
+    with collector_state(False):
+        yield
 
 
 def cyclic_garbage_after(point: ExperimentPoint) -> int:
@@ -44,7 +57,39 @@ def cyclic_garbage_after(point: ExperimentPoint) -> int:
     with collector_off():
         result = execute_point(point, {})
         assert result.total_instructions > 0
+        # Frozen garbage is invisible to gc.collect(), which would then
+        # find 0 however much of the chip was left behind.
+        assert gc.get_freeze_count() == 0
         return gc.collect()
+
+
+def mesh_point(num_cores: int = 16) -> ExperimentPoint:
+    config = build_system("mesh", num_cores=num_cores, seed=3)
+    return ExperimentPoint(config.with_workload(small_workload()), TINY_SETTINGS)
+
+
+def fail_router_tick(monkeypatch) -> str:
+    """Make the 500th router tick of the next run raise; returns the message."""
+    ticks = itertools.count()
+    original = Router._tick
+
+    def failing_tick(self):
+        if next(ticks) == 500:
+            raise RuntimeError("injected router fault")
+        original(self)
+
+    monkeypatch.setattr(Router, "_tick", failing_tick)
+    return "injected router fault"
+
+
+def fail_network_build(monkeypatch) -> str:
+    """Make the next chip build raise; returns the message."""
+
+    def failing_build(*args, **kwargs):
+        raise RuntimeError("injected build fault")
+
+    monkeypatch.setattr(chip_module, "build_network", failing_build)
+    return "injected build fault"
 
 
 def fabric_config(name: str):
@@ -80,23 +125,65 @@ def test_tenanted_chip_frees_itself():
 
 
 def test_point_that_raises_frees_its_chip(monkeypatch):
-    ticks = itertools.count()
-    original = Router._tick
-
-    def failing_tick(self):
-        if next(ticks) == 500:
-            raise RuntimeError("injected router fault")
-        original(self)
-
-    monkeypatch.setattr(Router, "_tick", failing_tick)
-    point = ExperimentPoint(
-        build_system("mesh", num_cores=16, seed=3).with_workload(small_workload()),
-        TINY_SETTINGS,
-    )
+    message = fail_router_tick(monkeypatch)
     with collector_off():
-        with pytest.raises(RuntimeError, match="injected router fault"):
-            execute_point(point, {})
+        with pytest.raises(RuntimeError, match=message):
+            execute_point(mesh_point(), {})
+        assert gc.get_freeze_count() == 0
         assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("inject", [None, fail_router_tick, fail_network_build])
+def test_execute_point_leaves_the_collector_as_it_found_it(monkeypatch, inject, enabled):
+    with collector_state(enabled):
+        if inject is None:
+            execute_point(mesh_point(), {})
+        else:
+            with pytest.raises(RuntimeError, match=inject(monkeypatch)):
+                execute_point(mesh_point(), {})
+        assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == 0
+
+
+class _Cycle:
+    def __init__(self) -> None:
+        self.me = self
+
+
+def test_garbage_left_before_a_point_is_not_frozen_with_its_chip():
+    # Frozen with the chip and thawed into the oldest generation, this
+    # cycle would outlive the point: no automatic full pass runs in one.
+    ref = weakref.ref(_Cycle())
+    with collector_state(True):
+        execute_point(mesh_point(), {})
+    assert ref() is None
+
+
+def test_engine_builds_its_chip_without_collecting(monkeypatch):
+    building = []
+    collections = []
+    original = Chip.__init__
+
+    def probed_init(self, *args, **kwargs):
+        building.append(True)
+        try:
+            original(self, *args, **kwargs)
+        finally:
+            building.pop()
+
+    def probe(phase, info):
+        if phase == "start" and building:
+            collections.append(info["generation"])
+
+    monkeypatch.setattr(Chip, "__init__", probed_init)
+    gc.callbacks.append(probe)
+    try:
+        with collector_state(True):
+            execute_point(mesh_point(256), {})
+    finally:
+        gc.callbacks.remove(probe)
+    assert collections == []
 
 
 def test_closed_chip_keeps_component_names():
