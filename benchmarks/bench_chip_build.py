@@ -13,15 +13,20 @@ No simulation runs here: each chip is built and closed.  A build is timed
 the way the experiment engine builds a point's chip (:func:`frozen_chip`:
 automatic collection paused, graph frozen until close), so the table and
 the linear-scaling tripwire measure the construction a sweep pays.
+
+A second, untimed pass builds each fabric's 2048-core network alone under
+``tracemalloc`` and prints the memory it holds per router; it only prints.
 """
 
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 from repro.experiments.engine import frozen_chip
 from repro.reporting.tables import ReportTable
-from repro.scenarios import build_system, workload
+from repro.scenarios import build_system, fabric_for, workload
+from repro.sim.kernel import Simulator
 
 from bench_common import emit
 
@@ -68,3 +73,32 @@ def test_chip_build_scaling(benchmark):
         assert ratio < 2 * (largest // 64), (
             f"{fabric}: {largest}-core build is {ratio:.0f}x the 64-core build"
         )
+
+
+def _traced_network(fabric: str, num_cores: int):
+    """``(routers, traced bytes)`` of one network built under tracemalloc."""
+    config = build_system(fabric, num_cores=num_cores).with_workload(workload("MapReduce-W"))
+    row = fabric_for(config)
+    system_map = row.build_system_map(config)
+    sim = Simulator()
+    tracemalloc.start()
+    try:
+        network = row.build_network(sim, config, system_map)
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    routers = len(network.routers)
+    sim.close()
+    return routers, traced
+
+
+def test_network_memory_per_router():
+    largest = CORE_COUNTS[-1]
+    table = ReportTable(
+        ["Fabric", "Routers", "Traced (MiB)", "Per router (KiB)"],
+        title=f"Network memory at {largest} cores (tracemalloc, untimed)",
+    )
+    for fabric in FABRICS:
+        routers, traced = _traced_network(fabric, largest)
+        table.add_row(fabric, routers, traced / 2**20, traced / routers / 2**10)
+    emit(f"Network memory per router at {largest} cores", table.render())

@@ -10,8 +10,8 @@ traffic over local traffic and responses over requests (Section 4.1).
 
 from __future__ import annotations
 
-from functools import partial
-from typing import FrozenSet, Iterable, List, Sequence
+from functools import lru_cache, partial
+from typing import Dict, FrozenSet, Iterable, List, Sequence
 
 from repro.config.system import SystemConfig
 from repro.core.floorplan import express_span
@@ -19,7 +19,7 @@ from repro.sim.kernel import Simulator
 from repro.noc.arbiter import RoundRobinArbiter, StaticPriorityArbiter
 from repro.noc.buffer import InputPort
 from repro.noc.interface import NetworkInterface
-from repro.noc.message import MessageClass
+from repro.noc.message import MESSAGE_CLASSES, MessageClass
 from repro.noc.router import Router
 
 #: Virtual-channel assignment for the two-VC tree ports: requests and snoops
@@ -32,6 +32,12 @@ TREE_VC_MAP = {
 }
 
 
+@lru_cache(maxsize=None)
+def tree_vc_map(num_vcs: int) -> Dict[MessageClass, int]:
+    """:data:`TREE_VC_MAP` folded onto ``num_vcs`` VCs; one shared map per count."""
+    return {cls: min(TREE_VC_MAP[cls], num_vcs - 1) for cls in MESSAGE_CLASSES}
+
+
 def tree_input_port(config: SystemConfig, label: str) -> InputPort:
     """A two-VC input port as used by reduction and dispersion tree nodes."""
     noc = config.noc
@@ -39,7 +45,7 @@ def tree_input_port(config: SystemConfig, label: str) -> InputPort:
         num_vcs=noc.tree_vcs_per_port,
         vc_depth_flits=noc.tree_vc_depth_flits,
         name=label,
-        vc_map={cls: min(TREE_VC_MAP[cls], noc.tree_vcs_per_port - 1) for cls in MessageClass},
+        vc_map=tree_vc_map(noc.tree_vcs_per_port),
     )
 
 

@@ -368,8 +368,9 @@ class ResultCache:
         fd, tmp_name = tempfile.mkstemp(dir=self.results_dir, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(
-                    result.to_dict(), handle, sort_keys=True, separators=(",", ":")
+                # dumps, not dump: only one-shot encoding takes the C encoder.
+                handle.write(
+                    json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":"))
                 )
             os.replace(tmp_name, path)
         except BaseException:

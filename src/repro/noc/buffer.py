@@ -11,17 +11,28 @@ round-trip credit time".
 
 from __future__ import annotations
 
-from collections import deque
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional
 
-from repro.noc.message import MessageClass, Packet
+from repro.noc.message import MESSAGE_CLASSES, MessageClass, Packet
 
 
 class VirtualChannelBuffer:
-    """One virtual channel: a FIFO of packets with flit-granular capacity."""
+    """One virtual channel: a FIFO of packets with flit-granular capacity.
+
+    A 2048-core mesh builds about 30,000 of these and most never hold a
+    packet, so a VC is kept small.  Its queue is a plain list: admission
+    by reservation keeps a router VC at or below its capacity in packets
+    (a handful), and an ejection VC is popped as soon as it is pushed, so
+    removing the head stays cheap.  Its credit-listener dict exists only
+    while a listener waits.  It formats no name: :attr:`name`
+    (``<port>.vc<i>``) is built from the owning port's name and the VC's
+    index when an error message needs it.
+    """
 
     __slots__ = (
-        "name",
+        "port_name",
+        "index",
         "capacity_flits",
         "_reserved_flits",
         "_occupied_flits",
@@ -30,24 +41,30 @@ class VirtualChannelBuffer:
         "head_route",
     )
 
-    def __init__(self, capacity_flits: int, name: str = "vc") -> None:
+    def __init__(self, capacity_flits: int, port_name: str = "port", index: int = 0) -> None:
         if capacity_flits < 1:
             raise ValueError("capacity_flits must be >= 1")
-        self.name = name
+        self.port_name = port_name
+        self.index = index
         self.capacity_flits = capacity_flits
         self._reserved_flits = 0
         self._occupied_flits = 0
-        self._queue: deque = deque()
-        #: One-shot credit listeners: callables invoked (and cleared) when a
-        #: reservation is released, i.e. when space can actually free up.
-        #: A dict (insertion-ordered) rather than a list: registration is
-        #: O(1) with duplicates deduplicated by key, and notification walks
-        #: the keys in registration order.
-        self._space_waiters: Dict[Callable[[], None], None] = {}
+        self._queue: List[Packet] = []
+        #: One-shot credit listeners, or ``None`` while nobody waits: a dict
+        #: created by the first :meth:`wait_for_space` and dropped by the
+        #: :meth:`pop` that notifies it.  A dict (insertion-ordered) rather
+        #: than a list: registration is O(1) with duplicates deduplicated by
+        #: key, and notification walks the keys in registration order.
+        self._space_waiters: Optional[Dict[Callable[[], None], None]] = None
         #: Routing decision cached for the current head packet, managed by
         #: the owning router: ``(packet, out_index, out_port,
         #: downstream_vc_index, downstream_vc)`` — see ``Router._head_route``.
         self.head_route: Optional[tuple] = None
+
+    @property
+    def name(self) -> str:
+        """``<port>.vc<i>``, formatted on demand (error messages only)."""
+        return f"{self.port_name}.vc{self.index}"
 
     # ------------------------------------------------------------------ #
     def can_reserve(self, flits: int) -> bool:
@@ -83,21 +100,22 @@ class VirtualChannelBuffer:
 
         Releasing a reservation is the only way this VC can gain space, so
         ``pop`` is the single credit-return point: every waiter registered
-        via :meth:`wait_for_space` is woken exactly here (and the waiter
-        list cleared), which lets a blocked upstream component sleep instead
+        via :meth:`wait_for_space` is woken exactly here (and the listener
+        dict dropped), which lets a blocked upstream component sleep instead
         of polling for credit every cycle.
         """
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             raise RuntimeError(f"{self.name}: pop from empty VC")
-        packet = self._queue.popleft()
+        packet = queue.pop(0)
         self._occupied_flits -= packet.num_flits
         self._reserved_flits -= packet.num_flits
         if self._reserved_flits < 0 or self._occupied_flits < 0:
             raise RuntimeError(f"{self.name}: negative occupancy (flow-control bug)")
         self.head_route = None
         waiters = self._space_waiters
-        if waiters:
-            self._space_waiters = {}
+        if waiters is not None:
+            self._space_waiters = None
             for waiter in waiters:
                 waiter()
         return packet
@@ -110,9 +128,14 @@ class VirtualChannelBuffer:
         this VC full register their (bound, reused) wake callback instead of
         re-polling; registering an already-registered waiter is a no-op, so
         a component blocked over many cycles costs no queue growth and no
-        kernel events at all.
+        kernel events at all.  The listener dict is created here, on the
+        first registration since the last notifying ``pop``.
         """
-        self._space_waiters[waiter] = None
+        waiters = self._space_waiters
+        if waiters is None:
+            self._space_waiters = {waiter: None}
+        else:
+            waiters[waiter] = None
 
     # ------------------------------------------------------------------ #
     @property
@@ -133,13 +156,25 @@ class VirtualChannelBuffer:
         )
 
 
+@lru_cache(maxsize=None)
+def default_vc_map(num_vcs: int) -> Dict[MessageClass, int]:
+    """Message class ``i`` on VC ``min(i, num_vcs - 1)``; shared, never mutated."""
+    return {cls: min(int(cls), num_vcs - 1) for cls in MESSAGE_CLASSES}
+
+
 class InputPort:
     """A router input port: one VC per message class (possibly shared).
 
     ``vc_map`` maps a :class:`MessageClass` to a VC index; ports with fewer
     VCs than message classes (e.g. the two-VC tree ports of NOC-Out) share
-    a VC between classes that can never conflict on that port.
+    a VC between classes that can never conflict on that port.  The map is
+    held by reference, never copied or mutated: ports without one share
+    :func:`default_vc_map`'s (in range by construction), and an explicit
+    map is validated here, so callers building many ports can share one
+    (``tree_input_port``).
     """
+
+    __slots__ = ("name", "num_vcs", "vc_depth_flits", "vcs", "_vc_map")
 
     def __init__(
         self,
@@ -154,14 +189,15 @@ class InputPort:
         self.num_vcs = num_vcs
         self.vc_depth_flits = vc_depth_flits
         self.vcs: List[VirtualChannelBuffer] = [
-            VirtualChannelBuffer(vc_depth_flits, name=f"{name}.vc{i}") for i in range(num_vcs)
+            VirtualChannelBuffer(vc_depth_flits, name, i) for i in range(num_vcs)
         ]
         if vc_map is None:
-            vc_map = {cls: min(int(cls), num_vcs - 1) for cls in MessageClass}
-        self._vc_map = dict(vc_map)
-        for cls, idx in self._vc_map.items():
-            if not 0 <= idx < num_vcs:
-                raise ValueError(f"vc_map[{cls}] = {idx} out of range")
+            vc_map = default_vc_map(num_vcs)
+        else:
+            for cls, idx in vc_map.items():
+                if not 0 <= idx < num_vcs:
+                    raise ValueError(f"vc_map[{cls}] = {idx} out of range")
+        self._vc_map = vc_map
 
     def vc_index_for(self, msg_class: MessageClass) -> int:
         """Virtual channel index assigned to ``msg_class``."""
@@ -179,6 +215,6 @@ class InputPort:
         return f"InputPort({self.name}, vcs={self.num_vcs})"
 
 
-def unbounded_input_port(num_vcs: int = len(MessageClass), name: str = "eject") -> InputPort:
+def unbounded_input_port(num_vcs: int = len(MESSAGE_CLASSES), name: str = "eject") -> InputPort:
     """An ejection-side port that never back-pressures the network."""
     return InputPort(num_vcs=num_vcs, vc_depth_flits=10**9, name=name)

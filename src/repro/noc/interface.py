@@ -8,7 +8,7 @@ from typing import Callable, Dict, Optional
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
 from repro.noc.buffer import InputPort, unbounded_input_port
-from repro.noc.message import Message, MessageClass, Packet
+from repro.noc.message import MESSAGE_CLASSES, Message, MessageClass, Packet
 from repro.noc.router import PacketSink, Router
 
 
@@ -36,7 +36,8 @@ class NetworkInterface(Component, PacketSink):
         self.link_width_bits = link_width_bits
         self.injection_latency = injection_latency
         self._on_delivery = on_delivery
-        self._inject_queues: Dict[MessageClass, deque] = {cls: deque() for cls in MessageClass}
+        # Deques: past saturation an injection queue grows without bound.
+        self._inject_queues: Dict[MessageClass, deque] = {cls: deque() for cls in MESSAGE_CLASSES}
         self.input_ports = [unbounded_input_port(name=f"{name}.eject")]
         self._router: Optional[Router] = None
         self._router_port: Optional[int] = None

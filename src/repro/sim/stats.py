@@ -155,32 +155,38 @@ class StatGroup:
     Every name within one group identifies exactly one statistic: asking
     for a counter under a name already taken by a histogram or a child
     group (or vice versa) raises :class:`StatError` instead of letting
-    :meth:`to_dict` silently overwrite one with the other.
+    :meth:`to_dict` silently overwrite one with the other.  One table holds
+    all three kinds, so a name is checked with one lookup; the views and
+    :meth:`to_dict` list counters, then histograms, then child groups,
+    each in creation order.
     """
+
+    __slots__ = ("name", "_stats")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._counters: Dict[str, Counter] = {}
-        self._histograms: Dict[str, Histogram] = {}
-        self._children: Dict[str, "StatGroup"] = {}
+        self._stats: Dict[str, Union[Counter, Histogram, "StatGroup"]] = {}
 
     # ------------------------------------------------------------------ #
-    def _claim(self, name: str) -> None:
-        """Raise unless ``name`` is free in this group."""
-        for kind, table in (
-            ("counter", self._counters),
-            ("histogram", self._histograms),
-            ("group", self._children),
-        ):
-            if name in table:
-                raise StatError(f"{self.name}: {name!r} is already a {kind}")
+    def _claim(self, name: str, stat):
+        """Add ``stat`` under ``name``, raising if ``name`` is taken."""
+        taken = self._stats.setdefault(name, stat)
+        if taken is not stat:
+            raise StatError(f"{self.name}: {name!r} is already a {_KIND[type(taken)]}")
+        return stat
+
+    def _existing(self, name: str, kind: type):
+        """The ``kind`` statistic called ``name``, or ``None`` if ``name`` is free."""
+        stat = self._stats.get(name)
+        if stat is not None and type(stat) is not kind:
+            raise StatError(f"{self.name}: {name!r} is already a {_KIND[type(stat)]}")
+        return stat
 
     def counter(self, name: str) -> Counter:
         """Get or create a counter."""
-        counter = self._counters.get(name)
+        counter = self._existing(name, Counter)
         if counter is None:
-            self._claim(name)
-            counter = self._counters[name] = Counter(name)
+            counter = self._stats[name] = Counter(name)
         return counter
 
     def histogram(
@@ -190,48 +196,42 @@ class StatGroup:
         reservoir: Optional[int] = None,
     ) -> Histogram:
         """Get or create a histogram."""
-        histogram = self._histograms.get(name)
+        histogram = self._existing(name, Histogram)
         if histogram is None:
-            self._claim(name)
-            histogram = Histogram(name, keep_samples, reservoir)
-            self._histograms[name] = histogram
+            histogram = self._stats[name] = Histogram(name, keep_samples, reservoir)
         return histogram
 
     def group(self, name: str) -> "StatGroup":
         """Get or create a nested group."""
-        child = self._children.get(name)
+        child = self._existing(name, StatGroup)
         if child is None:
-            self._claim(name)
-            child = self._children[name] = StatGroup(name)
+            child = self._stats[name] = StatGroup(name)
         return child
 
     def new_group(self, name: str) -> "StatGroup":
         """Create a nested group, raising if ``name`` is already taken."""
-        self._claim(name)
-        child = self._children[name] = StatGroup(name)
-        return child
+        return self._claim(name, StatGroup(name))
 
     # ------------------------------------------------------------------ #
+    def _of_kind(self, kind: type) -> Dict[str, object]:
+        return {name: stat for name, stat in self._stats.items() if type(stat) is kind}
+
     @property
     def counters(self) -> Dict[str, Counter]:
-        return dict(self._counters)
+        return self._of_kind(Counter)
 
     @property
     def histograms(self) -> Dict[str, Histogram]:
-        return dict(self._histograms)
+        return self._of_kind(Histogram)
 
     @property
     def children(self) -> Dict[str, "StatGroup"]:
-        return dict(self._children)
+        return self._of_kind(StatGroup)
 
     def reset(self) -> None:
         """Reset every statistic in this group and its descendants."""
-        for counter in self._counters.values():
-            counter.reset()
-        for histogram in self._histograms.values():
-            histogram.reset()
-        for child in self._children.values():
-            child.reset()
+        for stat in self._stats.values():
+            stat.reset()
 
     def to_dict(self) -> dict:
         """Flatten the group into nested plain dictionaries.
@@ -241,9 +241,9 @@ class StatGroup:
         consumers that expect numbers.
         """
         result: dict = {}
-        for name, counter in self._counters.items():
+        for name, counter in self._of_kind(Counter).items():
             result[name] = counter.value
-        for name, histogram in self._histograms.items():
+        for name, histogram in self._of_kind(Histogram).items():
             empty = histogram.count == 0
             result[name] = {
                 "count": histogram.count,
@@ -251,22 +251,26 @@ class StatGroup:
                 "min": 0.0 if empty else histogram.min,
                 "max": 0.0 if empty else histogram.max,
             }
-        for name, child in self._children.items():
+        for name, child in self._of_kind(StatGroup).items():
             result[name] = child.to_dict()
         return result
 
     def flat_items(self, prefix: str = "") -> Iterable:
         """Yield ``(dotted_name, value)`` for every counter/histogram mean."""
-        for name, counter in self._counters.items():
+        for name, counter in self._of_kind(Counter).items():
             yield f"{prefix}{name}", counter.value
-        for name, histogram in self._histograms.items():
+        for name, histogram in self._of_kind(Histogram).items():
             yield f"{prefix}{name}.mean", histogram.mean
             yield f"{prefix}{name}.count", histogram.count
-        for name, child in self._children.items():
+        for name, child in self._of_kind(StatGroup).items():
             yield from child.flat_items(prefix=f"{prefix}{name}.")
 
     def __repr__(self) -> str:
         return (
-            f"StatGroup({self.name}, counters={len(self._counters)}, "
-            f"histograms={len(self._histograms)}, children={len(self._children)})"
+            f"StatGroup({self.name}, counters={len(self.counters)}, "
+            f"histograms={len(self.histograms)}, children={len(self.children)})"
         )
+
+
+#: What a :class:`StatError` calls each kind of statistic.
+_KIND = {Counter: "counter", Histogram: "histogram", StatGroup: "group"}

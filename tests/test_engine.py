@@ -160,6 +160,14 @@ class TestResultCache:
         assert executor.last_stats.cache_hits == 1
         assert executor.last_stats.simulations_run == 0
 
+    def test_stored_file_is_compact_sorted_json_of_the_result(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        point = tiny_point()
+        (result,) = SweepExecutor(jobs=1, cache=cache).run([point])
+        expected = json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":"))
+        assert cache.path(point).read_bytes() == expected.encode("ascii")
+        assert cache.store(point, result).read_bytes() == expected.encode("ascii")
+
     def test_cache_invalidated_by_settings_change(self, tmp_path):
         cache = ResultCache(tmp_path)
         executor = SweepExecutor(jobs=1, cache=cache)

@@ -162,3 +162,34 @@ class TestStatGroup:
         group.counter("n")
         with pytest.raises(StatError, match="'n' is already a counter"):
             group.new_group("n")
+
+    def test_group_has_no_instance_dict(self):
+        group = StatGroup("g")
+        assert not hasattr(group, "__dict__")
+        with pytest.raises(AttributeError):
+            group.extra = 1
+
+    def test_refused_name_leaves_the_group_unchanged(self):
+        group = StatGroup("g")
+        counter = group.counter("x")
+        with pytest.raises(StatError):
+            group.new_group("x")
+        with pytest.raises(StatError):
+            group.histogram("x")
+        assert group.counter("x") is counter
+        assert group.to_dict() == {"x": 0}
+
+    def test_views_and_to_dict_list_counters_then_histograms_then_groups(self):
+        group = StatGroup("g")
+        group.group("child").counter("c")
+        group.histogram("h2")
+        group.counter("b")
+        group.histogram("h1")
+        group.counter("a")
+        assert list(group.counters) == ["b", "a"]
+        assert list(group.histograms) == ["h2", "h1"]
+        assert list(group.children) == ["child"]
+        assert list(group.to_dict()) == ["b", "a", "h2", "h1", "child"]
+        assert [name for name, _ in group.flat_items()] == [
+            "b", "a", "h2.mean", "h2.count", "h1.mean", "h1.count", "child.c",
+        ]
