@@ -1,14 +1,131 @@
-"""Unit tests for the NoC area and energy models (Figures 8, 9 and §6.4)."""
+"""Unit tests for the NoC area and energy models (Figures 8, 9 and §6.4).
+
+``tests/data/power_values.json`` pins every area and power number exactly
+(``float.hex``); regenerate it with
+``PYTHONPATH=src python -m tests.test_power_models``.
+"""
+
+import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.config import presets
 from repro.config.noc import Topology
+from repro.experiments.ablations import SCALING_VARIANTS
+from repro.experiments.fig9_area_normalized import area_budget_link_widths
+from repro.fabrics import FABRICS
 from repro.power.area_model import NocAreaModel, link_width_for_area_budget
 from repro.power.cacti import CacheAreaModel
 from repro.power.energy_model import NocEnergyModel
 from repro.power.orion import BufferAreaModel, CrossbarAreaModel
 from repro.power.wire import WireModel
+from repro.scenarios import build_system
+
+PINNED = Path(__file__).parent / "data" / "power_values.json"
+
+#: Fixed switching-activity windows for the pinned power numbers: the
+#: unit tests' window, a 27-bit one, a fractional one and an empty one
+#: (every counter falls back to its default).
+ACTIVITY_WINDOWS = {
+    "base_128b": (
+        {
+            "flits_injected": 1000.0,
+            "flits_switched": 5000.0,
+            "buffer_flit_writes": 5000.0,
+            "crossbar_flit_ports": 25000.0,
+            "link_flit_mm": 10000.0,
+            "flit_width_bits": 128.0,
+        },
+        1000,
+    ),
+    "narrow_27b": (
+        {
+            "flits_switched": 81234.0,
+            "buffer_flit_writes": 79001.0,
+            "crossbar_flit_ports": 512345.0,
+            "link_flit_mm": 123456.789,
+            "flit_width_bits": 27.0,
+        },
+        40000,
+    ),
+    "fractional_109b": (
+        {
+            "flits_switched": 3.0,
+            "buffer_flit_writes": 7.0,
+            "crossbar_flit_ports": 0.1,
+            "link_flit_mm": 0.3,
+            "flit_width_bits": 109.0,
+        },
+        7,
+    ),
+    "empty": ({}, 1),
+}
+
+
+def _area(config):
+    return NocAreaModel().breakdown(config)
+
+
+def _power(activity, cycles):
+    return NocEnergyModel().report(activity, cycles)
+
+
+def _nocout_128(concentration, express):
+    config = build_system("noc_out", num_cores=128)
+    return config.with_noc(
+        replace(config.noc, tree_concentration=concentration, tree_express_links=express)
+    )
+
+
+def _area_configs():
+    configs = {
+        f"{name}_{cores}": build_system(name, num_cores=cores)
+        for name in FABRICS
+        for cores in (64, 256, 1024)
+    }
+    for concentration, express in SCALING_VARIANTS.values():
+        label = f"noc_out_128_c{concentration}{'_express' if express else ''}"
+        configs[label] = _nocout_128(concentration, express)
+    return configs
+
+
+def pinned_values() -> dict:
+    """Every pinned number, each as ``float.hex`` (widths as ints)."""
+    area = {}
+    for label, config in _area_configs().items():
+        breakdown = _area(config)
+        area[label] = {
+            "links_mm2": breakdown.links_mm2.hex(),
+            "buffers_mm2": breakdown.buffers_mm2.hex(),
+            "crossbars_mm2": breakdown.crossbars_mm2.hex(),
+            "total_mm2": breakdown.total_mm2.hex(),
+        }
+    budget, widths = area_budget_link_widths(num_cores=64)
+    power = {}
+    for label, (activity, cycles) in ACTIVITY_WINDOWS.items():
+        report = _power(activity, cycles)
+        power[label] = {
+            "link_energy_j": report.link_energy_j.hex(),
+            "buffer_energy_j": report.buffer_energy_j.hex(),
+            "crossbar_energy_j": report.crossbar_energy_j.hex(),
+            "arbiter_energy_j": report.arbiter_energy_j.hex(),
+            "total_energy_j": report.total_energy_j.hex(),
+            "total_power_w": report.total_power_w.hex(),
+        }
+    return {
+        "area": area,
+        "fig9_64": {
+            "budget_mm2": budget.hex(),
+            "link_widths": {topology.value: width for topology, width in widths.items()},
+        },
+        "power": power,
+    }
+
+
+def test_values_match_the_pinned_file():
+    assert pinned_values() == json.loads(PINNED.read_text())
 
 
 class TestWireModel:
@@ -143,3 +260,8 @@ class TestNocEnergyModel:
         data = report.as_dict()
         assert data["total_power_w"] == pytest.approx(report.total_power_w)
         assert data["link_power_w"] <= data["total_power_w"]
+
+
+if __name__ == "__main__":
+    PINNED.write_text(json.dumps(pinned_values(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {PINNED}")
