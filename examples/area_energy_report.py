@@ -4,7 +4,7 @@
 Regenerates Figure 8 (area breakdown) from the static topology descriptors
 and Section 6.4 (NoC power) from the switching activity of a short Data
 Serving run on each organization.  The power sweep is one ``SweepSpec``
-over the topology axis; the energy model reads each record's full
+over the topology axis; ``noc_power`` reads each record's full
 ``SimulationResults`` (``record.result.network_activity``).
 
 Run with::
@@ -12,7 +12,7 @@ Run with::
     python examples/area_energy_report.py
 """
 
-from repro import NocAreaModel, NocEnergyModel, SweepSpec, run_sweep
+from repro import SweepSpec, noc_area, noc_power, run_sweep
 from repro.reporting.tables import ReportTable
 from repro.experiments import RunSettings
 from repro.scenarios import build_system
@@ -21,13 +21,12 @@ TOPOLOGY_NAMES = ("mesh", "flattened_butterfly", "noc_out")
 
 
 def area_report() -> ReportTable:
-    model = NocAreaModel()
     table = ReportTable(
         ["Organization", "Links", "Buffers", "Crossbars", "Total (mm2)"],
         title="Figure 8: NoC area breakdown",
     )
     for name in TOPOLOGY_NAMES:
-        breakdown = model.breakdown(build_system(name))
+        breakdown = noc_area(build_system(name))
         table.add_row(
             name,
             breakdown.links_mm2,
@@ -39,7 +38,6 @@ def area_report() -> ReportTable:
 
 
 def power_report() -> ReportTable:
-    energy_model = NocEnergyModel()
     table = ReportTable(
         ["Organization", "NoC power (W)", "Link share"],
         title="Section 6.4: NoC power on Data Serving",
@@ -55,7 +53,7 @@ def power_report() -> ReportTable:
     results = run_sweep(spec)
     for name in TOPOLOGY_NAMES:
         record = results.filter(topology=name)[0]
-        report = energy_model.report(record.result.network_activity, record.result.cycles)
+        report = noc_power(record.result.network_activity, record.result.cycles)
         link_share = report.link_energy_j / report.total_energy_j if report.total_energy_j else 0.0
         table.add_row(name, report.total_power_w, f"{100 * link_share:.0f}%")
     return table

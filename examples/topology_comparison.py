@@ -18,7 +18,7 @@ Run with::
 
 import sys
 
-from repro import NocAreaModel, SweepSpec, run_sweep
+from repro import SweepSpec, noc_area, run_sweep
 from repro.reporting.tables import ReportTable
 from repro.experiments import RunSettings
 from repro.scenarios import build_system, workload
@@ -31,7 +31,6 @@ SETTINGS = RunSettings(
 
 def main() -> None:
     workload_name = sys.argv[1] if len(sys.argv) > 1 else "Data Serving"
-    area_model = NocAreaModel()
     spec = SweepSpec(
         axes={"topology": TOPOLOGY_NAMES},
         settings=SETTINGS,
@@ -52,7 +51,7 @@ def main() -> None:
             record.metric("throughput_ipc"),
             record.metric("throughput_ipc") / mesh_ipc if mesh_ipc else 0.0,
             record.metric("network_mean_latency"),
-            area_model.total_area_mm2(config),
+            noc_area(config).total_mm2,
         )
     print(table.render())
     print()

@@ -34,7 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.experiments.engine import ResultCache, SweepExecutor  # noqa: E402
 from repro.experiments.scale_out import run_scale_out  # noqa: E402
 from repro.fabrics import chiplet_system, describe_chiplet  # noqa: E402
-from repro.power.area_model import NocAreaModel  # noqa: E402
+from repro.power import noc_area  # noqa: E402
 
 NUM_CORES = 1024
 
@@ -90,7 +90,7 @@ def main() -> int:
             descriptor.num_routers > NUM_CORES,
             "chiplet descriptor is missing its interposer routers",
         )
-        breakdown = NocAreaModel().breakdown(config)
+        breakdown = noc_area(config)
         for component in ("links_mm2", "buffers_mm2", "crossbars_mm2"):
             check(
                 breakdown.as_dict()[component] > 0,

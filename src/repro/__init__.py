@@ -29,8 +29,7 @@ from repro.config.system import SystemConfig
 from repro.config.workload import WorkloadConfig
 from repro.chip.builder import build_chip
 from repro.chip.chip import Chip, SimulationResults
-from repro.power.area_model import NocAreaModel
-from repro.power.energy_model import NocEnergyModel
+from repro.power import noc_area, noc_power
 from repro.scenarios import (
     ResultRecord,
     ResultSet,
@@ -49,8 +48,8 @@ __all__ = [
     "build_chip",
     "Chip",
     "SimulationResults",
-    "NocAreaModel",
-    "NocEnergyModel",
+    "noc_area",
+    "noc_power",
     "ResultRecord",
     "ResultSet",
     "SweepSpec",

@@ -12,10 +12,10 @@ the configs are built straight from the fabric table.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.config.noc import Topology
-from repro.power.area_model import AreaBreakdown, NocAreaModel
+from repro.power import AreaBreakdown, noc_area
 from repro.reporting import baselines
 from repro.reporting.compare import FigureReport, compare
 from repro.reporting.tables import ReportTable
@@ -29,32 +29,25 @@ TOPOLOGIES = (Topology.MESH, Topology.FLATTENED_BUTTERFLY, Topology.NOC_OUT)
 
 
 def run_figure8(
-    num_cores: int = 64,
-    link_width_bits: int = 128,
-    area_model: Optional[NocAreaModel] = None,
+    num_cores: int = 64, link_width_bits: int = 128
 ) -> Dict[str, AreaBreakdown]:
     """Area breakdown for the three evaluated NoC organizations."""
-    model = area_model or NocAreaModel()
     breakdowns: Dict[str, AreaBreakdown] = {}
     for topology in TOPOLOGIES:
         config = build_system(
             topology.value, num_cores=num_cores, link_width_bits=link_width_bits
         )
-        breakdowns[topology.value] = model.breakdown(config)
+        breakdowns[topology.value] = noc_area(config)
     return breakdowns
 
 
-def figure8_report(
-    num_cores: int = 64,
-    link_width_bits: int = 128,
-    area_model: Optional[NocAreaModel] = None,
-) -> FigureReport:
+def figure8_report(num_cores: int = 64, link_width_bits: int = 128) -> FigureReport:
     """Paper-vs-measured report for Figure 8 (total NoC area per fabric).
 
     Purely analytic — the area model reads static topology descriptors, so
     this report never simulates and needs no cache.
     """
-    breakdowns = run_figure8(num_cores, link_width_bits, area_model)
+    breakdowns = run_figure8(num_cores, link_width_bits)
     measured = {name: breakdown.total_mm2 for name, breakdown in breakdowns.items()}
     return FigureReport(
         comparison=compare(baselines.FIG8, measured),

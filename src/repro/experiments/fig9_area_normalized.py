@@ -21,7 +21,7 @@ from repro.config import presets
 from repro.config.noc import Topology
 from repro.experiments.harness import RunSettings
 from repro.experiments.fig7_performance import normalise_to_mesh
-from repro.power.area_model import NocAreaModel, link_width_for_area_budget
+from repro.power import link_width_for_area_budget, noc_area
 from repro.reporting import baselines
 from repro.reporting.compare import FigureReport, compare
 from repro.reporting.tables import ReportTable
@@ -34,17 +34,17 @@ PAPER_REFERENCE = dict(baselines.FIG9.values)
 TOPOLOGIES = (Topology.MESH, Topology.FLATTENED_BUTTERFLY, Topology.NOC_OUT)
 
 
-def area_budget_link_widths(
-    num_cores: int = 64, area_model: Optional[NocAreaModel] = None
-) -> Tuple[float, Dict[Topology, int]]:
-    """NOC-Out's area budget and the link widths that fit the other NoCs in it."""
-    model = area_model or NocAreaModel()
-    nocout_config = presets.nocout_system(num_cores=num_cores)
-    budget = model.total_area_mm2(nocout_config)
+def area_budget_link_widths(num_cores: int = 64) -> Tuple[float, Dict[Topology, int]]:
+    """NOC-Out's area budget and the link widths that fit the other NoCs in it.
+
+    Raises :class:`ValueError` when even the narrowest links leave a
+    fabric over the budget.
+    """
+    budget = noc_area(presets.nocout_system(num_cores=num_cores)).total_mm2
     widths = {Topology.NOC_OUT: 128}
     for topology in (Topology.MESH, Topology.FLATTENED_BUTTERFLY):
         config = presets.baseline_system(topology, num_cores=num_cores)
-        widths[topology] = link_width_for_area_budget(config, budget, area_model=model)
+        widths[topology] = link_width_for_area_budget(config, budget)
     return budget, widths
 
 

@@ -6,9 +6,9 @@ in the links, and that NOC-Out is the most efficient (~1.3 W) thanks to the
 shorter average core-to-LLC distance, followed by the flattened butterfly
 (~1.6 W) and the mesh (~1.8 W).
 
-The sweep is the same workload x topology spec as Figure 7; the energy
-model reads each record's ``network_activity`` switching counters off its
-:class:`SimulationResults`.
+The sweep is the same workload x topology spec as Figure 7;
+:func:`repro.power.noc_power` reads each record's ``network_activity``
+switching counters off its :class:`SimulationResults`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Dict
 
 from repro.config import presets
 from repro.config.noc import Topology
-from repro.power.energy_model import NocEnergyModel, NocPowerReport
+from repro.power import NocPowerReport, noc_power
 from repro.reporting import baselines
 from repro.reporting.compare import FigureReport, compare
 from repro.reporting.tables import ReportTable
@@ -32,12 +32,11 @@ TOPOLOGIES = (Topology.MESH, Topology.FLATTENED_BUTTERFLY, Topology.NOC_OUT)
 
 def power_reports(results: ResultSet) -> Dict[str, Dict[str, NocPowerReport]]:
     """NoC power per (workload, topology) from recorded switching activity."""
-    model = NocEnergyModel()
     reports: Dict[str, Dict[str, NocPowerReport]] = {}
     for record in results:
         reports.setdefault(record.coords["workload"], {})[
             record.coords["topology"]
-        ] = model.report(record.result.network_activity, record.result.cycles)
+        ] = noc_power(record.result.network_activity, record.result.cycles)
     return reports
 
 

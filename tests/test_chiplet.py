@@ -333,9 +333,9 @@ class TestChipletDispatch:
 
     @pytest.mark.parametrize("num_cores", [64, 1024])
     def test_area_model_wires_through_registry(self, num_cores):
-        from repro.power.area_model import NocAreaModel
+        from repro.power import noc_area
 
-        breakdown = NocAreaModel().breakdown(chiplet_system(num_cores=num_cores))
+        breakdown = noc_area(chiplet_system(num_cores=num_cores))
         assert breakdown.total_mm2 > 0
 
     @pytest.mark.parametrize("io_die", [True, False])

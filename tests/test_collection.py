@@ -47,6 +47,7 @@ def test_suite_collects_without_errors():
         "repro.config.presets",
         "repro.chip",
         "repro.experiments",
+        "repro.power",
         "repro.reporting",
         "repro.store.specs",
         "repro.workloads.traffic",

@@ -238,9 +238,9 @@ class TestConcentratedMesh:
         assert descriptor.num_routers < mesh_descriptor.num_routers
 
     def test_area_model_wires_through_registry(self):
-        from repro.power.area_model import NocAreaModel
+        from repro.power import noc_area
 
-        breakdown = NocAreaModel().breakdown(cmesh_system(num_cores=64))
+        breakdown = noc_area(cmesh_system(num_cores=64))
         assert breakdown.total_mm2 > 0
 
     def test_simulates_end_to_end(self):

@@ -85,6 +85,7 @@ def test_table1_summary_mentions_key_parameters():
     assert "64 cores" in summary["CMP features"]
     assert "5 ports" in summary["Mesh"]
     assert "15 ports" in summary["Flattened Butterfly"]
+    assert summary["Cache per MB"] == "3.2mm2, 500mW"
 
 
 def test_workload_presets_are_fresh_instances():
