@@ -20,9 +20,9 @@ class SinkRecorder(PacketSink):
         self.received.append((packet, self.sim.cycle))
 
 
-def make_packet(dst=5, flits=1, msg_class=MessageClass.REQUEST):
+def make_packet(dst=5, flits=1, msg_class=MessageClass.REQUEST, src=0):
     return Packet(
-        Message(src=0, dst=dst, msg_class=msg_class, size_bits=flits * 128), 128
+        Message(src=src, dst=dst, msg_class=msg_class, size_bits=flits * 128), 128
     )
 
 
@@ -165,3 +165,85 @@ def test_zero_latency_hop_rejected():
     sink = SinkRecorder(sim)
     with pytest.raises(ValueError):
         router.add_output_port("out", sink, 0, link_latency=0)
+
+
+def inject_at(sim, router, cycle, packets):
+    """Stage ``(in_port, packet)`` pairs into ``router`` at ``cycle``."""
+
+    def stage():
+        for in_port, packet in packets:
+            inject(router, packet, in_port)
+
+    sim.schedule_at(stage, cycle)
+
+
+def test_round_robin_rotation_survives_an_uncontended_round():
+    # Three input ports contend for one output.  Each packet's ``src``
+    # names its input port, so the sink sees the forwarding order.
+    sim = Simulator()
+    sink = SinkRecorder(sim)
+    router = make_router(sim, route_fn=lambda dst: sink)
+    for _ in range(3):
+        router.add_input_port(InputPort(3, 5))
+    router.add_output_port("out", sink, 0, link_latency=1)
+
+    inject_at(sim, router, 0, [(port, make_packet(src=port)) for port in range(3)])
+    # Round 1 ends with port 2 winning alone; round 2's lone win on port 0
+    # must move the rotation point there, so round 3 starts at port 1.
+    inject_at(sim, router, 10, [(0, make_packet(src=0))])
+    inject_at(sim, router, 20, [(port, make_packet(src=port)) for port in range(3)])
+    inject_at(sim, router, 30, [(port, make_packet(src=port)) for port in (0, 2)])
+    sim.run(40)
+    order = [packet.src for packet, _cycle in sink.received]
+    assert order == [0, 1, 2, 0, 1, 2, 0, 2, 0]
+
+
+class TerminalRecorder(SinkRecorder):
+    """A recording sink a tree can terminate at (it accepts an input port)."""
+
+    def __init__(self, sim):
+        super().__init__(sim)
+        self.input_ports = []
+
+    def add_input_port(self, port):
+        self.input_ports.append(port)
+        return len(self.input_ports) - 1
+
+
+def test_tree_node_forwards_in_paper_priority_order():
+    # Section 4.1: network responses, local responses, network requests,
+    # local requests.  Stage one of each in the node next to the terminal,
+    # all in the same cycle, and read the order they leave in.
+    from repro.config.system import SystemConfig
+    from repro.core.reduction_tree import build_reduction_tree
+    from repro.noc.interface import NetworkInterface
+
+    sim = Simulator()
+    config = SystemConfig()
+    terminal = TerminalRecorder(sim)
+    interfaces = [
+        NetworkInterface(sim, f"ni{node}", node, 128, on_delivery=lambda packet: None)
+        for node in range(2)
+    ]
+    nodes = build_reduction_tree(
+        sim, config, "tree", [[interfaces[0]], [interfaces[1]]], terminal,
+        unbounded_input_port(), destinations=[5], hop_length_mm=1.0,
+    )
+    node = nodes[1]
+    local_port, network_port = 0, 1
+    assert node.input_ports[local_port].name == "tree.n1.local"
+    assert node.input_ports[network_port].name == "tree.n1.from_upstream"
+
+    local_request = make_packet(src=0, msg_class=MessageClass.REQUEST)
+    network_request = make_packet(src=1, msg_class=MessageClass.REQUEST)
+    local_response = make_packet(src=2, msg_class=MessageClass.RESPONSE)
+    network_response = make_packet(src=3, msg_class=MessageClass.RESPONSE)
+    inject_at(sim, node, 0, [
+        (local_port, local_request),
+        (network_port, network_request),
+        (local_port, local_response),
+        (network_port, network_response),
+    ])
+    sim.run(20)
+    order = [packet for packet, _cycle in terminal.received]
+    assert order == [network_response, local_response, network_request, local_request]
