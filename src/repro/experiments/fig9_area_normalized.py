@@ -34,13 +34,18 @@ PAPER_REFERENCE = dict(baselines.FIG9.values)
 TOPOLOGIES = (Topology.MESH, Topology.FLATTENED_BUTTERFLY, Topology.NOC_OUT)
 
 
+def nocout_area_budget(num_cores: int = 64) -> float:
+    """The area budget: NOC-Out's total NoC area at ``num_cores`` cores, in mm2."""
+    return noc_area(presets.nocout_system(num_cores=num_cores)).total_mm2
+
+
 def area_budget_link_widths(num_cores: int = 64) -> Tuple[float, Dict[Topology, int]]:
     """NOC-Out's area budget and the link widths that fit the other NoCs in it.
 
     Raises :class:`ValueError` when even the narrowest links leave a
     fabric over the budget.
     """
-    budget = noc_area(presets.nocout_system(num_cores=num_cores)).total_mm2
+    budget = nocout_area_budget(num_cores)
     widths = {Topology.NOC_OUT: 128}
     for topology in (Topology.MESH, Topology.FLATTENED_BUTTERFLY):
         config = presets.baseline_system(topology, num_cores=num_cores)
@@ -81,9 +86,8 @@ def figure9_outcome(results: ResultSet) -> Dict[str, object]:
     normalised to the area-budgeted mesh.
     """
     (num_cores,) = results.axis_values("num_cores")
-    budget, _ = area_budget_link_widths(num_cores=num_cores)
     return {
-        "area_budget_mm2": budget,
+        "area_budget_mm2": nocout_area_budget(num_cores),
         "link_widths": {
             record.coords["topology"]: record.coords["link_width_bits"]
             for record in results

@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from repro import power
 from repro.chip.chip import SimulationResults
 from repro.config import presets
 from repro.config.noc import Topology
-from repro.experiments import ablations, colocation, scale_out
+from repro.experiments import ablations, colocation, fig9_area_normalized, scale_out
 from repro.experiments.engine import ResultCache, SweepExecutor
 from repro.experiments.fig1_scaling import figure1_report, figure1_spec
 from repro.experiments.fig4_snoops import figure4_report, figure4_spec
@@ -553,6 +554,27 @@ class TestReportHooksArePure:
         )
         assert reduced.comparison.status == STATUS_NO_DATA
         assert reduced.notes.startswith("GMean not compared")
+
+    def test_fig9_outcome_computes_the_budget_once(self, monkeypatch):
+        spec = figure9_spec(
+            settings=TINY_SETTINGS,
+            link_widths={Topology.MESH: 100, Topology.FLATTENED_BUTTERFLY: 20,
+                         Topology.NOC_OUT: 128},
+        )
+        results = hand_built(spec)
+        noc_area = power.noc_area
+        calls = []
+
+        def counted(config):
+            calls.append(config.noc.topology)
+            return noc_area(config)
+
+        # The width search calls the module's own name; fig9 holds a copy.
+        monkeypatch.setattr(power, "noc_area", counted)
+        monkeypatch.setattr(fig9_area_normalized, "noc_area", counted)
+        outcome = fig9_area_normalized.figure9_outcome(results)
+        assert calls == [Topology.NOC_OUT]
+        assert outcome["area_budget_mm2"] == noc_area(presets.nocout_system()).total_mm2
 
     def test_power_average_gated_on_all_six_workloads(self):
         def activity(coords):
