@@ -17,7 +17,7 @@ from repro.core.floorplan import express_span
 from repro.sim.kernel import Simulator
 from repro.noc.interface import NetworkInterface
 from repro.noc.router import PacketSink, Router
-from repro.core.reduction_tree import tree_arbiter_factory, tree_input_port
+from repro.core.reduction_tree import tree_arbitration, tree_input_port
 
 #: (core node id, core network interface) pairs.
 CoreBinding = Tuple[int, NetworkInterface]
@@ -47,13 +47,13 @@ def build_dispersion_tree(
     #: core node id -> (index of the node that ejects it, its interface)
     home: Dict[int, Tuple[int, NetworkInterface]] = {}
 
-    arbiter_factory = tree_arbiter_factory(config)
+    arbitrate = tree_arbitration(config)
     for index, group in enumerate(ordered_groups):
         node = Router(
             sim,
             f"{name}.n{index}",
             pipeline_latency=noc.tree_hop_latency,
-            arbiter_factory=arbiter_factory,
+            arbitrate=arbitrate,
         )
         for node_id, interface in group:
             node.add_output_port(f"eject{node_id}", interface, 0, link_latency=0)

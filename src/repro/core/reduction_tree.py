@@ -16,7 +16,7 @@ from typing import Dict, FrozenSet, Iterable, List, Sequence
 from repro.config.system import SystemConfig
 from repro.core.floorplan import express_span
 from repro.sim.kernel import Simulator
-from repro.noc.arbiter import RoundRobinArbiter, StaticPriorityArbiter
+from repro.noc.arbiter import round_robin, static_priority
 from repro.noc.buffer import InputPort
 from repro.noc.interface import NetworkInterface
 from repro.noc.message import MESSAGE_CLASSES, MessageClass
@@ -49,11 +49,11 @@ def tree_input_port(config: SystemConfig, label: str) -> InputPort:
     )
 
 
-def tree_arbiter_factory(config: SystemConfig):
-    """Arbiter used by tree nodes (static priority by default, Section 4.1)."""
+def tree_arbitration(config: SystemConfig):
+    """Arbitration policy of tree nodes (static priority by default, Section 4.1)."""
     if config.noc.tree_arbitration == "round_robin":
-        return RoundRobinArbiter
-    return StaticPriorityArbiter
+        return round_robin
+    return static_priority
 
 
 def build_reduction_tree(
@@ -89,13 +89,13 @@ def build_reduction_tree(
     destinations = frozenset(destinations)
     nodes: List[Router] = []
 
-    arbiter_factory = tree_arbiter_factory(config)
+    arbitrate = tree_arbitration(config)
     for index, group in enumerate(core_groups):
         node = Router(
             sim,
             f"{name}.n{index}",
             pipeline_latency=noc.tree_hop_latency,
-            arbiter_factory=arbiter_factory,
+            arbitrate=arbitrate,
         )
         local_port = node.add_input_port(
             tree_input_port(config, f"{name}.n{index}.local"), is_local=True

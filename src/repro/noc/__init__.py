@@ -1,17 +1,17 @@
 """Network-on-chip substrate.
 
 This package provides the building blocks shared by every evaluated
-interconnect: messages and packets with flit accounting, virtual-channel
-buffers, arbiters, a generic table-routed virtual-cut-through router,
+interconnect: messages with flit accounting, virtual-channel buffers,
+arbitration policies, a generic table-routed virtual-cut-through router,
 network interfaces, and the three baseline fabrics (mesh, flattened
 butterfly, ideal wire-only network).  The NOC-Out specific networks
 (reduction/dispersion trees and the LLC flattened butterfly) live in
 :mod:`repro.core`.
 """
 
-from repro.noc.message import Message, MessageClass, Packet, control_message_bits, data_message_bits
+from repro.noc.message import Message, MessageClass, control_message_bits, data_message_bits, flit_count
 from repro.noc.buffer import VirtualChannelBuffer, InputPort
-from repro.noc.arbiter import RoundRobinArbiter, StaticPriorityArbiter
+from repro.noc.arbiter import round_robin, static_priority
 from repro.noc.router import Router, OutputPort
 from repro.noc.interface import NetworkInterface
 from repro.noc.network import Network
@@ -22,13 +22,13 @@ from repro.noc.ideal import IdealNetwork
 __all__ = [
     "Message",
     "MessageClass",
-    "Packet",
     "control_message_bits",
     "data_message_bits",
+    "flit_count",
     "VirtualChannelBuffer",
     "InputPort",
-    "RoundRobinArbiter",
-    "StaticPriorityArbiter",
+    "round_robin",
+    "static_priority",
     "Router",
     "OutputPort",
     "NetworkInterface",

@@ -7,106 +7,48 @@ Two policies are used in the paper's designs:
 * the NOC-Out reduction/dispersion tree nodes use *static priority*
   arbitration, preferring network traffic over the local port and
   responses over requests (Section 4.1).
+
+A policy is a function ``(candidates, last_winner) -> winner``.  A
+candidate is one input VC competing for the output port this round (the
+router's per-VC state): it carries ``key == (in_port, vc_index)``, its head
+``packet`` and ``is_local``.  ``candidates`` is never empty, and
+``last_winner`` is the key of the port's previous winner (``None`` before
+the first), which the router records after every round.
 """
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from operator import attrgetter
 
-from repro.noc.message import MessageClass, Packet
-from repro.noc.buffer import VirtualChannelBuffer
+from repro.noc.message import MessageClass
+
+_key = attrgetter("key")
 
 
-@dataclass(**({"slots": True} if sys.version_info >= (3, 10) else {}))
-class ArbitrationCandidate:
-    """One input VC competing for an output port this cycle.
+def round_robin(candidates, last_winner):
+    """The first candidate after ``last_winner`` in key order, wrapping."""
+    if last_winner is not None:
+        after = [c for c in candidates if c.key > last_winner]
+        if after:
+            return min(after, key=_key)
+    return min(candidates, key=_key)
 
-    Slotted (on Python >= 3.10): routers allocate one instance per ready
-    head per arbitration round, which makes this one of the most frequently
-    constructed objects in a congested simulation.
+
+#: Static-priority class rank (lower wins).  Snoop requests share the
+#: priority level of requests.
+_CLASS_RANK = {
+    MessageClass.RESPONSE: 0,
+    MessageClass.SNOOP: 1,
+    MessageClass.REQUEST: 1,
+}
+
+
+def static_priority(candidates, last_winner):
+    """Network responses, local responses, network requests, local requests.
+
+    Ties within a level go to the lowest key; ``last_winner`` is unused.
     """
-
-    in_port: int
-    vc_index: int
-    buffer: VirtualChannelBuffer
-    packet: Packet
-    is_local: bool = False
-
-
-class Arbiter:
-    """Interface for output-port arbiters.
-
-    ``candidates`` may be any objects carrying the
-    :class:`ArbitrationCandidate` attributes (``in_port``, ``vc_index``,
-    ``buffer``, ``packet``, ``is_local``); routers pass their per-VC state
-    objects directly to avoid allocating a candidate per ready head.
-
-    ``_last_winner`` is the round-robin rotation point.  It lives on the
-    base class because ``Router._tick`` short-circuits the uncontended
-    single-candidate case without calling :meth:`choose` and records the
-    winner here — exactly what :class:`RoundRobinArbiter` would have done
-    (stateless policies simply ignore the attribute).
-    """
-
-    _last_winner: Optional[tuple] = None
-
-    def choose(self, candidates: Sequence[ArbitrationCandidate]) -> Optional[ArbitrationCandidate]:
-        raise NotImplementedError
-
-
-class RoundRobinArbiter(Arbiter):
-    """Fair round-robin over (input port, VC) pairs."""
-
-    def __init__(self) -> None:
-        self._last_winner: Optional[tuple] = None
-
-    def choose(self, candidates: Sequence[ArbitrationCandidate]) -> Optional[ArbitrationCandidate]:
-        if not candidates:
-            return None
-        if len(candidates) == 1:
-            # Uncontended port (the overwhelmingly common case): the single
-            # candidate wins regardless of rotation state — skip the sort.
-            winner = candidates[0]
-            self._last_winner = (winner.in_port, winner.vc_index)
-            return winner
-        ordered = sorted(candidates, key=lambda c: (c.in_port, c.vc_index))
-        if self._last_winner is None:
-            winner = ordered[0]
-        else:
-            keys: List[tuple] = [(c.in_port, c.vc_index) for c in ordered]
-            start = 0
-            for i, key in enumerate(keys):
-                if key > self._last_winner:
-                    start = i
-                    break
-            winner = ordered[start]
-        self._last_winner = (winner.in_port, winner.vc_index)
-        return winner
-
-
-class StaticPriorityArbiter(Arbiter):
-    """Fixed-priority arbitration used by NOC-Out tree nodes.
-
-    Priority order (highest first), from Section 4.1 of the paper:
-    network responses, local responses, network requests, local requests.
-    Snoop requests share the priority level of requests.
-    """
-
-    _CLASS_PRIORITY = {
-        MessageClass.RESPONSE: 0,
-        MessageClass.SNOOP: 1,
-        MessageClass.REQUEST: 1,
-    }
-
-    def choose(self, candidates: Sequence[ArbitrationCandidate]) -> Optional[ArbitrationCandidate]:
-        if not candidates:
-            return None
-
-        def priority(candidate: ArbitrationCandidate) -> tuple:
-            class_rank = self._CLASS_PRIORITY[candidate.packet.msg_class]
-            local_rank = 1 if candidate.is_local else 0
-            return (class_rank, local_rank, candidate.in_port, candidate.vc_index)
-
-        return min(candidates, key=priority)
+    return min(
+        candidates,
+        key=lambda c: (_CLASS_RANK[c.packet.msg_class], c.is_local, c.key),
+    )

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional
 
-from repro.noc.message import MESSAGE_CLASSES, MessageClass, Packet
+from repro.noc.message import MESSAGE_CLASSES, Message, MessageClass
 
 
 class VirtualChannelBuffer:
@@ -49,7 +49,7 @@ class VirtualChannelBuffer:
         self.capacity_flits = capacity_flits
         self._reserved_flits = 0
         self._occupied_flits = 0
-        self._queue: List[Packet] = []
+        self._queue: List[Message] = []
         #: One-shot credit listeners, or ``None`` while nobody waits: a dict
         #: created by the first :meth:`wait_for_space` and dropped by the
         #: :meth:`pop` that notifies it.  A dict (insertion-ordered) rather
@@ -86,16 +86,16 @@ class VirtualChannelBuffer:
             raise RuntimeError(f"{self.name}: reservation overflow ({flits} flits)")
         self._reserved_flits += flits
 
-    def push(self, packet: Packet) -> None:
+    def push(self, packet: Message) -> None:
         """Deposit an arriving packet (its space must have been reserved)."""
         self._occupied_flits += packet.num_flits
         self._queue.append(packet)
 
-    def peek(self) -> Optional[Packet]:
+    def peek(self) -> Optional[Message]:
         """Head-of-line packet, if any."""
         return self._queue[0] if self._queue else None
 
-    def pop(self) -> Packet:
+    def pop(self) -> Message:
         """Remove the head packet, release its reservation, notify waiters.
 
         Releasing a reservation is the only way this VC can gain space, so

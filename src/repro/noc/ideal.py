@@ -11,7 +11,7 @@ from typing import Dict, Tuple
 
 from repro.config.system import SystemConfig
 from repro.sim.kernel import Simulator
-from repro.noc.message import Message, Packet
+from repro.noc.message import Message, flit_count
 from repro.noc.network import Network
 from repro.noc.topology import GridGeometry, tiled_grid_geometry
 
@@ -33,15 +33,17 @@ class IdealNetwork(Network):
         self.geometry: GridGeometry = tiled_grid_geometry(config)
 
     def _inject(self, message: Message) -> None:
-        packet = Packet(message, self.noc.link_width_bits, injected_cycle=self.sim.cycle)
+        message.num_flits = flits = flit_count(message.size_bits, self.noc.link_width_bits)
         src_coord = self.node_coords[message.src]
         dst_coord = self.node_coords[message.dst]
         distance_mm = self.geometry.manhattan_mm(src_coord, dst_coord)
         wire_cycles = self.tech.wire_cycles(distance_mm)
-        serialization = max(0, packet.num_flits - 1)
-        packet.hops = self.geometry.manhattan_tiles(src_coord, dst_coord)
-        self.interfaces[message.src].flits_injected.add(packet.num_flits)
-        self.sim.schedule(lambda p=packet: self._on_delivery(p), wire_cycles + serialization + 1)
+        serialization = max(0, flits - 1)
+        message.hops = self.geometry.manhattan_tiles(src_coord, dst_coord)
+        self.interfaces[message.src].flits_injected.add(flits)
+        self.sim.schedule_call(
+            self._on_delivery, (message,), wire_cycles + serialization + 1
+        )
 
     def drained(self) -> bool:
         """The ideal network buffers nothing."""

@@ -8,7 +8,7 @@ from typing import Callable, Dict, Optional
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
 from repro.noc.buffer import InputPort, unbounded_input_port
-from repro.noc.message import MESSAGE_CLASSES, Message, MessageClass, Packet
+from repro.noc.message import MESSAGE_CLASSES, Message, MessageClass, flit_count
 from repro.noc.router import PacketSink, Router
 
 
@@ -28,7 +28,7 @@ class NetworkInterface(Component, PacketSink):
         name: str,
         node_id: int,
         link_width_bits: int,
-        on_delivery: Callable[[Packet], None],
+        on_delivery: Callable[[Message], None],
         injection_latency: int = 1,
     ) -> None:
         super().__init__(sim, name)
@@ -68,16 +68,15 @@ class NetworkInterface(Component, PacketSink):
     # ------------------------------------------------------------------ #
     # Injection
     # ------------------------------------------------------------------ #
-    def inject(self, message: Message) -> Packet:
-        """Queue ``message`` for injection; returns the wrapping packet."""
-        packet = Packet(message, self.link_width_bits, injected_cycle=self.sim.cycle)
-        self._inject_queues[message.msg_class].append(packet)
-        self.flits_injected.add(packet.num_flits)
+    def inject(self, message: Message) -> None:
+        """Stamp ``message`` with its flit count and queue it for injection."""
+        message.num_flits = flits = flit_count(message.size_bits, self.link_width_bits)
+        self._inject_queues[message.msg_class].append(message)
+        self.flits_injected.add(flits)
         # wake(0) with the same-cycle suppression test hoisted (several
         # messages commonly inject within one cycle).
         if self._next_wake != self.sim.cycle:
             self.wake(0)
-        return packet
 
     def _tick(self) -> None:
         """Inject up to one queued packet per message class.
@@ -122,7 +121,7 @@ class NetworkInterface(Component, PacketSink):
     # ------------------------------------------------------------------ #
     # Ejection
     # ------------------------------------------------------------------ #
-    def receive_packet(self, packet: Packet, in_port: int, vc_index: int) -> None:
+    def receive_packet(self, packet: Message, in_port: int, vc_index: int) -> None:
         vc = self.input_ports[in_port].vcs[vc_index]
         vc.push(packet)
         vc.pop()  # the ejection port drains immediately; capacity is unbounded

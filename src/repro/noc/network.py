@@ -10,7 +10,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.stats import DEFAULT_RESERVOIR, Histogram
 from repro.noc.buffer import InputPort
 from repro.noc.interface import NetworkInterface
-from repro.noc.message import Message, MessageClass, Packet
+from repro.noc.message import Message, MessageClass
 from repro.noc.router import Router
 
 DeliveryCallback = Callable[[Message], None]
@@ -157,13 +157,12 @@ class Network(Component):
             self._record_tenant_latency(message, latency)
         self._dispatch(message)
 
-    def _on_delivery(self, packet: Packet) -> None:
-        message = packet.message
+    def _on_delivery(self, message: Message) -> None:
         self.messages_delivered.add()
         latency = self.sim.cycle - message.created_cycle
         self.latency_by_class[message.msg_class].add(latency)
-        self.hop_histogram.add(packet.hops)
-        self.flit_hops.add(packet.num_flits * packet.hops)
+        self.hop_histogram.add(message.hops)
+        self.flit_hops.add(message.num_flits * message.hops)
         if self._tenant_of is not None:
             self._record_tenant_latency(message, latency)
         self._dispatch(message)

@@ -40,9 +40,9 @@ from typing import Callable, Dict, List, Optional
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
 from repro.sim.stats import Counter
-from repro.noc.arbiter import Arbiter, RoundRobinArbiter
+from repro.noc.arbiter import round_robin
 from repro.noc.buffer import InputPort
-from repro.noc.message import Packet
+from repro.noc.message import Message
 
 
 class OutputPort:
@@ -51,6 +51,11 @@ class OutputPort:
     ``flits_sent`` is a counter registered in the owning router's stats
     group (see :meth:`Router.add_output_port`).
     """
+
+    __slots__ = (
+        "name", "downstream", "downstream_port", "link_latency",
+        "link_length_mm", "busy_until", "flits_sent",
+    )
 
     def __init__(
         self,
@@ -82,7 +87,7 @@ class PacketSink:
 
     input_ports: List[InputPort]
 
-    def receive_packet(self, packet: Packet, in_port: int, vc_index: int) -> None:
+    def receive_packet(self, packet: Message, in_port: int, vc_index: int) -> None:
         raise NotImplementedError
 
 
@@ -97,10 +102,15 @@ class _VcState:
     round until the downstream ``pop`` calls it.  Reservations only ever
     shrink on ``pop``, so skipping is exactly equivalent to re-checking
     ``can_reserve`` each round — just without the work.
+
+    The state doubles as its own arbitration candidate (``key``, ``packet``
+    and ``is_local`` are what the policies in :mod:`repro.noc.arbiter`
+    read), so a ready head costs zero allocations per round.  ``packet`` is
+    refreshed each time the state is offered for arbitration.
     """
 
     __slots__ = (
-        "key", "in_port", "vc_index", "vc", "buffer", "packet", "is_local",
+        "key", "vc", "packet", "is_local",
         "active", "blocked", "blocked_port", "_router",
     )
 
@@ -108,15 +118,7 @@ class _VcState:
         self, router: "Router", in_port: int, vc_index: int, vc, is_local: bool
     ) -> None:
         self.key = (in_port, vc_index)
-        self.in_port = in_port
-        self.vc_index = vc_index
         self.vc = vc
-        #: Alias of ``vc`` under the arbitration-candidate attribute name:
-        #: the state object doubles as its own candidate (it carries every
-        #: attribute arbiters read), so a ready head costs zero allocations
-        #: per round.  ``packet`` is refreshed each time the state is
-        #: offered to an arbiter.
-        self.buffer = vc
         self.packet = None
         self.is_local = is_local
         self.active = False
@@ -185,6 +187,9 @@ class Router(Component, PacketSink):
     this router has an output port to (raising ``KeyError`` if there is no
     route); it runs once per destination, on the first lookup, after every
     port has been wired.
+
+    ``arbitrate`` is the output-port policy (:mod:`repro.noc.arbiter`); the
+    router keeps each output port's last winner and passes it in.
     """
 
     def __init__(
@@ -193,7 +198,7 @@ class Router(Component, PacketSink):
         name: str,
         *,
         pipeline_latency: int = 2,
-        arbiter_factory: Callable[[], Arbiter] = RoundRobinArbiter,
+        arbitrate: Callable[[list, Optional[tuple]], _VcState] = round_robin,
         route_fn: Optional[Callable[[int], "PacketSink"]] = None,
     ) -> None:
         super().__init__(sim, name)
@@ -206,8 +211,9 @@ class Router(Component, PacketSink):
         self._port_toward: Dict[PacketSink, int] = {}
         self.route_fn = route_fn
         self.route_table = RouteTable(self)
-        self._arbiter_factory = arbiter_factory
-        self._arbiters: List[Arbiter] = []
+        self._arbitrate = arbitrate
+        # Per output port: the key of its last arbitration winner.
+        self._last_winner: List[Optional[tuple]] = []
         self._local_input_ports: set = set()
         # Occupied input VCs as _VcState objects, kept sorted by
         # (in_port, vc_index) so ticks scan only buffers that actually hold
@@ -263,7 +269,7 @@ class Router(Component, PacketSink):
         )
         self.output_ports.append(port)
         self._port_toward[downstream] = index
-        self._arbiters.append(self._arbiter_factory())
+        self._last_winner.append(None)
         return index
 
     def connect(
@@ -282,7 +288,7 @@ class Router(Component, PacketSink):
         )
         return self.output_ports[out_index]
 
-    def route(self, packet: Packet) -> int:
+    def route(self, packet: Message) -> int:
         """Output port index for ``packet`` (table lookup)."""
         return self.route_table[packet.dst]
 
@@ -294,7 +300,7 @@ class Router(Component, PacketSink):
     # ------------------------------------------------------------------ #
     # Packet reception
     # ------------------------------------------------------------------ #
-    def receive_packet(self, packet: Packet, in_port: int, vc_index: int) -> None:
+    def receive_packet(self, packet: Message, in_port: int, vc_index: int) -> None:
         buffer = self.input_ports[in_port].vcs[vc_index]
         buffer.push(packet)
         self.buffer_flit_writes.add(packet.num_flits)
@@ -435,32 +441,30 @@ class Router(Component, PacketSink):
                 first_cands.append(state)
             else:
                 cands_by_out = {first_out: first_cands, out_index: [state]}
-        forwarded = False
+        last_winner = self._last_winner
         if cands_by_out is None:
             if first_out >= 0:
+                # An uncontended port (the common case) needs no policy: the
+                # lone candidate wins under either one.
                 if len(first_cands) == 1:
-                    # RoundRobinArbiter.choose's uncontended path, distilled:
-                    # the lone candidate wins and becomes the rotation point.
                     winner = first_cands[0]
-                    self._arbiters[first_out]._last_winner = winner.key
                 else:
-                    winner = self._arbiters[first_out].choose(first_cands)
-                if winner is not None:
-                    self._forward(winner, self.output_ports[first_out], now)
-                    forwarded = True
+                    winner = self._arbitrate(first_cands, last_winner[first_out])
+                last_winner[first_out] = winner.key
+                self._forward(winner, self.output_ports[first_out], now)
         else:
+            arbitrate = self._arbitrate
             for out_index, candidates in cands_by_out.items():
-                winner = self._arbiters[out_index].choose(candidates)
-                if winner is not None:
-                    self._forward(winner, self.output_ports[out_index], now)
-                    forwarded = True
-        if forwarded:
+                winner = arbitrate(candidates, last_winner[out_index])
+                last_winner[out_index] = winner.key
+                self._forward(winner, self.output_ports[out_index], now)
+        if first_out >= 0:
             self.wake(1)
         elif next_busy_free > now:
             self.wake(next_busy_free - now)
 
     def _forward(self, winner: _VcState, out_port: OutputPort, now: int) -> None:
-        vc = winner.buffer
+        vc = winner.vc
         packet = winner.packet
         # head_route is fresh: _tick validated it for this head this round,
         # and nothing pops this VC between candidate collection and here.

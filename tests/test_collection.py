@@ -42,6 +42,9 @@ def test_suite_collects_without_errors():
         "repro",
         "repro.fabrics",
         "repro.fabrics.chiplet",
+        "repro.noc",
+        "repro.noc.arbiter",
+        "repro.core",
         "repro.scenarios",
         "repro.tenancy",
         "repro.config.presets",

@@ -1,57 +1,59 @@
-"""Unit tests for the round-robin and static-priority arbiters."""
+"""Unit tests for the round-robin and static-priority arbitration policies."""
 
-from repro.noc.arbiter import ArbitrationCandidate, RoundRobinArbiter, StaticPriorityArbiter
-from repro.noc.buffer import VirtualChannelBuffer
-from repro.noc.message import Message, MessageClass, Packet
+from types import SimpleNamespace
+
+from repro.noc.arbiter import round_robin, static_priority
+from repro.noc.message import Message, MessageClass
 
 
 def candidate(in_port, vc_index, msg_class=MessageClass.REQUEST, is_local=False):
-    packet = Packet(Message(src=0, dst=1, msg_class=msg_class, size_bits=128), 128)
-    return ArbitrationCandidate(
-        in_port=in_port,
-        vc_index=vc_index,
-        buffer=VirtualChannelBuffer(5),
-        packet=packet,
-        is_local=is_local,
-    )
+    """The attributes a router's per-VC state offers for arbitration."""
+    packet = Message(src=0, dst=1, msg_class=msg_class, size_bits=128)
+    return SimpleNamespace(key=(in_port, vc_index), packet=packet, is_local=is_local)
+
+
+def rounds(policy, candidates, count):
+    """Winners of ``count`` rounds, each recorded as the next rotation point."""
+    winners, last_winner = [], None
+    for _ in range(count):
+        winner = policy(candidates, last_winner)
+        winners.append(winner)
+        last_winner = winner.key
+    return winners
 
 
 class TestRoundRobin:
-    def test_empty_returns_none(self):
-        assert RoundRobinArbiter().choose([]) is None
-
     def test_single_candidate_wins(self):
-        arbiter = RoundRobinArbiter()
         only = candidate(0, 0)
-        assert arbiter.choose([only]) is only
+        assert round_robin([only], None) is only
+        assert round_robin([only], (3, 0)) is only
 
     def test_rotates_across_calls(self):
-        arbiter = RoundRobinArbiter()
         a, b, c = candidate(0, 0), candidate(1, 0), candidate(2, 0)
-        winners = [arbiter.choose([a, b, c]) for _ in range(4)]
-        assert [w.in_port for w in winners] == [0, 1, 2, 0]
+        winners = rounds(round_robin, [a, b, c], 4)
+        assert [w.key[0] for w in winners] == [0, 1, 2, 0]
 
     def test_skips_missing_candidates(self):
-        arbiter = RoundRobinArbiter()
         a, c = candidate(0, 0), candidate(2, 0)
-        assert arbiter.choose([a, c]) is a
-        assert arbiter.choose([a, c]) is c
-        assert arbiter.choose([a, c]) is a
+        assert rounds(round_robin, [a, c], 3) == [a, c, a]
+
+    def test_order_is_by_key_not_by_position(self):
+        a, b, c = candidate(0, 1), candidate(1, 0), candidate(1, 2)
+        assert round_robin([c, b, a], None) is a
+        assert round_robin([c, b, a], (1, 0)) is c
+        assert round_robin([c, b, a], (1, 2)) is a
 
 
 class TestStaticPriority:
-    def test_empty_returns_none(self):
-        assert StaticPriorityArbiter().choose([]) is None
-
     def test_responses_beat_requests(self):
         request = candidate(0, 0, MessageClass.REQUEST)
         response = candidate(1, 1, MessageClass.RESPONSE)
-        assert StaticPriorityArbiter().choose([request, response]) is response
+        assert static_priority([request, response], None) is response
 
     def test_network_beats_local_within_class(self):
         local = candidate(0, 0, MessageClass.REQUEST, is_local=True)
         network = candidate(1, 0, MessageClass.REQUEST, is_local=False)
-        assert StaticPriorityArbiter().choose([local, network]) is network
+        assert static_priority([local, network], None) is network
 
     def test_paper_priority_order(self):
         # Highest to lowest: network responses, local responses,
@@ -61,16 +63,17 @@ class TestStaticPriority:
         network_request = candidate(1, 0, MessageClass.REQUEST, is_local=False)
         local_request = candidate(0, 0, MessageClass.REQUEST, is_local=True)
         pool = [local_request, network_request, local_response, network_response]
-        arbiter = StaticPriorityArbiter()
-        assert arbiter.choose(pool) is network_response
+        assert static_priority(pool, None) is network_response
         pool.remove(network_response)
-        assert arbiter.choose(pool) is local_response
+        assert static_priority(pool, (1, 1)) is local_response
         pool.remove(local_response)
-        assert arbiter.choose(pool) is network_request
+        assert static_priority(pool, (0, 1)) is network_request
         pool.remove(network_request)
-        assert arbiter.choose(pool) is local_request
+        assert static_priority(pool, (1, 0)) is local_request
 
     def test_snoops_share_request_priority(self):
         snoop = candidate(1, 0, MessageClass.SNOOP)
         response = candidate(0, 1, MessageClass.RESPONSE)
-        assert StaticPriorityArbiter().choose([snoop, response]) is response
+        assert static_priority([snoop, response], None) is response
+        request = candidate(0, 0, MessageClass.REQUEST)
+        assert static_priority([snoop, request], None) is request

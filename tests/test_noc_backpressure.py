@@ -14,24 +14,14 @@ from repro.config.noc import Topology
 from repro.experiments.engine import ExperimentPoint, SweepExecutor
 from repro.noc.buffer import InputPort
 from repro.noc.mesh import MeshNetwork
-from repro.noc.message import Message, MessageClass, Packet
+from repro.noc.message import Message, MessageClass
 from repro.noc.router import PacketSink, Router
 from repro.sim.kernel import Simulator
 
 from tests._fixtures import TINY_SETTINGS, small_system, small_workload
 
 
-def make_packet(dst=5, flits=1, msg_class=MessageClass.REQUEST):
-    return Packet(
-        Message(src=0, dst=dst, msg_class=msg_class, size_bits=flits * 128), 128
-    )
-
-
-def inject(router, packet, in_port=0):
-    vc_index = router.input_ports[in_port].vc_index_for(packet.msg_class)
-    vc = router.input_ports[in_port].vcs[vc_index]
-    vc.reserve(packet.num_flits)
-    router.receive_packet(packet, in_port, vc_index)
+from tests.test_noc_router import inject, make_packet
 
 
 class BlockingSink(PacketSink):

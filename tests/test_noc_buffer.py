@@ -7,15 +7,15 @@ from repro.config.system import SystemConfig
 from repro.core.reduction_tree import tree_input_port
 from repro.noc.buffer import InputPort, VirtualChannelBuffer, unbounded_input_port
 from repro.noc.mesh import MeshNetwork
-from repro.noc.message import Message, MessageClass, Packet
+from repro.noc.message import Message, MessageClass, flit_count
 from repro.sim.kernel import Simulator
 from repro.workloads.traffic import UniformRandomTrafficGenerator
 
 
 def make_packet(flits=1, msg_class=MessageClass.REQUEST):
-    return Packet(
-        Message(src=0, dst=1, msg_class=msg_class, size_bits=flits * 128), link_width_bits=128
-    )
+    message = Message(src=0, dst=1, msg_class=msg_class, size_bits=flits * 128)
+    message.num_flits = flit_count(message.size_bits, link_width_bits=128)
+    return message
 
 
 class TestVirtualChannelBuffer:

@@ -1,32 +1,19 @@
-"""Unit tests for messages, packets and flit accounting."""
+"""Unit tests for messages and flit accounting."""
 
 import pytest
 
 from repro.noc.message import (
     Message,
     MessageClass,
-    Packet,
     control_message_bits,
     data_message_bits,
+    flit_count,
 )
-
-
-def make_message(size_bits=128, msg_class=MessageClass.REQUEST):
-    return Message(src=0, dst=1, msg_class=msg_class, size_bits=size_bits)
 
 
 def test_message_sizes():
     assert control_message_bits() == 128
     assert data_message_bits(64) == 128 + 512
-
-
-def test_control_message_does_not_carry_data():
-    assert not make_message(control_message_bits()).carries_data
-    assert make_message(data_message_bits()).carries_data
-
-
-def test_message_ids_are_unique():
-    assert make_message().message_id != make_message().message_id
 
 
 def test_message_size_must_be_positive():
@@ -35,44 +22,26 @@ def test_message_size_must_be_positive():
 
 
 def test_single_flit_control_packet():
-    packet = Packet(make_message(128), link_width_bits=128)
-    assert packet.num_flits == 1
+    assert flit_count(control_message_bits(), link_width_bits=128) == 1
 
 
 def test_data_packet_flit_count_at_128_bits():
-    packet = Packet(make_message(data_message_bits()), link_width_bits=128)
-    assert packet.num_flits == 5  # 640 bits / 128 bits per flit
+    assert flit_count(data_message_bits(), link_width_bits=128) == 5  # 640 / 128
 
 
 def test_narrow_links_increase_flit_count():
-    wide = Packet(make_message(data_message_bits()), link_width_bits=128)
-    narrow = Packet(make_message(data_message_bits()), link_width_bits=32)
-    assert narrow.num_flits == 4 * wide.num_flits
+    wide = flit_count(data_message_bits(), link_width_bits=128)
+    narrow = flit_count(data_message_bits(), link_width_bits=32)
+    assert narrow == 4 * wide
 
 
 def test_flit_count_rounds_up():
-    packet = Packet(make_message(129), link_width_bits=128)
-    assert packet.num_flits == 2
-
-
-def test_packet_exposes_message_fields():
-    message = make_message(msg_class=MessageClass.RESPONSE)
-    packet = Packet(message, 128)
-    assert packet.src == 0
-    assert packet.dst == 1
-    assert packet.msg_class == MessageClass.RESPONSE
-
-
-def test_packet_latency():
-    message = make_message()
-    message.created_cycle = 10
-    packet = Packet(message, 128)
-    assert packet.latency(35) == 25
+    assert flit_count(129, link_width_bits=128) == 2
 
 
 def test_invalid_link_width_rejected():
     with pytest.raises(ValueError):
-        Packet(make_message(), link_width_bits=0)
+        flit_count(128, link_width_bits=0)
 
 
 def test_message_class_values_cover_paper_classes():

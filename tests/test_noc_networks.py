@@ -45,6 +45,14 @@ class TestMeshNetwork:
         sim.run(100)
         assert received[15] == [message]
 
+    def test_the_sent_message_travels_and_is_stamped_on_the_way(self):
+        sim, network, received = build_network(MeshNetwork, Topology.MESH)
+        message = send(network, 0, 15, MessageClass.RESPONSE, data=True)
+        assert (message.num_flits, message.hops) == (5, 0)  # 640 bits on 128-bit links
+        sim.run(100)
+        assert received[15][0] is message
+        assert message.hops == 7  # 6 mesh hops + ejection
+
     def test_zero_load_latency_matches_three_cycles_per_hop(self):
         sim, network, received = build_network(MeshNetwork, Topology.MESH)
         send(network, 0, 15)  # 3 + 3 = 6 hops in a 4x4 grid

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.noc.buffer import InputPort, unbounded_input_port
-from repro.noc.message import Message, MessageClass, Packet
+from repro.noc.message import Message, MessageClass, flit_count
 from repro.noc.router import PacketSink, Router
 from repro.sim.kernel import Simulator
 
@@ -21,9 +21,10 @@ class SinkRecorder(PacketSink):
 
 
 def make_packet(dst=5, flits=1, msg_class=MessageClass.REQUEST, src=0):
-    return Packet(
-        Message(src=src, dst=dst, msg_class=msg_class, size_bits=flits * 128), 128
-    )
+    """A message as injection leaves it: stamped with its 128-bit flit count."""
+    message = Message(src=src, dst=dst, msg_class=msg_class, size_bits=flits * 128)
+    message.num_flits = flit_count(message.size_bits, 128)
+    return message
 
 
 def make_router(sim, pipeline=2, route_fn=None):

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+from types import SimpleNamespace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,8 +10,8 @@ from repro.cache.address import AddressMapper
 from repro.cache.set_assoc import CacheLineState, SetAssociativeCache
 from repro.config.cache import CacheConfig
 from repro.noc.buffer import VirtualChannelBuffer
-from repro.noc.arbiter import ArbitrationCandidate, RoundRobinArbiter, StaticPriorityArbiter
-from repro.noc.message import Message, MessageClass, Packet
+from repro.noc.arbiter import round_robin, static_priority
+from repro.noc.message import Message, MessageClass, flit_count
 
 from tests._fixtures import private_region
 
@@ -45,11 +47,10 @@ def test_home_bank_is_stable_and_in_range(addr, banks, channels):
 
 @given(st.integers(min_value=1, max_value=4096), st.integers(min_value=8, max_value=512))
 def test_packet_flit_count_covers_message(size_bits, width):
-    message = Message(src=0, dst=1, msg_class=MessageClass.REQUEST, size_bits=size_bits)
-    packet = Packet(message, width)
-    assert packet.num_flits >= 1
-    assert packet.num_flits * width >= size_bits
-    assert (packet.num_flits - 1) * width < size_bits
+    num_flits = flit_count(size_bits, width)
+    assert num_flits >= 1
+    assert num_flits * width >= size_bits
+    assert (num_flits - 1) * width < size_bits
 
 
 @given(
@@ -64,10 +65,10 @@ def test_vc_buffer_never_overflows_or_underflows(operations):
         if op == "reserve":
             if vc.can_reserve(flits):
                 vc.reserve(flits)
-                packet = Packet(
-                    Message(src=0, dst=1, msg_class=MessageClass.REQUEST, size_bits=flits * 128),
-                    128,
+                packet = Message(
+                    src=0, dst=1, msg_class=MessageClass.REQUEST, size_bits=flits * 128
                 )
+                packet.num_flits = flit_count(packet.size_bits, 128)
                 vc.push(packet)
         else:
             if len(vc):
@@ -78,18 +79,19 @@ def test_vc_buffer_never_overflows_or_underflows(operations):
 
 @given(st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=10, unique=True))
 def test_round_robin_arbiter_always_picks_a_candidate(ports):
-    arbiter = RoundRobinArbiter()
-    candidates = []
-    for port in ports:
-        packet = Packet(
-            Message(src=0, dst=1, msg_class=MessageClass.REQUEST, size_bits=128), 128
+    candidates = [
+        SimpleNamespace(
+            key=(port, 0),
+            packet=Message(src=0, dst=1, msg_class=MessageClass.REQUEST, size_bits=128),
+            is_local=False,
         )
-        candidates.append(
-            ArbitrationCandidate(in_port=port, vc_index=0, buffer=None, packet=packet)
-        )
+        for port in ports
+    ]
+    last_winner = None
     for _ in range(5):
-        winner = arbiter.choose(candidates)
+        winner = round_robin(candidates, last_winner)
         assert winner in candidates
+        last_winner = winner.key
 
 
 @given(
@@ -104,18 +106,15 @@ def test_round_robin_arbiter_always_picks_a_candidate(ports):
     )
 )
 def test_static_priority_never_prefers_request_over_response(entries):
-    arbiter = StaticPriorityArbiter()
-    candidates = []
-    for index, (msg_class, is_local, port) in enumerate(entries):
-        packet = Packet(
-            Message(src=0, dst=1, msg_class=msg_class, size_bits=128), 128
+    candidates = [
+        SimpleNamespace(
+            key=(port, index),
+            packet=Message(src=0, dst=1, msg_class=msg_class, size_bits=128),
+            is_local=is_local,
         )
-        candidates.append(
-            ArbitrationCandidate(
-                in_port=port, vc_index=index, buffer=None, packet=packet, is_local=is_local
-            )
-        )
-    winner = arbiter.choose(candidates)
+        for index, (msg_class, is_local, port) in enumerate(entries)
+    ]
+    winner = static_priority(candidates, None)
     has_response = any(c.packet.msg_class == MessageClass.RESPONSE for c in candidates)
     if has_response:
         assert winner.packet.msg_class == MessageClass.RESPONSE

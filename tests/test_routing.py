@@ -21,7 +21,7 @@ from repro.chip.system_map import build_system_map
 from repro.fabrics import chiplet_system
 from repro.noc.buffer import InputPort
 from repro.noc.interface import NetworkInterface
-from repro.noc.message import Message, MessageClass, Packet, control_message_bits
+from repro.noc.message import Message, MessageClass, control_message_bits
 from repro.noc.router import Router
 from repro.scenarios import build_system
 from repro.sim.kernel import Simulator
@@ -46,9 +46,7 @@ def walk(network, src, dst):
     destination's.  At every router, ``route()`` must pick the output port
     that leads to that hop.
     """
-    packet = Packet(
-        Message(src=src, dst=dst, msg_class=MessageClass.REQUEST, size_bits=64), 64
-    )
+    packet = Message(src=src, dst=dst, msg_class=MessageClass.REQUEST, size_bits=64)
     router = network.interfaces[src]._router
     visited = []
     seen = set()
