@@ -41,9 +41,7 @@ class IdealNetwork(Network):
         serialization = max(0, flits - 1)
         message.hops = self.geometry.manhattan_tiles(src_coord, dst_coord)
         self.interfaces[message.src].flits_injected.add(flits)
-        self.sim.schedule_call(
-            self._on_delivery, (message,), wire_cycles + serialization + 1
-        )
+        self.sim.schedule_call(self._on_delivery, (message,), wire_cycles + serialization + 1)
 
     def drained(self) -> bool:
         """The ideal network buffers nothing."""
