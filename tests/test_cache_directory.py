@@ -255,3 +255,194 @@ def test_request_latency_recorded():
     harness.run()
     assert harness.directory.request_latency.count == 1
     assert harness.directory.request_latency.mean >= 4  # at least the bank latency
+
+
+# --------------------------------------------------------------------------- #
+# The directory's MSI rules, pinned as a table
+# --------------------------------------------------------------------------- #
+I, S, M = DirectoryState.INVALID, DirectoryState.SHARED, DirectoryState.MODIFIED
+INV, FWD, FWD_INV = SnoopType.INVALIDATE, SnoopType.FORWARD, SnoopType.FORWARD_INV
+GETS, GETX, PUTM = CoherenceRequestType.GETS, CoherenceRequestType.GETX, CoherenceRequestType.PUTM
+
+#: Every entry shape of a 3-core directory: I, S with each non-empty sharer
+#: subset, and M owned by each core, as ``(state, owner, sorted sharers)``.
+ENTRY_SHAPES = (
+    [(I, None, ())]
+    + [(S, None, sharers) for sharers in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))]
+    + [(M, core, (core,)) for core in range(3)]
+)
+
+#: (entry shape, request, requester) -> (snoops sent in order as
+#: (type, target), LLC outcome, the DATA's grants_exclusive, final shape).
+#: The LLC outcome is "hit", "miss" (an LLC miss and one memory fetch) or
+#: None (the LLC is not read). The LLC holds the block unless the entry is I.
+#: A PutM is answered with nothing, so it has no DATA (None).
+PIN_TABLE = {
+    ((I, None, ()), GETS, 0): ([], "miss", False, (S, None, (0,))),
+    ((I, None, ()), GETS, 1): ([], "miss", False, (S, None, (1,))),
+    ((I, None, ()), GETS, 2): ([], "miss", False, (S, None, (2,))),
+    ((I, None, ()), GETX, 0): ([], "miss", True, (M, 0, (0,))),
+    ((I, None, ()), GETX, 1): ([], "miss", True, (M, 1, (1,))),
+    ((I, None, ()), GETX, 2): ([], "miss", True, (M, 2, (2,))),
+    ((I, None, ()), PUTM, 0): ([], None, None, (I, None, ())),
+    ((I, None, ()), PUTM, 1): ([], None, None, (I, None, ())),
+    ((I, None, ()), PUTM, 2): ([], None, None, (I, None, ())),
+
+    ((S, None, (0,)), GETS, 0): ([], "hit", False, (S, None, (0,))),
+    ((S, None, (0,)), GETS, 1): ([], "hit", False, (S, None, (0, 1))),
+    ((S, None, (0,)), GETS, 2): ([], "hit", False, (S, None, (0, 2))),
+    ((S, None, (0,)), GETX, 0): ([], "hit", True, (M, 0, (0,))),
+    ((S, None, (0,)), GETX, 1): ([(INV, 0)], "hit", True, (M, 1, (1,))),
+    ((S, None, (0,)), GETX, 2): ([(INV, 0)], "hit", True, (M, 2, (2,))),
+    ((S, None, (0,)), PUTM, 0): ([], None, None, (S, None, ())),
+    ((S, None, (0,)), PUTM, 1): ([], None, None, (S, None, (0,))),
+    ((S, None, (0,)), PUTM, 2): ([], None, None, (S, None, (0,))),
+
+    ((S, None, (1,)), GETS, 0): ([], "hit", False, (S, None, (0, 1))),
+    ((S, None, (1,)), GETS, 1): ([], "hit", False, (S, None, (1,))),
+    ((S, None, (1,)), GETS, 2): ([], "hit", False, (S, None, (1, 2))),
+    ((S, None, (1,)), GETX, 0): ([(INV, 1)], "hit", True, (M, 0, (0,))),
+    ((S, None, (1,)), GETX, 1): ([], "hit", True, (M, 1, (1,))),
+    ((S, None, (1,)), GETX, 2): ([(INV, 1)], "hit", True, (M, 2, (2,))),
+    ((S, None, (1,)), PUTM, 0): ([], None, None, (S, None, (1,))),
+    ((S, None, (1,)), PUTM, 1): ([], None, None, (S, None, ())),
+    ((S, None, (1,)), PUTM, 2): ([], None, None, (S, None, (1,))),
+
+    ((S, None, (2,)), GETS, 0): ([], "hit", False, (S, None, (0, 2))),
+    ((S, None, (2,)), GETS, 1): ([], "hit", False, (S, None, (1, 2))),
+    ((S, None, (2,)), GETS, 2): ([], "hit", False, (S, None, (2,))),
+    ((S, None, (2,)), GETX, 0): ([(INV, 2)], "hit", True, (M, 0, (0,))),
+    ((S, None, (2,)), GETX, 1): ([(INV, 2)], "hit", True, (M, 1, (1,))),
+    ((S, None, (2,)), GETX, 2): ([], "hit", True, (M, 2, (2,))),
+    ((S, None, (2,)), PUTM, 0): ([], None, None, (S, None, (2,))),
+    ((S, None, (2,)), PUTM, 1): ([], None, None, (S, None, (2,))),
+    ((S, None, (2,)), PUTM, 2): ([], None, None, (S, None, ())),
+
+    ((S, None, (0, 1)), GETS, 0): ([], "hit", False, (S, None, (0, 1))),
+    ((S, None, (0, 1)), GETS, 1): ([], "hit", False, (S, None, (0, 1))),
+    ((S, None, (0, 1)), GETS, 2): ([], "hit", False, (S, None, (0, 1, 2))),
+    ((S, None, (0, 1)), GETX, 0): ([(INV, 1)], "hit", True, (M, 0, (0,))),
+    ((S, None, (0, 1)), GETX, 1): ([(INV, 0)], "hit", True, (M, 1, (1,))),
+    ((S, None, (0, 1)), GETX, 2): ([(INV, 0), (INV, 1)], "hit", True, (M, 2, (2,))),
+    ((S, None, (0, 1)), PUTM, 0): ([], None, None, (S, None, (1,))),
+    ((S, None, (0, 1)), PUTM, 1): ([], None, None, (S, None, (0,))),
+    ((S, None, (0, 1)), PUTM, 2): ([], None, None, (S, None, (0, 1))),
+
+    ((S, None, (0, 2)), GETS, 0): ([], "hit", False, (S, None, (0, 2))),
+    ((S, None, (0, 2)), GETS, 1): ([], "hit", False, (S, None, (0, 1, 2))),
+    ((S, None, (0, 2)), GETS, 2): ([], "hit", False, (S, None, (0, 2))),
+    ((S, None, (0, 2)), GETX, 0): ([(INV, 2)], "hit", True, (M, 0, (0,))),
+    ((S, None, (0, 2)), GETX, 1): ([(INV, 0), (INV, 2)], "hit", True, (M, 1, (1,))),
+    ((S, None, (0, 2)), GETX, 2): ([(INV, 0)], "hit", True, (M, 2, (2,))),
+    ((S, None, (0, 2)), PUTM, 0): ([], None, None, (S, None, (2,))),
+    ((S, None, (0, 2)), PUTM, 1): ([], None, None, (S, None, (0, 2))),
+    ((S, None, (0, 2)), PUTM, 2): ([], None, None, (S, None, (0,))),
+
+    ((S, None, (1, 2)), GETS, 0): ([], "hit", False, (S, None, (0, 1, 2))),
+    ((S, None, (1, 2)), GETS, 1): ([], "hit", False, (S, None, (1, 2))),
+    ((S, None, (1, 2)), GETS, 2): ([], "hit", False, (S, None, (1, 2))),
+    ((S, None, (1, 2)), GETX, 0): ([(INV, 1), (INV, 2)], "hit", True, (M, 0, (0,))),
+    ((S, None, (1, 2)), GETX, 1): ([(INV, 2)], "hit", True, (M, 1, (1,))),
+    ((S, None, (1, 2)), GETX, 2): ([(INV, 1)], "hit", True, (M, 2, (2,))),
+    ((S, None, (1, 2)), PUTM, 0): ([], None, None, (S, None, (1, 2))),
+    ((S, None, (1, 2)), PUTM, 1): ([], None, None, (S, None, (2,))),
+    ((S, None, (1, 2)), PUTM, 2): ([], None, None, (S, None, (1,))),
+
+    ((S, None, (0, 1, 2)), GETS, 0): ([], "hit", False, (S, None, (0, 1, 2))),
+    ((S, None, (0, 1, 2)), GETS, 1): ([], "hit", False, (S, None, (0, 1, 2))),
+    ((S, None, (0, 1, 2)), GETS, 2): ([], "hit", False, (S, None, (0, 1, 2))),
+    ((S, None, (0, 1, 2)), GETX, 0): ([(INV, 1), (INV, 2)], "hit", True, (M, 0, (0,))),
+    ((S, None, (0, 1, 2)), GETX, 1): ([(INV, 0), (INV, 2)], "hit", True, (M, 1, (1,))),
+    ((S, None, (0, 1, 2)), GETX, 2): ([(INV, 0), (INV, 1)], "hit", True, (M, 2, (2,))),
+    ((S, None, (0, 1, 2)), PUTM, 0): ([], None, None, (S, None, (1, 2))),
+    ((S, None, (0, 1, 2)), PUTM, 1): ([], None, None, (S, None, (0, 2))),
+    ((S, None, (0, 1, 2)), PUTM, 2): ([], None, None, (S, None, (0, 1))),
+
+    ((M, 0, (0,)), GETS, 0): ([], "hit", False, (M, 0, (0,))),
+    ((M, 0, (0,)), GETS, 1): ([(FWD, 0)], None, False, (S, None, (0, 1))),
+    ((M, 0, (0,)), GETS, 2): ([(FWD, 0)], None, False, (S, None, (0, 2))),
+    ((M, 0, (0,)), GETX, 0): ([], "hit", True, (M, 0, (0,))),
+    ((M, 0, (0,)), GETX, 1): ([(FWD_INV, 0)], None, True, (M, 1, (1,))),
+    ((M, 0, (0,)), GETX, 2): ([(FWD_INV, 0)], None, True, (M, 2, (2,))),
+    ((M, 0, (0,)), PUTM, 0): ([], None, None, (I, None, ())),
+    ((M, 0, (0,)), PUTM, 1): ([], None, None, (M, 0, (0,))),
+    ((M, 0, (0,)), PUTM, 2): ([], None, None, (M, 0, (0,))),
+
+    ((M, 1, (1,)), GETS, 0): ([(FWD, 1)], None, False, (S, None, (0, 1))),
+    ((M, 1, (1,)), GETS, 1): ([], "hit", False, (M, 1, (1,))),
+    ((M, 1, (1,)), GETS, 2): ([(FWD, 1)], None, False, (S, None, (1, 2))),
+    ((M, 1, (1,)), GETX, 0): ([(FWD_INV, 1)], None, True, (M, 0, (0,))),
+    ((M, 1, (1,)), GETX, 1): ([], "hit", True, (M, 1, (1,))),
+    ((M, 1, (1,)), GETX, 2): ([(FWD_INV, 1)], None, True, (M, 2, (2,))),
+    ((M, 1, (1,)), PUTM, 0): ([], None, None, (M, 1, (1,))),
+    ((M, 1, (1,)), PUTM, 1): ([], None, None, (I, None, ())),
+    ((M, 1, (1,)), PUTM, 2): ([], None, None, (M, 1, (1,))),
+
+    ((M, 2, (2,)), GETS, 0): ([(FWD, 2)], None, False, (S, None, (0, 2))),
+    ((M, 2, (2,)), GETS, 1): ([(FWD, 2)], None, False, (S, None, (1, 2))),
+    ((M, 2, (2,)), GETS, 2): ([], "hit", False, (M, 2, (2,))),
+    ((M, 2, (2,)), GETX, 0): ([(FWD_INV, 2)], None, True, (M, 0, (0,))),
+    ((M, 2, (2,)), GETX, 1): ([(FWD_INV, 2)], None, True, (M, 1, (1,))),
+    ((M, 2, (2,)), GETX, 2): ([], "hit", True, (M, 2, (2,))),
+    ((M, 2, (2,)), PUTM, 0): ([], None, None, (M, 2, (2,))),
+    ((M, 2, (2,)), PUTM, 1): ([], None, None, (M, 2, (2,))),
+    ((M, 2, (2,)), PUTM, 2): ([], None, None, (I, None, ())),
+}
+
+
+def _drive(shape, req_type, requester, addr=0x40):
+    """Run one request against a directory entry of ``shape``, answering every
+    snoop and memory fetch, and return what the table records."""
+    harness = Harness()
+    directory = harness.directory
+    state, owner, sharers = shape
+    if state is not I:
+        directory.warm_fill(addr)  # LLC contents only: no sharer
+    directory.entries[addr] = DirectoryEntry(state=state, sharers=set(sharers), owner=owner)
+    directory.handle_request(CacheRequest(req_type, addr, requester, requester))
+    answered = 0
+    while True:
+        harness.run()
+        pending, answered = harness.sent[answered:], len(harness.sent)
+        if not pending:
+            break
+        for _dst, _cls, payload, _data in pending:
+            if isinstance(payload, SnoopRequest):
+                kind = ResponseType.INV_ACK if payload.snoop_type is INV else ResponseType.FWD_DATA
+                directory.handle_response(Response(kind, addr, target_core=payload.target_core))
+            elif isinstance(payload, MemoryRequest):
+                directory.handle_response(Response(ResponseType.MEM_DATA, addr))
+
+    assert directory.llc_accesses.value == (req_type is not PUTM)
+    assert directory.writebacks.value == (req_type is PUTM)
+    assert directory.llc_hits.value + directory.llc_misses.value <= 1
+    assert directory.memory_fetches.value == len(harness.memory_requests()) == directory.llc_misses.value
+    llc = "hit" if directory.llc_hits.value else "miss" if directory.llc_misses.value else None
+    data = harness.sent_of_type(ResponseType.DATA)
+    assert len(data) == (req_type is not PUTM)
+    assert all(response.target_core == requester for response in data)
+    entry = directory.entries[addr]
+    return (
+        [(snoop.snoop_type, snoop.target_core) for snoop in harness.snoops()],
+        llc,
+        data[0].grants_exclusive if data else None,
+        (entry.state, entry.owner, tuple(sorted(entry.sharers))),
+    )
+
+
+def test_pin_table_covers_every_input():
+    assert set(PIN_TABLE) == {
+        (shape, req_type, requester)
+        for shape in ENTRY_SHAPES
+        for req_type in (GETS, GETX, PUTM)
+        for requester in range(3)
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    list(PIN_TABLE),
+    ids=lambda case: f"{case[0][0].value}{''.join(map(str, case[0][2]))}-{case[1].value}-{case[2]}",
+)
+def test_directory_follows_pin_table(case):
+    assert _drive(*case) == PIN_TABLE[case]
