@@ -2,7 +2,7 @@
 
 The paper's chips have per-core L1-I/L1-D caches, a shared NUCA LLC with an
 embedded directory, and four memory channels.  This package provides all of
-those pieces plus the MESI-style directory protocol with the three message
+those pieces plus the MSI directory protocol with the three message
 classes (requests, snoops, responses) the NOC designs rely on for deadlock
 freedom.
 """

@@ -1,8 +1,8 @@
-"""Coherence protocol message payloads and directory state.
+"""Coherence protocol message payloads, directory state and the directory's rules.
 
-The protocol is a directory-based MESI-style protocol reduced to the three
-stable directory states the paper's traffic analysis needs (I, S, M) and
-the three network message classes it relies on for deadlock freedom:
+The protocol is a directory-based MSI protocol with the three stable
+directory states the paper's traffic analysis needs (I, S, M) and the three
+network message classes it relies on for deadlock freedom:
 
 * **requests** (core -> directory): GetS, GetX, PutM;
 * **snoops** (directory -> core): invalidate, forward, forward-invalidate;
@@ -12,13 +12,17 @@ the three network message classes it relies on for deadlock freedom:
 Cache-to-cache transfers are resolved through the directory (3-hop), which
 matches the paper's observation that such transfers are triggered by fewer
 than 2 % of LLC accesses.
+
+:func:`on_request`, :func:`on_complete` and :func:`on_putm` are the only
+home of the directory's rules. Each reads and updates just the entry it is
+given; the timed directory and the functional warm-up apply their results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Set
+from typing import List, Optional, Set, Tuple
 
 
 class CoherenceRequestType(Enum):
@@ -44,7 +48,6 @@ class ResponseType(Enum):
     INV_ACK = "InvAck"       # core -> directory
     FWD_DATA = "FwdData"     # owner core -> directory (carries a block)
     MEM_DATA = "MemData"     # memory controller -> directory (carries a block)
-    WB_ACK = "WbAck"         # directory -> core (writeback acknowledged)
 
 
 @dataclass
@@ -114,3 +117,47 @@ class DirectoryEntry:
             raise AssertionError("I state cannot have sharers or an owner")
         if self.state == DirectoryState.SHARED and self.owner is not None:
             raise AssertionError("S state cannot have an owner")
+
+
+def on_request(entry: DirectoryEntry, is_write: bool, requester: int) -> Tuple[Optional[SnoopType], List[int]]:
+    """The snoops a GetS (or, if ``is_write``, a GetX) needs: ``(type, target cores)``.
+
+    Another core's M copy is forwarded (Fwd, or FwdInv on a GetX) from its
+    owner; a GetX invalidates the other sharers, in core order. The LLC is
+    read unless the result is a forward.
+    """
+    if entry.state is DirectoryState.MODIFIED and entry.owner != requester:
+        return (SnoopType.FORWARD_INV if is_write else SnoopType.FORWARD), [entry.owner]
+    others = sorted(entry.sharers - {requester}) if is_write else []
+    return (SnoopType.INVALIDATE if others else None), others
+
+
+def on_complete(
+    entry: DirectoryEntry, is_write: bool, requester: int, forwarded_from: Optional[int] = None
+) -> None:
+    """Grant the requester M on a GetX, else S (a forwarding owner stays a sharer).
+
+    An owner re-reading its own M block keeps it.
+    """
+    if is_write:
+        entry.state = DirectoryState.MODIFIED
+        entry.owner = requester
+        entry.sharers = {requester}
+    elif entry.state is not DirectoryState.MODIFIED or entry.owner != requester:
+        entry.state = DirectoryState.SHARED
+        entry.owner = None
+        entry.sharers.add(requester)
+        if forwarded_from is not None:
+            entry.sharers.add(forwarded_from)
+    entry.check_invariants()
+
+
+def on_putm(entry: DirectoryEntry, core: int) -> None:
+    """A PutM: the owner's writeback leaves the block I; any other core just
+    leaves the sharers."""
+    if entry.state is DirectoryState.MODIFIED and entry.owner == core:
+        entry.state = DirectoryState.INVALID
+        entry.owner = None
+        entry.sharers.clear()
+    else:
+        entry.sharers.discard(core)

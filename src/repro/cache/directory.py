@@ -25,6 +25,9 @@ from repro.cache.coherence import (
     ResponseType,
     SnoopRequest,
     SnoopType,
+    on_complete,
+    on_putm,
+    on_request,
 )
 from repro.cache.llc import LLCBank
 from repro.config.cache import CacheConfig
@@ -119,8 +122,10 @@ class DirectoryController(Component):
         """Entry point for GetS / GetX / PutM messages."""
         addr = self.mapper.block_address(request.addr)
         request.addr = addr
-        if request.req_type == CoherenceRequestType.PUTM:
-            self._handle_writeback(request)
+        if request.req_type is CoherenceRequestType.PUTM:
+            self.writebacks.add()
+            on_putm(self._entry(addr), request.requester_core)
+            self.bank_for(addr).writeback(addr)
             return
         if addr in self.transactions:
             self._deferred.setdefault(addr, deque()).append(request)
@@ -138,71 +143,27 @@ class DirectoryController(Component):
         completion = bank.schedule_access(now)
         self.sim.schedule_at(lambda r=request: self._process_request(r), completion)
 
-    def _handle_writeback(self, request: CacheRequest) -> None:
-        addr = request.addr
-        self.writebacks.add()
-        entry = self._entry(addr)
-        if entry.state == DirectoryState.MODIFIED and entry.owner == request.requester_core:
-            entry.state = DirectoryState.INVALID
-            entry.owner = None
-            entry.sharers.clear()
-        else:
-            entry.sharers.discard(request.requester_core)
-        self.bank_for(addr).writeback(addr)
-
     def _process_request(self, request: CacheRequest) -> None:
         addr = request.addr
         transaction = self.transactions[addr]
-        entry = self._entry(addr)
         self.llc_accesses.add()
-
-        if request.req_type == CoherenceRequestType.GETS:
-            self._process_gets(request, transaction, entry)
-        elif request.req_type == CoherenceRequestType.GETX:
-            self._process_getx(request, transaction, entry)
-        else:  # pragma: no cover - PutM never reaches here
-            raise RuntimeError(f"unexpected request type {request.req_type}")
-
+        snoop_type, targets = on_request(
+            self._entry(addr), request.req_type is CoherenceRequestType.GETX, request.requester_core
+        )
+        for target in targets:
+            self._send_snoop(snoop_type, addr, target, transaction)
+        if snoop_type is SnoopType.FORWARD or snoop_type is SnoopType.FORWARD_INV:
+            transaction.waiting_for_forward = True
+            transaction.forwarded_from = targets[0]
+        else:
+            transaction.acks_needed = len(targets)
+            if self.bank_for(addr).contains(addr):
+                self.llc_hits.add()
+                transaction.have_data = True
+            else:
+                self.llc_misses.add()
+                self._fetch_from_memory(addr, transaction)
         self._maybe_complete(addr)
-
-    def _process_gets(
-        self, request: CacheRequest, transaction: Transaction, entry: DirectoryEntry
-    ) -> None:
-        addr = request.addr
-        requester = request.requester_core
-        if entry.state == DirectoryState.MODIFIED and entry.owner != requester:
-            self._send_snoop(SnoopType.FORWARD, addr, entry.owner, transaction)
-            transaction.waiting_for_forward = True
-            transaction.forwarded_from = entry.owner
-            return
-        if self.bank_for(addr).contains(addr):
-            self.llc_hits.add()
-            transaction.have_data = True
-        else:
-            self.llc_misses.add()
-            self._fetch_from_memory(addr, transaction)
-
-    def _process_getx(
-        self, request: CacheRequest, transaction: Transaction, entry: DirectoryEntry
-    ) -> None:
-        addr = request.addr
-        requester = request.requester_core
-        if entry.state == DirectoryState.MODIFIED and entry.owner != requester:
-            self._send_snoop(SnoopType.FORWARD_INV, addr, entry.owner, transaction)
-            transaction.waiting_for_forward = True
-            transaction.forwarded_from = entry.owner
-            return
-        other_sharers = entry.sharers - {requester}
-        if entry.state == DirectoryState.SHARED and other_sharers:
-            for sharer in sorted(other_sharers):
-                self._send_snoop(SnoopType.INVALIDATE, addr, sharer, transaction)
-            transaction.acks_needed = len(other_sharers)
-        if self.bank_for(addr).contains(addr):
-            self.llc_hits.add()
-            transaction.have_data = True
-        else:
-            self.llc_misses.add()
-            self._fetch_from_memory(addr, transaction)
 
     # ------------------------------------------------------------------ #
     # Snoops and memory fills
@@ -254,25 +215,9 @@ class DirectoryController(Component):
         if transaction is None or not transaction.complete:
             return
         request = transaction.request
-        entry = self._entry(addr)
         requester = request.requester_core
-        exclusive = request.req_type == CoherenceRequestType.GETX
-
-        if exclusive:
-            entry.state = DirectoryState.MODIFIED
-            entry.owner = requester
-            entry.sharers = {requester}
-        else:
-            if entry.state == DirectoryState.MODIFIED and entry.owner == requester:
-                pass  # owner re-reading its own modified block
-            else:
-                entry.state = DirectoryState.SHARED
-                entry.owner = None
-                entry.sharers.add(requester)
-                if transaction.forwarded_from is not None:
-                    entry.sharers.add(transaction.forwarded_from)
-        entry.check_invariants()
-
+        exclusive = request.req_type is CoherenceRequestType.GETX
+        on_complete(self._entry(addr), exclusive, requester, transaction.forwarded_from)
         response = Response(
             ResponseType.DATA,
             addr,
@@ -295,20 +240,19 @@ class DirectoryController(Component):
     # Warm-up support and statistics
     # ------------------------------------------------------------------ #
     def warm_fill(self, addr: int, sharer: Optional[int] = None, writable: bool = False) -> None:
-        """Functionally install a block (and optionally a sharer) during warm-up."""
+        """Functionally install a block (and optionally a sharer) during warm-up.
+
+        The sharer is granted the block by :func:`on_complete`, except that a
+        read of a block in M changes nothing: warm-up sends no snoops, so an
+        owner keeps its M copy.
+        """
         addr = self.mapper.block_address(addr)
         self.bank_for(addr).array.insert(addr)
         if sharer is None:
             return
         entry = self._entry(addr)
-        if writable:
-            entry.state = DirectoryState.MODIFIED
-            entry.owner = sharer
-            entry.sharers = {sharer}
-        elif entry.state != DirectoryState.MODIFIED:
-            entry.state = DirectoryState.SHARED
-            entry.owner = None
-            entry.sharers.add(sharer)
+        if writable or entry.state is not DirectoryState.MODIFIED:
+            on_complete(entry, writable, sharer)
 
     @property
     def snoop_rate(self) -> float:

@@ -11,10 +11,6 @@ from repro.cpu.core_node import CoreNode
 from repro.noc.message import Message
 from repro.tenancy.traffic import TenantProbe
 
-#: Response types consumed by the requesting core (everything else belongs
-#: to the home directory).
-_CORE_RESPONSES = (ResponseType.DATA, ResponseType.WB_ACK)
-
 
 class Tile:
     """One network endpoint and the components living behind it.
@@ -53,7 +49,7 @@ class Tile:
                 payload
             )
         elif isinstance(payload, Response):
-            if payload.resp_type in _CORE_RESPONSES:
+            if payload.resp_type is ResponseType.DATA:  # the rest go to the home directory
                 self._require(self.core_node, "core", payload).handle_response(payload)
             else:
                 self._require(self.directory, "directory", payload).handle_response(payload)

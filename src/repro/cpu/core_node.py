@@ -129,10 +129,8 @@ class CoreNode(Component):
     # Network-side API (called by the endpoint dispatch)
     # ------------------------------------------------------------------ #
     def handle_response(self, response: Response) -> None:
-        """Data fills and writeback acknowledgements from the directory."""
-        if response.resp_type == ResponseType.WB_ACK:
-            return
-        if response.resp_type != ResponseType.DATA:
+        """Data fills from the directory (a PutM is answered with nothing)."""
+        if response.resp_type is not ResponseType.DATA:
             raise RuntimeError(f"{self.name}: unexpected response {response.resp_type}")
         block = self.block_address(response.addr)
         entry = self.mshr.lookup(block)

@@ -1,5 +1,8 @@
 """Unit tests for the directory controller and coherence protocol."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.cache.address import AddressMapper
@@ -13,6 +16,9 @@ from repro.cache.coherence import (
     ResponseType,
     SnoopRequest,
     SnoopType,
+    on_complete,
+    on_putm,
+    on_request,
 )
 from repro.cache.directory import DirectoryController
 from repro.config.cache import CacheConfig
@@ -446,3 +452,80 @@ def test_pin_table_covers_every_input():
 )
 def test_directory_follows_pin_table(case):
     assert _drive(*case) == PIN_TABLE[case]
+
+
+def _shape(entry):
+    return (entry.state, entry.owner, tuple(sorted(entry.sharers)))
+
+
+def test_rule_functions_follow_pin_table():
+    for case, (snoops, _llc, _grants, final) in PIN_TABLE.items():
+        shape, req_type, requester = case
+        state, owner, sharers = shape
+        entry = DirectoryEntry(state=state, sharers=set(sharers), owner=owner)
+        if req_type is PUTM:
+            on_putm(entry, requester)
+        else:
+            is_write = req_type is GETX
+            snoop_type, targets = on_request(entry, is_write, requester)
+            assert _shape(entry) == shape, case  # a request only reads the entry
+            assert [(snoop_type, target) for target in targets] == snoops, case
+            forward = snoop_type is FWD or snoop_type is FWD_INV
+            if forward:
+                assert targets == [owner] != [requester], case
+            if not is_write:
+                assert snoop_type is not INV, case
+            on_complete(entry, is_write, requester, targets[0] if forward else None)
+            assert requester in entry.sharers, case
+        entry.check_invariants()
+        assert _shape(entry) == final, case
+
+
+def test_putm_racing_a_forward_leaves_the_evicted_owner_a_sharer():
+    # The PutM is applied at once, while the forward is in flight; the owner
+    # still answers FwdData, and completion lists it as a sharer again.
+    harness = Harness()
+    harness.directory.entries[0x40] = DirectoryEntry(state=M, sharers={7}, owner=7)
+    harness.gets(0x40, core=1)
+    harness.run()
+    assert [(s.snoop_type, s.target_core) for s in harness.snoops()] == [(FWD, 7)]
+    harness.putm(0x40, core=7)
+    assert _shape(harness.directory.entries[0x40]) == (I, None, ())
+    harness.directory.handle_response(Response(ResponseType.FWD_DATA, 0x40, target_core=7))
+    assert _shape(harness.directory.entries[0x40]) == (S, None, (1, 7))
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _state_assignments(source):
+    """Line numbers where ``DirectoryState.<member>`` is assigned or passed by keyword."""
+
+    def is_member(node):
+        if isinstance(node, ast.IfExp):
+            return is_member(node.body) or is_member(node.orelse)
+        return (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "DirectoryState"
+        )
+
+    return [
+        node.value.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.NamedExpr, ast.keyword))
+        and node.value is not None
+        and is_member(node.value)
+    ]
+
+
+def test_only_coherence_module_assigns_directory_states():
+    rules = SRC / "repro" / "cache" / "coherence.py"
+    assert _state_assignments(rules.read_text())  # the check sees the rules' own assignments
+    offenders = [
+        f"{path.relative_to(SRC)}:{line}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path != rules
+        for line in _state_assignments(path.read_text())
+    ]
+    assert not offenders, f"directory states are assigned outside cache/coherence.py: {offenders}"
