@@ -119,7 +119,9 @@ class DirectoryEntry:
             raise AssertionError("S state cannot have an owner")
 
 
-def on_request(entry: DirectoryEntry, is_write: bool, requester: int) -> Tuple[Optional[SnoopType], List[int]]:
+def on_request(
+    entry: DirectoryEntry, is_write: bool, requester: int
+) -> Tuple[Optional[SnoopType], List[int]]:
     """The snoops a GetS (or, if ``is_write``, a GetX) needs: ``(type, target cores)``.
 
     Another core's M copy is forwarded (Fwd, or FwdInv on a GetX) from its
