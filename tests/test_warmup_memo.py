@@ -48,7 +48,7 @@ def test_packed_lines_round_trip_every_set_in_lru_order():
     config = CacheConfig(size_bytes=4096, associativity=4, block_size=64)
     source = SetAssociativeCache(config)
     rng = random.Random(5)
-    states = [CacheLineState.SHARED, CacheLineState.EXCLUSIVE, CacheLineState.MODIFIED]
+    states = [CacheLineState.SHARED, CacheLineState.MODIFIED]
     source.insert_all(
         (rng.randrange(1 << 40) & -64, rng.choice(states)) for _ in range(500)
     )
