@@ -12,7 +12,7 @@ round-trip credit time".
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.noc.message import MESSAGE_CLASSES, Message, MessageClass
 
@@ -21,7 +21,8 @@ class VirtualChannelBuffer:
     """One virtual channel: a FIFO of packets with flit-granular capacity.
 
     A 2048-core mesh builds about 30,000 of these and most never hold a
-    packet, so a VC is kept small.  Its queue is a plain list: admission
+    packet, so a VC is kept small.  Until its first :meth:`push` its queue
+    is a shared empty tuple; from then on it is a plain list: admission
     by reservation keeps a router VC at or below its capacity in packets
     (a handful), and an ejection VC is popped as soon as it is pushed, so
     removing the head stays cheap.  Its credit-listener dict exists only
@@ -39,6 +40,7 @@ class VirtualChannelBuffer:
         "_queue",
         "_space_waiters",
         "head_route",
+        "state",
     )
 
     def __init__(self, capacity_flits: int, port_name: str = "port", index: int = 0) -> None:
@@ -49,7 +51,7 @@ class VirtualChannelBuffer:
         self.capacity_flits = capacity_flits
         self._reserved_flits = 0
         self._occupied_flits = 0
-        self._queue: List[Message] = []
+        self._queue: Sequence[Message] = ()
         #: One-shot credit listeners, or ``None`` while nobody waits: a dict
         #: created by the first :meth:`wait_for_space` and dropped by the
         #: :meth:`pop` that notifies it.  A dict (insertion-ordered) rather
@@ -60,6 +62,9 @@ class VirtualChannelBuffer:
         #: the owning router: ``(packet, out_index, out_port,
         #: downstream_vc_index, downstream_vc)`` — see ``Router._head_route``.
         self.head_route: Optional[tuple] = None
+        #: The owning router's switching state for this VC, made on its
+        #: first packet (``repro.noc.router._VcState``).
+        self.state = None
 
     @property
     def name(self) -> str:
@@ -89,7 +94,10 @@ class VirtualChannelBuffer:
     def push(self, packet: Message) -> None:
         """Deposit an arriving packet (its space must have been reserved)."""
         self._occupied_flits += packet.num_flits
-        self._queue.append(packet)
+        try:
+            self._queue.append(packet)
+        except AttributeError:  # the first push: swap the shared tuple for a list
+            self._queue = [packet]
 
     def peek(self) -> Optional[Message]:
         """Head-of-line packet, if any."""

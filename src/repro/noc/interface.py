@@ -8,7 +8,7 @@ from typing import Callable, Dict, Optional
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
 from repro.noc.buffer import InputPort, unbounded_input_port
-from repro.noc.message import MESSAGE_CLASSES, Message, MessageClass, flit_count
+from repro.noc.message import Message, MessageClass, flit_count
 from repro.noc.router import PacketSink, Router
 
 
@@ -36,13 +36,16 @@ class NetworkInterface(Component, PacketSink):
         self.link_width_bits = link_width_bits
         self.injection_latency = injection_latency
         self._on_delivery = on_delivery
-        # Deques: past saturation an injection queue grows without bound.
-        self._inject_queues: Dict[MessageClass, deque] = {cls: deque() for cls in MESSAGE_CLASSES}
-        self.input_ports = [unbounded_input_port(name=f"{name}.eject")]
+        # A class's injection queue is made by its first message.  Deques:
+        # past saturation an injection queue grows without bound.
+        self._inject_queues: Dict[MessageClass, deque] = {}
+        # One ejection VC serves every class: it is unbounded and drained in
+        # the call that fills it, so no class ever waits behind another.
+        self.input_ports = [unbounded_input_port(1, name=f"{name}.eject")]
         self._router: Optional[Router] = None
         self._router_port: Optional[int] = None
-        # Per-class (vc_index, vc) resolution on the attached router input
-        # port, precomputed at attach time for the injection hot loop.
+        # Per open class, (queue, vc_index, vc) on the attached router input
+        # port, in _tick's scan order: RESPONSE, SNOOP, REQUEST.
         self._inject_vcs: list = []
         # Stable bound wake callback for VC credit listeners (deduplicated
         # by VirtualChannelBuffer.wait_for_space across blocked ticks).
@@ -55,15 +58,20 @@ class NetworkInterface(Component, PacketSink):
         """Declare the router input port this interface injects into."""
         self._router = router
         self._router_port = router_in_port
-        in_port = router.input_ports[router_in_port]
-        self._inject_vcs = [
-            (
-                self._inject_queues[msg_class],
-                in_port.vc_index_for(msg_class),
-                in_port.vc_for(msg_class),
-            )
-            for msg_class in (MessageClass.RESPONSE, MessageClass.SNOOP, MessageClass.REQUEST)
-        ]
+
+    def _open_queue(self, msg_class: MessageClass) -> deque:
+        """Make ``msg_class``'s injection queue and its ``_inject_vcs`` entry."""
+        if self._router is None:
+            raise RuntimeError(f"{self.name}: interface not attached to a router")
+        in_port = self._router.input_ports[self._router_port]
+        queue = self._inject_queues[msg_class] = deque()
+        # _tick scans in descending class value whatever order the classes
+        # open in: that order decides the order of same-cycle events.
+        position = sum(cls > msg_class for cls in self._inject_queues)
+        self._inject_vcs.insert(
+            position, (queue, in_port.vc_index_for(msg_class), in_port.vc_for(msg_class))
+        )
+        return queue
 
     # ------------------------------------------------------------------ #
     # Injection
@@ -71,7 +79,10 @@ class NetworkInterface(Component, PacketSink):
     def inject(self, message: Message) -> None:
         """Stamp ``message`` with its flit count and queue it for injection."""
         message.num_flits = flits = flit_count(message.size_bits, self.link_width_bits)
-        self._inject_queues[message.msg_class].append(message)
+        queue = self._inject_queues.get(message.msg_class)
+        if queue is None:
+            queue = self._open_queue(message.msg_class)
+        queue.append(message)
         self.flits_injected.add(flits)
         # wake(0) with the same-cycle suppression test hoisted (several
         # messages commonly inject within one cycle).
@@ -87,8 +98,6 @@ class NetworkInterface(Component, PacketSink):
         full VC registers this interface's wake callback with that VC and
         sleeps until its next ``pop`` returns credit.
         """
-        if self._router is None:
-            raise RuntimeError(f"{self.name}: interface not attached to a router")
         progressed = False
         schedule_call = self.sim.schedule_call
         deliver = self._router.receive_packet

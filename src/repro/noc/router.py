@@ -35,6 +35,7 @@ kernel events until credit returns; see ``docs/performance.md``.
 from __future__ import annotations
 
 from bisect import insort
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional
 
 from repro.sim.component import Component
@@ -78,6 +79,12 @@ class OutputPort:
         return f"OutputPort({self.name} -> {self.downstream!r}.{self.downstream_port})"
 
 
+@lru_cache(maxsize=None)
+def _flits_sent_name(index: int) -> str:
+    """``port<index>.flits_sent``: one string per index, shared by every router."""
+    return f"port{index}.flits_sent"
+
+
 class PacketSink:
     """Protocol implemented by anything that can receive packets.
 
@@ -94,14 +101,15 @@ class PacketSink:
 class _VcState:
     """Per-(input port, VC) switching state owned by one router.
 
-    Created once per VC on first activation and reused for the router's
-    lifetime.  ``blocked`` implements credit-blocked head skipping: when a
-    tick finds a head that cannot reserve downstream space, the state is
-    marked blocked and registers itself (it is callable) as the downstream
-    VC's credit listener; the VC is then skipped by every arbitration
-    round until the downstream ``pop`` calls it.  Reservations only ever
-    shrink on ``pop``, so skipping is exactly equivalent to re-checking
-    ``can_reserve`` each round — just without the work.
+    Created on the VC's first packet, kept in the VC's ``state`` slot and
+    reused for the router's lifetime.  ``blocked`` implements credit-blocked
+    head skipping: when a tick finds a head that cannot reserve downstream
+    space, the state is marked blocked and registers itself (it is
+    callable) as the downstream VC's credit listener; the VC is then
+    skipped by every arbitration round until the downstream ``pop`` calls
+    it.  Reservations only ever shrink on ``pop``, so skipping is exactly
+    equivalent to re-checking ``can_reserve`` each round — just without
+    the work.
 
     The state doubles as its own arbitration candidate (``key``, ``packet``
     and ``is_local`` are what the policies in :mod:`repro.noc.arbiter`
@@ -214,14 +222,11 @@ class Router(Component, PacketSink):
         self._arbitrate = arbitrate
         # Per output port: the key of its last arbitration winner.
         self._last_winner: List[Optional[tuple]] = []
-        self._local_input_ports: set = set()
+        self._local_input_ports: tuple = ()
         # Occupied input VCs as _VcState objects, kept sorted by
         # (in_port, vc_index) so ticks scan only buffers that actually hold
         # packets (scan order — and therefore arbitration candidate order —
-        # matches a full sweep).  States are created lazily, one per VC, and
-        # indexed by [in_port][vc_index] rows (cheaper than a tuple-keyed
-        # dict on the receive/forward path).
-        self._vc_state_rows: List[List[Optional[_VcState]]] = []
+        # matches a full sweep).  A VC's state is made on its first packet.
         self._active_vcs: List[_VcState] = []
         # Activity counters consumed by the energy model.
         self.flits_switched = self.stats.counter("flits_switched")
@@ -234,9 +239,8 @@ class Router(Component, PacketSink):
         """Attach an input port; returns its index."""
         self.input_ports.append(port)
         index = len(self.input_ports) - 1
-        self._vc_state_rows.append([None] * port.num_vcs)
         if is_local:
-            self._local_input_ports.add(index)
+            self._local_input_ports += (index,)
         return index
 
     def add_output_port(
@@ -265,7 +269,7 @@ class Router(Component, PacketSink):
             downstream_port,
             link_latency,
             link_length_mm,
-            self.stats.counter(f"port{index}.flits_sent"),
+            self.stats.counter(_flits_sent_name(index)),
         )
         self.output_ports.append(port)
         self._port_toward[downstream] = index
@@ -304,10 +308,9 @@ class Router(Component, PacketSink):
         buffer = self.input_ports[in_port].vcs[vc_index]
         buffer.push(packet)
         self.buffer_flit_writes.add(packet.num_flits)
-        row = self._vc_state_rows[in_port]
-        state = row[vc_index]
+        state = buffer.state
         if state is None:
-            state = row[vc_index] = _VcState(
+            state = buffer.state = _VcState(
                 self, in_port, vc_index, buffer, in_port in self._local_input_ports
             )
         if not state.active:
@@ -494,15 +497,16 @@ class Router(Component, PacketSink):
         )
 
     def close(self) -> None:
-        """Also drop each input VC's cached head route.
+        """Also drop each input VC's cached head route and state.
 
-        A blocked head's VC caches the downstream VC, whose listeners hold
-        this VC's state, so two VCs can point at each other through no
-        component.
+        A VC's state points back at the VC, and a blocked head's VC caches
+        the downstream VC, whose listeners hold this VC's state, so VCs can
+        point at one another through no component.
         """
         for port in self.input_ports:
             for vc in port.vcs:
                 vc.head_route = None
+                vc.state = None
         super().close()
 
     # ------------------------------------------------------------------ #

@@ -54,12 +54,14 @@ class TestMeshNetwork:
         assert message.hops == 7  # 6 mesh hops + ejection
 
     def test_zero_load_latency_matches_three_cycles_per_hop(self):
-        sim, network, received = build_network(MeshNetwork, Topology.MESH)
-        send(network, 0, 15)  # 3 + 3 = 6 hops in a 4x4 grid
-        sim.run(100)
-        latency = network.mean_latency(MessageClass.REQUEST)
-        # 6 hops * 3 cycles + injection + ejection overheads.
-        assert 18 <= latency <= 26
+        # 0 -> 15 is 3 + 3 = 6 mesh hops in a 4x4 grid: 7 routers with the
+        # ejection hop, 3 cycles each.  A 5-flit data message adds 4 cycles
+        # of serialization at ejection.
+        for data, latency in ((False, 21), (True, 25)):
+            sim, network, received = build_network(MeshNetwork, Topology.MESH)
+            send(network, 0, 15, data=data)
+            sim.run(100)
+            assert network.mean_latency(MessageClass.REQUEST) == latency
 
     def test_hop_count_is_manhattan_distance_plus_ejection(self):
         sim, network, _ = build_network(MeshNetwork, Topology.MESH)
@@ -100,6 +102,47 @@ class TestMeshNetwork:
         activity = network.activity()
         assert activity["flits_switched"] > 0
         assert activity["link_flit_mm"] > 0
+
+
+class TestStateOnFirstUse:
+    """An idle network holds no per-class queue and no per-VC packet state."""
+
+    @staticmethod
+    def vcs(network):
+        """Every router input VC and every ejection VC, as ``(port name, vc)``."""
+        ports = [port for router in network.routers for port in router.input_ports]
+        ports += [ni.input_ports[0] for ni in network.interfaces.values()]
+        return [(port.name, vc) for port in ports for vc in port.vcs]
+
+    def test_only_the_vcs_a_packet_crosses_get_a_queue_and_state(self):
+        sim, network, received = build_network(MeshNetwork, Topology.MESH, num_cores=256)
+        interfaces = network.interfaces.values()
+        assert all(ni._inject_queues == {} and ni._inject_vcs == [] for ni in interfaces)
+        assert all(len(ni.input_ports[0].vcs) == 1 for ni in interfaces)
+        assert all(vc._queue == () and vc.state is None for _, vc in self.vcs(network))
+
+        message = send(network, 0, 255)  # (0, 0) -> (15, 15): east along row 0, then south
+        sim.run(200)
+        assert received[255] == [message]
+        assert list(network.interfaces[0]._inject_queues) == [MessageClass.REQUEST]
+        path = (
+            ["mesh.r0_0.in_local0"]
+            + [f"mesh.r{x}_0.in_W" for x in range(1, 16)]
+            + [f"mesh.r15_{y}.in_N" for y in range(1, 16)]
+        )
+        with_state = [(name, vc.index) for name, vc in self.vcs(network) if vc.state is not None]
+        assert sorted(with_state) == sorted((name, 0) for name in path)
+        with_list = {name for name, vc in self.vcs(network) if isinstance(vc._queue, list)}
+        assert with_list == set(path) | {network.interfaces[255].input_ports[0].name}
+
+    def test_injection_scans_response_snoop_request_whatever_opens_first(self):
+        _sim, network, _ = build_network(MeshNetwork, Topology.MESH)
+        for msg_class in (MessageClass.SNOOP, MessageClass.REQUEST, MessageClass.RESPONSE):
+            send(network, 0, 15, msg_class)
+        ni = network.interfaces[0]
+        order = (MessageClass.RESPONSE, MessageClass.SNOOP, MessageClass.REQUEST)
+        scanned = [entry[0] for entry in ni._inject_vcs]
+        assert list(map(id, scanned)) == [id(ni._inject_queues[cls]) for cls in order]
 
 
 class TestFlattenedButterflyNetwork:
