@@ -97,6 +97,11 @@ MODEL_VERSION = 2
 # --------------------------------------------------------------------- #
 # Canonical serialisation
 # --------------------------------------------------------------------- #
+#: Per type: a dataclass's ``(field name, canonical_omit_none)`` pairs, or
+#: ``None`` for any other type, so ``is_dataclass`` is asked once per type.
+_PLANS: Dict[type, Optional[Tuple[Tuple[str, bool], ...]]] = {}
+
+
 def _canonical(value):
     """Reduce configs to JSON-stable primitives (enums by value, no tuples).
 
@@ -106,14 +111,21 @@ def _canonical(value):
     their default keeps every pre-existing cache key byte-identical,
     while any non-None value still hashes in.
     """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            field.name: _canonical(getattr(value, field.name))
-            for field in dataclasses.fields(value)
-            if not (
-                field.metadata.get("canonical_omit_none")
-                and getattr(value, field.name) is None
+    cls = type(value)
+    try:
+        plan = _PLANS[cls]
+    except KeyError:
+        plan = _PLANS[cls] = None
+        if dataclasses.is_dataclass(cls):
+            plan = _PLANS[cls] = tuple(
+                (field.name, bool(field.metadata.get("canonical_omit_none")))
+                for field in dataclasses.fields(cls)
             )
+    if plan is not None:
+        return {
+            name: _canonical(item)
+            for name, omit_none in plan
+            if (item := getattr(value, name)) is not None or not omit_none
         }
     if isinstance(value, Enum):
         return value.value
@@ -149,9 +161,18 @@ class ExperimentPoint:
 
         Unlike ``hash()``, this is identical across processes and Python
         invocations, so it can key an on-disk cache shared between runs.
+        The digest is memoised on this instance, outside its fields, under
+        the versions it was computed with; never by config value, since
+        configs holding ``12`` and ``12.0`` are equal but hash apart.
         """
+        versions = (CACHE_SCHEMA_VERSION, MODEL_VERSION)
+        memo = self.__dict__.get("_hash_memo")
+        if memo is not None and memo[0] == versions:
+            return memo[1]
         blob = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        object.__setattr__(self, "_hash_memo", (versions, digest))
+        return digest
 
     def describe(self) -> str:
         """Short human-readable label (for logs and error messages)."""

@@ -6,13 +6,11 @@ homogeneous sweeps cannot express (ROADMAP item 2).  :data:`PLACEMENTS`
 names each placement factory, so a new row there is usable as a
 ``placement`` sweep coordinate.  Maps are frozen, validated, JSON
 round-trippable (the ``__kind__`` tag lets the scenario layer revive
-them) and content-hashed, so they are sound cache-key material.
+them) and hash into the point's cache key like any other config field.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
@@ -193,11 +191,6 @@ class WorkloadMap:
             entries=tuple(_as_entry(e) for e in data["entries"]),
             tenants=tuple(TenantSpec.from_dict(t) for t in data["tenants"]),
         )
-
-    def content_hash(self) -> str:
-        """Stable SHA-256 over the canonical JSON form."""
-        payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def is_workload_map_dict(value: object) -> bool:

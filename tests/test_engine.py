@@ -1,5 +1,6 @@
 """Tests for the parallel, cache-aware experiment engine."""
 
+import dataclasses
 import json
 import os
 import pickle
@@ -24,7 +25,13 @@ from repro.experiments.engine import (
 )
 from repro.config.noc import topology_key
 from repro.experiments.harness import RunSettings
-from repro.scenarios import SweepSpec, point_for_coords, run_sweep
+from repro.scenarios import (
+    SweepPoint,
+    SweepSpec,
+    point_for_coords,
+    record_for,
+    run_sweep,
+)
 
 from tests._fixtures import TINY_SETTINGS
 
@@ -123,6 +130,67 @@ class TestExperimentPoint:
         clone = pickle.loads(pickle.dumps(point))
         assert clone == point
         assert clone.content_hash() == point.content_hash()
+
+    def test_a_served_point_is_canonicalised_once(self, tmp_path, monkeypatch):
+        """Grouping, the store's file name and the record share one hash."""
+        calls = []
+        canonical_dict = ExperimentPoint.canonical_dict
+
+        def counting(point):
+            calls.append(point)
+            return canonical_dict(point)
+
+        monkeypatch.setattr(ExperimentPoint, "canonical_dict", counting)
+        sweep_point = SweepPoint(coords={"num_cores": 16}, point=tiny_point())
+        executor = SweepExecutor(jobs=1, cache=ResultCache(tmp_path))
+        [result] = executor.run([sweep_point.point])
+        record = record_for(sweep_point, result)
+        assert executor.last_stats.simulations_run == 1
+        assert record.point_hash == result_files(tmp_path)[0].stem
+        assert len(calls) == 1
+
+    def test_replaced_point_hashes_afresh(self):
+        point = tiny_point()
+        before = point.content_hash()
+        longer = RunSettings(
+            warmup_references=300, detailed_warmup_cycles=200, measure_cycles=700
+        )
+        replaced = dataclasses.replace(point, settings=longer)
+        assert replaced.content_hash() != before
+        assert replaced.content_hash() == tiny_point(settings=longer).content_hash()
+
+    def test_one_instance_rehashes_after_a_model_bump(self, monkeypatch):
+        point = tiny_point()
+        before = point.content_hash()
+        monkeypatch.setattr(engine, "MODEL_VERSION", MODEL_VERSION + 1)
+        bumped = point.content_hash()
+        assert bumped != before
+        assert bumped == tiny_point().content_hash()
+        monkeypatch.setattr(engine, "MODEL_VERSION", MODEL_VERSION)
+        assert point.content_hash() == before
+
+    def test_equal_int_and_float_configs_hash_apart(self):
+        """``12 == 12.0``, but the canonical JSON reads ``12`` against ``12.0``.
+
+        Equal points must not share a memoised hash, in either hashing
+        order, or a key would depend on which was hashed first.
+        """
+
+        def point_with(blocks):
+            point = tiny_point()
+            workload = dataclasses.replace(
+                point.config.workload, mean_block_instructions=blocks
+            )
+            return dataclasses.replace(point, config=point.config.with_workload(workload))
+
+        as_int, as_float = point_with(12), point_with(12.0)
+        assert as_int == as_float and hash(as_int) == hash(as_float)
+        int_hash = as_int.content_hash()  # the int point hashed first
+        float_hash = as_float.content_hash()
+        assert int_hash != float_hash
+        as_int, as_float = point_with(12), point_with(12.0)
+        assert as_float.content_hash() == float_hash  # the float point first
+        assert as_int.content_hash() == int_hash
 
     def test_describe_mentions_workload_and_topology(self):
         assert "Web Search" in tiny_point().describe()

@@ -119,8 +119,15 @@ class TestWorkloadMap:
             WorkloadMap.from_dict({"__kind__": "something_else"})
 
     def test_content_hash_tracks_content(self):
-        assert split_pair().content_hash() == split_pair().content_hash()
-        assert split_pair().content_hash() != split_pair(rate=0.09).content_hash()
+        """A map is hashed as part of its point's config, nowhere else."""
+        base = small_system(Topology.MESH).with_workload(small_workload())
+
+        def point_hash(wmap):
+            config = base.with_workload_map(wmap)
+            return ExperimentPoint(config=config, settings=TINY_SETTINGS).content_hash()
+
+        assert point_hash(split_pair()) == point_hash(split_pair())
+        assert point_hash(split_pair(rate=0.08)) != point_hash(split_pair(rate=0.09))
 
 
 class TestPlacements:
