@@ -9,7 +9,7 @@
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.cache.directory import DirectoryController
@@ -105,10 +105,7 @@ class SimulationResults:
         strings; they are converted back here.  Unknown keys are ignored so
         old cache entries with extra fields still load.
         """
-        from dataclasses import fields as dataclass_fields
-
-        known = {f.name for f in dataclass_fields(cls)}
-        kwargs = {key: value for key, value in data.items() if key in known}
+        kwargs = {key: value for key, value in data.items() if key in _RESULT_FIELDS}
         per_core = kwargs.get("per_core_instructions") or {}
         kwargs["per_core_instructions"] = {
             int(core): int(count) for core, count in per_core.items()
@@ -126,6 +123,10 @@ class SimulationResults:
         if not self.active_cores:
             return 0.0
         return self.throughput_ipc / self.active_cores
+
+
+#: :meth:`SimulationResults.from_dict` keeps only these keys.
+_RESULT_FIELDS = frozenset(f.name for f in fields(SimulationResults))
 
 
 class Chip:

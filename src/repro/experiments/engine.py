@@ -100,6 +100,9 @@ MODEL_VERSION = 2
 #: Per type: a dataclass's ``(field name, canonical_omit_none)`` pairs, or
 #: ``None`` for any other type, so ``is_dataclass`` is asked once per type.
 _PLANS: Dict[type, Optional[Tuple[Tuple[str, bool], ...]]] = {}
+#: Exact types that canonicalise to themselves (by ``type()``: an ``IntEnum``
+#: or ``str``-mixin enum member must still reduce to its plain value).
+_LEAVES = frozenset({int, float, str, bool, type(None)})
 
 
 def _canonical(value):
@@ -112,6 +115,8 @@ def _canonical(value):
     while any non-None value still hashes in.
     """
     cls = type(value)
+    if cls in _LEAVES:
+        return value
     try:
         plan = _PLANS[cls]
     except KeyError:
@@ -123,7 +128,7 @@ def _canonical(value):
             )
     if plan is not None:
         return {
-            name: _canonical(item)
+            name: item if type(item) in _LEAVES else _canonical(item)
             for name, omit_none in plan
             if (item := getattr(value, name)) is not None or not omit_none
         }

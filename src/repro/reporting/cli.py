@@ -38,7 +38,9 @@ from repro.experiments.engine import ResultCache, SweepExecutor
 from repro.experiments.harness import RunSettings
 from repro.reporting.compare import FigureReport
 from repro.reporting.figures import (
+    FIGURES,
     build_report,
+    figure_results,
     figure_spec,
     report_names,
     spec_names,
@@ -70,7 +72,8 @@ def generate(
 
     Every figure's sweep runs through ``executor`` (default: a
     :class:`SweepExecutor` on ``REPRO_JOBS`` and the ``REPRO_CACHE_DIR``
-    store).  Returns ``{"path", "text", "reports", "stats"}`` — the written
+    store), once per distinct spec: ``power`` reports on fig7's records.
+    Returns ``{"path", "text", "reports", "stats"}`` — the written
     path, the report text, the per-figure :class:`FigureReport`\\ s, and
     the executor's accumulated :class:`~repro.experiments.engine.SweepStats`.
     """
@@ -81,16 +84,18 @@ def generate(
     settings = settings or RunSettings.from_env()
     executor = executor if executor is not None else SweepExecutor()
 
-    reports: List[FigureReport] = [
-        build_report(
-            name,
-            settings=settings,
-            executor=executor,
-            workload_names=list(workload_names) if workload_names else None,
-            core_counts=tuple(core_counts) if core_counts else None,
-        )
-        for name in names
-    ]
+    # Figures naming one spec (fig7, power) share its run until the last reports.
+    workloads = list(workload_names) if workload_names else None
+    cores = tuple(core_counts) if core_counts else None
+    shared: Dict[Optional[str], object] = {}
+    reports: List[FigureReport] = []
+    for position, name in enumerate(names):
+        ref = FIGURES[name].spec
+        if ref not in shared:
+            shared[ref] = figure_results(name, settings, executor, workloads, cores)
+        keep = ref in (FIGURES[later].spec for later in names[position + 1 :])
+        results = shared[ref] if keep else shared.pop(ref)
+        reports.append(build_report(name, results=results))
 
     parameters: Dict[str, object] = {
         "figures": ", ".join(names),

@@ -16,11 +16,11 @@ The hooks are named as ``"module:function"`` under
 imports this package at module level (for :class:`FigureReport` and the
 baselines), so an eager import in the other direction would cycle.
 
-:func:`build_report` is the one place that runs a figure's spec: it
-builds the spec (forwarding only the keyword arguments the factory
-accepts), runs it through the given executor and hands the results to
-the report hook.  ``fig8`` is analytic: it has no spec and its hook takes
-no results.
+:func:`build_report` runs a figure's spec and reports on it: it builds
+the spec (forwarding only the keyword arguments the factory accepts),
+runs it through the given executor (:func:`figure_results`) and hands
+the results to the report hook.  ``fig8`` is analytic: it has no spec
+and its hook takes no results.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ class Figure(NamedTuple):
 
 #: Figure name -> its spec factory and report hook.  The reported figures
 #: come first, in :data:`repro.reporting.baselines.BASELINES` order.
-#: ``fig8`` is analytic (no sweep); ``power`` post-processes the Figure-7
-#: sweep; ``scale_out`` and ``colocation`` are on-demand sweeps without a
-#: report hook, so the default report stays resolvable from the committed
-#: warm cache.
+#: ``fig8`` is analytic (no sweep).  ``power`` post-processes the Figure-7
+#: sweep: :func:`repro.reporting.cli.generate` hands it fig7's records.
+#: ``scale_out`` and ``colocation`` are on-demand sweeps without a report
+#: hook, so the default report stays resolvable from the committed warm cache.
 FIGURES: Dict[str, Figure] = {
     "fig1": Figure("fig1_scaling:figure1_spec", "fig1_scaling:figure1_report"),
     "fig4": Figure("fig4_snoops:figure4_spec", "fig4_snoops:figure4_report"),
@@ -120,28 +120,32 @@ def build_report(
     executor=None,
     workload_names: Optional[Sequence[str]] = None,
     core_counts: Optional[Sequence[int]] = None,
+    results=None,
 ) -> FigureReport:
     """Run ``figure``'s sweep through ``executor`` and report on the results.
 
     ``settings``, ``workload_names`` and ``core_counts`` go to the spec
     factory if it accepts them (``None`` values are dropped, so factory
     defaults stay in charge); ``executor=None`` runs the sweep on a
-    default :class:`~repro.experiments.engine.SweepExecutor`.
+    default :class:`~repro.experiments.engine.SweepExecutor`.  Given
+    ``results`` (the sweep's :func:`figure_results`), nothing runs.
     """
     if figure not in report_names():
         raise KeyError(f"unknown figure {figure!r}; available: {report_names()}")
-    entry = FIGURES[figure]
-    report = resolve(entry.report)
-    if entry.spec is None:
-        return report()
+    if results is None:
+        results = figure_results(figure, settings, executor, workload_names, core_counts)
+    report = resolve(FIGURES[figure].report)
+    return report() if results is None else report(results)
+
+
+def figure_results(figure, settings, executor, workload_names, core_counts):
+    """Run ``figure``'s sweep as :func:`build_report` does; ``None`` if it has none."""
+    if FIGURES[figure].spec is None:
+        return None
     from repro.scenarios.run import run_sweep
 
-    factory = resolve(entry.spec)
+    factory = resolve(FIGURES[figure].spec)
     accepted = inspect.signature(factory).parameters
-    given = dict(
-        settings=settings, workload_names=workload_names, core_counts=core_counts
-    )
-    spec = factory(
-        **{k: v for k, v in given.items() if k in accepted and v is not None}
-    )
-    return report(run_sweep(spec, executor=executor))
+    given = dict(settings=settings, workload_names=workload_names, core_counts=core_counts)
+    spec = factory(**{k: v for k, v in given.items() if k in accepted and v is not None})
+    return run_sweep(spec, executor=executor)

@@ -14,7 +14,7 @@ not here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Sequence
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,10 @@ class ResultSet(Sequence[ResultRecord]):
     """
 
     def __init__(self, records: Sequence[ResultRecord]) -> None:
-        self.records: List[ResultRecord] = list(records)
+        self.records: Tuple[ResultRecord, ...] = tuple(records)
+        #: :meth:`value`'s index per tuple of selection keys, built on first
+        #: use: {their values: matching records}, or ``None`` to scan.
+        self._indexes: Dict[Tuple[str, ...], Optional[Dict[tuple, list]]] = {}
 
     # -- sequence protocol ---------------------------------------------- #
     def __len__(self) -> int:
@@ -93,7 +96,18 @@ class ResultSet(Sequence[ResultRecord]):
 
     def value(self, metric: str, **selection) -> float:
         """The single ``metric`` value selected by the coordinates given."""
-        matches = [record for record in self.records if record.matches(selection)]
+        keys = tuple(selection)
+        if keys not in self._indexes:
+            self._indexes[keys] = index = {}
+            try:
+                for record in self.records:
+                    index.setdefault(tuple(map(record.coords.get, keys)), []).append(record)
+            except TypeError:  # a recorded value cannot be hashed
+                self._indexes[keys] = None
+        try:
+            matches = self._indexes[keys].get(tuple(selection.values()), [])
+        except (AttributeError, TypeError):  # no index (None), or an unhashable selection
+            matches = [record for record in self.records if record.matches(selection)]
         if len(matches) != 1:
             raise LookupError(
                 f"selection {selection!r} matched {len(matches)} records, expected 1"

@@ -66,8 +66,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Mapping, Tuple
+
+from repro.config.noc import NocConfig
 
 #: Coordinate names consumed directly by the system builder; everything
 #: else must name a NocConfig field.
@@ -84,6 +86,7 @@ _SYSTEM_COORDS = (
     "load",
     "matrix",
 )
+_NOC_FIELDS = frozenset(f.name for f in fields(NocConfig))
 
 _SPEC_SCHEMA = 1
 
@@ -301,9 +304,6 @@ def point_for_coords(coords: Mapping, settings) -> "ExperimentPoint":  # noqa: F
     must name a :class:`NocConfig` field and overrides it; then the
     workload (and optional workload map) is applied.
     """
-    import dataclasses as _dc
-
-    from repro.config.noc import NocConfig
     from repro.config.presets import workload
     from repro.experiments.engine import ExperimentPoint
     from repro.fabrics import build_system
@@ -359,8 +359,7 @@ def point_for_coords(coords: Mapping, settings) -> "ExperimentPoint":  # noqa: F
             raise ValueError(f"point coordinates {dict(coords)!r} lack a 'workload'")
         workload_name = workload_map.tenants[0].workload
 
-    noc_fields = {f.name for f in _dc.fields(NocConfig)}
-    unknown = sorted(key for key in c if key not in noc_fields)
+    unknown = sorted(key for key in c if key not in _NOC_FIELDS)
     if unknown:
         raise ValueError(
             f"unknown coordinate(s) {unknown}; expected one of "
@@ -374,7 +373,7 @@ def point_for_coords(coords: Mapping, settings) -> "ExperimentPoint":  # noqa: F
         seed=seed,
     )
     if c:
-        config = config.with_noc(_dc.replace(config.noc, **c))
+        config = config.with_noc(replace(config.noc, **c))
     config = config.with_workload(workload(str(workload_name)))
     if workload_map is not None:
         config = config.with_workload_map(workload_map)

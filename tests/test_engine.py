@@ -7,6 +7,7 @@ import pickle
 import subprocess
 import warnings
 import sys
+from enum import Enum, IntEnum
 from pathlib import Path
 
 import pytest
@@ -195,6 +196,96 @@ class TestExperimentPoint:
     def test_describe_mentions_workload_and_topology(self):
         assert "Web Search" in tiny_point().describe()
         assert "mesh" in tiny_point().describe()
+
+
+#: ``_canonical`` as it stood before exact leaf types returned at once: an
+#: oracle that every cache key must keep matching byte for byte.
+_ORACLE_PLANS = {}
+
+
+def oracle_canonical(value):
+    cls = type(value)
+    try:
+        plan = _ORACLE_PLANS[cls]
+    except KeyError:
+        plan = _ORACLE_PLANS[cls] = None
+        if dataclasses.is_dataclass(cls):
+            plan = _ORACLE_PLANS[cls] = tuple(
+                (field.name, bool(field.metadata.get("canonical_omit_none")))
+                for field in dataclasses.fields(cls)
+            )
+    if plan is not None:
+        return {
+            name: oracle_canonical(item)
+            for name, omit_none in plan
+            if (item := getattr(value, name)) is not None or not omit_none
+        }
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, dict):
+        return {str(key): oracle_canonical(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [oracle_canonical(item) for item in value]
+    return value
+
+
+def canonical_json(value, canonical=engine._canonical) -> str:
+    return json.dumps(canonical(value), sort_keys=True, separators=(",", ":"))
+
+
+@dataclasses.dataclass(frozen=True)
+class Holder:
+    """One field, so a value goes through the dataclass comprehension."""
+
+    value: object
+
+
+class Level(IntEnum):
+    LOW = 1
+
+
+class TestCanonicalLeaves:
+    """Exact leaf types return at once; every canonical form stays as it was."""
+
+    @pytest.mark.parametrize("name", ["report", "scale_out", "colocation"])
+    def test_every_sweep_point_matches_the_oracle(self, name):
+        from repro.reporting.figures import figure_spec, report_points
+
+        settings = RunSettings()
+        points = (
+            report_points(settings)
+            if name == "report"
+            else figure_spec(name, settings).expand()
+        )
+        assert points
+        for sweep_point in points:
+            point = sweep_point.point
+            expected = json.dumps(
+                {
+                    "schema": CACHE_SCHEMA_VERSION,
+                    "model": MODEL_VERSION,
+                    "config": oracle_canonical(point.config),
+                    "settings": oracle_canonical(point.settings),
+                },
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+            actual = json.dumps(point.canonical_dict(), sort_keys=True, separators=(",", ":"))
+            assert actual == expected, point.describe()
+
+    @pytest.mark.parametrize("wrap", [lambda v: v, Holder], ids=["top", "field"])
+    def test_bool_and_int_and_float_stay_apart(self, wrap):
+        assert canonical_json(wrap(True)) != canonical_json(wrap(1))
+        assert canonical_json(wrap(12)) != canonical_json(wrap(12.0))
+        for value in (True, 1, 12, 12.0, "mesh", None):
+            assert canonical_json(wrap(value)) == canonical_json(wrap(value), oracle_canonical)
+
+    def test_enum_members_reduce_to_their_values(self):
+        for member, plain in ((Level.LOW, 1), (Topology.MESH, "mesh")):
+            top = engine._canonical(member)
+            field = engine._canonical(Holder(member))["value"]
+            for reduced in (top, field):
+                assert reduced == plain and type(reduced) is type(plain)
 
 
 class TestSimulationResultsSerialization:

@@ -403,20 +403,25 @@ class TestCli:
 # --------------------------------------------------------------------- #
 # The committed report, regenerated from its committed results
 # --------------------------------------------------------------------- #
+def committed_store(root: Path):
+    """A store at ``root`` holding every report point's committed result."""
+    committed = json.loads(COMMITTED_RESULTS.read_text())
+    settings = RunSettings(seed=committed["seed"])
+    cache = ResultCache(root)
+    for sweep_point in report_points(settings):
+        coords = sweep_point.coords
+        label = ",".join(f"{key}={coords[key]}" for key in sorted(coords))
+        cache.store(
+            sweep_point.point,
+            SimulationResults.from_dict(committed["results"][label]),
+        )
+    return settings, cache
+
+
 class TestCommittedReport:
     def test_committed_results_regenerate_the_committed_report(self, tmp_path):
         """Every report point served from the committed results, byte for byte."""
-        committed = json.loads(COMMITTED_RESULTS.read_text())
-        settings = RunSettings(seed=committed["seed"])
-        cache = ResultCache(tmp_path / "store")
-        for sweep_point in report_points(settings):
-            coords = sweep_point.coords
-            label = ",".join(f"{key}={coords[key]}" for key in sorted(coords))
-            cache.store(
-                sweep_point.point,
-                SimulationResults.from_dict(committed["results"][label]),
-            )
-
+        settings, cache = committed_store(tmp_path / "store")
         outcome = generate(
             out_dir=str(tmp_path / "out"),
             settings=settings,
@@ -425,6 +430,65 @@ class TestCommittedReport:
         stats = outcome["stats"]
         assert (stats.simulations_run, stats.cache_misses) == (0, 0)
         assert outcome["path"].read_bytes() == COMMITTED_REPORT.read_bytes()
+
+
+    def test_fig7_and_power_share_one_run_of_their_spec(self, tmp_path, monkeypatch):
+        """``generate`` runs figure7_spec once; each report is as if built alone."""
+        import functools
+
+        from repro.experiments import fig7_performance
+
+        settings, cache = committed_store(tmp_path / "store")
+        factory_calls = []
+        spec_factory = fig7_performance.figure7_spec
+
+        @functools.wraps(spec_factory)
+        def counting_spec(*args, **kwargs):
+            factory_calls.append(kwargs)
+            return spec_factory(*args, **kwargs)
+
+        monkeypatch.setattr(fig7_performance, "figure7_spec", counting_spec)
+        executor = SweepExecutor(jobs=1, cache=cache)
+        outcome = generate(out_dir=str(tmp_path / "out"), settings=settings, executor=executor)
+        assert len(factory_calls) == 1
+        stats = outcome["stats"]
+        assert (stats.cache_hits, stats.cache_misses, stats.simulations_run) == (80, 0, 0)
+        assert outcome["path"].read_bytes() == COMMITTED_REPORT.read_bytes()
+
+        by_name = dict(zip(report_names(), outcome["reports"]))
+        for name in ("fig7", "power"):
+            alone = build_report(
+                name, settings=settings, executor=SweepExecutor(jobs=1, cache=cache)
+            )
+            assert by_name[name] == alone
+
+    def test_a_shared_run_is_held_only_until_its_last_figure(self, tmp_path, monkeypatch):
+        """fig7's records live until power reports; other sets die at once."""
+        import weakref
+
+        from repro.reporting import cli
+
+        settings, cache = committed_store(tmp_path / "store")
+        sets = {}
+        alive_at = {}
+
+        def watching(name, results):
+            alive_at[name] = sorted(n for n, ref in sets.items() if ref() is not None)
+            if results is not None:
+                sets[name] = weakref.ref(results)
+            return build_report(name, results=results)
+
+        monkeypatch.setattr(cli, "build_report", watching)
+        generate(
+            out_dir=str(tmp_path / "out"),
+            settings=settings,
+            executor=SweepExecutor(jobs=1, cache=cache),
+        )
+        assert report_names()[:6] == ["fig1", "fig4", "fig7", "fig8", "fig9", "power"]
+        assert alive_at["fig4"] == []
+        assert alive_at["fig9"] == ["fig7"]
+        assert alive_at["power"] == ["fig7"]
+        assert alive_at["ablation_banking"] == []
 
 
 # --------------------------------------------------------------------- #

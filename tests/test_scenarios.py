@@ -1,10 +1,12 @@
 """Tests for the declarative scenario API (name tables, SweepSpec, ResultSet)."""
 
 import itertools
+import random
 import shutil
 
 import pytest
 
+from repro.chip.chip import SimulationResults
 from repro.config import presets
 from repro.config.noc import Topology
 from repro.experiments.engine import ResultCache, SweepExecutor
@@ -16,6 +18,8 @@ from repro.experiments.harness import (
 )
 from repro.fabrics import FABRICS
 from repro.scenarios import (
+    ResultRecord,
+    ResultSet,
     SweepSpec,
     build_system,
     fabric_for,
@@ -351,6 +355,133 @@ class TestResultSet:
                 for topology in ("mesh", "noc_out")
             }
         }
+
+
+def records_over(coords_list):
+    """One record per coordinate dict; record ``i`` commits ``i`` instructions."""
+    return [
+        ResultRecord(
+            coords=dict(coords),
+            point_hash=f"point{i}",
+            result=SimulationResults(
+                workload="",
+                topology="",
+                num_cores=1,
+                active_cores=1,
+                cycles=1,
+                total_instructions=i,
+            ),
+        )
+        for i, coords in enumerate(coords_list)
+    ]
+
+
+def scanned(results, **selection):
+    """What ``value`` answered before it had an index: every matching record."""
+    return [record for record in results if record.matches(selection)]
+
+
+def fig1_shaped():
+    """Figure 1's coordinates, plus records that lack ``num_cores``."""
+    from repro.experiments.fig1_scaling import CORE_COUNTS, SERIES, WORKLOADS
+
+    grid = [
+        {"workload": w, "topology": t, "num_cores": n}
+        for w, t, n in itertools.product(WORKLOADS, SERIES, CORE_COUNTS)
+    ]
+    lacking = [{"workload": w, "topology": "ideal"} for w in WORKLOADS]
+    return ResultSet(records_over(grid + lacking))
+
+
+class TestResultSetIndex:
+    """``ResultSet.value`` answers from an index exactly as the scan did."""
+
+    def test_index_agrees_with_the_scan_on_random_selections(self):
+        results = fig1_shaped()
+        rng = random.Random(20120101)
+        names = ("workload", "topology", "num_cores")
+        answered = 0
+        for _ in range(400):
+            keys = rng.sample(names, rng.choice((0, 1, 2, 3, 3, 3)))  # full and partial
+            selection = {
+                key: rng.choice(results.axis_values(key))
+                if rng.random() < 0.8
+                else rng.choice((None, "absent", 128.0))
+                for key in keys
+            }
+            expected = scanned(results, **selection)
+            if len(expected) == 1:
+                got = results.value("total_instructions", **selection)
+                assert got == expected[0].result.total_instructions
+                answered += 1
+            else:
+                with pytest.raises(LookupError) as excinfo:
+                    results.value("total_instructions", **selection)
+                assert str(excinfo.value) == (
+                    f"selection {selection!r} matched {len(expected)} records, expected 1"
+                )
+        assert answered > 50
+
+    def test_a_missing_coordinate_matches_none(self):
+        results = fig1_shaped()
+        name = results.axis_values("workload")[0]
+        [lacking] = scanned(results, workload=name, num_cores=None)
+        assert "num_cores" not in lacking.coords
+        assert results.value(
+            "total_instructions", workload=name, num_cores=None
+        ) == lacking.result.total_instructions
+
+    def test_zero_or_two_matches_raise_the_lookup_error(self):
+        results = ResultSet(records_over([{"topology": "mesh"}, {"topology": "mesh"}]))
+        for topology, count in (("mesh", 2), ("ring", 0)):
+            with pytest.raises(LookupError) as excinfo:
+                results.value("total_instructions", topology=topology)
+            assert str(excinfo.value) == (
+                f"selection {{'topology': {topology!r}}} matched {count} records, expected 1"
+            )
+
+    def test_an_int_selection_matches_an_equal_float_coordinate(self):
+        results = ResultSet(records_over([{"num_cores": 64}, {"num_cores": 128.0}]))
+        assert results.value("total_instructions", num_cores=128) == 1
+        assert results.value("total_instructions", num_cores=64.0) == 0
+
+    def test_unhashable_values_fall_back_to_the_scan(self):
+        tenancy = {"a": "Web Search"}
+        results = ResultSet(
+            records_over([{"workload_map": dict(tenancy)}, {"workload_map": None}])
+        )
+        assert results.value("total_instructions", workload_map=tenancy) == 0
+        assert results.value("total_instructions", workload_map=None) == 1
+        plain = fig1_shaped()
+        with pytest.raises(LookupError, match="matched 0 records"):
+            plain.value("total_instructions", workload={"Web Search": 1})
+
+    def test_the_index_for_one_key_tuple_is_built_once(self):
+        reads = []
+
+        class CountingCoords(dict):
+            def get(self, key, default=None):
+                reads.append(key)
+                return super().get(key, default)
+
+        results = ResultSet(
+            ResultRecord(CountingCoords(r.coords), r.point_hash, r.result)
+            for r in fig1_shaped()
+        )
+        name = results.axis_values("workload")[0]
+        results.value("total_instructions", workload=name, topology="mesh", num_cores=4)
+        built = len(reads)
+        assert built == 3 * len(results)
+        for count in (1, 2, 8, 64):
+            selection = dict(workload=name, topology="mesh", num_cores=count)
+            results.value("total_instructions", **selection)
+        assert len(reads) == built
+        results.value("total_instructions", workload=name, num_cores=None)
+        assert len(reads) == built + 2 * len(results)  # a new key tuple, a new index
+
+    def test_records_are_immutable(self):
+        results = fig1_shaped()
+        assert isinstance(results.records, tuple)
 
 
 # --------------------------------------------------------------------- #
