@@ -13,9 +13,11 @@ Three scenarios bracket the design space:
   idle routers, so it measures how close "idle costs nothing" gets.
 * ``congested_mesh`` — heavy uniform traffic over narrow (64-bit) links on
   the same mesh; credit-blocked heads everywhere, so it measures the
-  wake/credit protocol under sustained backpressure.  Its event order is
-  pinned in tier-1 by the ``congested_mesh_8x8`` golden stats digest
-  (740,557 events, ``tests/test_stats_digests.py``).
+  wake/credit protocol under sustained backpressure.  It is the run of the
+  ``congested_mesh_8x8`` golden stats digest (``tests/test_stats_digests.py``),
+  whose event order tier-1 pins; its event count is asserted equal to
+  that golden's ``events_processed``, so the events/s printed here were
+  timed on the pinned event sequence.
 * ``chip_mesh``      — a 16-core chip (cores + caches + directory + NoC)
   running the synthetic test workload; the end-to-end mix.
 
@@ -27,8 +29,10 @@ regressions without flaking on slow runners.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 from repro.chip.builder import build_chip
 from repro.config.noc import NocConfig, Topology
@@ -47,6 +51,8 @@ MB = 1024 * KB
 #: scenarios take on a 2024-vintage laptop core; trip this and either the
 #: kernel hot path regressed badly or polling crept back in.
 WALL_CLOCK_CEILING_S = 90.0
+#: Golden stats digests; ``congested_mesh_8x8`` is the congested_mesh run.
+GOLDEN_DIGESTS = Path(__file__).resolve().parent.parent / "tests" / "data" / "stats_digests.json"
 #: Timed repetitions per scenario (the work is deterministic; only the
 #: wall-clock varies, so best-of is the right statistic).
 ROUNDS = 3
@@ -197,4 +203,10 @@ def test_kernel_hotpath_events_per_second():
     # regression test for "blocked/idle components schedule no events".
     uniform, congested = results[0], results[1]
     assert uniform.events / uniform.cycles < congested.events / congested.cycles
+
+    golden = json.loads(GOLDEN_DIGESTS.read_text())["scenarios"]["congested_mesh_8x8"]
+    assert congested.events == golden["events_processed"], (
+        "congested_mesh no longer runs the congested_mesh_8x8 golden's event "
+        "sequence, so its events/s is not comparable across commits"
+    )
 

@@ -28,7 +28,10 @@ class VirtualChannelBuffer:
     removing the head stays cheap.  Its credit-listener dict exists only
     while a listener waits.  It formats no name: :attr:`name`
     (``<port>.vc<i>``) is built from the owning port's name and the VC's
-    index when an error message needs it.
+    index when an error message needs it.  ``index`` is also the VC number
+    an upstream router names when it forwards a packet here.  A VC holds
+    no routing decision: the owning router routes its head afresh each
+    time it examines it.
     """
 
     __slots__ = (
@@ -39,7 +42,6 @@ class VirtualChannelBuffer:
         "_occupied_flits",
         "_queue",
         "_space_waiters",
-        "head_route",
         "state",
     )
 
@@ -58,10 +60,6 @@ class VirtualChannelBuffer:
         #: than a list: registration is O(1) with duplicates deduplicated by
         #: key, and notification walks the keys in registration order.
         self._space_waiters: Optional[Dict[Callable[[], None], None]] = None
-        #: Routing decision cached for the current head packet, managed by
-        #: the owning router: ``(packet, out_index, out_port,
-        #: downstream_vc_index, downstream_vc)`` — see ``Router._head_route``.
-        self.head_route: Optional[tuple] = None
         #: The owning router's switching state for this VC, made on its
         #: first packet (``repro.noc.router._VcState``).
         self.state = None
@@ -120,7 +118,6 @@ class VirtualChannelBuffer:
         self._reserved_flits -= packet.num_flits
         if self._reserved_flits < 0 or self._occupied_flits < 0:
             raise RuntimeError(f"{self.name}: negative occupancy (flow-control bug)")
-        self.head_route = None
         waiters = self._space_waiters
         if waiters is not None:
             self._space_waiters = None

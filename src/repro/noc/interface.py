@@ -45,7 +45,7 @@ class NetworkInterface(Component, PacketSink):
         self._router: Optional[Router] = None
         self._router_port: Optional[int] = None
         # Per open class, (queue, vc_index, vc) on the attached router input
-        # port, in _tick's scan order: RESPONSE, SNOOP, REQUEST.
+        # port, in _run_tick's scan order: RESPONSE, SNOOP, REQUEST.
         self._inject_vcs: list = []
         # Stable bound wake callback for VC credit listeners (deduplicated
         # by VirtualChannelBuffer.wait_for_space across blocked ticks).
@@ -65,7 +65,7 @@ class NetworkInterface(Component, PacketSink):
             raise RuntimeError(f"{self.name}: interface not attached to a router")
         in_port = self._router.input_ports[self._router_port]
         queue = self._inject_queues[msg_class] = deque()
-        # _tick scans in descending class value whatever order the classes
+        # _run_tick scans in descending class value whatever order the classes
         # open in: that order decides the order of same-cycle events.
         position = sum(cls > msg_class for cls in self._inject_queues)
         self._inject_vcs.insert(
@@ -89,8 +89,11 @@ class NetworkInterface(Component, PacketSink):
         if self._next_wake != self.sim.cycle:
             self.wake(0)
 
-    def _tick(self) -> None:
+    def _run_tick(self) -> None:
         """Inject up to one queued packet per message class.
+
+        The callback :meth:`Component.wake` schedules (see
+        :meth:`Router._run_tick`).
 
         Event-driven counterpart of the old poll-every-cycle loop: a class
         whose head packet fits reserves downstream space and re-wakes next
@@ -98,6 +101,9 @@ class NetworkInterface(Component, PacketSink):
         full VC registers this interface's wake callback with that VC and
         sleeps until its next ``pop`` returns credit.
         """
+        if self._next_wake != self.sim.cycle:
+            return  # stale callback superseded by an earlier wake request
+        self._next_wake = -1
         progressed = False
         schedule_call = self.sim.schedule_call
         deliver = self._router.receive_packet

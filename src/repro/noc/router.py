@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from bisect import insort
 from functools import lru_cache
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional
 
 from repro.sim.component import Component
@@ -49,13 +50,15 @@ from repro.noc.message import Message
 class OutputPort:
     """An output port: a link to a downstream component's input port.
 
+    ``downstream_input`` is that input port, whose VC map a round reads to
+    resolve a head's downstream VC.
     ``flits_sent`` is a counter registered in the owning router's stats
     group (see :meth:`Router.add_output_port`).
     """
 
     __slots__ = (
-        "name", "downstream", "downstream_port", "link_latency",
-        "link_length_mm", "busy_until", "flits_sent",
+        "name", "downstream", "downstream_port", "downstream_input",
+        "link_latency", "link_length_mm", "busy_until", "flits_sent",
     )
 
     def __init__(
@@ -70,6 +73,7 @@ class OutputPort:
         self.name = name
         self.downstream = downstream
         self.downstream_port = downstream_port
+        self.downstream_input = downstream.input_ports[downstream_port]
         self.link_latency = link_latency
         self.link_length_mm = link_length_mm
         self.busy_until = 0
@@ -113,12 +117,13 @@ class _VcState:
 
     The state doubles as its own arbitration candidate (``key``, ``packet``
     and ``is_local`` are what the policies in :mod:`repro.noc.arbiter`
-    read), so a ready head costs zero allocations per round.  ``packet`` is
-    refreshed each time the state is offered for arbitration.
+    read), so a ready head costs zero allocations per round.  ``packet``
+    and the ``downstream_vc`` its forward reserves in are refreshed each
+    time the state is offered for arbitration.
     """
 
     __slots__ = (
-        "key", "vc", "packet", "is_local",
+        "key", "vc", "packet", "downstream_vc", "is_local",
         "active", "blocked", "blocked_port", "_router",
     )
 
@@ -128,17 +133,15 @@ class _VcState:
         self.key = (in_port, vc_index)
         self.vc = vc
         self.packet = None
+        self.downstream_vc = None
         self.is_local = is_local
         self.active = False
         self.blocked = False
-        #: Output port of the blocked head, cached when ``blocked`` is set so
-        #: the skip path reads ``busy_until`` without chasing ``head_route``.
+        #: Output port of the blocked head, kept while ``blocked`` is set so
+        #: the skip path reads ``busy_until`` without routing the head again.
         #: Only meaningful while ``blocked`` is True.
         self.blocked_port = None
         self._router = router
-
-    def __lt__(self, other: "_VcState") -> bool:
-        return self.key < other.key
 
     def __call__(self) -> None:
         """Credit return: the downstream VC this head waited on popped.
@@ -154,6 +157,10 @@ class _VcState:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"_VcState({self.key}, active={self.active}, blocked={self.blocked})"
+
+
+#: Sort key of ``Router._active_vcs``: keys are unique per router.
+_state_key = attrgetter("key")
 
 
 class RouteTable(dict):
@@ -315,7 +322,7 @@ class Router(Component, PacketSink):
             )
         if not state.active:
             state.active = True
-            insort(self._active_vcs, state)
+            insort(self._active_vcs, state, key=_state_key)
         # wake(0) with the same-cycle suppression test hoisted: several
         # packets commonly arrive within one cycle, and only the first needs
         # to schedule the arbitration round.
@@ -325,35 +332,11 @@ class Router(Component, PacketSink):
     # ------------------------------------------------------------------ #
     # Per-cycle switching
     # ------------------------------------------------------------------ #
-    def _head_route(self, vc, packet):
-        """Cached routing decision for the head packet of input VC ``vc``.
-
-        Returns ``(out_index, out_port, downstream_vc_index, downstream_vc)``,
-        recomputed only when the head packet changes (the cache is cleared
-        by ``VirtualChannelBuffer.pop``).  The table lookup itself is cheap,
-        but the downstream-port/VC resolution behind it is three attribute
-        chases plus two dict lookups per head per tick, which adds up when a
-        blocked head is re-examined across many arbitration rounds.
-        """
-        cached = vc.head_route
-        if cached is not None and cached[0] is packet:
-            return cached
-        out_index = self.route_table[packet.dst]
-        out_port = self.output_ports[out_index]
-        downstream_port = out_port.downstream.input_ports[out_port.downstream_port]
-        downstream_vc_index = downstream_port.vc_index_for(packet.msg_class)
-        cached = (
-            packet,
-            out_index,
-            out_port,
-            downstream_vc_index,
-            downstream_port.vcs[downstream_vc_index],
-        )
-        vc.head_route = cached
-        return cached
-
-    def _tick(self) -> None:
+    def _run_tick(self) -> None:
         """One arbitration round, scheduling the *next* round event-driven.
+
+        The callback :meth:`Component.wake` schedules: it opens with the
+        base class's stale-wake test, so a tick event costs one frame.
 
         Unlike the original poll-every-cycle loop (which re-ticked whenever
         anything was buffered), a blocked router goes back to sleep and is
@@ -375,11 +358,19 @@ class Router(Component, PacketSink):
         (arrivals, credit returns) collapse into at most one extra
         arbitration round, run after the rest of the cycle's events.
 
-        The loop body inlines ``VirtualChannelBuffer.peek``/``can_reserve``
-        (this is the hottest code in any congested simulation); the inlined
-        admission test must stay equivalent to ``can_reserve``.
+        Each examined head is routed afresh: a route-table lookup names the
+        output port, and the port's downstream input port maps the head's
+        message class to its VC.  The loop body inlines
+        ``VirtualChannelBuffer.peek``/``can_reserve`` (this is the hottest
+        code in any congested simulation); the inlined admission test must
+        stay equivalent to ``can_reserve``.
         """
         now = self.sim.cycle
+        if self._next_wake != now:
+            return  # stale callback superseded by an earlier wake request
+        self._next_wake = -1
+        route_table = self.route_table
+        output_ports = self.output_ports
         next_busy_free = 0
         # Most rounds produce candidates for zero or one output port, so the
         # per-output dict is allocated lazily: the first contested output's
@@ -397,7 +388,7 @@ class Router(Component, PacketSink):
                 # the busy-expiry contribution the full check would have
                 # made, so the wake schedule (and hence event order) is
                 # identical to re-examining the head.  ``blocked_port`` was
-                # cached when the head blocked and stays valid: the head can
+                # kept when the head blocked and stays valid: the head can
                 # only change via a pop of this VC, which a blocked head
                 # cannot win.
                 busy_until = state.blocked_port.busy_until
@@ -406,31 +397,26 @@ class Router(Component, PacketSink):
                 ):
                     next_busy_free = busy_until
                 continue
-            vc = state.vc
-            queue = vc._queue
-            if not queue:
-                # Defensive only: _forward removes a VC from the active list
-                # eagerly when it drains, so simulation never reaches this.
-                continue
-            packet = queue[0]
-            cached = vc.head_route
-            if cached is None or cached[0] is not packet:
-                cached = self._head_route(vc, packet)
-            busy_until = cached[2].busy_until
+            # An active VC is never empty: _forward deactivates it as it drains.
+            packet = state.vc._queue[0]
+            out_index = route_table[packet.dst]
+            out_port = output_ports[out_index]
+            busy_until = out_port.busy_until
             if busy_until > now:
                 if next_busy_free == 0 or busy_until < next_busy_free:
                     next_busy_free = busy_until
                 continue
-            downstream_vc = cached[4]
+            downstream_port = out_port.downstream_input
+            downstream_vc = downstream_port.vcs[downstream_port._vc_map[packet.msg_class]]
             flits = packet.num_flits
             reserved = downstream_vc._reserved_flits
             if reserved + flits > downstream_vc.capacity_flits and reserved:
                 state.blocked = True
-                state.blocked_port = cached[2]
+                state.blocked_port = out_port
                 downstream_vc.wait_for_space(state)
                 continue
-            out_index = cached[1]
             state.packet = packet
+            state.downstream_vc = downstream_vc
             if cands_by_out is not None:
                 candidates = cands_by_out.get(out_index)
                 if candidates is None:
@@ -454,13 +440,13 @@ class Router(Component, PacketSink):
                 else:
                     winner = self._arbitrate(first_cands, last_winner[first_out])
                 last_winner[first_out] = winner.key
-                self._forward(winner, self.output_ports[first_out], now)
+                self._forward(winner, output_ports[first_out], now)
         else:
             arbitrate = self._arbitrate
             for out_index, candidates in cands_by_out.items():
                 winner = arbitrate(candidates, last_winner[out_index])
                 last_winner[out_index] = winner.key
-                self._forward(winner, self.output_ports[out_index], now)
+                self._forward(winner, output_ports[out_index], now)
         if first_out >= 0:
             self.wake(1)
         elif next_busy_free > now:
@@ -469,17 +455,15 @@ class Router(Component, PacketSink):
     def _forward(self, winner: _VcState, out_port: OutputPort, now: int) -> None:
         vc = winner.vc
         packet = winner.packet
-        # head_route is fresh: _tick validated it for this head this round,
-        # and nothing pops this VC between candidate collection and here.
-        cached = vc.head_route
-        downstream_vc_index = cached[3]
-        downstream_vc = cached[4]
+        # Resolved by this round's admission test for this head; nothing
+        # pops this VC between candidate collection and here.
+        downstream_vc = winner.downstream_vc
         vc.pop()
         if not vc._queue:
             winner.active = False
             self._active_vcs.remove(winner)
-        # Inlined VirtualChannelBuffer.reserve: _tick ran the admission test
-        # for this head this round, and no other reservation can reach this
+        # Inlined VirtualChannelBuffer.reserve: the round ran the admission
+        # test for this head, and no other reservation can reach this
         # downstream VC in between (one forward per output port per round,
         # and distinct output ports feed distinct downstream input ports).
         downstream_vc._reserved_flits += packet.num_flits
@@ -492,21 +476,22 @@ class Router(Component, PacketSink):
 
         self.sim.schedule_call(
             out_port.downstream.receive_packet,
-            (packet, out_port.downstream_port, downstream_vc_index),
+            (packet, out_port.downstream_port, downstream_vc.index),
             self.pipeline_latency + out_port.link_latency,
         )
 
     def close(self) -> None:
-        """Also drop each input VC's cached head route and state.
+        """Also drop each input VC's state and credit listeners.
 
-        A VC's state points back at the VC, and a blocked head's VC caches
-        the downstream VC, whose listeners hold this VC's state, so VCs can
-        point at one another through no component.
+        A VC's state points back at the VC, and a blocked head's state
+        reaches the downstream VC it waits on (through ``blocked_port``
+        and ``downstream_vc``), whose listeners hold that state, so states
+        and VCs can point at one another through no component.
         """
         for port in self.input_ports:
             for vc in port.vcs:
-                vc.head_route = None
                 vc.state = None
+                vc._space_waiters = None
         super().close()
 
     # ------------------------------------------------------------------ #

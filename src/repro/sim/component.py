@@ -16,6 +16,9 @@ class Component:
     requested cycle.  Duplicate wake-ups for a pending target are coalesced;
     only a wake requested after the cycle's tick already ran (e.g. a credit
     listener firing mid-cycle) re-ticks the component within that cycle.
+    The kernel runs :meth:`_run_tick`, which drops a stale callback and
+    calls :meth:`_tick`; a hot component (router, network interface)
+    overrides :meth:`_run_tick` itself, opening with the same stale test.
 
     Each component's ``stats`` group is registered in ``sim.stats`` under
     the component's name, which must therefore be unique per simulator.

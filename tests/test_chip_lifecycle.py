@@ -69,16 +69,20 @@ def mesh_point(num_cores: int = 16) -> ExperimentPoint:
 
 
 def fail_router_tick(monkeypatch) -> str:
-    """Make the 500th router tick of the next run raise; returns the message."""
+    """Make the 500th router tick of the next run raise; returns the message.
+
+    Patches ``Router._run_tick``, the callback the kernel runs for each
+    router tick event.
+    """
     ticks = itertools.count()
-    original = Router._tick
+    original = Router._run_tick
 
     def failing_tick(self):
         if next(ticks) == 500:
             raise RuntimeError("injected router fault")
         original(self)
 
-    monkeypatch.setattr(Router, "_tick", failing_tick)
+    monkeypatch.setattr(Router, "_run_tick", failing_tick)
     return "injected router fault"
 
 
@@ -106,8 +110,9 @@ def test_every_fabric_frees_its_chip(name):
 
 
 def test_chiplet_chip_with_blocked_heads_frees_itself():
-    # Heads here block on full downstream VCs, so VCs cache routes to VCs
-    # whose credit listeners point back: the cycle Router.close breaks.
+    # Heads here block on full downstream VCs, so a blocked state reaches
+    # the downstream VC (through its blocked port and its resolved VC)
+    # whose credit listeners point back at it: the cycle Router.close breaks.
     config = chiplet_system(num_cores=64).with_workload(small_workload())
     assert cyclic_garbage_after(ExperimentPoint(config, TINY_SETTINGS)) == 0
 

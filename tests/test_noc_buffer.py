@@ -169,12 +169,6 @@ class TestSpaceWaiters:
         vc.pop()
         assert fired == [0, 1]
 
-    def test_pop_clears_cached_head_route(self):
-        vc = self._full_vc()
-        vc.head_route = ("sentinel",)
-        vc.pop()
-        assert vc.head_route is None
-
 
 class TestInputPort:
     def test_default_vc_map_assigns_one_vc_per_class(self):

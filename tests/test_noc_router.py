@@ -248,3 +248,188 @@ def test_tree_node_forwards_in_paper_priority_order():
     sim.run(20)
     order = [packet for packet, _cycle in terminal.received]
     assert order == [network_response, local_response, network_request, local_request]
+
+
+class RecordingSink(PacketSink):
+    """A downstream port that keeps what it receives, recording each
+    packet's VC and arrival cycle; ``drain`` pops a VC as the next hop would."""
+
+    def __init__(self, sim, input_port):
+        self.sim = sim
+        self.input_ports = [input_port]
+        self.received = []
+        self.arrivals = []
+
+    def receive_packet(self, packet, in_port, vc_index):
+        self.input_ports[in_port].vcs[vc_index].push(packet)
+        self.received.append((packet, vc_index))
+        self.arrivals.append(self.sim.cycle)
+
+    def drain(self, vc_index):
+        self.input_ports[0].vcs[vc_index].pop()
+
+
+def test_forwards_into_a_tree_node_land_in_the_vcs_its_map_names():
+    # A NOC-Out tree node's two-VC ports fold requests and snoops onto VC 0
+    # and responses onto VC 1 (tree_vc_map); the upstream router's three
+    # VCs must each be forwarded into the VC that map names.
+    from repro.config.system import SystemConfig
+    from repro.core.reduction_tree import tree_input_port, tree_vc_map
+
+    sim = Simulator()
+    node = Router(sim, "tree.n1", pipeline_latency=1)
+    sink = SinkRecorder(sim)
+    node.route_fn = lambda dst: sink
+    node.add_output_port("terminal", sink, 0, link_latency=1)
+    upstream = make_router(sim, route_fn=lambda dst: node)
+    upstream.add_input_port(InputPort(3, 5))
+    upstream.connect(node, tree_input_port(SystemConfig(), "tree.n1.from_upstream"),
+                     "down", link_latency=1, link_length_mm=1.0)
+    assert upstream.input_ports[0].num_vcs == 3 and node.input_ports[0].num_vcs == 2
+
+    landed = []
+    deliver = node.receive_packet
+
+    def recording(packet, in_port, vc_index):
+        landed.append((packet.msg_class, vc_index))
+        deliver(packet, in_port, vc_index)
+
+    node.receive_packet = recording
+    classes = (MessageClass.REQUEST, MessageClass.SNOOP, MessageClass.RESPONSE)
+    for msg_class in classes:
+        inject(upstream, make_packet(msg_class=msg_class))
+    sim.run(20)
+
+    vc_map = tree_vc_map(2)
+    assert sorted(landed) == sorted((cls, vc_map[cls]) for cls in classes)
+    assert {vc_index for _cls, vc_index in landed} == {0, 1}
+    assert len(sink.received) == 3
+
+
+def test_credit_blocked_head_resumes_onto_the_same_downstream_vc():
+    from repro.config.system import SystemConfig
+    from repro.core.reduction_tree import tree_input_port
+
+    sim = Simulator()
+    downstream = RecordingSink(sim, tree_input_port(SystemConfig(), "tree.n0.local"))
+    router = make_router(sim, route_fn=lambda dst: downstream)
+    router.add_input_port(InputPort(3, 20))
+    router.add_output_port("out", downstream, 0, link_latency=1)
+    # Two 3-flit snoops: the first fills downstream VC 0 (3 flits deep),
+    # the second blocks on its credit.
+    first, second = (make_packet(flits=3, msg_class=MessageClass.SNOOP) for _ in range(2))
+    inject(router, first)
+    inject(router, second)
+    sim.run(20)
+    assert downstream.received == [(first, 0)]
+    state = router.input_ports[0].vcs[1].state
+    assert state.blocked and state.blocked_port is router.output_ports[0]
+    assert sim.pending_events == 0  # a credit-blocked router schedules nothing
+
+    sim.schedule_at(lambda: downstream.drain(0), 25)
+    sim.run(20)
+    assert downstream.received == [(first, 0), (second, 0)]
+    assert not state.blocked
+    assert downstream.input_ports[0].vcs[0].reserved_flits == 3
+    assert router.buffered_packets == 0
+
+
+# ---------------------------------------------------------------------- #
+# Stale wakes: routers and interfaces run Component.wake's stale-callback
+# test inside their own tick callback, so they get the wake patterns of
+# tests/test_sim_component.py.  A round is observed as one iteration of
+# the list the tick scans.
+# ---------------------------------------------------------------------- #
+class RoundCounter(list):
+    """A list that records the simulated cycle of every iteration."""
+
+    def __init__(self, sim, items=()):
+        super().__init__(items)
+        self.sim = sim
+        self.rounds = []
+
+    def __iter__(self):
+        self.rounds.append(self.sim.cycle)
+        return super().__iter__()
+
+
+def counted_router(sim, downstream):
+    """A router feeding ``downstream``, and the cycles of its rounds."""
+    router = make_router(sim, route_fn=lambda dst: downstream)
+    router.add_input_port(InputPort(3, 20))
+    router.add_output_port("out", downstream, 0, link_latency=1)
+    router._active_vcs = RoundCounter(sim)
+    return router, router._active_vcs.rounds
+
+
+def counted_interface(sim, downstream):
+    """An interface injecting into ``downstream``, and the cycles of its rounds."""
+    from repro.noc.interface import NetworkInterface
+
+    interface = NetworkInterface(sim, "ni0", 0, 128, on_delivery=lambda message: None)
+    interface.attach_router(downstream, 0)
+    interface._inject_vcs = RoundCounter(sim)
+    return interface, interface._inject_vcs.rounds
+
+
+@pytest.mark.parametrize("build", [counted_router, counted_interface])
+def test_superseded_wakes_run_one_round(build):
+    from collections import Counter
+
+    sim = Simulator()
+    component, rounds = build(sim, RecordingSink(sim, InputPort(3, 5)))
+    component.wake(5)
+    component.wake(2)
+    component.wake(0)
+    sim.run(10)  # the wake(5) and wake(2) callbacks are stale: one round, at 0
+    component.wake(12)  # pending at cycle 22
+    component.wake(5)   # supersedes: a round at 15, the callback at 22 is stale
+    sim.run(30)
+    assert rounds == [0, 15]
+    assert max(Counter(rounds).values()) == 1
+
+
+def test_router_credit_wake_after_its_tick_reruns_it_that_cycle():
+    sim = Simulator()
+    downstream = RecordingSink(sim, InputPort(3, 5))
+    router, rounds = counted_router(sim, downstream)
+    first, second = (make_packet(flits=5, msg_class=MessageClass.RESPONSE) for _ in range(2))
+    inject(router, first)
+    inject(router, second)
+    sim.run(8)  # the second head blocked on credit at cycle 5, and sleeps
+    assert downstream.received == [(first, 2)]
+    rounds.clear()
+
+    def tick_then_return_credit():
+        router.wake(0)  # this cycle's round runs first, still blocked ...
+        sim.schedule_call(downstream.drain, (2,))  # ... then credit returns
+
+    sim.schedule_at(tick_then_return_credit, 8)
+    sim.run(10)
+    assert rounds == [8, 8, 9]  # the credit wake re-ran the router at 8
+    assert downstream.received == [(first, 2), (second, 2)]
+    # Forwarded at 8 on the re-run: 2-cycle pipeline plus 1-cycle link.
+    assert downstream.arrivals == [3, 11]
+
+
+def test_interface_credit_wake_after_its_tick_reruns_it_that_cycle():
+    sim = Simulator()
+    downstream = RecordingSink(sim, InputPort(3, 5))
+    interface, rounds = counted_interface(sim, downstream)
+    for _ in range(2):
+        interface.inject(Message(src=0, dst=1, msg_class=MessageClass.RESPONSE,
+                                 size_bits=5 * 128))
+    sim.run(4)  # the second packet blocked on credit at cycle 1, and sleeps
+    assert len(downstream.received) == 1
+    rounds.clear()
+
+    def tick_then_return_credit():
+        interface.wake(0)
+        sim.schedule_call(downstream.drain, (2,))
+
+    sim.schedule_at(tick_then_return_credit, 4)
+    sim.run(10)
+    assert rounds == [4, 4]  # the credit wake re-ran the interface at 4
+    # Injected at 4 on the re-run, with a 1-cycle injection latency.
+    assert downstream.arrivals == [1, 5]
+    assert interface.injection_backlog == 0
