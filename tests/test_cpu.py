@@ -208,3 +208,111 @@ class TestCoreNodeProtocol:
         sim.stats.reset()
         assert node.core.instructions_committed.value == 0
         assert node.l1i.accesses == 0
+
+
+# --------------------------------------------------------------------------- #
+# The core's MSI rules, pinned as a table
+# --------------------------------------------------------------------------- #
+I, S, M = CacheLineState.INVALID, CacheLineState.SHARED, CacheLineState.MODIFIED
+INV, FWD, FWD_INV = SnoopType.INVALIDATE, SnoopType.FORWARD, SnoopType.FORWARD_INV
+INV_ACK, FWD_DATA = ResponseType.INV_ACK, ResponseType.FWD_DATA
+
+#: (L1-D state, L1-I holds the block, snoop) -> (final L1-I state, final
+#: L1-D state, reply type, the reply carries data). Both forwards reply with
+#: data even when the line is no longer held.
+SNOOP_PIN_TABLE = {
+    (I, False, INV): (I, I, INV_ACK, False),
+    (I, False, FWD): (I, I, FWD_DATA, True),
+    (I, False, FWD_INV): (I, I, FWD_DATA, True),
+    (I, True, INV): (I, I, INV_ACK, False),
+    (I, True, FWD): (S, I, FWD_DATA, True),
+    (I, True, FWD_INV): (S, I, FWD_DATA, True),
+
+    (S, False, INV): (I, I, INV_ACK, False),
+    (S, False, FWD): (I, S, FWD_DATA, True),
+    (S, False, FWD_INV): (I, I, FWD_DATA, True),
+    (S, True, INV): (I, I, INV_ACK, False),
+    (S, True, FWD): (S, S, FWD_DATA, True),
+    (S, True, FWD_INV): (S, I, FWD_DATA, True),
+
+    (M, False, INV): (I, I, INV_ACK, False),
+    (M, False, FWD): (I, S, FWD_DATA, True),
+    (M, False, FWD_INV): (I, I, FWD_DATA, True),
+    (M, True, INV): (I, I, INV_ACK, False),
+    (M, True, FWD): (S, S, FWD_DATA, True),
+    (M, True, FWD_INV): (S, I, FWD_DATA, True),
+}
+
+#: L1-D victim state -> whether its eviction sends a PutM (carrying data).
+EVICT_PIN_TABLE = {S: False, M: True}
+
+
+def _l1_state(l1, addr):
+    return l1.array.probe(addr) or I
+
+
+def _drive_snoop(l1d_state, l1i_present, snoop_type, addr=0x40000):
+    """Fill the L1s through ``handle_response``, deliver one snoop and return
+    what the table records."""
+    _sim, node, sent = build_core([FetchBlock(iaddr=0x1000, n_instructions=6)])
+    # A second block of the same L1-D set, filled last, so the set's LRU order
+    # is observable: a snoop must not move the snooped line.
+    neighbour = addr + node.l1d.config.num_sets * node.l1d.config.block_size
+    if l1d_state is not I:
+        node.handle_response(data_response(addr, exclusive=l1d_state is M))
+    node.handle_response(data_response(neighbour))
+    if l1i_present:
+        node.handle_response(data_response(addr, is_instruction=True))
+    assert (_l1_state(node.l1i, addr), _l1_state(node.l1d, addr)) == (S if l1i_present else I, l1d_state)
+    assert not sent
+
+    node.handle_snoop(SnoopRequest(snoop_type, addr + 8, home_node=HOME, target_core=0))
+    assert node.snoops_received.value == 1
+    [(dst, msg_class, reply, carries_data)] = sent
+    assert (dst, msg_class, reply.addr, reply.target_core) == (HOME, MessageClass.RESPONSE, addr, 0)
+    final_l1d = _l1_state(node.l1d, addr)
+    assert list(node.l1d.array.resident_blocks()) == ([] if final_l1d is I else [addr]) + [neighbour]
+    return _l1_state(node.l1i, addr), final_l1d, reply.resp_type, carries_data
+
+
+def _drive_evict(victim_state):
+    """Fill one L1-D set through ``handle_response`` with its LRU line in
+    ``victim_state``, fill one more block there, and return whether a PutM went."""
+    _sim, node, sent = build_core([FetchBlock(iaddr=0x1000, n_instructions=6)])
+    config = node.l1d.config
+    blocks = [way * config.num_sets * config.block_size for way in range(config.associativity + 1)]
+    node.handle_response(data_response(blocks[0], exclusive=victim_state is M))
+    for block in blocks[1:]:
+        node.handle_response(data_response(block, exclusive=True))
+    assert _l1_state(node.l1d, blocks[0]) is I
+    assert all(_l1_state(node.l1d, block) is M for block in blocks[1:])
+    putms = requests_of(sent, CoherenceRequestType.PUTM)
+    assert len(sent) == len(putms) == node.writebacks_sent.value
+    for dst, msg_class, putm, carries_data in sent:
+        assert (dst, msg_class, carries_data) == (HOME, MessageClass.REQUEST, True)
+        assert (putm.addr, putm.requester_node, putm.requester_core) == (blocks[0], 0, 0)
+    return bool(putms)
+
+
+def test_pin_table_covers_every_input():
+    assert set(SNOOP_PIN_TABLE) == {
+        (l1d_state, l1i_present, snoop_type)
+        for l1d_state in (I, S, M)
+        for l1i_present in (False, True)
+        for snoop_type in (INV, FWD, FWD_INV)
+    }
+    assert set(EVICT_PIN_TABLE) == {S, M}
+
+
+@pytest.mark.parametrize(
+    "case",
+    list(SNOOP_PIN_TABLE),
+    ids=lambda case: f"{case[0].value}-{'I' if case[1] else 'noI'}-{case[2].value}",
+)
+def test_core_follows_snoop_pin_table(case):
+    assert _drive_snoop(*case) == SNOOP_PIN_TABLE[case]
+
+
+@pytest.mark.parametrize("victim_state", list(EVICT_PIN_TABLE), ids=lambda state: state.value)
+def test_core_follows_evict_pin_table(victim_state):
+    assert _drive_evict(victim_state) is EVICT_PIN_TABLE[victim_state]
