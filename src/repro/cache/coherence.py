@@ -1,4 +1,4 @@
-"""Coherence protocol message payloads, directory state and the directory's rules.
+"""Coherence protocol message payloads, directory state and the MSI rules.
 
 The protocol is a directory-based MSI protocol with the three stable
 directory states the paper's traffic analysis needs (I, S, M) and the three
@@ -16,6 +16,8 @@ than 2 % of LLC accesses.
 :func:`on_request`, :func:`on_complete` and :func:`on_putm` are the only
 home of the directory's rules. Each reads and updates just the entry it is
 given; the timed directory and the functional warm-up apply their results.
+:func:`on_snoop` and :func:`on_evict`, functions of L1 line states, are the
+only home of a core's rules; the core node applies them to its L1 arrays.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Set, Tuple
+
+from repro.cache.set_assoc import CacheLineState
 
 
 class CoherenceRequestType(Enum):
@@ -39,6 +43,11 @@ class SnoopType(Enum):
     INVALIDATE = "Inv"
     FORWARD = "Fwd"          # owner supplies data and downgrades to shared
     FORWARD_INV = "FwdInv"   # owner supplies data and invalidates
+
+    @property
+    def is_forward(self) -> bool:
+        """Whether the owner answers with the block (the LLC is not read)."""
+        return self is not SnoopType.INVALIDATE
 
 
 class ResponseType(Enum):
@@ -163,3 +172,23 @@ def on_putm(entry: DirectoryEntry, core: int) -> None:
         entry.sharers.clear()
     else:
         entry.sharers.discard(core)
+
+
+def on_snoop(
+    snoop_type: SnoopType, l1d_state: CacheLineState, l1i_present: bool
+) -> Tuple[CacheLineState, bool, ResponseType, bool]:
+    """``(new L1-D state, L1-I keeps the block, reply type, reply carries data)``.
+
+    An Inv drops the block from both L1s and is acked without data. A Fwd
+    downgrades an M line to S, a FwdInv drops the L1-D line; both reply
+    FwdData, with data, whether or not the line is still held."""
+    if snoop_type is SnoopType.INVALIDATE:
+        return CacheLineState.INVALID, False, ResponseType.INV_ACK, False
+    if snoop_type is SnoopType.FORWARD_INV or l1d_state is CacheLineState.INVALID:
+        return CacheLineState.INVALID, l1i_present, ResponseType.FWD_DATA, True
+    return CacheLineState.SHARED, l1i_present, ResponseType.FWD_DATA, True
+
+
+def on_evict(state: CacheLineState) -> bool:
+    """Whether a victim in ``state`` sends a PutM: only an M line does."""
+    return state is CacheLineState.MODIFIED

@@ -152,7 +152,7 @@ class DirectoryController(Component):
         )
         for target in targets:
             self._send_snoop(snoop_type, addr, target, transaction)
-        if snoop_type is SnoopType.FORWARD or snoop_type is SnoopType.FORWARD_INV:
+        if snoop_type is not None and snoop_type.is_forward:
             transaction.waiting_for_forward = True
             transaction.forwarded_from = targets[0]
         else:

@@ -42,23 +42,15 @@ class L1Cache:
         self.read_misses.add()
         return False
 
-    def write(self, addr: int) -> Tuple[bool, bool]:
-        """Look up ``addr`` for a write.
-
-        Returns ``(hit, needs_upgrade)``: a hit requires write permission;
-        a resident-but-shared line is a miss that only needs an upgrade.
-        """
+    def write(self, addr: int) -> bool:
+        """Look up ``addr`` for a write; ``True`` on a hit, which needs an M line."""
         if self.is_instruction:
             raise RuntimeError(f"{self.name}: writes to the instruction cache are not allowed")
-        state = self.array.lookup(addr)
-        if state is None:
-            self.write_misses.add()
-            return False, False
-        if state.is_writable:
+        if self.array.lookup(addr) is CacheLineState.MODIFIED:
             self.write_hits.add()
-            return True, False
+            return True
         self.write_misses.add()
-        return False, True
+        return False
 
     def fill(self, addr: int, writable: bool) -> Optional[Tuple[int, CacheLineState]]:
         """Install a block returned by the directory; returns the victim."""
@@ -66,20 +58,6 @@ class L1Cache:
         if self.is_instruction:
             state = CacheLineState.SHARED
         return self.array.insert(addr, state)
-
-    # ------------------------------------------------------------------ #
-    # Snoop-side accesses
-    # ------------------------------------------------------------------ #
-    def snoop_invalidate(self, addr: int) -> Optional[CacheLineState]:
-        """Invalidate ``addr``; returns the previous state, if resident."""
-        return self.array.invalidate(addr)
-
-    def snoop_downgrade(self, addr: int) -> Optional[CacheLineState]:
-        """Downgrade ``addr`` to shared; returns the previous state."""
-        previous = self.array.probe(addr)
-        if previous is not None and previous.is_writable:
-            self.array.update_state(addr, CacheLineState.SHARED)
-        return previous
 
     # ------------------------------------------------------------------ #
     @property

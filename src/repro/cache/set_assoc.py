@@ -16,10 +16,6 @@ class CacheLineState(Enum):
     SHARED = "S"
     MODIFIED = "M"
 
-    @property
-    def is_writable(self) -> bool:
-        return self is CacheLineState.MODIFIED
-
 
 #: A set stores each line's one-letter state value, not the member: the
 #: garbage collector does not track a dict of int keys and str values.

@@ -17,7 +17,8 @@ from repro.cache.coherence import (
     Response,
     ResponseType,
     SnoopRequest,
-    SnoopType,
+    on_evict,
+    on_snoop,
 )
 from repro.cache.l1 import L1Cache
 from repro.cache.mshr import MshrFile
@@ -97,8 +98,7 @@ class CoreNode(Component):
     def probe_data(self, addr: int, is_write: bool) -> bool:
         """Data access lookup only: returns ``True`` on an L1-D hit."""
         if is_write:
-            hit, _needs_upgrade = self.l1d.write(addr)
-            return hit
+            return self.l1d.write(addr)
         return self.l1d.read(addr)
 
     def issue_data_miss(self, addr: int, is_write: bool) -> None:
@@ -146,28 +146,23 @@ class CoreNode(Component):
         self.core.data_ready(block)
 
     def handle_snoop(self, snoop: SnoopRequest) -> None:
-        """Invalidations and forwards from a home directory."""
+        """Invalidations and forwards from a home directory (rules: :func:`on_snoop`)."""
         self.snoops_received.add()
         block = self.block_address(snoop.addr)
-        if snoop.snoop_type == SnoopType.INVALIDATE:
-            self.l1d.snoop_invalidate(block)
-            self.l1i.snoop_invalidate(block)
-            reply = Response(ResponseType.INV_ACK, block, target_core=self.core_id)
-            self._send(snoop.home_node, MessageClass.RESPONSE, reply, False)
-            return
-        if snoop.snoop_type == SnoopType.FORWARD:
-            self.l1d.snoop_downgrade(block)
-        elif snoop.snoop_type == SnoopType.FORWARD_INV:
-            self.l1d.snoop_invalidate(block)
-        reply = Response(ResponseType.FWD_DATA, block, target_core=self.core_id)
-        self._send(snoop.home_node, MessageClass.RESPONSE, reply, True)
+        l1d_state = self.l1d.array.probe(block) or CacheLineState.INVALID
+        l1i_present = self.l1i.array.probe(block) is not None
+        new_state, l1i_keeps, reply_type, carries_data = on_snoop(snoop.snoop_type, l1d_state, l1i_present)
+        if new_state is not l1d_state:
+            self.l1d.array.update_state(block, new_state)
+        if l1i_present and not l1i_keeps:
+            self.l1i.array.invalidate(block)
+        reply = Response(reply_type, block, target_core=self.core_id)
+        self._send(snoop.home_node, MessageClass.RESPONSE, reply, carries_data)
 
     def _writeback_victim(self, victim: Optional[tuple]) -> None:
-        if victim is None:
+        if victim is None or not on_evict(victim[1]):
             return
-        victim_block, state = victim
-        if state != CacheLineState.MODIFIED:
-            return
+        victim_block = victim[0]
         request = CacheRequest(
             req_type=CoherenceRequestType.PUTM,
             addr=victim_block,

@@ -479,18 +479,17 @@ class TestL1Cache:
     def test_write_to_shared_line_needs_upgrade(self):
         l1 = make_l1()
         l1.fill(0x1000, writable=False)
-        hit, needs_upgrade = l1.write(0x1000)
-        assert not hit
-        assert needs_upgrade
+        assert l1.write(0x1000) is False
+        assert l1.array.probe(0x1000) == CacheLineState.SHARED  # still resident
         assert l1.write_misses.value == 1
         assert l1.write_hits.value == 0
 
     def test_write_to_writable_line_hits(self):
         l1 = make_l1()
         l1.fill(0x1000, writable=True)
-        hit, needs_upgrade = l1.write(0x1000)
-        assert hit
-        assert not needs_upgrade
+        assert l1.write(0x1000) is True
+        assert l1.write_hits.value == 1
+        assert l1.write_misses.value == 0
 
     def test_instruction_cache_rejects_writes(self):
         with pytest.raises(RuntimeError):
@@ -500,27 +499,6 @@ class TestL1Cache:
         l1 = make_l1(is_instruction=True)
         l1.fill(0x1000, writable=True)
         assert l1.array.probe(0x1000) == CacheLineState.SHARED
-
-    def test_snoop_invalidate(self):
-        l1 = make_l1()
-        l1.fill(0x1000, writable=True)
-        previous = l1.snoop_invalidate(0x1000)
-        assert previous == CacheLineState.MODIFIED
-        assert not l1.read(0x1000)
-        assert l1.snoop_invalidate(0x1000) is None
-
-    def test_snoop_downgrade(self):
-        l1 = make_l1()
-        l1.fill(0x1000, writable=True)
-        l1.snoop_downgrade(0x1000)
-        assert l1.array.probe(0x1000) == CacheLineState.SHARED
-        hit, needs_upgrade = l1.write(0x1000)
-        assert not hit and needs_upgrade
-
-    def test_snoop_to_absent_line_is_harmless(self):
-        l1 = make_l1()
-        assert l1.snoop_invalidate(0x4000) is None
-        assert l1.snoop_downgrade(0x4000) is None
 
     def test_miss_rate(self):
         l1 = make_l1()

@@ -529,3 +529,53 @@ def test_only_coherence_module_assigns_directory_states():
         for line in _state_assignments(path.read_text())
     ]
     assert not offenders, f"directory states are assigned outside cache/coherence.py: {offenders}"
+
+
+_COMPARISONS = (ast.Eq, ast.NotEq, ast.Is, ast.IsNot, ast.In, ast.NotIn)
+
+
+def _snoop_comparisons(source):
+    """Line numbers where a value is compared with a ``SnoopType.<member>``
+    (``==``, ``!=``, ``is``, ``is not``, or ``in`` a literal holding one)."""
+
+    def is_member(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(is_member(element) for element in node.elts)
+        return (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "SnoopType"
+        )
+
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, _COMPARISONS) for op in node.ops)
+        and any(is_member(operand) for operand in [node.left, *node.comparators])
+    ]
+
+
+def test_only_coherence_module_compares_snoop_types():
+    rules = SRC / "repro" / "cache" / "coherence.py"
+    assert _snoop_comparisons(rules.read_text())  # the check sees the rules' own comparisons
+    offenders = [
+        f"{path.relative_to(SRC)}:{line}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path != rules
+        for line in _snoop_comparisons(path.read_text())
+    ]
+    assert not offenders, f"snoop types are compared outside cache/coherence.py: {offenders}"
+
+
+def test_snoop_comparison_check_sees_every_operator():
+    source = """
+snoop.snoop_type == SnoopType.INVALIDATE
+SnoopType.FORWARD != kind
+kind is SnoopType.FORWARD_INV
+kind is not SnoopType.INVALIDATE
+kind in (SnoopType.FORWARD, SnoopType.FORWARD_INV)
+kind not in {SnoopType.INVALIDATE}
+kind < SnoopType.FORWARD
+"""
+    assert _snoop_comparisons(source) == [2, 3, 4, 5, 6, 7]

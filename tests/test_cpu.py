@@ -8,6 +8,8 @@ from repro.cache.coherence import (
     ResponseType,
     SnoopRequest,
     SnoopType,
+    on_evict,
+    on_snoop,
 )
 from repro.cache.set_assoc import CacheLineState
 from repro.config.system import SystemConfig
@@ -177,8 +179,8 @@ class TestCoreNodeProtocol:
         node.handle_snoop(SnoopRequest(SnoopType.FORWARD, 0x50000, home_node=HOME, target_core=0))
         fwd = [p for _d, _c, p, _dd in sent if getattr(p, "resp_type", None) == ResponseType.FWD_DATA]
         assert len(fwd) == 1
-        hit, needs_upgrade = node.l1d.write(0x50000)
-        assert not hit and needs_upgrade  # downgraded to shared
+        assert node.l1d.array.probe(0x50000) is CacheLineState.SHARED
+        assert node.l1d.write(0x50000) is False  # a store to the downgraded line misses
 
     def test_dirty_victim_generates_writeback(self):
         sim, node, sent = build_core([FetchBlock(iaddr=0x1000, n_instructions=6)])
@@ -195,8 +197,7 @@ class TestCoreNodeProtocol:
     def test_exclusive_fill_allows_store_hit(self):
         sim, node, _ = build_core([FetchBlock(iaddr=0x1000, n_instructions=6)])
         node.handle_response(data_response(0x60000, exclusive=True))
-        hit, _ = node.l1d.write(0x60000)
-        assert hit
+        assert node.l1d.write(0x60000) is True
 
     def test_reset_statistics_clears_counters(self):
         block = FetchBlock(iaddr=0x1000, n_instructions=6, data_accesses=[])
@@ -316,3 +317,12 @@ def test_core_follows_snoop_pin_table(case):
 @pytest.mark.parametrize("victim_state", list(EVICT_PIN_TABLE), ids=lambda state: state.value)
 def test_core_follows_evict_pin_table(victim_state):
     assert _drive_evict(victim_state) is EVICT_PIN_TABLE[victim_state]
+
+
+def test_rule_functions_follow_pin_table():
+    for case, row in SNOOP_PIN_TABLE.items():
+        l1d_state, l1i_present, snoop_type = case
+        new_l1d_state, l1i_keeps, reply_type, carries_data = on_snoop(snoop_type, l1d_state, l1i_present)
+        assert (S if l1i_keeps else I, new_l1d_state, reply_type, carries_data) == row, case
+    for victim_state, sends_putm in EVICT_PIN_TABLE.items():
+        assert on_evict(victim_state) is sends_putm, victim_state
